@@ -14,7 +14,7 @@ import sys
 import click
 
 from . import pipeline
-from .data_io import DataError, SynthConfig, load_manifest
+from .data_io import DataError, SynthConfig, _atomic_write, load_manifest
 from .model import TrainingError
 from .representations import FitError
 
@@ -63,7 +63,10 @@ def synth(config_path, out_dir, seed):
         _fail(EXIT_CONFIG, f"config {config_path}: {exc}")
     except DataError as exc:
         _fail(EXIT_CONFIG, f"config {config_path}: {exc}")
-    manifest_path = pipeline.run_synth(cfg, out_dir, extra)
+    try:
+        manifest_path = pipeline.run_synth(cfg, out_dir, extra)
+    except DataError as exc:
+        _fail(EXIT_CONFIG, f"config {config_path}: {exc}")
     click.echo(f"wrote {cfg.items} items and {manifest_path}")
 
 
@@ -122,8 +125,7 @@ def report(result_dirs, out_dir):
     click.echo(table)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.txt"), "w") as fh:
-            fh.write(table + "\n")
+        _atomic_write(os.path.join(out_dir, "report.txt"), table + "\n")
         record = {
             "format_version": 1,
             "dataset_hash": summaries[0]["dataset_hash"],
@@ -132,9 +134,8 @@ def report(result_dirs, out_dir):
                 for s in summaries
             ],
         }
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _atomic_write(os.path.join(out_dir, "report.json"),
+                      json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -32,12 +32,13 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, data):
+    """Write ``data`` (str or bytes) to a temp file beside ``path``, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -390,9 +391,30 @@ class ExperimentManifest:
             raise DataError("beta_mapped requires dataset bounds")
         if self.representation.get("neighbor_radius", 1) < 0:
             raise DataError("neighbor_radius must be non-negative")
+        _check_training_sections(self.model, self.train)
 
     def resolve(self, relpath) -> str:
         return os.path.join(self.base_dir, relpath)
+
+
+def _check_training_sections(model_doc, train_doc):
+    """Reject unknown keys and out-of-range values in the model and train sections."""
+    # Imported here because the model module writes its checkpoints
+    # through this module.
+    from .model import ModelConfig, TrainConfig
+
+    # input_dim comes from the feature files, not from the manifest.
+    for section, doc, cls, derived in (("model", model_doc, ModelConfig, {"input_dim": 1}),
+                                       ("train", train_doc, TrainConfig, {})):
+        known = sorted(f.name for f in fields(cls) if f.name not in derived)
+        for key in doc:
+            if key not in known:
+                raise DataError(f"{section}.{key}: unknown key (expected one of "
+                                f"{', '.join(known)})")
+        try:
+            cls(**derived, **doc)
+        except ValueError as exc:
+            raise DataError(f"{section}.{exc}") from exc
 
 
 def manifest_to_dict(manifest: ExperimentManifest) -> dict:
@@ -440,15 +462,18 @@ def load_manifest(path, check_shapes=True) -> ExperimentManifest:
     if not dataset.items:
         raise DataError(f"{path}: manifest lists no items")
     split_doc = doc.get("split", {})
-    manifest = ExperimentManifest(
-        dataset=dataset,
-        representation=doc.get("representation", {"family": "gaussian"}),
-        model=doc.get("model", {}),
-        train=doc.get("train", {}),
-        split=SplitSpec(**split_doc) if split_doc else SplitSpec(),
-        seed=doc.get("seed", 0),
-        base_dir=base_dir,
-    )
+    try:
+        manifest = ExperimentManifest(
+            dataset=dataset,
+            representation=doc.get("representation", {"family": "gaussian"}),
+            model=doc.get("model", {}),
+            train=doc.get("train", {}),
+            split=SplitSpec(**split_doc) if split_doc else SplitSpec(),
+            seed=doc.get("seed", 0),
+            base_dir=base_dir,
+        )
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     for item in dataset.items:
         for kind, rel in (("trace", item.trace_file), ("feature", item.feature_file)):
             if not os.path.exists(manifest.resolve(rel)):

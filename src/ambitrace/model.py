@@ -3,17 +3,26 @@
 Implemented directly in numpy (float64) so that training is bitwise
 reproducible from a seed and the backward pass can be verified against
 finite differences.  Training minimizes the concordance loss
-1 - ccc(pred, target) per segment with Adam; a separate model instance
-is trained per target channel (mu-like or sigma-like).
+1 - ccc(pred, target) per segment with Adam; a separate model is trained
+per target channel (mu-like or sigma-like).
+
+The models of one fold are trained as one stack: every parameter tensor
+carries a leading model axis, and the forward pass, backward pass, loss
+and optimizer step each run once for the whole stack.  The models stay
+independent: each has its own seed, shuffle order, target scaling, Adam
+state and best epoch, and ends where training it alone would.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+import numbers
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from .data_io import _atomic_write
 from .metrics import CCC_DENOM_GUARD
 
 CHECKPOINT_MAGIC = "ambitrace-checkpoint"
@@ -24,6 +33,16 @@ class TrainingError(RuntimeError):
     """Training could not proceed (empty data or unusable targets)."""
 
 
+def _check_int(name, value, minimum):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name}: expected an integer >= {minimum}, got {value!r}")
+
+
+def _check_real(name, value, valid, expected):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not valid(value):
+        raise ValueError(f"{name}: expected {expected}, got {value!r}")
+
+
 @dataclass
 class ModelConfig:
     input_dim: int
@@ -32,10 +51,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.input_dim <= 0 or self.hidden_dim <= 0:
-            raise ValueError("dimensions must be positive")
+        _check_int("input_dim", self.input_dim, 1)
+        _check_int("hidden_dim", self.hidden_dim, 1)
         if self.num_layers != 2:
-            raise ValueError("the architecture is fixed at two recurrent layers")
+            raise ValueError("num_layers: the architecture is fixed at two recurrent layers")
+        _check_int("seed", self.seed, 0)
 
 
 @dataclass
@@ -48,14 +68,16 @@ class TrainConfig:
     target_margin: float = 0.9
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.weight_decay < 0:
-            raise ValueError("rates must be non-negative")
-        if self.segment_length < 2:
-            raise ValueError("segment_length must be at least 2 (loss needs variance)")
-        if self.max_epochs < 0 or self.batch_segments < 1:
-            raise ValueError("invalid epoch or batch setting")
-        if not 0 < self.target_margin <= 1:
-            raise ValueError("target_margin must be in (0, 1]")
+        _check_real("learning_rate", self.learning_rate, lambda v: 0 <= v < math.inf,
+                    "a finite number >= 0")
+        _check_real("weight_decay", self.weight_decay, lambda v: 0 <= v < 1,
+                    "a number in [0, 1)")
+        _check_int("max_epochs", self.max_epochs, 0)
+        # A one-window segment has no variance, so its CCC loss is undefined.
+        _check_int("segment_length", self.segment_length, 2)
+        _check_int("batch_segments", self.batch_segments, 1)
+        _check_real("target_margin", self.target_margin, lambda v: 0 < v <= 1,
+                    "a number in (0, 1]")
 
 
 @dataclass
@@ -102,173 +124,242 @@ def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
     return params
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+def _sigmoid(z, out):
+    """1 / (1 + exp(-z)) written into ``out`` without temporaries."""
+    np.negative(z, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
+def stack_params(param_dicts) -> dict[str, np.ndarray]:
+    """One parameter dict with a leading model axis from per-model dicts."""
+    return {k: np.stack([p[k] for p in param_dicts]) for k in param_dicts[0]}
+
+
+def _layer_forward(inp, Wx, Wh, b):
+    """One LSTM layer over time-major (T, Mx, B, D) inputs; returns its cache.
+
+    The input projection runs for all steps before the time loop; inside
+    it every step reads and writes contiguous (M, B, ...) blocks.  The
+    gate layout is i, f, g, o; index 0 of ``c`` and ``h`` holds the zero
+    initial state.
+    """
+    T, _, B, _ = inp.shape
+    M, H = Wh.shape[0], Wh.shape[1]
+    zx = np.matmul(inp, Wx)
+    zx += b[:, None, :]
+    gates = np.empty((T, M, B, 4 * H))
+    c = np.zeros((T + 1, M, B, H))
+    h = np.zeros((T + 1, M, B, H))
+    tanh_c = np.empty((T, M, B, H))
+    for t in range(T):
+        z = np.matmul(h[t], Wh)
+        z += zx[t]
+        a = gates[t]
+        _sigmoid(z, out=a)
+        np.tanh(z[..., 2 * H : 3 * H], out=a[..., 2 * H : 3 * H])
+        np.multiply(a[..., H : 2 * H], c[t], out=c[t + 1])
+        c[t + 1] += a[..., :H] * a[..., 2 * H : 3 * H]
+        np.tanh(c[t + 1], out=tanh_c[t])
+        np.multiply(a[..., 3 * H :], tanh_c[t], out=h[t + 1])
+    return {"inp": inp, "gates": gates, "c": c, "h": h, "tanh_c": tanh_c}
 
 
 def _forward(params, cfg, x):
-    """Run a (B, T, D) batch through the network; returns outputs and cache."""
+    """Run a stack of M models over a (M, B, T, D) batch.
+
+    Every tensor in ``params`` has a leading model axis of length M; an
+    input with a leading axis of 1 feeds the same batch to every model.
+    Returns the (M, B, T) outputs and the cache for ``_backward``.
+    """
     x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x[None]
-    if x.shape[2] != cfg.input_dim:
-        raise ValueError(f"expected input_dim {cfg.input_dim}, got {x.shape[2]}")
-    B, T, _ = x.shape
-    H = cfg.hidden_dim
+    if x.ndim != 4:
+        raise ValueError(f"expected a (models, batch, time, features) array, got {x.shape}")
+    if x.shape[3] != cfg.input_dim:
+        raise ValueError(f"expected input_dim {cfg.input_dim}, got {x.shape[3]}")
+    inp = x.transpose(2, 0, 1, 3)
     layer_caches = []
-    inp = x
     for layer in range(cfg.num_layers):
-        Wx = params[f"l{layer}.Wx"]
-        Wh = params[f"l{layer}.Wh"]
-        b = params[f"l{layer}.b"]
-        h = np.zeros((B, H))
-        c = np.zeros((B, H))
-        hs = np.empty((B, T, H))
-        cache = {"inp": inp, "i": [], "f": [], "g": [], "o": [], "c": [], "h_prev": []}
-        for t in range(T):
-            z = inp[:, t, :] @ Wx + h @ Wh + b
-            i = _sigmoid(z[:, :H])
-            f = _sigmoid(z[:, H : 2 * H])
-            g = np.tanh(z[:, 2 * H : 3 * H])
-            o = _sigmoid(z[:, 3 * H :])
-            cache["h_prev"].append(h)
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            for key, val in (("i", i), ("f", f), ("g", g), ("o", o), ("c", c)):
-                cache[key].append(val)
-            hs[:, t, :] = h
-        cache["hs"] = hs
-        layer_caches.append(cache)
-        inp = hs
-    s = inp @ params["head.w"] + params["head.b"][0]
-    y = np.tanh(s)
-    cache_all = {"x": x, "layers": layer_caches, "top": inp, "y": y}
-    return (y[0] if squeeze else y), cache_all
+        lc = _layer_forward(inp, *(params[f"l{layer}.{n}"] for n in ("Wx", "Wh", "b")))
+        layer_caches.append(lc)
+        inp = lc["h"][1:]
+    y = np.tanh(np.matmul(inp, params["head.w"][:, :, None])[..., 0] + params["head.b"])
+    cache = {"layers": layer_caches, "y": y}
+    return np.ascontiguousarray(y.transpose(1, 2, 0)), cache
 
 
 def forward(model_or_params, cfg_or_none=None, features=None):
-    """Raw head outputs in (-1, 1); causal in the time dimension.
+    """Raw head outputs in (-1, 1) of one model; causal in the time dimension.
 
     Accepts either ``forward(trained_model, features=...)`` or the
-    low-level ``forward(params, cfg, features)`` form.
+    low-level ``forward(params, cfg, features)`` form, with a (T, D)
+    sequence or a (B, T, D) batch.
     """
     if isinstance(model_or_params, TrainedModel):
         params, cfg = model_or_params.params, model_or_params.config
         x = cfg_or_none if features is None else features
     else:
         params, cfg, x = model_or_params, cfg_or_none, features
-    y, _ = _forward(params, cfg, x)
-    return y
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 2
+    y, _ = _forward({k: v[None] for k, v in params.items()}, cfg,
+                    x[None, None] if single else x[None])
+    return y[0, 0] if single else y[0]
+
+
+# OpenBLAS runs a matrix product of more than 2**18 multiply-adds on
+# several threads.  At the sizes trained here the hand-off costs more than
+# it saves and the idle worker spins, doubling CPU time, so the products
+# below stay under that size.
+_MAX_PRODUCT_MACS = 1 << 18
+
+
+def _row_products(a, b):
+    """Per model, the sum over rows n of outer(a[n], b[n]).
+
+    (M, N, P) and (M, N, Q) give (M, P, Q), computed in blocks of rows.
+    """
+    rows = max(1, _MAX_PRODUCT_MACS // (a.shape[2] * b.shape[2]))
+    out = a[:, :rows].transpose(0, 2, 1) @ b[:, :rows]
+    for start in range(rows, a.shape[1], rows):
+        out += a[:, start : start + rows].transpose(0, 2, 1) @ b[:, start : start + rows]
+    return out
+
+
+def _per_model(a):
+    """(T, M, B, K) -> (M, T * B, K), rows ordered by (t, b) within each model."""
+    T, M, B, K = a.shape
+    return a.transpose(1, 0, 2, 3).reshape(M, T * B, K)
+
+
+def _layer_backward(lc, Wx, Wh, d_out, input_grad):
+    """Backprop through time for one layer, given d loss/d h of shape (T, M, B, H).
+
+    Returns (dWx, dWh, db, d loss/d input or None).  ``dz`` is kept
+    model-major so the weight gradients after the time loop need no copy
+    of it.
+    """
+    gates, c, h, tanh_c = lc["gates"], lc["c"], lc["h"], lc["tanh_c"]
+    T, M, B, H = tanh_c.shape
+    i, f, g, o = (gates[..., k * H : (k + 1) * H] for k in range(4))
+    # The parts of dz = [dc*g*i', dc*c_prev*f', dc*i*g', dh*tanh_c*o']
+    # that do not depend on the gradients carried back through time, for
+    # all steps at once; sigmoid' = s*(1-s) and tanh' = 1-g**2.
+    factor = np.empty_like(gates)
+    factor[..., :H] = g * (i * (1.0 - i))
+    factor[..., H : 2 * H] = c[:-1] * (f * (1.0 - f))
+    factor[..., 2 * H : 3 * H] = i * (1.0 - g**2)
+    factor[..., 3 * H :] = tanh_c * (o * (1.0 - o))
+    factor4 = factor.reshape(T, M, B, 4, H)
+    dc_dh = o * (1.0 - tanh_c**2)
+    dz = np.empty((M, T, B, 4 * H))
+    dz4 = dz.reshape(M, T, B, 4, H)
+    Wh_T = Wh.transpose(0, 2, 1)
+    dh_next = np.zeros((M, B, H))
+    dc_next = np.zeros((M, B, H))
+    for t in range(T - 1, -1, -1):
+        dh = d_out[t] + dh_next
+        dc = dh * dc_dh[t]
+        dc += dc_next
+        np.multiply(dc[:, :, None, :], factor4[t, :, :, :3], out=dz4[:, t, :, :3])
+        np.multiply(dh, factor4[t, :, :, 3], out=dz4[:, t, :, 3])
+        dc_next = dc * f[t]
+        dh_next = np.matmul(dz[:, t], Wh_T)
+    d_in = None
+    if input_grad:
+        d_in = np.matmul(dz, Wx.transpose(0, 2, 1)[:, None]).transpose(1, 0, 2, 3)
+    dz = dz.reshape(M, T * B, 4 * H)
+    dWx = _row_products(_per_model(lc["inp"]), dz)
+    dWh = _row_products(_per_model(h[:-1]), dz)
+    return dWx, dWh, dz.sum(axis=1), d_in
 
 
 def _backward(params, cfg, cache, dy):
-    """Gradients of a scalar loss w.r.t. all parameters, given d loss/d y."""
-    x = cache["x"]
-    B, T, _ = x.shape
-    H = cfg.hidden_dim
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
-    dy = np.asarray(dy)
-    if dy.ndim == 1:
-        dy = dy[None]
-    ds = dy * (1.0 - cache["y"] ** 2)
-    top = cache["top"]
-    grads["head.w"] = np.einsum("btH,bt->H", top, ds)
-    grads["head.b"] = np.array([ds.sum()])
-    d_inp = ds[:, :, None] * params["head.w"][None, None, :]
-
+    """Per-model gradients of a summed loss, given d loss/d y of shape (M, B, T)."""
+    y = cache["y"]
+    ds = np.asarray(dy).transpose(2, 0, 1) * (1.0 - y**2)
+    top = cache["layers"][-1]["h"][1:]
+    grads = {
+        "head.w": (ds[..., None] * top).sum(axis=(0, 2)),
+        "head.b": ds.sum(axis=(0, 2))[:, None],
+    }
+    d_out = ds[..., None] * params["head.w"][:, None, :]
     for layer in range(cfg.num_layers - 1, -1, -1):
-        lc = cache["layers"][layer]
-        Wx = params[f"l{layer}.Wx"]
-        Wh = params[f"l{layer}.Wh"]
-        dWx = np.zeros_like(Wx)
-        dWh = np.zeros_like(Wh)
-        db = np.zeros_like(params[f"l{layer}.b"])
-        d_below = np.zeros_like(lc["inp"])
-        dh_next = np.zeros((B, H))
-        dc_next = np.zeros((B, H))
-        for t in range(T - 1, -1, -1):
-            i, f, g, o = lc["i"][t], lc["f"][t], lc["g"][t], lc["o"][t]
-            c = lc["c"][t]
-            c_prev = lc["c"][t - 1] if t > 0 else np.zeros((B, H))
-            tanh_c = np.tanh(c)
-            dh = d_inp[:, t, :] + dh_next
-            do = dh * tanh_c
-            dc = dh * o * (1.0 - tanh_c**2) + dc_next
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            dc_next = dc * f
-            dz = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g**2),
-                    do * o * (1.0 - o),
-                ],
-                axis=1,
-            )
-            dWx += lc["inp"][:, t, :].T @ dz
-            dWh += lc["h_prev"][t].T @ dz
-            db += dz.sum(axis=0)
-            dh_next = dz @ Wh.T
-            d_below[:, t, :] = dz @ Wx.T
-        grads[f"l{layer}.Wx"] = dWx
-        grads[f"l{layer}.Wh"] = dWh
-        grads[f"l{layer}.b"] = db
-        d_inp = d_below
+        names = [f"l{layer}.{n}" for n in ("Wx", "Wh", "b")]
+        *layer_grads, d_out = _layer_backward(
+            cache["layers"][layer], params[names[0]], params[names[1]], d_out, layer > 0
+        )
+        grads.update(zip(names, layer_grads))
     return grads
 
 
 def ccc_loss_grad(pred, target):
     """Concordance loss 1 - ccc and its gradient w.r.t. the prediction.
 
-    Degenerate segments (flat prediction and target with equal means)
-    fall back to loss 1 with zero gradient, mirroring the metric guard.
+    Works on the last axis, so a (..., T) stack of segments gives (...)
+    losses and a (..., T) gradient.  Degenerate segments (flat prediction
+    and target with equal means) fall back to loss 1 with zero gradient,
+    mirroring the metric guard.
     """
     x = np.asarray(pred, dtype=float)
     y = np.asarray(target, dtype=float)
-    n = len(x)
-    mx, my = x.mean(), y.mean()
+    n = x.shape[-1]
+    mx = x.mean(axis=-1, keepdims=True)
+    my = y.mean(axis=-1, keepdims=True)
     xc, yc = x - mx, y - my
-    cov = (xc * yc).mean()
-    denom = x.var() + y.var() + (mx - my) ** 2
-    if denom < CCC_DENOM_GUARD:
-        return 1.0, np.zeros_like(x)
-    value = 2.0 * cov / denom
+    cov = (xc * yc).mean(axis=-1, keepdims=True)
+    denom = x.var(axis=-1, keepdims=True) + y.var(axis=-1, keepdims=True) + (mx - my) ** 2
+    usable = denom >= CCC_DENOM_GUARD
+    denom = np.where(usable, denom, 1.0)
+    value = np.where(usable, 2.0 * cov / denom, 0.0)
     dcov = yc / n
     ddenom = 2.0 * xc / n + 2.0 * (mx - my) / n
     dccc = (2.0 * dcov - value * ddenom) / denom
-    return 1.0 - value, -dccc
+    return 1.0 - value[..., 0], np.where(usable, -dccc, 0.0)
 
 
 class Adam:
     """Adam with a per-step multiplicative weight-decay shrink.
 
-    Decay is applied as ``w *= (1 - weight_decay)`` after the moment
-    update so the norm contracts every step regardless of the learning
-    rate.
+    Parameters carry a leading axis of ``n_models`` independent models.
+    Each model keeps its own step count, so one that sits out a step
+    keeps its bias correction where it was.  Decay is applied as
+    ``w *= (1 - weight_decay)`` after the moment update so the norm
+    contracts every step regardless of the learning rate.
     """
 
-    def __init__(self, params, learning_rate, weight_decay, beta1=0.9, beta2=0.999):
+    def __init__(self, params, learning_rate, weight_decay, beta1=0.9, beta2=0.999,
+                 n_models=1):
         self.lr = learning_rate
         self.wd = weight_decay
         self.beta1, self.beta2 = beta1, beta2
-        self.t = 0
+        self.t = np.zeros(n_models, dtype=int)
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
-    def step(self, params, grads):
-        self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
-        for k, w in params.items():
-            g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            w -= self.lr * (self.m[k] / b1t) / (np.sqrt(self.v[k] / b2t) + ADAM_EPS)
+    def step(self, params, grads, models=None):
+        """Update the models at indices ``models`` (all when None).
+
+        ``grads`` holds the gradients of just those models, in that order.
+        """
+        sel = slice(None) if models is None else models
+        self.t[sel] += 1
+        b1t = 1.0 - self.beta1 ** self.t[sel]
+        b2t = 1.0 - self.beta2 ** self.t[sel]
+        for k, g in grads.items():
+            shape = (-1,) + (1,) * (g.ndim - 1)
+            m = self.beta1 * self.m[k][sel] + (1.0 - self.beta1) * g
+            v = self.beta2 * self.v[k][sel] + (1.0 - self.beta2) * g * g
+            self.m[k][sel] = m
+            self.v[k][sel] = v
+            m_hat = m / b1t.reshape(shape)
+            v_hat = v / b2t.reshape(shape)
+            w = params[k][sel]
+            w -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             if self.wd:
                 w *= 1.0 - self.wd
+            params[k][sel] = w
 
 
 @dataclass
@@ -278,6 +369,10 @@ class TrainedModel:
     scaling: TargetScaling
     best_epoch: int = 0
     skipped_segments: int = 0
+    # Per-epoch losses, indexed by epoch; index 0 is the untrained model,
+    # which has a validation loss but no training loss (None).
+    train_loss: list = field(default_factory=list)
+    val_loss: list = field(default_factory=list)
 
 
 def _segment(features, targets, segment_length):
@@ -295,13 +390,183 @@ def _segment(features, targets, segment_length):
     return segments
 
 
-def _validation_loss(params, cfg, val_features, val_targets_scaled):
-    losses = []
-    for X, y in zip(val_features, val_targets_scaled):
-        pred, _ = _forward(params, cfg, np.asarray(X, dtype=float))
-        loss, _ = ccc_loss_grad(pred, y)
-        losses.append(loss)
-    return float(np.mean(losses))
+class _SegmentPool:
+    """One model's usable training segments, stacked per length for batching."""
+
+    def __init__(self, features, targets_scaled, segment_length):
+        segments = _segment(features, targets_scaled, segment_length)
+        if not segments:
+            raise TrainingError("no trainable segments")
+        usable = [s for s in segments if np.ptp(s[1]) > 0]
+        if not usable:
+            raise TrainingError("all segments have constant targets; loss is undefined")
+        self.skipped_static = len(segments) - len(usable)
+        self.size = len(usable)
+        self.lengths = [len(xs) for xs, _ in usable]
+        by_length = {}
+        for idx, length in enumerate(self.lengths):
+            by_length.setdefault(length, []).append(idx)
+        self.rank = np.empty(len(usable), dtype=int)
+        self.X, self.Y = {}, {}
+        for length, members in by_length.items():
+            self.rank[members] = np.arange(len(members))
+            self.X[length] = np.stack([usable[i][0] for i in members])
+            self.Y[length] = np.stack([usable[i][1] for i in members])
+
+    def batches(self, rng, batch_segments):
+        """One epoch's shuffled batches; a batch mixes only equal-length segments."""
+        batches = []
+        buckets = {length: [] for length in self.X}
+        for idx in rng.permutation(self.size):
+            length = self.lengths[idx]
+            buckets[length].append(idx)
+            if len(buckets[length]) == batch_segments:
+                batches.append(buckets[length])
+                buckets[length] = []
+        batches.extend(b for b in buckets.values() if b)
+        return batches
+
+    def take(self, batch):
+        length = self.lengths[batch[0]]
+        rows = self.rank[batch]
+        return self.X[length][rows], self.Y[length][rows]
+
+
+def _validation_batches(features, targets_scaled):
+    """(sequence indices, X of shape (1, B, T, D), Y of shape (M, B, T)) per length.
+
+    ``targets_scaled[m]`` holds model m's scaled validation targets.
+    """
+    by_length = {}
+    for s, X in enumerate(features):
+        by_length.setdefault(len(X), []).append(s)
+    return [
+        (seqs,
+         np.stack([np.asarray(features[s], dtype=float) for s in seqs])[None],
+         np.array([[targets[s] for s in seqs] for targets in targets_scaled]))
+        for seqs in by_length.values()
+    ]
+
+
+def _validation_loss(params, cfg, batches):
+    """Mean CCC loss over the validation sequences, one value per model."""
+    losses = np.empty((len(params["head.b"]), sum(len(seqs) for seqs, _, _ in batches)))
+    for seqs, X, Y in batches:
+        pred, _ = _forward(params, cfg, X)
+        losses[:, seqs], _ = ccc_loss_grad(pred, Y)
+    return losses.mean(axis=1)
+
+
+def _train_step(params, opt, cfg, members, X, Y):
+    """One stacked forward, backward and Adam step for the models ``members``.
+
+    Returns each member's summed batch loss and its count of usable rows.
+    A member whose rows are all degenerate takes no optimizer step.
+    """
+    whole = len(members) == len(opt.t)
+    sub = params if whole else {k: v[members] for k, v in params.items()}
+    preds, cache = _forward(sub, cfg, X)
+    loss, grad = ccc_loss_grad(preds, Y)
+    counted = grad.any(axis=2).sum(axis=1)
+    active = counted > 0
+    if active.any():
+        grads = _backward(sub, cfg, cache, grad / np.maximum(counted, 1)[:, None, None])
+        if whole and active.all():
+            opt.step(params, grads)
+        else:
+            opt.step(params, {k: g[active] for k, g in grads.items()},
+                     np.asarray(members)[active])
+    return loss.sum(axis=1), counted
+
+
+def train_stack(
+    features,
+    targets,
+    model_cfgs,
+    train_cfg: TrainConfig,
+    val_features,
+    val_targets,
+) -> list[TrainedModel]:
+    """Fit one model per target channel on shared features, as one stack.
+
+    ``targets[m]`` and ``val_targets[m]`` are lists of per-sequence arrays
+    for model m, whose config (and seed) is ``model_cfgs[m]``; the configs
+    must agree on everything but the seed.  Each model's targets are
+    scaled into [-margin, margin] from its training-split range, and the
+    scaling travels with the returned model.  Each model keeps the epoch
+    with its best validation loss.  At every batch index the models are
+    grouped by batch shape and each group takes one stacked step; a model
+    without a batch there, or whose batch rows are all degenerate, takes
+    no optimizer step.  Deterministic given (seeds, data, config).
+    """
+    if not features or not val_features:
+        raise TrainingError("empty training or validation set")
+    n_models = len(model_cfgs)
+    if not n_models or len(targets) != n_models or len(val_targets) != n_models:
+        raise ValueError("need one target list and one validation list per model")
+    cfg = model_cfgs[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in model_cfgs):
+        raise ValueError("stacked models must agree on everything but the seed")
+    scalings, pools = [], []
+    for t in targets:
+        scaling = TargetScaling.fit(
+            np.concatenate([np.asarray(v, dtype=float) for v in t]),
+            margin=train_cfg.target_margin,
+        )
+        scalings.append(scaling)
+        pools.append(_SegmentPool(features, [scaling.apply(v) for v in t],
+                                  train_cfg.segment_length))
+    val_batches = _validation_batches(
+        val_features, [[s.apply(v) for v in t] for s, t in zip(scalings, val_targets)]
+    )
+    skipped = np.array([p.skipped_static for p in pools])
+    sizes = np.array([p.size for p in pools])
+
+    params = stack_params([init_params(c) for c in model_cfgs])
+    best_params = {k: v.copy() for k, v in params.items()}
+    best_loss = _validation_loss(params, cfg, val_batches)
+    best_epoch = np.zeros(n_models, dtype=int)
+    train_curve, val_curve = [], [best_loss.copy()]
+
+    opt = Adam(params, train_cfg.learning_rate, train_cfg.weight_decay, n_models=n_models)
+    rngs = [np.random.default_rng(c.seed + 1) for c in model_cfgs]
+    for epoch in range(1, train_cfg.max_epochs + 1):
+        batches = [p.batches(rng, train_cfg.batch_segments) for p, rng in zip(pools, rngs)]
+        total = np.zeros(n_models)
+        for step in range(max(map(len, batches))):
+            groups = {}
+            for m in range(n_models):
+                if step < len(batches[m]):
+                    X, Y = pools[m].take(batches[m][step])
+                    groups.setdefault(X.shape, []).append((m, X, Y))
+            for group in groups.values():
+                members = [m for m, _, _ in group]
+                X = np.stack([X for _, X, _ in group])
+                Y = np.stack([Y for _, _, Y in group])
+                loss, counted = _train_step(params, opt, cfg, members, X, Y)
+                total[members] += loss
+                skipped[members] += Y.shape[1] - counted
+        val_loss = _validation_loss(params, cfg, val_batches)
+        for m in np.flatnonzero(val_loss < best_loss):
+            best_loss[m] = val_loss[m]
+            best_epoch[m] = epoch
+            for k, v in params.items():
+                best_params[k][m] = v[m]
+        train_curve.append(total / sizes)
+        val_curve.append(val_loss)
+
+    return [
+        TrainedModel(
+            params={k: v[m].copy() for k, v in best_params.items()},
+            config=model_cfgs[m],
+            scaling=scalings[m],
+            best_epoch=int(best_epoch[m]),
+            skipped_segments=int(skipped[m]),
+            train_loss=[None] + [float(c[m]) for c in train_curve],
+            val_loss=[float(c[m]) for c in val_curve],
+        )
+        for m in range(n_models)
+    ]
 
 
 def train(
@@ -312,86 +577,10 @@ def train(
     val_features,
     val_targets,
 ) -> TrainedModel:
-    """Fit one target channel; keeps the epoch with best validation loss.
-
-    ``features``/``targets`` are lists of per-sequence arrays.  Targets
-    are scaled into [-margin, margin] from the training-split range
-    before fitting; the scaling travels with the returned model.
-    Deterministic given (seed, data, config).
-    """
-    if not features or not val_features:
-        raise TrainingError("empty training or validation set")
-    scaling = TargetScaling.fit(
-        np.concatenate([np.asarray(t, dtype=float) for t in targets]),
-        margin=train_cfg.target_margin,
-    )
-    targets_scaled = [scaling.apply(t) for t in targets]
-    val_scaled = [scaling.apply(t) for t in val_targets]
-    segments = _segment(features, targets_scaled, train_cfg.segment_length)
-    if not segments:
-        raise TrainingError("no trainable segments")
-    usable = [s for s in segments if np.ptp(s[1]) > 0]
-    if not usable:
-        raise TrainingError("all segments have constant targets; loss is undefined")
-    skipped_static = len(segments) - len(usable)
-
-    params = init_params(model_cfg)
-    best_params = {k: v.copy() for k, v in params.items()}
-    best_loss = _validation_loss(params, model_cfg, val_features, val_scaled)
-    best_epoch = 0
-    skipped = skipped_static
-
-    opt = Adam(params, train_cfg.learning_rate, train_cfg.weight_decay)
-    rng = np.random.default_rng(model_cfg.seed + 1)
-    # Batches mix only equal-length segments so sequences stay unpadded.
-    by_length = {}
-    for idx, (xs, _) in enumerate(usable):
-        by_length.setdefault(len(xs), []).append(idx)
-
-    for epoch in range(1, train_cfg.max_epochs + 1):
-        order = rng.permutation(len(usable))
-        batches = []
-        buckets = {length: [] for length in by_length}
-        for idx in order:
-            length = len(usable[idx][0])
-            buckets[length].append(idx)
-            if len(buckets[length]) == train_cfg.batch_segments:
-                batches.append(buckets[length])
-                buckets[length] = []
-        batches.extend(b for b in buckets.values() if b)
-        for batch in batches:
-            X = np.stack([usable[i][0] for i in batch])
-            Y = np.stack([usable[i][1] for i in batch])
-            preds, cache = _forward(params, model_cfg, X)
-            dy = np.zeros_like(preds)
-            total = 0.0
-            counted = 0
-            for row in range(len(batch)):
-                loss, grad = ccc_loss_grad(preds[row], Y[row])
-                if np.any(grad):
-                    dy[row] = grad
-                    counted += 1
-                else:
-                    skipped += 1
-                total += loss
-            if counted == 0:
-                continue
-            dy /= counted
-            grads = _backward(params, model_cfg, cache, dy)
-            opt.step(params, grads)
-        val_loss = _validation_loss(params, model_cfg, val_features, val_scaled)
-        if val_loss < best_loss:
-            best_loss = val_loss
-            best_epoch = epoch
-            best_params = {k: v.copy() for k, v in params.items()}
-
-    return TrainedModel(
-        params=best_params,
-        config=model_cfg,
-        scaling=scaling,
-        best_epoch=best_epoch,
-        skipped_segments=skipped,
-    )
+    """Fit one target channel: ``train_stack`` with a single model."""
+    return train_stack(
+        features, [targets], [model_cfg], train_cfg, val_features, [val_targets]
+    )[0]
 
 
 def predict(model: TrainedModel, features):
@@ -406,22 +595,31 @@ def gradient_check(
 ):
     """Max relative error between analytic and central-difference gradients.
 
-    Runs one CCC-loss backward pass on a random tiny instance and
-    perturbs every parameter entry.  ``zero_feature`` blanks a feature
-    column so the corresponding input weights receive zero gradient.
+    Runs one CCC-loss backward pass through a stack of tiny models, one
+    per seed (``seed`` is an int or a sequence of ints), each on its own
+    random sequence, and perturbs every parameter entry of every model.
+    ``zero_feature`` blanks a feature column so the corresponding input
+    weights receive zero gradient.
     """
-    cfg = ModelConfig(input_dim=input_dim, hidden_dim=hidden_dim, seed=seed)
-    rng = np.random.default_rng(seed + 10_000)
-    x = rng.normal(size=(steps, input_dim))
-    if zero_feature is not None:
-        x[:, zero_feature] = 0.0
-    target = rng.normal(size=steps)
-    params = init_params(cfg)
+    seeds = [seed] if np.isscalar(seed) else list(seed)
+    cfgs = [ModelConfig(input_dim=input_dim, hidden_dim=hidden_dim, seed=s) for s in seeds]
+    xs, targets = [], []
+    for s in seeds:
+        rng = np.random.default_rng(s + 10_000)
+        x = rng.normal(size=(steps, input_dim))
+        if zero_feature is not None:
+            x[:, zero_feature] = 0.0
+        xs.append(x)
+        targets.append(rng.normal(size=steps))
+    x = np.stack(xs)[:, None]
+    target = np.stack(targets)[:, None]
+    params = stack_params([init_params(c) for c in cfgs])
+    cfg = cfgs[0]
 
-    def loss_at(p):
+    def losses_at(p):
         pred, _ = _forward(p, cfg, x)
         value, _ = ccc_loss_grad(pred, target)
-        return value
+        return value[:, 0]
 
     pred, cache = _forward(params, cfg, x)
     _, dy = ccc_loss_grad(pred, target)
@@ -429,21 +627,22 @@ def gradient_check(
 
     max_err = 0.0
     for key, w in params.items():
-        flat = w.ravel()
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            up = loss_at(params)
-            flat[j] = orig - h
-            down = loss_at(params)
-            flat[j] = orig
-            numeric = (up - down) / (2.0 * h)
-            a = analytic[key].ravel()[j]
-            scale = max(abs(a), abs(numeric))
-            # Below ~1e-6 the central difference is dominated by float
-            # roundoff, so compare absolutely there.
-            err = abs(a - numeric) if scale < 1e-6 else abs(a - numeric) / scale
-            max_err = max(max_err, err)
+        for m in range(len(seeds)):
+            flat = w[m].reshape(-1)
+            for j in range(flat.size):
+                orig = flat[j]
+                flat[j] = orig + h
+                up = losses_at(params)[m]
+                flat[j] = orig - h
+                down = losses_at(params)[m]
+                flat[j] = orig
+                numeric = (up - down) / (2.0 * h)
+                a = analytic[key][m].reshape(-1)[j]
+                scale = max(abs(a), abs(numeric))
+                # Below ~1e-6 the central difference is dominated by float
+                # roundoff, so compare absolutely there.
+                err = abs(a - numeric) if scale < 1e-6 else abs(a - numeric) / scale
+                max_err = max(max_err, err)
     return max_err
 
 
@@ -462,10 +661,9 @@ def save_checkpoint(model: TrainedModel, path):
         "skipped_segments": model.skipped_segments,
         "layout": layout,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for name, _ in layout:
-            fh.write(model.params[name].astype("<f8").tobytes())
+    blocks = [model.params[name].astype("<f8").tobytes() for name, _ in layout]
+    _atomic_write(path, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+                  + b"".join(blocks))
 
 
 def load_checkpoint(path) -> TrainedModel:

@@ -19,11 +19,12 @@ from .data_io import (
     ExperimentManifest,
     SplitSpec,
     SynthConfig,
+    _atomic_write,
     dataset_hash,
     make_splits,
     prepare_item,
 )
-from .model import ModelConfig, TrainConfig, TrainingError, predict, save_checkpoint, train
+from .model import ModelConfig, TrainConfig, predict, save_checkpoint, train_stack
 from .representations import (
     TAG_GROUP,
     TAG_INDIVIDUAL,
@@ -94,8 +95,8 @@ def run_synth(cfg: SynthConfig, out_dir, extra=None):
         latent_lines = ["# format_version: 1", "window_index,latent"] + [
             f"{i},{format(v, '.17g')}" for i, v in enumerate(item.latent)
         ]
-        with open(os.path.join(out_dir, "latents", f"{item.item_id}.csv"), "w") as fh:
-            fh.write("\n".join(latent_lines) + "\n")
+        _atomic_write(os.path.join(out_dir, "latents", f"{item.item_id}.csv"),
+                      "\n".join(latent_lines) + "\n")
         entries.append(
             data_io.ItemEntry(
                 item_id=item.item_id,
@@ -161,8 +162,7 @@ def run_represent(manifest: ExperimentManifest, tag, out_dir):
         summary_rows.append((item.item_id, float(np.mean(sigma_like))))
     lines = ["# format_version: 1", f"# representation: {tag}", "item_id,mean_sigma"]
     lines += [f"{iid},{format(v, '.17g')}" for iid, v in summary_rows]
-    with open(os.path.join(out_dir, f"summary_{tag}.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _atomic_write(os.path.join(out_dir, f"summary_{tag}.csv"), "\n".join(lines) + "\n")
     return summary_rows
 
 
@@ -186,27 +186,27 @@ def _item_data(manifest, tag):
 
 
 def _train_fold(args):
-    (fold_idx, train_ids, val_ids, data, targets, model_doc, train_doc, seed) = args
+    """Train every target of one fold as one stack, then evaluate each model."""
+    (fold_idx, train_ids, val_ids, data, targets, model_doc, train_doc) = args
     input_dim = next(iter(data.values()))["features"].shape[1]
-    train_cfg = TrainConfig(**train_doc)
-    fold = {"fold": fold_idx, "val_items": list(val_ids), "best_epoch": {}, "metrics": {}}
-    models = {}
-    for t_idx, target in enumerate(targets):
-        cfg = ModelConfig(
-            input_dim=input_dim,
-            hidden_dim=model_doc.get("hidden_dim", 64),
-            seed=seed + 97 * fold_idx + t_idx,
-        )
-        model = train(
-            [data[i]["features"] for i in train_ids],
-            [data[i][target] for i in train_ids],
-            cfg,
-            train_cfg,
-            [data[i]["features"] for i in val_ids],
-            [data[i][target] for i in val_ids],
-        )
-        models[target] = model
+    cfgs = [
+        ModelConfig(input_dim=input_dim,
+                    **dict(model_doc, seed=model_doc["seed"] + 97 * fold_idx + t_idx))
+        for t_idx in range(len(targets))
+    ]
+    models = train_stack(
+        [data[i]["features"] for i in train_ids],
+        [[data[i][target] for i in train_ids] for target in targets],
+        cfgs,
+        TrainConfig(**train_doc),
+        [data[i]["features"] for i in val_ids],
+        [[data[i][target] for i in val_ids] for target in targets],
+    )
+    fold = {"fold": fold_idx, "val_items": list(val_ids), "best_epoch": {}, "metrics": {},
+            "loss_curve": {}}
+    for target, model in zip(targets, models):
         fold["best_epoch"][target] = model.best_epoch
+        fold["loss_curve"][target] = {"train": model.train_loss, "val": model.val_loss}
         ccc_vals, sda_vals = [], []
         for i in val_ids:
             pred = predict(model, data[i]["features"])
@@ -214,7 +214,7 @@ def _train_fold(args):
             sda_vals.append(metrics.sda(pred, data[i][target]))
         fold["metrics"][f"ccc_{target}"] = float(np.mean(ccc_vals))
         fold["metrics"][f"sda_{target}"] = float(np.mean(sda_vals))
-    return fold, models
+    return fold, dict(zip(targets, models))
 
 
 def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs=1,
@@ -242,8 +242,7 @@ def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs=1,
         model_doc.setdefault("seed", base_seed)
     train_doc = dict(manifest.train)
     job_args = [
-        (idx, train_ids, val_ids, data, tuple(targets), model_doc, train_doc,
-         model_doc["seed"])
+        (idx, train_ids, val_ids, data, tuple(targets), model_doc, train_doc)
         for idx, (train_ids, val_ids) in enumerate(folds)
     ]
 
@@ -252,10 +251,10 @@ def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs=1,
     fold_records = []
 
     def _record(fold, models):
-        fold_records.append(fold)
-        with open(os.path.join(out_dir, f"fold_{fold['fold']:02d}.json"), "w") as fh:
-            json.dump(fold, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        # The loss curves stay in the fold files; the summary keeps the rest.
+        fold_records.append({k: v for k, v in fold.items() if k != "loss_curve"})
+        _atomic_write(os.path.join(out_dir, f"fold_{fold['fold']:02d}.json"),
+                      json.dumps(fold, indent=2, sort_keys=True) + "\n")
         for target, model in models.items():
             save_checkpoint(
                 model, os.path.join(out_dir, f"fold_{fold['fold']:02d}_{target}.ckpt")
@@ -288,11 +287,9 @@ def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs=1,
         "mean": mean,
         "std": std,
     }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-        fh.write(render_summary_table([summary]) + "\n")
+    _atomic_write(os.path.join(out_dir, "summary.json"),
+                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _atomic_write(os.path.join(out_dir, "summary.txt"), render_summary_table([summary]) + "\n")
     return summary
 
 

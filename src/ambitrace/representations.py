@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import polygamma, psi
 
+from .data_io import _atomic_write
 from .traces import TraceSet, central_difference
 
 GAUSSIAN = "gaussian"
@@ -312,8 +313,7 @@ def write_representation(rep, path, source_hash=""):
     for i in range(len(cols[0])):
         row = [str(i)] + [format(float(c[i]), ".17g") for c in cols]
         lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_representation(path):

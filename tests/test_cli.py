@@ -144,6 +144,47 @@ class TestTrainEval:
         assert (tmp_path / "serial" / "summary.json").read_bytes() == \
             (tmp_path / "par" / "summary.json").read_bytes()
 
+    def test_fold_files_carry_loss_curves(self, workspace, tmp_path):
+        result = run_cli(["train-eval", "--manifest", workspace / "data" / "manifest.json",
+                          "--tag", "I", "--out", tmp_path / "run"])
+        assert result.exit_code == 0, result.output
+        epochs = FAST_SYNTH["train"]["max_epochs"]
+        for k in range(3):
+            fold = json.loads((tmp_path / "run" / f"fold_{k:02d}.json").read_text())
+            assert set(fold["loss_curve"]) == {"mu", "sigma"}
+            for target, curve in fold["loss_curve"].items():
+                assert len(curve["train"]) == len(curve["val"]) == epochs + 1
+                assert curve["train"][0] is None
+                assert fold["best_epoch"][target] == int(np.argmin(curve["val"]))
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert all("loss_curve" not in f for f in summary["folds"])
+        assert "loss_curve" not in (tmp_path / "run" / "summary.txt").read_text()
+
+
+def write_variant_manifest(workspace, name, section, key, value):
+    """A copy of the workspace manifest with one model/train key set."""
+    doc = json.loads((workspace / "data" / "manifest.json").read_text())
+    doc[section][key] = value
+    path = workspace / "data" / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestManifestSections:
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "max_epoch", 5),
+        ("model", "hidden_dm", 16),
+        ("train", "segment_length", 1),
+    ])
+    def test_bad_key_or_value_exits_2(self, workspace, tmp_path, section, key, value):
+        path = write_variant_manifest(workspace, f"bad_{key}", section, key, value)
+        result = run_cli(["train-eval", "--manifest", path, "--tag", "I",
+                          "--out", tmp_path / "run"])
+        assert result.exit_code == 2, result.output
+        assert f"{section}.{key}" in result.output
+        assert str(path) in result.output
+        assert not (tmp_path / "run").exists()
+
 
 @pytest.fixture(scope="module")
 def runs(workspace, tmp_path_factory):
@@ -168,6 +209,21 @@ class TestReport:
         assert [row.split()[0] for row in table[1:]] == ["I", "O_I", "O_G"]
         record = json.loads((tmp_path / "rep" / "report.json").read_text())
         assert [r["tag"] for r in record["rows"]] == ["I", "O_I", "O_G"]
+        assert "loss_curve" not in (tmp_path / "rep" / "report.json").read_text()
+
+    def test_failed_write_keeps_earlier_report(self, runs, tmp_path, monkeypatch):
+        out = tmp_path / "rep"
+        assert run_cli(["report", runs / "I", "--out", out]).exit_code == 0
+        before = {name: (out / name).read_bytes() for name in ("report.txt", "report.json")}
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        result = run_cli(["report", runs / "I", runs / "O_G", "--out", out])
+        assert isinstance(result.exception, OSError)
+        assert {name: (out / name).read_bytes() for name in before} == before
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "report.txt"]
 
     def test_column_maxima_marked(self, runs):
         result = run_cli(["report", runs / "I", runs / "O_G"])

@@ -1,12 +1,17 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
+from ambitrace import model as stacked
 from ambitrace.metrics import ccc
 from ambitrace.model import (
     Adam,
     ModelConfig,
     TargetScaling,
     TrainConfig,
+    TrainedModel,
     TrainingError,
     ccc_loss_grad,
     forward,
@@ -15,8 +20,124 @@ from ambitrace.model import (
     load_checkpoint,
     predict,
     save_checkpoint,
+    stack_params,
     train,
+    train_stack,
 )
+
+
+# --- reference: the one-model forward/backward, before models were stacked ---
+# Kept verbatim as the oracle for the stacked implementation.
+
+
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _forward(params, cfg, x):
+    """Run a (B, T, D) batch through the network; returns outputs and cache."""
+    x = np.asarray(x, dtype=float)
+    squeeze = x.ndim == 2
+    if squeeze:
+        x = x[None]
+    if x.shape[2] != cfg.input_dim:
+        raise ValueError(f"expected input_dim {cfg.input_dim}, got {x.shape[2]}")
+    B, T, _ = x.shape
+    H = cfg.hidden_dim
+    layer_caches = []
+    inp = x
+    for layer in range(cfg.num_layers):
+        Wx = params[f"l{layer}.Wx"]
+        Wh = params[f"l{layer}.Wh"]
+        b = params[f"l{layer}.b"]
+        h = np.zeros((B, H))
+        c = np.zeros((B, H))
+        hs = np.empty((B, T, H))
+        cache = {"inp": inp, "i": [], "f": [], "g": [], "o": [], "c": [], "h_prev": []}
+        for t in range(T):
+            z = inp[:, t, :] @ Wx + h @ Wh + b
+            i = _sigmoid(z[:, :H])
+            f = _sigmoid(z[:, H : 2 * H])
+            g = np.tanh(z[:, 2 * H : 3 * H])
+            o = _sigmoid(z[:, 3 * H :])
+            cache["h_prev"].append(h)
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            for key, val in (("i", i), ("f", f), ("g", g), ("o", o), ("c", c)):
+                cache[key].append(val)
+            hs[:, t, :] = h
+        cache["hs"] = hs
+        layer_caches.append(cache)
+        inp = hs
+    s = inp @ params["head.w"] + params["head.b"][0]
+    y = np.tanh(s)
+    cache_all = {"x": x, "layers": layer_caches, "top": inp, "y": y}
+    return (y[0] if squeeze else y), cache_all
+
+
+def _backward(params, cfg, cache, dy):
+    """Gradients of a scalar loss w.r.t. all parameters, given d loss/d y."""
+    x = cache["x"]
+    B, T, _ = x.shape
+    H = cfg.hidden_dim
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    dy = np.asarray(dy)
+    if dy.ndim == 1:
+        dy = dy[None]
+    ds = dy * (1.0 - cache["y"] ** 2)
+    top = cache["top"]
+    grads["head.w"] = np.einsum("btH,bt->H", top, ds)
+    grads["head.b"] = np.array([ds.sum()])
+    d_inp = ds[:, :, None] * params["head.w"][None, None, :]
+
+    for layer in range(cfg.num_layers - 1, -1, -1):
+        lc = cache["layers"][layer]
+        Wx = params[f"l{layer}.Wx"]
+        Wh = params[f"l{layer}.Wh"]
+        dWx = np.zeros_like(Wx)
+        dWh = np.zeros_like(Wh)
+        db = np.zeros_like(params[f"l{layer}.b"])
+        d_below = np.zeros_like(lc["inp"])
+        dh_next = np.zeros((B, H))
+        dc_next = np.zeros((B, H))
+        for t in range(T - 1, -1, -1):
+            i, f, g, o = lc["i"][t], lc["f"][t], lc["g"][t], lc["o"][t]
+            c = lc["c"][t]
+            c_prev = lc["c"][t - 1] if t > 0 else np.zeros((B, H))
+            tanh_c = np.tanh(c)
+            dh = d_inp[:, t, :] + dh_next
+            do = dh * tanh_c
+            dc = dh * o * (1.0 - tanh_c**2) + dc_next
+            di = dc * g
+            df = dc * c_prev
+            dg = dc * i
+            dc_next = dc * f
+            dz = np.concatenate(
+                [
+                    di * i * (1.0 - i),
+                    df * f * (1.0 - f),
+                    dg * (1.0 - g**2),
+                    do * o * (1.0 - o),
+                ],
+                axis=1,
+            )
+            dWx += lc["inp"][:, t, :].T @ dz
+            dWh += lc["h_prev"][t].T @ dz
+            db += dz.sum(axis=0)
+            dh_next = dz @ Wh.T
+            d_below[:, t, :] = dz @ Wx.T
+        grads[f"l{layer}.Wx"] = dWx
+        grads[f"l{layer}.Wh"] = dWh
+        grads[f"l{layer}.b"] = db
+        d_inp = d_below
+    return grads
+
+
+def assert_close_to_reference(actual, expected):
+    """Agreement to rel 1e-12 of the reference tensor's scale."""
+    expected = np.asarray(expected)
+    np.testing.assert_allclose(actual, expected, rtol=1e-12,
+                               atol=1e-12 * np.abs(expected).max())
 
 
 def tiny_cfg(seed=0):
@@ -202,3 +323,149 @@ class TestCheckpoint:
         path.write_bytes(b'{"magic": "nope"}\n')
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+
+class TestStackedPasses:
+    @pytest.mark.parametrize("n_models", [1, 3])
+    @pytest.mark.parametrize("shared_input", [False, True])
+    def test_matches_reference_per_model(self, n_models, shared_input):
+        cfgs = [ModelConfig(input_dim=5, hidden_dim=6, seed=s) for s in range(n_models)]
+        per_model = [init_params(c) for c in cfgs]
+        rng = np.random.default_rng(n_models)
+        x = rng.normal(size=(1 if shared_input else n_models, 4, 7, 5))
+        dy = rng.normal(size=(n_models, 4, 7))
+        params = stack_params(per_model)
+        y, cache = stacked._forward(params, cfgs[0], x)
+        grads = stacked._backward(params, cfgs[0], cache, dy)
+        for m, p in enumerate(per_model):
+            y_ref, cache_ref = _forward(p, cfgs[m], x[0 if shared_input else m])
+            assert_close_to_reference(y[m], y_ref)
+            grads_ref = _backward(p, cfgs[m], cache_ref, dy[m])
+            assert set(grads) == set(grads_ref)
+            for key, g in grads_ref.items():
+                assert_close_to_reference(grads[key][m], g)
+
+    def test_gradient_check_two_model_stack(self):
+        err = gradient_check(seed=(3, 11))
+        assert err < 1e-4
+        # Stacking must not couple the models: the stack's error is the
+        # worse of the two models checked alone.
+        assert err == pytest.approx(max(gradient_check(seed=3), gradient_check(seed=11)))
+
+    def test_loss_rows_match_single_segments(self):
+        rng = np.random.default_rng(5)
+        pred = rng.normal(size=(2, 3, 6))
+        target = rng.normal(size=(2, 3, 6))
+        pred[1, 2] = 0.0
+        target[1, 2] = 0.0  # degenerate row
+        loss, grad = ccc_loss_grad(pred, target)
+        assert loss.shape == (2, 3) and grad.shape == (2, 3, 6)
+        for m in range(2):
+            for b in range(3):
+                row_loss, row_grad = ccc_loss_grad(pred[m, b], target[m, b])
+                assert loss[m, b] == pytest.approx(row_loss, rel=1e-12)
+                np.testing.assert_allclose(grad[m, b], row_grad, rtol=1e-12, atol=1e-15)
+        assert loss[1, 2] == 1.0 and not np.any(grad[1, 2])
+
+    def test_adam_steps_only_selected_models(self):
+        params = stack_params([init_params(tiny_cfg(s)) for s in range(3)])
+        before = {k: v.copy() for k, v in params.items()}
+        opt = Adam(params, learning_rate=1e-2, weight_decay=1e-3, n_models=3)
+        grads = {k: np.ones_like(v[:2]) for k, v in params.items()}
+        opt.step(params, grads, np.array([0, 2]))
+        np.testing.assert_array_equal(opt.t, [1, 0, 1])
+        for k in params:
+            np.testing.assert_array_equal(params[k][1], before[k][1])
+            assert not np.array_equal(params[k][0], before[k][0])
+            assert not np.array_equal(params[k][2], before[k][2])
+
+
+def two_target_task():
+    """Shared features, two targets; the second has one constant segment."""
+    feats, mu = make_affine_task(n_seq=8, steps=12, seed=21)
+    rng = np.random.default_rng(22)
+    sigma = [np.abs(np.sin(np.arange(12) * 0.7 + k)) + 0.1 * rng.normal(size=12)
+             for k in range(8)]
+    sigma[0][:6] = 0.25  # the first segment of item 0 is skipped for sigma only
+    return feats, mu, sigma
+
+
+class TestStackTraining:
+    TC = TrainConfig(max_epochs=15, segment_length=6, batch_segments=4,
+                     learning_rate=1e-2)
+
+    def test_stack_matches_training_alone(self):
+        feats, mu, sigma = two_target_task()
+        cfgs = [ModelConfig(input_dim=3, hidden_dim=5, seed=s) for s in (4, 9)]
+        together = train_stack(feats[:6], [mu[:6], sigma[:6]], cfgs, self.TC,
+                               feats[6:], [mu[6:], sigma[6:]])
+        for target, cfg, model in zip((mu, sigma), cfgs, together):
+            alone = train(feats[:6], target[:6], cfg, self.TC, feats[6:], target[6:])
+            assert model.best_epoch == alone.best_epoch
+            assert model.skipped_segments == alone.skipped_segments
+            assert model.scaling == alone.scaling
+            for key, value in alone.params.items():
+                np.testing.assert_allclose(model.params[key], value, rtol=1e-12)
+            np.testing.assert_allclose(model.val_loss, alone.val_loss, rtol=1e-12)
+        # the constant segment leaves sigma with one segment fewer per epoch
+        assert together[1].skipped_segments == together[0].skipped_segments + 1
+
+    def test_best_epoch_is_first_minimum_of_val_curve(self):
+        feats, mu, sigma = two_target_task()
+        cfgs = [ModelConfig(input_dim=3, hidden_dim=5, seed=s) for s in (1, 2)]
+        for model in train_stack(feats[:6], [mu[:6], sigma[:6]], cfgs, self.TC,
+                                 feats[6:], [mu[6:], sigma[6:]]):
+            assert len(model.val_loss) == len(model.train_loss) == self.TC.max_epochs + 1
+            assert model.train_loss[0] is None
+            assert all(np.isfinite(model.train_loss[1:]))
+            assert model.best_epoch == int(np.argmin(model.val_loss))
+
+    def test_mismatched_configs_rejected(self):
+        feats, mu, sigma = two_target_task()
+        cfgs = [ModelConfig(input_dim=3, hidden_dim=5), ModelConfig(input_dim=3, hidden_dim=6)]
+        with pytest.raises(ValueError):
+            train_stack(feats[:6], [mu[:6], sigma[:6]], cfgs, self.TC,
+                        feats[6:], [mu[6:], sigma[6:]])
+
+
+class TestCheckpointFormat:
+    def test_format_version_1_file_loads_and_predicts(self, tmp_path):
+        cfg = ModelConfig(input_dim=3, hidden_dim=4, seed=17)
+        params = init_params(cfg)
+        layout = [[name, list(params[name].shape)] for name in sorted(params)]
+        header = {
+            "magic": "ambitrace-checkpoint",
+            "format_version": 1,
+            "config": {"input_dim": 3, "hidden_dim": 4, "num_layers": 2, "seed": 17},
+            "scaling": {"scale": 0.5, "shift": 0.25},
+            "best_epoch": 7,
+            "skipped_segments": 2,
+            "layout": layout,
+        }
+        blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + b"".join(
+            params[name].astype("<f8").tobytes() for name, _ in layout)
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(blob)
+
+        model = load_checkpoint(path)
+        assert (model.best_epoch, model.skipped_segments) == (7, 2)
+        x = np.random.default_rng(3).normal(size=(9, 3))
+        expected = (_forward(params, cfg, x)[0] - 0.25) / 0.5
+        assert_close_to_reference(predict(model, x), expected)
+        save_checkpoint(model, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == blob
+
+    def test_failed_write_keeps_earlier_checkpoint(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(TrainedModel(init_params(cfg), cfg, TargetScaling()), path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            save_checkpoint(TrainedModel(init_params(tiny_cfg(3)), cfg, TargetScaling()), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
