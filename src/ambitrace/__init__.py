@@ -1,11 +1,9 @@
 """Ambiguity-aware interval and ordinal representations for emotion traces."""
 
-from .metrics import MetricReport, ccc, ccc_loss, sda
+from .metrics import ccc, ccc_loss, sda
 from .representations import (
-    DistParams,
     GroupOrdinal,
-    IndividualOrdinal,
-    IntervalRepresentation,
+    WindowFits,
     fit_beta,
     fit_gaussian,
     group_ordinal,
@@ -32,16 +30,13 @@ __all__ = [
     "minmax_normalize",
     "shift_delay",
     "window_aggregate",
-    "DistParams",
-    "IntervalRepresentation",
-    "IndividualOrdinal",
+    "WindowFits",
     "GroupOrdinal",
     "fit_gaussian",
     "fit_beta",
     "interval_representation",
     "individual_ordinal",
     "group_ordinal",
-    "MetricReport",
     "ccc",
     "ccc_loss",
     "sda",

@@ -32,7 +32,10 @@ def _fail(code, message):
 def _load_manifest(path, check_shapes=True):
     try:
         return load_manifest(path, check_shapes=check_shapes)
-    except (DataError, OSError, json.JSONDecodeError) as exc:
+    except DataError as exc:
+        # load_manifest already names the manifest.
+        _fail(EXIT_CONFIG, str(exc))
+    except (OSError, json.JSONDecodeError) as exc:
         _fail(EXIT_CONFIG, f"manifest {path}: {exc}")
 
 

@@ -9,23 +9,46 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .traces import AnnotationTrace, TraceSet, align, shift_delay, window_aggregate
+from .traces import (
+    AnnotationTrace,
+    TraceSet,
+    _ratio_as_int,
+    align,
+    shift_delay,
+    window_aggregate,
+)
 
 FORMAT_VERSION = 1
 TIME_TOLERANCE = 1e-9  # relative tolerance for uniform time steps
 
 FAMILIES = ("gaussian", "beta_mapped")
 SCENARIOS = ("consistent_trend", "inconsistent_trend")
+SPLIT_MODES = ("k_fold_grouped", "fixed_train_dev")
+REPRESENTATION_KEYS = ("family", "neighbor_radius")
+MANIFEST_KEYS = ("format_version", "seed", "dataset", "representation", "model", "train",
+                 "split")
 
 
 class DataError(ValueError):
     """A data file or configuration failed validation."""
+
+
+def _check_int(name, value, minimum):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise DataError(f"{name}: expected an integer >= {minimum}, got {value!r}")
+
+
+def _check_real(name, value, valid, expected):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not valid(value):
+        raise DataError(f"{name}: expected {expected}, got {value!r}")
 
 
 def _fmt(value) -> str:
@@ -140,7 +163,7 @@ def load_feature_table(path) -> FeatureTable:
     header = None
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -150,7 +173,13 @@ def load_feature_table(path) -> FeatureTable:
             elif header is None:
                 header = line.split(",")
             else:
-                rows.append([float(v) for v in line.split(",")])
+                cells = line.split(",")
+                if len(cells) != len(header):
+                    raise DataError(f"{path}: ragged row at line {lineno}")
+                try:
+                    rows.append([float(v) for v in cells])
+                except ValueError as exc:
+                    raise DataError(f"{path}: bad value at line {lineno}: {exc}") from exc
     if header is None or not rows:
         raise DataError(f"{path}: no feature rows")
     matrix = np.array(rows)[:, 1:]
@@ -171,10 +200,12 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("k_fold_grouped", "fixed_train_dev"):
-            raise DataError(f"unknown split mode {self.mode!r}")
-        if self.mode == "k_fold_grouped" and self.k < 2:
-            raise DataError("k must be at least 2 for grouped folds")
+        if self.mode not in SPLIT_MODES:
+            raise DataError(f"mode: expected one of {', '.join(SPLIT_MODES)}, got {self.mode!r}")
+        # k only matters for grouped folds, which need at least two.
+        if self.mode == "k_fold_grouped":
+            _check_int("k", self.k, 2)
+        _check_int("seed", self.seed, 0)
 
 
 def make_splits(items, spec: SplitSpec):
@@ -343,6 +374,12 @@ class ItemEntry:
     trace_file: str
     feature_file: str
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, str):
+                raise DataError(f"{f.name}: expected a string, got {value!r}")
+
 
 @dataclass
 class DatasetConfig:
@@ -355,14 +392,28 @@ class DatasetConfig:
     name: str = "dataset"
 
     def __post_init__(self):
-        if self.native_period <= 0 or self.window_length <= 0:
-            raise DataError("periods must be positive")
-        if self.delay_offset < 0:
-            raise DataError("delay_offset must be non-negative")
+        _check_real("native_period", self.native_period, lambda v: 0 < v < math.inf,
+                    "a finite number > 0")
+        _check_real("window_length", self.window_length, lambda v: 0 < v < math.inf,
+                    "a finite number > 0")
+        _check_real("delay_offset", self.delay_offset, lambda v: 0 <= v < math.inf,
+                    "a finite number >= 0")
+        # Windows and the delay shift are whole numbers of native samples.
+        try:
+            _ratio_as_int(self.window_length, self.native_period, "window_length")
+            _ratio_as_int(self.delay_offset, self.native_period, "delay_offset")
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
+        if self.keep_first is not None:
+            _check_int("keep_first", self.keep_first, 1)
         if self.bounds is not None:
-            self.bounds = (float(self.bounds[0]), float(self.bounds[1]))
-            if not self.bounds[1] > self.bounds[0]:
-                raise DataError("bounds must satisfy hi > lo")
+            try:
+                lo, hi = (float(v) for v in self.bounds)
+            except (TypeError, ValueError):
+                raise DataError(f"bounds: expected [lo, hi], got {self.bounds!r}") from None
+            if not hi > lo:
+                raise DataError("bounds: must satisfy hi > lo")
+            self.bounds = (lo, hi)
 
     @property
     def samples_per_window(self) -> int:
@@ -384,37 +435,50 @@ class ExperimentManifest:
     base_dir: str = "."
 
     def __post_init__(self):
+        _check_keys("representation", self.representation, REPRESENTATION_KEYS)
         family = self.representation.get("family")
         if family not in FAMILIES:
-            raise DataError(f"unknown family tag {family!r}")
+            raise DataError(f"representation.family: expected one of {', '.join(FAMILIES)}, "
+                            f"got {family!r}")
         if family == "beta_mapped" and self.dataset.bounds is None:
-            raise DataError("beta_mapped requires dataset bounds")
-        if self.representation.get("neighbor_radius", 1) < 0:
-            raise DataError("neighbor_radius must be non-negative")
-        _check_training_sections(self.model, self.train)
+            raise DataError("representation.family: beta_mapped requires dataset bounds")
+        _check_int("representation.neighbor_radius",
+                   self.representation.get("neighbor_radius", 1), 0)
+        _check_int("seed", self.seed, 0)
+        # Imported here because the model module writes its checkpoints
+        # through this module.
+        from .model import ModelConfig, TrainConfig
+
+        # input_dim comes from the feature files, not from the manifest.
+        parse_section("model", self.model, ModelConfig, input_dim=1)
+        parse_section("train", self.train, TrainConfig)
 
     def resolve(self, relpath) -> str:
         return os.path.join(self.base_dir, relpath)
 
 
-def _check_training_sections(model_doc, train_doc):
-    """Reject unknown keys and out-of-range values in the model and train sections."""
-    # Imported here because the model module writes its checkpoints
-    # through this module.
-    from .model import ModelConfig, TrainConfig
+def _check_keys(section, doc, known):
+    if not isinstance(doc, dict):
+        raise DataError(f"{section}: expected a JSON object, got {doc!r}")
+    for key in doc:
+        if key not in known:
+            raise DataError(f"{section}.{key}: unknown key (expected one of "
+                            f"{', '.join(sorted(known))})")
 
-    # input_dim comes from the feature files, not from the manifest.
-    for section, doc, cls, derived in (("model", model_doc, ModelConfig, {"input_dim": 1}),
-                                       ("train", train_doc, TrainConfig, {})):
-        known = sorted(f.name for f in fields(cls) if f.name not in derived)
-        for key in doc:
-            if key not in known:
-                raise DataError(f"{section}.{key}: unknown key (expected one of "
-                                f"{', '.join(known)})")
-        try:
-            cls(**derived, **doc)
-        except ValueError as exc:
-            raise DataError(f"{section}.{exc}") from exc
+
+def parse_section(section, doc, cls, **derived):
+    """Build ``cls`` from one manifest section; every error names ``section.key``.
+
+    ``derived`` supplies the fields that do not come from the manifest.
+    """
+    _check_keys(section, doc, [f.name for f in fields(cls) if f.name not in derived])
+    for f in fields(cls):
+        if f.name not in doc and f.name not in derived and f.default is MISSING:
+            raise DataError(f"{section}.{f.name}: missing")
+    try:
+        return cls(**derived, **doc)
+    except ValueError as exc:
+        raise DataError(f"{section}.{exc}") from exc
 
 
 def manifest_to_dict(manifest: ExperimentManifest) -> dict:
@@ -442,48 +506,45 @@ def save_manifest(manifest: ExperimentManifest, path):
 
 
 def load_manifest(path, check_shapes=True) -> ExperimentManifest:
-    """Parse and validate a manifest; optionally verify file shapes agree."""
+    """Parse and validate a manifest; optionally verify file shapes agree.
+
+    Every DataError raised here starts with the manifest path.
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    base_dir = os.path.dirname(os.path.abspath(path))
-    ds = doc.get("dataset", {})
     try:
-        dataset = DatasetConfig(
-            native_period=ds["native_period"],
-            window_length=ds["window_length"],
-            delay_offset=ds.get("delay_offset", 0.0),
-            keep_first=ds.get("keep_first"),
-            bounds=tuple(ds["bounds"]) if ds.get("bounds") else None,
-            name=ds.get("name", "dataset"),
-            items=[ItemEntry(**it) for it in ds.get("items", [])],
-        )
-    except KeyError as exc:
-        raise DataError(f"{path}: missing dataset field {exc}") from exc
-    if not dataset.items:
-        raise DataError(f"{path}: manifest lists no items")
-    split_doc = doc.get("split", {})
-    try:
-        manifest = ExperimentManifest(
-            dataset=dataset,
-            representation=doc.get("representation", {"family": "gaussian"}),
-            model=doc.get("model", {}),
-            train=doc.get("train", {}),
-            split=SplitSpec(**split_doc) if split_doc else SplitSpec(),
-            seed=doc.get("seed", 0),
-            base_dir=base_dir,
-        )
+        manifest = _manifest_from_doc(doc, os.path.dirname(os.path.abspath(path)))
+        for item in manifest.dataset.items:
+            for kind, rel in (("trace", item.trace_file), ("feature", item.feature_file)):
+                if not os.path.exists(manifest.resolve(rel)):
+                    raise DataError(f"item {item.item_id!r}: missing {kind} file {rel}")
+        if check_shapes:
+            for item in manifest.dataset.items:
+                prepare_item(manifest, item)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    for item in dataset.items:
-        for kind, rel in (("trace", item.trace_file), ("feature", item.feature_file)):
-            if not os.path.exists(manifest.resolve(rel)):
-                raise DataError(
-                    f"item {item.item_id!r}: missing {kind} file {rel}"
-                )
-    if check_shapes:
-        for item in dataset.items:
-            prepare_item(manifest, item)
     return manifest
+
+
+def _manifest_from_doc(doc, base_dir) -> ExperimentManifest:
+    _check_keys("manifest", doc, MANIFEST_KEYS)
+    ds = doc.get("dataset", {})
+    _check_keys("dataset", ds, [f.name for f in fields(DatasetConfig)])
+    entries = ds.get("items")
+    if not isinstance(entries, list) or not entries:
+        raise DataError("dataset.items: the manifest lists no items")
+    items = [parse_section(f"dataset.items[{i}]", entry, ItemEntry)
+             for i, entry in enumerate(entries)]
+    settings = {key: value for key, value in ds.items() if key != "items"}
+    return ExperimentManifest(
+        dataset=parse_section("dataset", settings, DatasetConfig, items=items),
+        representation=doc.get("representation", {"family": "gaussian"}),
+        model=doc.get("model", {}),
+        train=doc.get("train", {}),
+        split=parse_section("split", doc.get("split", {}), SplitSpec),
+        seed=doc.get("seed", 0),
+        base_dir=base_dir,
+    )
 
 
 def prepare_item(manifest: ExperimentManifest, item: ItemEntry):
@@ -494,14 +555,18 @@ def prepare_item(manifest: ExperimentManifest, item: ItemEntry):
     dropped (they correspond to the stimulus frames consumed by the
     delay shift).
     """
-    traces = load_trace_table(manifest.resolve(item.trace_file))
+    trace_path = manifest.resolve(item.trace_file)
+    traces = load_trace_table(trace_path)
     ds = manifest.dataset
-    windowed = []
-    for tr in traces:
-        shifted = shift_delay(tr.values, ds.native_period, ds.delay_offset)
-        agg = window_aggregate(shifted, ds.native_period, ds.window_length)
-        windowed.append(AnnotationTrace(tr.annotator_id, agg, ds.window_length))
-    trace_set = align(windowed, keep_first=ds.keep_first, bounds=ds.bounds)
+    try:
+        windowed = []
+        for tr in traces:
+            shifted = shift_delay(tr.values, ds.native_period, ds.delay_offset)
+            agg = window_aggregate(shifted, ds.native_period, ds.window_length)
+            windowed.append(AnnotationTrace(tr.annotator_id, agg, ds.window_length))
+        trace_set = align(windowed, keep_first=ds.keep_first, bounds=ds.bounds)
+    except ValueError as exc:
+        raise DataError(f"{trace_path}: {exc}") from exc
     table = load_feature_table(manifest.resolve(item.feature_file))
     n = trace_set.window_count
     if table.matrix.shape[0] < n:

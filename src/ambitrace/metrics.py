@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 
 #: Below this denominator the concordance coefficient is treated as
@@ -61,49 +59,3 @@ def sda(x, y):
     sx = np.sign(np.diff(x))
     sy = np.sign(np.diff(y))
     return float(np.where(sx == sy, 1.0, -1.0).mean())
-
-
-@dataclass
-class MetricReport:
-    """One Tables-style result row: CCC and SDA for mu and sigma channels."""
-
-    ccc_mu: float
-    ccc_sigma: float
-    sda_mu: float
-    sda_sigma: float
-
-    def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def to_record(self) -> str:
-        return "\n".join(f"{k}={v:.17g}" for k, v in self.as_dict().items())
-
-    @classmethod
-    def from_record(cls, text: str) -> "MetricReport":
-        values = {}
-        for line in text.strip().splitlines():
-            key, _, value = line.partition("=")
-            values[key.strip()] = float(value)
-        return cls(**values)
-
-
-def report(pred_mu, pred_sigma, true_mu, true_sigma) -> MetricReport:
-    """Evaluate both channels of one predicted sequence pair."""
-    return MetricReport(
-        ccc_mu=ccc(pred_mu, true_mu),
-        ccc_sigma=ccc(pred_sigma, true_sigma),
-        sda_mu=sda(pred_mu, true_mu),
-        sda_sigma=sda(pred_sigma, true_sigma),
-    )
-
-
-def aggregate(reports) -> tuple[MetricReport, MetricReport]:
-    """Mean and population std of metric values across folds."""
-    reports = list(reports)
-    if not reports:
-        raise ValueError("no reports to aggregate")
-    names = [f.name for f in fields(MetricReport)]
-    stacked = {k: np.array([getattr(r, k) for r in reports]) for k in names}
-    mean = MetricReport(**{k: float(v.mean()) for k, v in stacked.items()})
-    std = MetricReport(**{k: float(v.std()) for k, v in stacked.items()})
-    return mean, std

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data_io import _atomic_write
+from .data_io import _atomic_write, _check_int, _check_real
 from .metrics import CCC_DENOM_GUARD
 
 CHECKPOINT_MAGIC = "ambitrace-checkpoint"
@@ -31,16 +30,6 @@ ADAM_EPS = 1e-8
 
 class TrainingError(RuntimeError):
     """Training could not proceed (empty data or unusable targets)."""
-
-
-def _check_int(name, value, minimum):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name}: expected an integer >= {minimum}, got {value!r}")
-
-
-def _check_real(name, value, valid, expected):
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not valid(value):
-        raise ValueError(f"{name}: expected {expected}, got {value!r}")
 
 
 @dataclass

@@ -22,6 +22,7 @@ from .data_io import (
     _atomic_write,
     dataset_hash,
     make_splits,
+    parse_section,
     prepare_item,
 )
 from .model import ModelConfig, TrainConfig, predict, save_checkpoint, train_stack
@@ -50,13 +51,6 @@ def compute_representation(trace_set, tag, family, neighbor_radius):
     if tag == TAG_GROUP:
         return group_ordinal(interval_representation(trace_set, family, neighbor_radius))
     raise ValueError(f"unknown representation tag {tag!r}")
-
-
-def representation_channels(rep):
-    """(mu-like, sigma-like) target sequences of a representation."""
-    if isinstance(rep, representations.GroupOrdinal):
-        return rep.dmu, rep.dsigma
-    return rep.mu, rep.sigma
 
 
 # --- synth ------------------------------------------------------------------
@@ -128,7 +122,7 @@ def run_synth(cfg: SynthConfig, out_dir, extra=None):
         representation=sections["representation"],
         model=sections["model"],
         train=sections["train"],
-        split=SplitSpec(**split_doc),
+        split=parse_section("split", split_doc, SplitSpec),
         seed=cfg.seed,
         base_dir=out_dir,
     )
@@ -158,7 +152,7 @@ def run_represent(manifest: ExperimentManifest, tag, out_dir):
         write_representation(
             rep, os.path.join(out_dir, f"{tag}_{item.item_id}.csv"), source_hash=source
         )
-        _, sigma_like = representation_channels(rep)
+        _, sigma_like = rep.channels
         summary_rows.append((item.item_id, float(np.mean(sigma_like))))
     lines = ["# format_version: 1", f"# representation: {tag}", "item_id,mean_sigma"]
     lines += [f"{iid},{format(v, '.17g')}" for iid, v in summary_rows]
@@ -176,7 +170,7 @@ def _item_data(manifest, tag):
     for item in manifest.dataset.items:
         trace_set, features = prepare_item(manifest, item)
         rep = compute_representation(trace_set, tag, family, radius)
-        mu_like, sigma_like = representation_channels(rep)
+        mu_like, sigma_like = rep.channels
         data[item.item_id] = {
             "features": features,
             "mu": np.asarray(mu_like),

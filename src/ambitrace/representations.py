@@ -8,12 +8,12 @@ representation differentiates the interval parameters over time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import polygamma, psi
 
-from .data_io import _atomic_write
+from .data_io import FORMAT_VERSION, _atomic_write
 from .traces import TraceSet, central_difference
 
 GAUSSIAN = "gaussian"
@@ -22,68 +22,64 @@ BETA_MAPPED = "beta_mapped"
 BETA_CLAMP_EPS = 1e-6
 BETA_MAX_NEWTON_ITERS = 100
 
+TAG_INTERVAL = "I"
+TAG_INDIVIDUAL = "O_I"
+TAG_GROUP = "O_G"
+
 
 class FitError(ValueError):
     """A per-window distribution fit could not be computed."""
 
 
 @dataclass
-class DistParams:
-    """Central tendency and spread of one window's fitted distribution.
+class WindowFits:
+    """Per-window fitted distributions, one array entry per window.
 
-    For the Beta family, mu/sigma are the Beta mean and std mapped back
-    to original trace units and (alpha, beta) are kept alongside.
+    A fit of one 1-D sample holds 0-d arrays.  For the Beta family,
+    mu/sigma are the Beta mean and std mapped back to original trace
+    units, (alpha, beta) are kept alongside, and ``beta_fallbacks``
+    counts the windows whose Newton solve failed and kept the moment
+    estimate.  The interval (``I``) and individual ordinal (``O_I``)
+    representations are both of this type; ``tag`` tells them apart.
     """
 
-    mu: float
-    sigma: float
+    mu: np.ndarray
+    sigma: np.ndarray
     family: str = GAUSSIAN
-    beta_params: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        if self.family == BETA_MAPPED and self.beta_params is None:
-            raise ValueError("beta family requires (alpha, beta)")
-
-
-@dataclass
-class IntervalRepresentation:
-    params: list[DistParams]
-    neighbor_radius: int
+    alpha: np.ndarray | None = None
+    beta: np.ndarray | None = None
+    beta_fallbacks: int = 0
+    neighbor_radius: int = -1
+    tag: str = ""
 
     def __len__(self):
-        return len(self.params)
+        return len(self.mu)
 
     @property
-    def mu(self) -> np.ndarray:
-        return np.array([p.mu for p in self.params])
+    def beta_params(self):
+        """(alpha, beta), or None outside the Beta family."""
+        return None if self.alpha is None else (self.alpha, self.beta)
 
     @property
-    def sigma(self) -> np.ndarray:
-        return np.array([p.sigma for p in self.params])
+    def channels(self):
+        """(mu-like, sigma-like) target sequences."""
+        return self.mu, self.sigma
 
-
-@dataclass
-class IndividualOrdinal:
-    params: list[DistParams]
-
-    def __len__(self):
-        return len(self.params)
-
-    @property
-    def mu(self) -> np.ndarray:
-        return np.array([p.mu for p in self.params])
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return np.array([p.sigma for p in self.params])
+    def columns(self) -> dict:
+        cols = {"mu": self.mu, "sigma": self.sigma}
+        if self.alpha is not None:
+            cols.update(alpha=self.alpha, beta=self.beta)
+        return cols
 
 
 @dataclass
 class GroupOrdinal:
     dmu: np.ndarray
     dsigma: np.ndarray
+
+    tag = TAG_GROUP
+    family = "-"
+    neighbor_radius = -1
 
     def __post_init__(self):
         self.dmu = np.asarray(self.dmu, dtype=float)
@@ -96,135 +92,183 @@ class GroupOrdinal:
     def __len__(self):
         return len(self.dmu)
 
+    @property
+    def channels(self):
+        """(mu-like, sigma-like) target sequences."""
+        return self.dmu, self.dsigma
 
-def pool_neighbors(trace_set: TraceSet, index: int, radius: int) -> np.ndarray:
-    """All annotator values in windows [index-radius, index+radius].
+    def columns(self) -> dict:
+        return {"dmu": self.dmu, "dsigma": self.dsigma}
 
-    Window indices are 0-based.  The pooling range is truncated at the
-    sequence boundaries; no padding or reflection.
+
+def pool_windows(matrix, radius):
+    """Pool an (annotators, windows) matrix into one row of samples per window.
+
+    Row n holds every annotator's values in windows [n-radius, n+radius]
+    (0-based, annotator-major), an (windows, annotators * (2 radius + 1))
+    array.  The range is truncated at the sequence boundaries, with no
+    padding or reflection in the fit: the returned mask of the same shape
+    marks which cells of each row are samples.
     """
-    n = trace_set.window_count
-    if not 0 <= index < n:
-        raise IndexError(f"window index {index} out of range [0, {n})")
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    lo = max(0, index - radius)
-    hi = min(n - 1, index + radius)
-    return trace_set.matrix()[:, lo : hi + 1].ravel()
+    matrix = np.asarray(matrix, dtype=float)
+    annotators, n = matrix.shape
+    index = np.arange(n)[:, None] + np.arange(-radius, radius + 1)
+    inside = (index >= 0) & (index < n)
+    # Cells outside the sequence repeat an edge window so they stay finite.
+    pooled = matrix[:, np.clip(index, 0, n - 1)].transpose(1, 0, 2).reshape(n, -1)
+    valid = np.broadcast_to(inside[:, None, :], (n, annotators, 2 * radius + 1))
+    return pooled, valid.reshape(n, -1)
 
 
-def fit_gaussian(samples) -> DistParams:
-    """Gaussian maximum-likelihood fit: sample mean and population std."""
-    x = np.asarray(samples, dtype=float).ravel()
-    if len(x) < 2:
-        raise FitError("need at least two samples")
-    if not np.all(np.isfinite(x)):
-        raise FitError("samples contain non-finite values")
-    return DistParams(mu=float(x.mean()), sigma=float(x.std()), family=GAUSSIAN)
+def _rows(samples, where):
+    """Samples as (rows, pool) plus the matching validity mask."""
+    x = np.atleast_1d(np.asarray(samples, dtype=float))
+    lead = x.shape[:-1]
+    shape = (int(np.prod(lead)), x.shape[-1])
+    valid = np.broadcast_to(True if where is None else where, x.shape)
+    return x.reshape(shape), valid.reshape(shape), lead
 
 
-def _beta_moment_estimate(x):
-    m = x.mean()
-    v = x.var()
-    common = m * (1.0 - m) / v - 1.0
-    alpha = max(m * common, 1e-3)
-    beta = max((1.0 - m) * common, 1e-3)
-    return alpha, beta
+def _raise_first_failure(checks, lead_shape):
+    """FitError for the first row failing any (bad rows, message) check.
+
+    The message is that row's first failing check, so a sequence reports
+    what a window-by-window fit would have reported first.  Rows are
+    named as windows unless the input was a single 1-D sample.
+    """
+    bad = np.array([flags for flags, _ in checks])
+    failing = np.flatnonzero(bad.any(axis=0))
+    if failing.size:
+        row = int(failing[0])
+        message = checks[int(np.argmax(bad[:, row]))][1]
+        raise FitError(f"window {row}: {message}" if lead_shape else message)
 
 
-def fit_beta(samples, bounds) -> DistParams:
+def _sample_checks(x, valid):
+    counts = valid.sum(axis=-1)
+    finite = np.all(np.isfinite(x) | ~valid, axis=-1)
+    return [(counts < 2, "need at least two samples"),
+            (~finite, "samples contain non-finite values")]
+
+
+def fit_gaussian(samples, where=None) -> WindowFits:
+    """Gaussian maximum-likelihood fit: sample mean and population std.
+
+    Reduces over the last axis, one fit per row; ``where`` marks the
+    cells that are samples (all of them by default).
+    """
+    x, valid, lead = _rows(samples, where)
+    _raise_first_failure(_sample_checks(x, valid), lead)
+    mu = np.mean(x, axis=-1, where=valid)
+    sigma = np.std(x, axis=-1, where=valid)
+    return WindowFits(mu=mu.reshape(lead), sigma=sigma.reshape(lead), family=GAUSSIAN)
+
+
+def _beta_newton(mean_log, mean_log1m, a, b):
+    """Solve the Beta score equations for every row at once.
+
+    Each row iterates until it converges or its Hessian is singular, with
+    its own step halving to keep (a, b) positive.  Returns the final
+    (a, b) and which rows converged.
+    """
+    a, b = a.copy(), b.copy()
+    converged = np.zeros(a.shape, dtype=bool)
+    active = np.arange(a.size)
+    for _ in range(BETA_MAX_NEWTON_ITERS):
+        if not active.size:
+            break
+        ai, bi = a[active], b[active]
+        # Score of the mean log-likelihood in (a, b).
+        ga = mean_log[active] - (psi(ai) - psi(ai + bi))
+        gb = mean_log1m[active] - (psi(bi) - psi(ai + bi))
+        done = np.maximum(np.abs(ga), np.abs(gb)) < 1e-10
+        converged[active[done]] = True
+        t_ab = polygamma(1, ai + bi)
+        h_aa = -polygamma(1, ai) + t_ab
+        h_bb = -polygamma(1, bi) + t_ab
+        det = h_aa * h_bb - t_ab * t_ab
+        go = ~done & (det != 0.0)
+        active, ai, bi, ga, gb = active[go], ai[go], bi[go], ga[go], gb[go]
+        t_ab, h_aa, h_bb, det = t_ab[go], h_aa[go], h_bb[go], det[go]
+        da = -(h_bb * ga - t_ab * gb) / det
+        db = -(h_aa * gb - t_ab * ga) / det
+        step = np.ones(active.size)
+        halve = (ai + step * da <= 0) | (bi + step * db <= 0)
+        while halve.any():
+            step[halve] *= 0.5
+            halve &= (step >= 1e-12) & ((ai + step * da <= 0) | (bi + step * db <= 0))
+        a[active] = ai + step * da
+        b[active] = bi + step * db
+    return a, b, converged
+
+
+def fit_beta(samples, bounds, where=None) -> WindowFits:
     """Beta maximum-likelihood fit of samples from a bounded range.
 
-    Samples are mapped linearly to [0, 1] and clamped away from the
-    support edges (exact 0/1 has infinite negative log-likelihood).
-    (alpha, beta) solve the digamma score equations by Newton iteration
-    from a method-of-moments start; if Newton does not converge the
-    moment estimate is kept.  mu/sigma are reported back in original
-    trace units.
+    Reduces over the last axis, one fit per row; ``where`` marks the
+    cells that are samples (all of them by default).  Samples are
+    mapped linearly to [0, 1] and clamped away from the support edges
+    (exact 0/1 has infinite negative log-likelihood).  (alpha, beta)
+    solve the digamma score equations by Newton iteration from a
+    method-of-moments start; where Newton does not converge the moment
+    estimate is kept and counted in ``beta_fallbacks``.  mu/sigma are
+    reported back in original trace units.
     """
     lo, hi = bounds
     if not hi > lo:
         raise FitError("bounds must satisfy hi > lo")
-    x = np.asarray(samples, dtype=float).ravel()
-    if len(x) < 2:
-        raise FitError("need at least two samples")
-    if not np.all(np.isfinite(x)):
-        raise FitError("samples contain non-finite values")
-    if np.any(x < lo) or np.any(x > hi):
-        raise FitError("samples outside the declared bounds")
+    x, valid, lead = _rows(samples, where)
+    u = np.clip((x - lo) / (hi - lo), BETA_CLAMP_EPS, 1.0 - BETA_CLAMP_EPS)
+    spread = (np.max(u, axis=-1, where=valid, initial=-np.inf)
+              - np.min(u, axis=-1, where=valid, initial=np.inf))
+    _raise_first_failure(_sample_checks(x, valid) + [
+        (np.any(((x < lo) | (x > hi)) & valid, axis=-1),
+         "samples outside the declared bounds"),
+        (spread == 0.0, "all samples identical after clamping; widen the pool"),
+    ], lead)
 
-    u = (x - lo) / (hi - lo)
-    u = np.clip(u, BETA_CLAMP_EPS, 1.0 - BETA_CLAMP_EPS)
-    if np.ptp(u) == 0.0:
-        raise FitError("all samples identical after clamping; widen the pool")
-
-    mean_log = np.log(u).mean()
-    mean_log1m = np.log1p(-u).mean()
-    alpha, beta = _beta_moment_estimate(u)
-    a, b = alpha, beta
-    converged = False
-    for _ in range(BETA_MAX_NEWTON_ITERS):
-        # Score of the mean log-likelihood in (a, b).
-        ga = mean_log - (psi(a) - psi(a + b))
-        gb = mean_log1m - (psi(b) - psi(a + b))
-        if max(abs(ga), abs(gb)) < 1e-10:
-            converged = True
-            break
-        t_ab = polygamma(1, a + b)
-        h_aa = -polygamma(1, a) + t_ab
-        h_bb = -polygamma(1, b) + t_ab
-        det = h_aa * h_bb - t_ab * t_ab
-        if det == 0.0:
-            break
-        da = -(h_bb * ga - t_ab * gb) / det
-        db = -(h_aa * gb - t_ab * ga) / det
-        step = 1.0
-        while a + step * da <= 0 or b + step * db <= 0:
-            step *= 0.5
-            if step < 1e-12:
-                break
-        a += step * da
-        b += step * db
-    if not converged or not np.isfinite(a) or not np.isfinite(b) or a <= 0 or b <= 0:
-        a, b = alpha, beta
+    m = np.mean(u, axis=-1, where=valid)
+    common = m * (1.0 - m) / np.var(u, axis=-1, where=valid) - 1.0
+    alpha = np.maximum(m * common, 1e-3)
+    beta = np.maximum((1.0 - m) * common, 1e-3)
+    a, b, converged = _beta_newton(np.mean(np.log(u), axis=-1, where=valid),
+                                   np.mean(np.log1p(-u), axis=-1, where=valid),
+                                   alpha, beta)
+    fallback = ~(converged & np.isfinite(a) & np.isfinite(b) & (a > 0) & (b > 0))
+    a = np.where(fallback, alpha, a)
+    b = np.where(fallback, beta, b)
 
     mean01 = a / (a + b)
     std01 = np.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
-    return DistParams(
-        mu=float(lo + (hi - lo) * mean01),
-        sigma=float((hi - lo) * std01),
+    return WindowFits(
+        mu=(lo + (hi - lo) * mean01).reshape(lead),
+        sigma=((hi - lo) * std01).reshape(lead),
         family=BETA_MAPPED,
-        beta_params=(float(a), float(b)),
+        alpha=a.reshape(lead),
+        beta=b.reshape(lead),
+        beta_fallbacks=int(fallback.sum()),
     )
-
-
-def _fit_family(samples, family, bounds):
-    if family == GAUSSIAN:
-        return fit_gaussian(samples)
-    if family == BETA_MAPPED:
-        return fit_beta(samples, bounds)
-    raise ValueError(f"unknown distribution family {family!r}")
 
 
 def interval_representation(
     trace_set: TraceSet, family: str = GAUSSIAN, neighbor_radius: int = 1
-) -> IntervalRepresentation:
+) -> WindowFits:
     """Fit the chosen family per window over neighbor-pooled annotations."""
     if family == BETA_MAPPED and trace_set.bounds is None:
         raise ValueError("Beta fitting requires the TraceSet to declare bounds")
-    params = []
-    for n in range(trace_set.window_count):
-        pooled = pool_neighbors(trace_set, n, neighbor_radius)
-        try:
-            params.append(_fit_family(pooled, family, trace_set.bounds))
-        except FitError as exc:
-            raise FitError(f"window {n}: {exc}") from exc
-    return IntervalRepresentation(params=params, neighbor_radius=neighbor_radius)
+    pooled, valid = pool_windows(trace_set.matrix(), neighbor_radius)
+    if family == GAUSSIAN:
+        fits = fit_gaussian(pooled, where=valid)
+    elif family == BETA_MAPPED:
+        fits = fit_beta(pooled, trace_set.bounds, where=valid)
+    else:
+        raise ValueError(f"unknown distribution family {family!r}")
+    return replace(fits, neighbor_radius=neighbor_radius, tag=TAG_INTERVAL)
 
 
-def individual_ordinal(
-    trace_set: TraceSet, neighbor_radius: int = 1
-) -> IndividualOrdinal:
+def individual_ordinal(trace_set: TraceSet, neighbor_radius: int = 1) -> WindowFits:
     """Gaussian fit per window over pooled per-annotator trace gradients.
 
     Gradients are always summarized with the Gaussian family: they are
@@ -233,20 +277,12 @@ def individual_ordinal(
     if trace_set.window_count < 2:
         raise ValueError("need at least two windows to differentiate")
     grads = np.stack([central_difference(tr.values) for tr in trace_set.traces])
-    n_windows = grads.shape[1]
-    params = []
-    for n in range(n_windows):
-        lo = max(0, n - neighbor_radius)
-        hi = min(n_windows - 1, n + neighbor_radius)
-        pooled = grads[:, lo : hi + 1].ravel()
-        try:
-            params.append(fit_gaussian(pooled))
-        except FitError as exc:
-            raise FitError(f"window {n}: {exc}") from exc
-    return IndividualOrdinal(params=params)
+    pooled, valid = pool_windows(grads, neighbor_radius)
+    return replace(fit_gaussian(pooled, where=valid),
+                   neighbor_radius=neighbor_radius, tag=TAG_INDIVIDUAL)
 
 
-def group_ordinal(interval: IntervalRepresentation) -> GroupOrdinal:
+def group_ordinal(interval: WindowFits) -> GroupOrdinal:
     """Rates of change of the interval representation's mu and sigma."""
     if len(interval) < 2:
         raise ValueError("need at least two windows to differentiate")
@@ -258,60 +294,22 @@ def group_ordinal(interval: IntervalRepresentation) -> GroupOrdinal:
 
 # --- columnar text serialization -------------------------------------------
 
-FORMAT_VERSION = 1
-
-TAG_INTERVAL = "I"
-TAG_INDIVIDUAL = "O_I"
-TAG_GROUP = "O_G"
-
-
-def representation_columns(rep):
-    """(column names, column arrays) for one representation sequence."""
-    if isinstance(rep, GroupOrdinal):
-        return ["dmu", "dsigma"], [rep.dmu, rep.dsigma]
-    has_beta = any(p.beta_params is not None for p in rep.params)
-    cols = [rep.mu, rep.sigma]
-    names = ["mu", "sigma"]
-    if has_beta:
-        names += ["alpha", "beta"]
-        cols += [
-            np.array([p.beta_params[0] for p in rep.params]),
-            np.array([p.beta_params[1] for p in rep.params]),
-        ]
-    return names, cols
-
-
-def representation_tag(rep) -> str:
-    if isinstance(rep, IntervalRepresentation):
-        return TAG_INTERVAL
-    if isinstance(rep, IndividualOrdinal):
-        return TAG_INDIVIDUAL
-    if isinstance(rep, GroupOrdinal):
-        return TAG_GROUP
-    raise TypeError(f"not a representation: {type(rep).__name__}")
-
 
 def write_representation(rep, path, source_hash=""):
     """Write a representation sequence as a headed columnar text table."""
-    tag = representation_tag(rep)
-    if isinstance(rep, IntervalRepresentation):
-        family = rep.params[0].family
-        radius = rep.neighbor_radius
-    elif isinstance(rep, IndividualOrdinal):
-        family, radius = GAUSSIAN, -1
-    else:
-        family, radius = "-", -1
-    names, cols = representation_columns(rep)
+    cols = rep.columns()
     lines = [
         f"# format_version: {FORMAT_VERSION}",
-        f"# representation: {tag}",
-        f"# family: {family}",
-        f"# neighbor_radius: {radius}",
+        f"# representation: {rep.tag}",
+        f"# family: {rep.family}",
+        f"# neighbor_radius: {rep.neighbor_radius}",
         f"# source_hash: {source_hash}",
-        ",".join(["window_index"] + names),
     ]
-    for i in range(len(cols[0])):
-        row = [str(i)] + [format(float(c[i]), ".17g") for c in cols]
+    if rep.family == BETA_MAPPED:
+        lines.append(f"# beta_fallbacks: {rep.beta_fallbacks}")
+    lines.append(",".join(["window_index", *cols]))
+    for i in range(len(rep)):
+        row = [str(i)] + [format(float(c[i]), ".17g") for c in cols.values()]
         lines.append(",".join(row))
     _atomic_write(path, "\n".join(lines) + "\n")
 

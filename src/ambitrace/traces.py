@@ -7,7 +7,7 @@ float arrays; no global state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,11 +24,11 @@ def _check_1d_finite(values, name="values"):
 
 
 def _ratio_as_int(numerator, denominator, what):
-    """Integer ratio of two durations; the ratio must sit within 0.5 of an integer."""
+    """Integer ratio of two durations, which must match to a relative 1e-9."""
     ratio = numerator / denominator
     k = int(round(ratio))
-    if abs(ratio - k) > 0.5:
-        raise ValueError(f"{what}: ratio {ratio} is not close to an integer")
+    if abs(ratio - k) > 1e-9 * abs(ratio):
+        raise ValueError(f"{what}: {numerator} is not a whole multiple of {denominator}")
     return k
 
 
@@ -47,17 +47,6 @@ class AnnotationTrace:
 
     def __len__(self):
         return len(self.values)
-
-
-@dataclass
-class GradientTrace:
-    """Per-window rate of change of one annotator's trace."""
-
-    annotator_id: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = _check_1d_finite(self.values, "gradient values")
 
 
 @dataclass

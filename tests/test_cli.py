@@ -175,6 +175,10 @@ class TestManifestSections:
         ("train", "max_epoch", 5),
         ("model", "hidden_dm", 16),
         ("train", "segment_length", 1),
+        ("split", "kk", 3),
+        ("split", "k", 1),
+        ("representation", "neighbour_radius", 1),
+        ("representation", "neighbor_radius", -1),
     ])
     def test_bad_key_or_value_exits_2(self, workspace, tmp_path, section, key, value):
         path = write_variant_manifest(workspace, f"bad_{key}", section, key, value)
@@ -182,8 +186,55 @@ class TestManifestSections:
                           "--out", tmp_path / "run"])
         assert result.exit_code == 2, result.output
         assert f"{section}.{key}" in result.output
-        assert str(path) in result.output
+        assert result.output.count(str(path)) == 1
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("edit, name", [
+        (lambda ds: ds["items"][1].update(trace_fil="x.csv"), "dataset.items[1].trace_fil"),
+        (lambda ds: ds["items"][0].pop("group"), "dataset.items[0].group"),
+        (lambda ds: ds.update(window_length=1.3), "dataset.window_length"),
+        (lambda ds: ds.update(delay_offset=0.49), "dataset.delay_offset"),
+    ])
+    def test_bad_dataset_entry_exits_2(self, workspace, tmp_path, edit, name):
+        doc = json.loads((workspace / "data" / "manifest.json").read_text())
+        edit(doc["dataset"])
+        path = workspace / "data" / f"bad_{name}.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli(["represent", "--manifest", path, "--tag", "I",
+                          "--out", tmp_path / "rep"])
+        assert result.exit_code == 2, result.output
+        assert name in result.output
+        assert result.output.count(str(path)) == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+class TestLoaderErrors:
+    def test_non_numeric_feature_cell_names_file_and_line(self, workspace, tmp_path):
+        data = workspace / "data"
+        lines = (data / "features" / "item002.csv").read_text().splitlines()
+        row = lines[6].split(",")
+        lines[6] = ",".join(row[:2] + ["abc"] + row[3:])
+        (data / "features" / "bad_item002.csv").write_text("\n".join(lines) + "\n")
+        doc = json.loads((data / "manifest.json").read_text())
+        doc["dataset"]["items"][2]["feature_file"] = "features/bad_item002.csv"
+        path = data / "bad_feature_cell.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli(["represent", "--manifest", path, "--tag", "I",
+                          "--out", tmp_path / "rep"])
+        assert result.exit_code == 2, result.output
+        assert "bad_item002.csv: bad value at line 7" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_trace_outside_bounds_names_file_and_annotator(self, workspace, tmp_path):
+        doc = json.loads((workspace / "data" / "manifest.json").read_text())
+        doc["dataset"]["bounds"] = [-0.001, 0.001]
+        path = workspace / "data" / "tight_bounds.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli(["represent", "--manifest", path, "--tag", "I",
+                          "--out", tmp_path / "rep"])
+        assert result.exit_code == 2, result.output
+        assert "item000.csv: trace 'ann0' has values outside bounds" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 @pytest.fixture(scope="module")

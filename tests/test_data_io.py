@@ -266,6 +266,22 @@ class TestManifest:
         with pytest.raises(DataError, match="y1"):
             prepare_item(manifest, item)
 
+    @pytest.mark.parametrize("field, value", [("window_length", 1.3), ("delay_offset", 0.49)])
+    def test_fractional_sample_counts_rejected(self, field, value):
+        settings = dict(native_period=1.0, window_length=1.0, items=[])
+        settings[field] = value
+        with pytest.raises(DataError, match=f"{field}: {value} is not a whole multiple"):
+            DatasetConfig(**settings)
+
+    @pytest.mark.parametrize("seed", [-1, "x"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(DataError, match="^seed: expected an integer"):
+            ExperimentManifest(
+                dataset=DatasetConfig(native_period=1.0, window_length=1.0, items=[]),
+                representation={"family": "gaussian"}, model={}, train={},
+                split=SplitSpec(), seed=seed,
+            )
+
     def test_unknown_family_rejected(self, tmp_path):
         item = _write_item(tmp_path, "z1", 20, 1.0, 20)
         with pytest.raises(DataError, match="family"):

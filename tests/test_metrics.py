@@ -3,15 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ambitrace.metrics import (
-    MetricReport,
-    aggregate,
-    ccc,
-    ccc_loss,
-    pearson,
-    report,
-    sda,
-)
+from ambitrace.metrics import ccc, ccc_loss, pearson, sda
 
 
 def ccc_naive(x, y):
@@ -123,30 +115,3 @@ class TestSDA:
             x = rng.integers(-2, 3, size=n).astype(float)  # ties likely
             y = rng.integers(-2, 3, size=n).astype(float)
             assert sda(x, y) == pytest.approx(sda_naive(list(x), list(y)), abs=1e-12)
-
-
-class TestReport:
-    def test_perfect(self):
-        x = [0.0, 0.3, 0.1, 0.7]
-        r = report(x, x, x, x)
-        assert r == MetricReport(1.0, 1.0, 1.0, 1.0)
-
-    def test_aggregation_of_identical_reports(self):
-        r = MetricReport(0.5, 0.4, 0.3, 0.2)
-        mean, std = aggregate([r, r, r])
-        for key, value in mean.as_dict().items():
-            assert value == pytest.approx(r.as_dict()[key], abs=1e-15)
-        for value in std.as_dict().values():
-            assert value == pytest.approx(0.0, abs=1e-15)
-
-    def test_record_round_trip(self):
-        r = MetricReport(0.123456, -0.5, 0.25, 1.0)
-        assert MetricReport.from_record(r.to_record()) == r
-
-    def test_layout_matches_four_columns(self):
-        assert list(MetricReport(0, 0, 0, 0).as_dict()) == [
-            "ccc_mu",
-            "ccc_sigma",
-            "sda_mu",
-            "sda_sigma",
-        ]

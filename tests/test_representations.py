@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.special import polygamma, psi
 from scipy.stats import beta as beta_dist
 
-from ambitrace.traces import AnnotationTrace, TraceSet
+from ambitrace import representations
+from ambitrace.traces import AnnotationTrace, TraceSet, central_difference
 from ambitrace.representations import (
     BETA_MAPPED,
     FitError,
@@ -13,7 +15,7 @@ from ambitrace.representations import (
     group_ordinal,
     individual_ordinal,
     interval_representation,
-    pool_neighbors,
+    pool_windows,
     read_representation,
     write_representation,
 )
@@ -40,20 +42,18 @@ def beta_loglik_oracle(samples):
 class TestPoolNeighbors:
     def test_radius_zero_is_window_column(self):
         ts = make_set(np.arange(12.0).reshape(3, 4))
-        np.testing.assert_array_equal(pool_neighbors(ts, 2, 0), [2.0, 6.0, 10.0])
+        pooled, _ = pool_windows(ts.matrix(), 0)
+        np.testing.assert_array_equal(pooled[2], [2.0, 6.0, 10.0])
 
     def test_interior_count_with_six_annotators(self):
         ts = make_set(np.random.default_rng(0).normal(size=(6, 5)))
-        assert len(pool_neighbors(ts, 2, 1)) == 18
+        _, valid = pool_windows(ts.matrix(), 1)
+        assert valid[2].sum() == 18
 
     def test_boundary_truncates(self):
         ts = make_set(np.random.default_rng(0).normal(size=(6, 5)))
-        assert len(pool_neighbors(ts, 0, 1)) == 12
-
-    def test_out_of_range(self):
-        ts = make_set(np.zeros((2, 4)))
-        with pytest.raises(IndexError):
-            pool_neighbors(ts, 4, 1)
+        _, valid = pool_windows(ts.matrix(), 1)
+        assert valid[0].sum() == 12
 
 
 class TestGaussianFit:
@@ -161,8 +161,8 @@ class TestIntervalRepresentation:
         rep = interval_representation(ts, GAUSSIAN, neighbor_radius=0)
         for n in range(4):
             direct = fit_gaussian(matrix[:, n])
-            assert rep.params[n].mu == direct.mu
-            assert rep.params[n].sigma == direct.sigma
+            assert rep.mu[n] == direct.mu
+            assert rep.sigma[n] == direct.sigma
 
     def test_beta_requires_bounds(self):
         ts = make_set(np.random.default_rng(0).uniform(0, 1, size=(3, 4)))
@@ -173,6 +173,17 @@ class TestIntervalRepresentation:
         ts = make_set(np.zeros((3, 4)), bounds=(-1.0, 1.0))
         with pytest.raises(FitError, match="window 0"):
             interval_representation(ts, BETA_MAPPED, neighbor_radius=1)
+
+    def test_constant_interior_pool_names_its_window(self):
+        matrix = np.random.default_rng(3).uniform(-0.9, 0.9, size=(3, 10))
+        matrix[:, 4:7] = 0.25  # only window 5 pools nothing but 0.25
+        ts = make_set(matrix, bounds=(-1.0, 1.0))
+        with pytest.raises(FitError, match=r"^window 5: all samples identical"):
+            interval_representation(ts, BETA_MAPPED, neighbor_radius=1)
+
+    def test_single_sample_fit_names_no_window(self):
+        with pytest.raises(FitError, match=r"^samples contain non-finite values$"):
+            fit_gaussian([1.0, np.nan, 2.0])
 
 
 class TestIndividualOrdinal:
@@ -242,3 +253,153 @@ class TestSerialization:
         meta, cols = read_representation(path)
         assert meta["representation"] == "O_G"
         assert set(cols) == {"window_index", "dmu", "dsigma"}
+
+
+# --- per-window reference ---------------------------------------------------
+# The per-window pooling and fits that the array path replaced, kept as the
+# reference it is checked against.  They return (mu, sigma, alpha, beta).
+
+
+def ref_pool_neighbors(trace_set, index, radius):
+    n = trace_set.window_count
+    if not 0 <= index < n:
+        raise IndexError(f"window index {index} out of range [0, {n})")
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    lo = max(0, index - radius)
+    hi = min(n - 1, index + radius)
+    return trace_set.matrix()[:, lo : hi + 1].ravel()
+
+
+def ref_fit_gaussian(samples):
+    x = np.asarray(samples, dtype=float).ravel()
+    if len(x) < 2:
+        raise FitError("need at least two samples")
+    if not np.all(np.isfinite(x)):
+        raise FitError("samples contain non-finite values")
+    return float(x.mean()), float(x.std()), None, None
+
+
+def _ref_beta_moment_estimate(x):
+    m = x.mean()
+    v = x.var()
+    common = m * (1.0 - m) / v - 1.0
+    alpha = max(m * common, 1e-3)
+    beta = max((1.0 - m) * common, 1e-3)
+    return alpha, beta
+
+
+def ref_fit_beta(samples, bounds):
+    lo, hi = bounds
+    if not hi > lo:
+        raise FitError("bounds must satisfy hi > lo")
+    x = np.asarray(samples, dtype=float).ravel()
+    if len(x) < 2:
+        raise FitError("need at least two samples")
+    if not np.all(np.isfinite(x)):
+        raise FitError("samples contain non-finite values")
+    if np.any(x < lo) or np.any(x > hi):
+        raise FitError("samples outside the declared bounds")
+
+    u = (x - lo) / (hi - lo)
+    u = np.clip(u, 1e-6, 1.0 - 1e-6)
+    if np.ptp(u) == 0.0:
+        raise FitError("all samples identical after clamping; widen the pool")
+
+    mean_log = np.log(u).mean()
+    mean_log1m = np.log1p(-u).mean()
+    alpha, beta = _ref_beta_moment_estimate(u)
+    a, b = alpha, beta
+    converged = False
+    for _ in range(100):
+        ga = mean_log - (psi(a) - psi(a + b))
+        gb = mean_log1m - (psi(b) - psi(a + b))
+        if max(abs(ga), abs(gb)) < 1e-10:
+            converged = True
+            break
+        t_ab = polygamma(1, a + b)
+        h_aa = -polygamma(1, a) + t_ab
+        h_bb = -polygamma(1, b) + t_ab
+        det = h_aa * h_bb - t_ab * t_ab
+        if det == 0.0:
+            break
+        da = -(h_bb * ga - t_ab * gb) / det
+        db = -(h_aa * gb - t_ab * ga) / det
+        step = 1.0
+        while a + step * da <= 0 or b + step * db <= 0:
+            step *= 0.5
+            if step < 1e-12:
+                break
+        a += step * da
+        b += step * db
+    if not converged or not np.isfinite(a) or not np.isfinite(b) or a <= 0 or b <= 0:
+        a, b = alpha, beta
+
+    mean01 = a / (a + b)
+    std01 = np.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
+    return float(lo + (hi - lo) * mean01), float((hi - lo) * std01), float(a), float(b)
+
+
+def assert_matches_reference(fits, reference):
+    """Every column within 1e-12 of the reference column's scale."""
+    reference = np.array(reference, dtype=float)
+    columns = list(fits.columns().values())
+    assert len(columns) == np.sum(~np.isnan(reference[0]))
+    for j, column in enumerate(columns):
+        scale = np.max(np.abs(reference[:, j]))
+        np.testing.assert_allclose(column, reference[:, j], rtol=0, atol=1e-12 * scale)
+
+
+class TestMatchesPerWindowReference:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("family", [GAUSSIAN, BETA_MAPPED])
+    def test_random_shapes(self, seed, family):
+        rng = np.random.default_rng(seed)
+        annotators = int(rng.integers(2, 7))
+        windows = int(rng.integers(2, 61))
+        radius = int(rng.integers(0, 4))
+        ts = make_set(rng.uniform(-0.9, 0.9, size=(annotators, windows)), bounds=(-1.0, 1.0))
+
+        def ref(pool):
+            out = ref_fit_gaussian(pool) if family == GAUSSIAN else ref_fit_beta(pool, ts.bounds)
+            return [np.nan if v is None else v for v in out]
+
+        rep = interval_representation(ts, family, radius)
+        assert_matches_reference(
+            rep, [ref(ref_pool_neighbors(ts, n, radius)) for n in range(windows)])
+
+        grads = make_set(np.stack([central_difference(tr.values) for tr in ts.traces]))
+        individual = individual_ordinal(ts, radius)
+        assert_matches_reference(individual, [
+            ref_fit_gaussian(ref_pool_neighbors(grads, n, radius))[:2] + (np.nan, np.nan)
+            for n in range(windows)])
+
+
+class TestBetaFallbacks:
+    def test_counted_and_written_to_the_table_header(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(13)
+        ts = make_set(rng.uniform(-0.9, 0.9, size=(4, 9)), bounds=(-1.0, 1.0))
+        path = tmp_path / "beta.csv"
+        write_representation(interval_representation(ts, BETA_MAPPED, 1), path)
+        meta, newton = read_representation(path)
+        assert meta["beta_fallbacks"] == "0"
+
+        monkeypatch.setattr(representations, "BETA_MAX_NEWTON_ITERS", 0)
+        rep = interval_representation(ts, BETA_MAPPED, 1)
+        assert rep.beta_fallbacks == 9
+        write_representation(rep, path)
+        meta, moments = read_representation(path)
+        assert meta["beta_fallbacks"] == "9"
+        for n in range(9):
+            u = (ref_pool_neighbors(ts, n, 1) + 1.0) / 2.0
+            expected = _ref_beta_moment_estimate(u)
+            assert moments["alpha"][n] == pytest.approx(expected[0], rel=1e-12)
+            assert moments["beta"][n] == pytest.approx(expected[1], rel=1e-12)
+        assert not np.array_equal(moments["alpha"], newton["alpha"])
+
+    def test_gaussian_tables_carry_no_count(self, tmp_path):
+        ts = make_set(np.random.default_rng(14).normal(size=(3, 5)))
+        path = tmp_path / "gauss.csv"
+        write_representation(interval_representation(ts, GAUSSIAN, 1), path)
+        meta, _ = read_representation(path)
+        assert "beta_fallbacks" not in meta

@@ -51,6 +51,10 @@ class TestWindowAggregate:
         with pytest.raises(ValueError):
             window_aggregate([1.0, 2.0], 1.0, 0.5)
 
+    def test_window_must_be_whole_samples(self):
+        with pytest.raises(ValueError, match="whole multiple"):
+            window_aggregate(np.arange(6.0), 1.0, 1.3)
+
 
 class TestShiftDelay:
     def test_zero_offset_is_identity(self):
@@ -65,6 +69,10 @@ class TestShiftDelay:
 
     def test_index_shift(self):
         assert shift_delay([9, 8, 7], 1.0, 1.0).tolist() == [8.0, 7.0]
+
+    def test_offset_must_be_whole_samples(self):
+        with pytest.raises(ValueError, match="whole multiple"):
+            shift_delay(np.arange(6.0), 1.0, 0.49)
 
     def test_offset_consuming_signal_errors(self):
         with pytest.raises(ValueError):
