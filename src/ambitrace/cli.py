@@ -29,9 +29,9 @@ def _fail(code, message):
     sys.exit(code)
 
 
-def _load_manifest(path, check_shapes=True):
+def _load_manifest(path):
     try:
-        return load_manifest(path, check_shapes=check_shapes)
+        return load_manifest(path)
     except DataError as exc:
         # load_manifest already names the manifest.
         _fail(EXIT_CONFIG, str(exc))
@@ -108,6 +108,8 @@ def train_eval(manifest_path, tag, target, out_dir, seed, jobs):
         )
     except FitError as exc:
         _fail(EXIT_REPRESENT, f"representation fit failed: {exc}")
+    except DataError as exc:
+        _fail(EXIT_CONFIG, str(exc))
     except (TrainingError, ValueError) as exc:
         _fail(EXIT_TRAIN, f"training failed: {exc}")
     click.echo(pipeline.render_summary_table([summary]))

@@ -1,8 +1,9 @@
 """Dataset ingestion, splits, experiment manifests and synthetic data.
 
-All numeric files are plain columnar text with decimal floats (17
-significant digits) so they stay diffable and language-neutral; writes
-go through a temp file and an atomic rename.
+All tables are plain columnar text with decimal floats (17 significant
+digits) so they stay diffable and language-neutral.  ``write_table`` and
+``read_table`` are the one codec for them; writes go through a temp file
+and an atomic rename.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numbers
 import os
 import tempfile
 from dataclasses import MISSING, asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,10 +53,6 @@ def _check_real(name, value, valid, expected):
         raise DataError(f"{name}: expected {expected}, got {value!r}")
 
 
-def _fmt(value) -> str:
-    return format(float(value), ".17g")
-
-
 def _atomic_write(path, data):
     """Write ``data`` (str or bytes) to a temp file beside ``path``, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -69,6 +67,78 @@ def _atomic_write(path, data):
         raise
 
 
+# --- headed tables ----------------------------------------------------------
+
+
+class Table(NamedTuple):
+    """A headed table as read back: metadata, column names, float rows.
+
+    ``lines`` holds the 1-based file line of each row, for error messages.
+    """
+
+    meta: dict
+    names: list
+    rows: np.ndarray
+    lines: list
+
+
+def write_table(path, meta, columns):
+    """Write ``# key: value`` header lines, a column header, then one row per line.
+
+    ``format_version`` leads the header, followed by ``meta`` in order.
+    ``columns`` maps each column name to its cells: text cells are written
+    as they are, numbers with 17 significant digits, so floats read back
+    bit-exact.
+    """
+    cells = [np.asarray(col) for col in columns.values()]
+    row = ",".join("%s" if col.dtype.kind in "US" else "%.17g" for col in cells)
+    header = {"format_version": FORMAT_VERSION, **meta}
+    lines = [f"# {key}: {value}" for key, value in header.items()]
+    lines.append(",".join(columns))
+    lines += [row % values for values in zip(*(col.tolist() for col in cells))]
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def read_table(path) -> Table:
+    """Read a table written by ``write_table``; every cell must be a finite float.
+
+    ``#`` lines anywhere are header metadata and blank lines are skipped.
+    A missing column header, a ragged row or a bad cell is a ``DataError``
+    naming the file and the line.
+    """
+    meta, names, rows, lines = {}, None, [], []
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    key, _, value = line[1:].partition(":")
+                    meta[key.strip()] = value.strip()
+                    continue
+                cells = line.split(",")
+                if names is None:
+                    names = cells
+                    continue
+                if len(cells) != len(names):
+                    raise DataError(f"{path}: ragged row at line {lineno}")
+                try:
+                    rows.append(list(map(float, cells)))
+                except ValueError as exc:
+                    raise DataError(f"{path}: bad value at line {lineno}: {exc}") from exc
+                lines.append(lineno)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a text table: {exc}") from exc
+    if names is None:
+        raise DataError(f"{path}: no column header")
+    rows = np.array(rows, dtype=float).reshape(len(lines), len(names))
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}: non-finite value at line {lines[np.argmin(finite)]}")
+    return Table(meta, names, rows, lines)
+
+
 # --- trace tables -----------------------------------------------------------
 
 
@@ -79,52 +149,33 @@ def write_trace_table(path, traces):
     for tr in traces:
         if len(tr) != n or tr.sample_period != period:
             raise DataError("traces must share length and sample period")
-    lines = [f"# format_version: {FORMAT_VERSION}"]
-    lines.append(",".join(["time_s"] + [tr.annotator_id for tr in traces]))
-    for i in range(n):
-        row = [_fmt(i * period)] + [_fmt(tr.values[i]) for tr in traces]
-        lines.append(",".join(row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    if len({tr.annotator_id for tr in traces}) != len(traces):
+        raise DataError("annotator ids must be unique")
+    columns = {"time_s": np.arange(n) * period}
+    columns.update((tr.annotator_id, tr.values) for tr in traces)
+    write_table(path, {}, columns)
 
 
 def load_trace_table(path):
     """Read a trace table; infers and validates a uniform sample period."""
-    header = None
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            if header is None:
-                header = cells
-                if header[0] != "time_s" or len(header) < 2:
-                    raise DataError(f"{path}: header must be time_s,<annotator>...")
-                continue
-            if len(cells) != len(header):
-                raise DataError(f"{path}: ragged row at line {lineno}")
-            try:
-                rows.append(([float(c) for c in cells], lineno))
-            except ValueError as exc:
-                raise DataError(f"{path}: bad value at line {lineno}: {exc}") from exc
-    if header is None or not rows:
-        raise DataError(f"{path}: no data rows")
-    times = np.array([r[0][0] for r in rows])
-    if len(times) < 2:
+    table = read_table(path)
+    if table.names[0] != "time_s" or len(table.names) < 2:
+        raise DataError(f"{path}: header must be time_s,<annotator>...")
+    if len(table.lines) < 2:
         raise DataError(f"{path}: need at least two rows to infer the period")
-    period = times[1] - times[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(table.rows[:, 0])
+        period = steps[0]
+        # Written so that a step that overflows to inf also counts as off.
+        off = ~(np.abs(steps - period) <= TIME_TOLERANCE * period)
     if period <= 0:
-        raise DataError(f"{path}: non-increasing time at line {rows[1][1]}")
-    for k in range(1, len(times)):
-        if abs((times[k] - times[k - 1]) - period) > TIME_TOLERANCE * abs(period):
-            raise DataError(f"{path}: non-uniform time step at line {rows[k][1]}")
-    values = np.array([r[0][1:] for r in rows])
-    if not np.all(np.isfinite(values)):
-        raise DataError(f"{path}: non-finite values")
+        raise DataError(f"{path}: non-increasing time at line {table.lines[1]}")
+    if off.any():
+        raise DataError(f"{path}: non-uniform time step at line "
+                        f"{table.lines[np.argmax(off) + 1]}")
     return [
-        AnnotationTrace(annotator_id=name, values=values[:, j], sample_period=float(period))
-        for j, name in enumerate(header[1:])
+        AnnotationTrace(annotator_id=name, values=table.rows[:, j], sample_period=float(period))
+        for j, name in enumerate(table.names[1:], start=1)
     ]
 
 
@@ -146,47 +197,20 @@ class FeatureTable:
 
 
 def write_feature_table(path, table: FeatureTable):
-    n, d = table.matrix.shape
-    lines = [
-        f"# format_version: {FORMAT_VERSION}",
-        f"# item_id: {table.item_id}",
-        f"# feature_name: {table.feature_name}",
-        ",".join(["window_index"] + [f"f{j:03d}" for j in range(d)]),
-    ]
-    for i in range(n):
-        lines.append(",".join([str(i)] + [_fmt(v) for v in table.matrix[i]]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    columns = {"window_index": np.arange(len(table.matrix))}
+    columns.update((f"f{j:03d}", col) for j, col in enumerate(table.matrix.T))
+    write_table(path, {"item_id": table.item_id, "feature_name": table.feature_name},
+                columns)
 
 
 def load_feature_table(path) -> FeatureTable:
-    meta = {}
-    header = None
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition(":")
-                meta[key.strip()] = value.strip()
-            elif header is None:
-                header = line.split(",")
-            else:
-                cells = line.split(",")
-                if len(cells) != len(header):
-                    raise DataError(f"{path}: ragged row at line {lineno}")
-                try:
-                    rows.append([float(v) for v in cells])
-                except ValueError as exc:
-                    raise DataError(f"{path}: bad value at line {lineno}: {exc}") from exc
-    if header is None or not rows:
+    table = read_table(path)
+    if not table.lines:
         raise DataError(f"{path}: no feature rows")
-    matrix = np.array(rows)[:, 1:]
     return FeatureTable(
-        item_id=meta.get("item_id", os.path.basename(path)),
-        matrix=matrix,
-        feature_name=meta.get("feature_name", "features"),
+        item_id=table.meta.get("item_id", os.path.basename(path)),
+        matrix=table.rows[:, 1:],
+        feature_name=table.meta.get("feature_name", "features"),
     )
 
 
@@ -505,10 +529,11 @@ def save_manifest(manifest: ExperimentManifest, path):
     _atomic_write(path, json.dumps(manifest_to_dict(manifest), indent=2, sort_keys=True) + "\n")
 
 
-def load_manifest(path, check_shapes=True) -> ExperimentManifest:
-    """Parse and validate a manifest; optionally verify file shapes agree.
+def load_manifest(path) -> ExperimentManifest:
+    """Parse and validate a manifest and check that every data file exists.
 
-    Every DataError raised here starts with the manifest path.
+    The tables themselves are read by ``prepare_item``.  Every DataError
+    raised here starts with the manifest path.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -518,9 +543,6 @@ def load_manifest(path, check_shapes=True) -> ExperimentManifest:
             for kind, rel in (("trace", item.trace_file), ("feature", item.feature_file)):
                 if not os.path.exists(manifest.resolve(rel)):
                     raise DataError(f"item {item.item_id!r}: missing {kind} file {rel}")
-        if check_shapes:
-            for item in manifest.dataset.items:
-                prepare_item(manifest, item)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
     return manifest
@@ -550,6 +572,7 @@ def _manifest_from_doc(doc, base_dir) -> ExperimentManifest:
 def prepare_item(manifest: ExperimentManifest, item: ItemEntry):
     """Load one item and run the label pipeline; returns (TraceSet, features).
 
+    The trace table's time step must equal ``dataset.native_period``.
     Labels are delay-shifted at native rate, windowed, and aligned;
     trailing feature windows beyond the aligned label length are
     dropped (they correspond to the stimulus frames consumed by the
@@ -558,6 +581,10 @@ def prepare_item(manifest: ExperimentManifest, item: ItemEntry):
     trace_path = manifest.resolve(item.trace_file)
     traces = load_trace_table(trace_path)
     ds = manifest.dataset
+    period = traces[0].sample_period
+    if abs(period - ds.native_period) > TIME_TOLERANCE * ds.native_period:
+        raise DataError(f"{trace_path}: time step {period:.12g} s does not match "
+                        f"dataset.native_period {ds.native_period:.12g} s")
     try:
         windowed = []
         for tr in traces:

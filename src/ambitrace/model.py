@@ -178,19 +178,12 @@ def _forward(params, cfg, x):
     return np.ascontiguousarray(y.transpose(1, 2, 0)), cache
 
 
-def forward(model_or_params, cfg_or_none=None, features=None):
+def forward(params, cfg, features):
     """Raw head outputs in (-1, 1) of one model; causal in the time dimension.
 
-    Accepts either ``forward(trained_model, features=...)`` or the
-    low-level ``forward(params, cfg, features)`` form, with a (T, D)
-    sequence or a (B, T, D) batch.
+    ``features`` is a (T, D) sequence or a (B, T, D) batch.
     """
-    if isinstance(model_or_params, TrainedModel):
-        params, cfg = model_or_params.params, model_or_params.config
-        x = cfg_or_none if features is None else features
-    else:
-        params, cfg, x = model_or_params, cfg_or_none, features
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(features, dtype=float)
     single = x.ndim == 2
     y, _ = _forward({k: v[None] for k, v in params.items()}, cfg,
                     x[None, None] if single else x[None])
@@ -576,7 +569,7 @@ def predict(model: TrainedModel, features):
     """Forward pass mapped back to original target units."""
     if model.scaling is None:
         raise ValueError("model is missing target-scaling metadata")
-    return model.scaling.invert(forward(model, features))
+    return model.scaling.invert(forward(model.params, model.config, features))
 
 
 def gradient_check(

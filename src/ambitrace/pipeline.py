@@ -24,6 +24,7 @@ from .data_io import (
     make_splits,
     parse_section,
     prepare_item,
+    write_table,
 )
 from .model import ModelConfig, TrainConfig, predict, save_checkpoint, train_stack
 from .representations import (
@@ -86,11 +87,8 @@ def run_synth(cfg: SynthConfig, out_dir, extra=None):
         feat_rel = os.path.join("features", f"{item.item_id}.csv")
         data_io.write_trace_table(os.path.join(out_dir, trace_rel), item.trace_set.traces)
         data_io.write_feature_table(os.path.join(out_dir, feat_rel), item.features)
-        latent_lines = ["# format_version: 1", "window_index,latent"] + [
-            f"{i},{format(v, '.17g')}" for i, v in enumerate(item.latent)
-        ]
-        _atomic_write(os.path.join(out_dir, "latents", f"{item.item_id}.csv"),
-                      "\n".join(latent_lines) + "\n")
+        write_table(os.path.join(out_dir, "latents", f"{item.item_id}.csv"), {},
+                    {"window_index": np.arange(len(item.latent)), "latent": item.latent})
         entries.append(
             data_io.ItemEntry(
                 item_id=item.item_id,
@@ -138,13 +136,15 @@ def run_represent(manifest: ExperimentManifest, tag, out_dir):
     """Write one representation table per item plus a mean-spread summary."""
     if tag not in TAGS:
         raise ValueError(f"unknown representation tag {tag!r}")
+    # Every table is read before the output directory exists, so bad
+    # input leaves no output behind.
+    prepared = [prepare_item(manifest, item)[0] for item in manifest.dataset.items]
     os.makedirs(out_dir, exist_ok=True)
     family = manifest.representation.get("family", "gaussian")
     radius = manifest.representation.get("neighbor_radius", 1)
     source = dataset_hash(manifest)
     summary_rows = []
-    for item in manifest.dataset.items:
-        trace_set, _ = prepare_item(manifest, item)
+    for item, trace_set in zip(manifest.dataset.items, prepared):
         try:
             rep = compute_representation(trace_set, tag, family, radius)
         except representations.FitError as exc:
@@ -154,9 +154,9 @@ def run_represent(manifest: ExperimentManifest, tag, out_dir):
         )
         _, sigma_like = rep.channels
         summary_rows.append((item.item_id, float(np.mean(sigma_like))))
-    lines = ["# format_version: 1", f"# representation: {tag}", "item_id,mean_sigma"]
-    lines += [f"{iid},{format(v, '.17g')}" for iid, v in summary_rows]
-    _atomic_write(os.path.join(out_dir, f"summary_{tag}.csv"), "\n".join(lines) + "\n")
+    ids, means = zip(*summary_rows)
+    write_table(os.path.join(out_dir, f"summary_{tag}.csv"), {"representation": tag},
+                {"item_id": ids, "mean_sigma": means})
     return summary_rows
 
 
@@ -223,9 +223,10 @@ def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs=1,
     for target in targets:
         if target not in TARGETS:
             raise ValueError(f"unknown target {target!r}")
+    # Inputs are read and fitted before the output directory exists.
+    data = _item_data(manifest, tag)
     os.makedirs(out_dir, exist_ok=True)
     base_seed = seed if seed is not None else manifest.seed
-    data = _item_data(manifest, tag)
     folds = make_splits(
         [(it.item_id, it.group) for it in manifest.dataset.items], manifest.split
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import polygamma, psi
 
-from .data_io import FORMAT_VERSION, _atomic_write
+from .data_io import write_table
 from .traces import TraceSet, central_difference
 
 GAUSSIAN = "gaussian"
@@ -297,42 +297,8 @@ def group_ordinal(interval: WindowFits) -> GroupOrdinal:
 
 def write_representation(rep, path, source_hash=""):
     """Write a representation sequence as a headed columnar text table."""
-    cols = rep.columns()
-    lines = [
-        f"# format_version: {FORMAT_VERSION}",
-        f"# representation: {rep.tag}",
-        f"# family: {rep.family}",
-        f"# neighbor_radius: {rep.neighbor_radius}",
-        f"# source_hash: {source_hash}",
-    ]
+    meta = {"representation": rep.tag, "family": rep.family,
+            "neighbor_radius": rep.neighbor_radius, "source_hash": source_hash}
     if rep.family == BETA_MAPPED:
-        lines.append(f"# beta_fallbacks: {rep.beta_fallbacks}")
-    lines.append(",".join(["window_index", *cols]))
-    for i in range(len(rep)):
-        row = [str(i)] + [format(float(c[i]), ".17g") for c in cols.values()]
-        lines.append(",".join(row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def read_representation(path):
-    """Read a representation table back as (metadata dict, column dict)."""
-    meta = {}
-    header = None
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition(":")
-                meta[key.strip()] = value.strip()
-            elif header is None:
-                header = line.split(",")
-            else:
-                rows.append([float(v) for v in line.split(",")])
-    if header is None:
-        raise ValueError(f"{path}: missing column header")
-    data = np.array(rows)
-    columns = {name: data[:, j] for j, name in enumerate(header)}
-    return meta, columns
+        meta["beta_fallbacks"] = rep.beta_fallbacks
+    write_table(path, meta, {"window_index": np.arange(len(rep)), **rep.columns()})

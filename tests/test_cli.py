@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from ambitrace.cli import main
-from ambitrace.representations import read_representation
+from ambitrace.data_io import read_table
 
 FAST_SYNTH = {
     "items": 6,
@@ -36,6 +36,12 @@ def workspace(tmp_path_factory):
 
 def run_cli(args):
     return CliRunner().invoke(main, [str(a) for a in args])
+
+
+def read_columns(path):
+    """A table's header metadata and its columns by name."""
+    table = read_table(path)
+    return table.meta, dict(zip(table.names, table.rows.T))
 
 
 class TestSynth:
@@ -80,14 +86,14 @@ class TestRepresent:
         result = run_cli(["represent", "--manifest", tmp_path / "d" / "manifest.json",
                           "--tag", "I", "--out", tmp_path / "rep"])
         assert result.exit_code == 0
-        _, cols = read_representation(tmp_path / "rep" / "I_item000.csv")
+        _, cols = read_columns(tmp_path / "rep" / "I_item000.csv")
         np.testing.assert_allclose(cols["sigma"], 0.0, atol=1e-12)
 
     def test_group_tag_emits_gradient_columns(self, workspace, tmp_path):
         result = run_cli(["represent", "--manifest", workspace / "data" / "manifest.json",
                           "--tag", "O_G", "--out", tmp_path / "rep"])
         assert result.exit_code == 0
-        meta, cols = read_representation(tmp_path / "rep" / "O_G_item000.csv")
+        meta, cols = read_columns(tmp_path / "rep" / "O_G_item000.csv")
         assert meta["representation"] == "O_G"
         assert {"dmu", "dsigma"} <= set(cols)
 
@@ -235,6 +241,60 @@ class TestLoaderErrors:
         assert result.exit_code == 2, result.output
         assert "item000.csv: trace 'ann0' has values outside bounds" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    @staticmethod
+    def manifest_with_table(data, index, kind, name, edit):
+        """A manifest whose item ``index`` reads an edited copy of its ``kind`` table."""
+        doc = json.loads((data / "manifest.json").read_text())
+        entry = doc["dataset"]["items"][index]
+        lines = (data / entry[f"{kind}_file"]).read_text().splitlines()
+        edit(lines)
+        (data / f"{kind}s" / name).write_text("\n".join(lines) + "\n")
+        entry[f"{kind}_file"] = f"{kind}s/{name}"
+        path = data / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("command", ["represent", "train-eval"])
+    def test_bad_table_exits_2_before_any_output(self, workspace, tmp_path, command):
+        def edit(lines):
+            lines[9] = lines[9].replace(",", ",x", 1)
+
+        data = workspace / "data"
+        path = self.manifest_with_table(data, 4, "feature", "bad_item004.csv", edit)
+        result = run_cli([command, "--manifest", path, "--tag", "I",
+                          "--out", tmp_path / "out"])
+        assert result.exit_code == 2, result.output
+        assert f"{data / 'features' / 'bad_item004.csv'}: bad value at line 10" \
+            in result.output
+        assert "training failed" not in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_time_exits_2(self, workspace, tmp_path):
+        def edit(lines):
+            lines[3] = ",".join(["nan"] + lines[3].split(",")[1:])
+
+        path = self.manifest_with_table(workspace / "data", 1, "trace", "nan_item001.csv",
+                                        edit)
+        result = run_cli(["represent", "--manifest", path, "--tag", "I",
+                          "--out", tmp_path / "rep"])
+        assert result.exit_code == 2, result.output
+        assert "nan_item001.csv: non-finite value at line 4" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "rep").exists()
+
+    def test_trace_period_mismatch_exits_2(self, workspace, tmp_path):
+        doc = json.loads((workspace / "data" / "manifest.json").read_text())
+        doc["dataset"].update(native_period=0.5, window_length=1.0)
+        path = workspace / "data" / "half_period.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli(["represent", "--manifest", path, "--tag", "I",
+                          "--out", tmp_path / "rep"])
+        assert result.exit_code == 2, result.output
+        assert ("item000.csv: time step 1 s does not match dataset.native_period 0.5 s"
+                in result.output)
+        assert not (tmp_path / "rep").exists()
 
 
 @pytest.fixture(scope="module")

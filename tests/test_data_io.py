@@ -41,11 +41,36 @@ class TestTraceTable:
         with pytest.raises(DataError, match="line 4"):
             load_trace_table(path)
 
+    def test_non_increasing_time_names_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("time_s,a,b\n1.0,1,1\n1.0,2,2\n")
+        with pytest.raises(DataError, match="non-increasing time at line 3"):
+            load_trace_table(path)
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("time_s,a,b\n0.0,1,1\n1.0,2\n")
         with pytest.raises(DataError, match="ragged"):
             load_trace_table(path)
+
+    @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+    def test_non_finite_time_names_line(self, tmp_path, time):
+        path = tmp_path / "t.csv"
+        path.write_text(f"time_s,a,b\n0.0,1,1\n{time},2,2\n2.0,3,3\n")
+        with pytest.raises(DataError, match="non-finite value at line 3"):
+            load_trace_table(path)
+
+    def test_overflowing_time_step_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("time_s,a,b\n-1e308,1,1\n1e308,2,2\n")
+        with pytest.raises(DataError, match="time step at line 3"):
+            load_trace_table(path)
+
+    def test_duplicate_annotator_ids_rejected(self, tmp_path):
+        traces = [AnnotationTrace("a", np.zeros(3), 1.0) for _ in range(2)]
+        with pytest.raises(DataError, match="annotator ids must be unique"):
+            write_trace_table(tmp_path / "t.csv", traces)
+        assert not (tmp_path / "t.csv").exists()
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -252,6 +277,44 @@ class TestManifest:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="x1"):
             load_manifest(path)
+
+    def test_tables_are_read_only_when_items_are_prepared(self, tmp_path):
+        item = _write_item(tmp_path, "m1", 20, 1.0, 20)
+        (tmp_path / "m1_features.csv").write_text("window_index,f000\n0,abc\n")
+        manifest = ExperimentManifest(
+            dataset=DatasetConfig(native_period=1.0, window_length=1.0, items=[item]),
+            representation={"family": "gaussian"}, model={}, train={}, split=SplitSpec(),
+            base_dir=str(tmp_path),
+        )
+        path = tmp_path / "manifest.json"
+        save_manifest(manifest, path)
+        loaded = load_manifest(path)
+        with pytest.raises(DataError, match="m1_features.csv: bad value at line 2"):
+            prepare_item(loaded, loaded.dataset.items[0])
+
+    @pytest.mark.parametrize("period", [0.5, 2.0, 1.0 + 1e-6])
+    def test_trace_period_must_match_native_period(self, tmp_path, period):
+        item = _write_item(tmp_path, "p1", 20, 1.0, 20)
+        manifest = ExperimentManifest(
+            dataset=DatasetConfig(native_period=period, window_length=2 * period,
+                                  items=[item]),
+            representation={"family": "gaussian"}, model={}, train={}, split=SplitSpec(),
+            base_dir=str(tmp_path),
+        )
+        with pytest.raises(DataError, match=f"p1_traces.csv: time step 1 s does not match "
+                                            f"dataset.native_period {period:.12g} s"):
+            prepare_item(manifest, item)
+
+    def test_trace_period_within_tolerance_accepted(self, tmp_path):
+        item = _write_item(tmp_path, "p2", 20, 1.0, 20)
+        manifest = ExperimentManifest(
+            dataset=DatasetConfig(native_period=1.0 + 1e-12, window_length=1.0 + 1e-12,
+                                  items=[item]),
+            representation={"family": "gaussian"}, model={}, train={}, split=SplitSpec(),
+            base_dir=str(tmp_path),
+        )
+        trace_set, _ = prepare_item(manifest, item)
+        assert trace_set.window_count == 20
 
     def test_short_features_rejected(self, tmp_path):
         item = _write_item(tmp_path, "y1", 20, 1.0, 10)

@@ -238,7 +238,7 @@ class TestScaling:
 
         model = TrainedModel(init_params(cfg), cfg, TargetScaling(1.0, 0.0))
         x = np.random.default_rng(11).normal(size=(6, 3))
-        np.testing.assert_array_equal(predict(model, x), forward(model, x))
+        np.testing.assert_array_equal(predict(model, x), forward(model.params, model.config, x))
 
     def test_half_scale_inverts_to_double(self):
         cfg = tiny_cfg(12)
@@ -246,7 +246,7 @@ class TestScaling:
 
         model = TrainedModel(init_params(cfg), cfg, TargetScaling(0.5, 0.0))
         x = np.random.default_rng(13).normal(size=(6, 3))
-        np.testing.assert_allclose(predict(model, x), 2.0 * forward(model, x))
+        np.testing.assert_allclose(predict(model, x), 2.0 * forward(model.params, model.config, x))
 
 
 class TestTraining:

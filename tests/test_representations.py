@@ -5,6 +5,7 @@ from scipy.special import polygamma, psi
 from scipy.stats import beta as beta_dist
 
 from ambitrace import representations
+from ambitrace.data_io import read_table
 from ambitrace.traces import AnnotationTrace, TraceSet, central_difference
 from ambitrace.representations import (
     BETA_MAPPED,
@@ -16,7 +17,6 @@ from ambitrace.representations import (
     individual_ordinal,
     interval_representation,
     pool_windows,
-    read_representation,
     write_representation,
 )
 
@@ -25,6 +25,12 @@ def make_set(matrix, bounds=None):
     matrix = np.asarray(matrix, dtype=float)
     traces = [AnnotationTrace(f"ann{i}", row, 1.0) for i, row in enumerate(matrix)]
     return TraceSet(traces, window_length=1.0, bounds=bounds)
+
+
+def read_columns(path):
+    """A table's header metadata and its columns by name."""
+    table = read_table(path)
+    return table.meta, dict(zip(table.names, table.rows.T))
 
 
 def beta_loglik_oracle(samples):
@@ -239,7 +245,7 @@ class TestSerialization:
         rep = interval_representation(ts, GAUSSIAN, 1)
         path = tmp_path / "rep.csv"
         write_representation(rep, path, source_hash="abc123")
-        meta, cols = read_representation(path)
+        meta, cols = read_columns(path)
         assert meta["representation"] == "I"
         assert meta["source_hash"] == "abc123"
         np.testing.assert_array_equal(cols["mu"], rep.mu)
@@ -250,7 +256,7 @@ class TestSerialization:
         g = group_ordinal(interval_representation(ts, GAUSSIAN, 1))
         path = tmp_path / "group.csv"
         write_representation(g, path)
-        meta, cols = read_representation(path)
+        meta, cols = read_columns(path)
         assert meta["representation"] == "O_G"
         assert set(cols) == {"window_index", "dmu", "dsigma"}
 
@@ -381,14 +387,14 @@ class TestBetaFallbacks:
         ts = make_set(rng.uniform(-0.9, 0.9, size=(4, 9)), bounds=(-1.0, 1.0))
         path = tmp_path / "beta.csv"
         write_representation(interval_representation(ts, BETA_MAPPED, 1), path)
-        meta, newton = read_representation(path)
+        meta, newton = read_columns(path)
         assert meta["beta_fallbacks"] == "0"
 
         monkeypatch.setattr(representations, "BETA_MAX_NEWTON_ITERS", 0)
         rep = interval_representation(ts, BETA_MAPPED, 1)
         assert rep.beta_fallbacks == 9
         write_representation(rep, path)
-        meta, moments = read_representation(path)
+        meta, moments = read_columns(path)
         assert meta["beta_fallbacks"] == "9"
         for n in range(9):
             u = (ref_pool_neighbors(ts, n, 1) + 1.0) / 2.0
@@ -401,5 +407,5 @@ class TestBetaFallbacks:
         ts = make_set(np.random.default_rng(14).normal(size=(3, 5)))
         path = tmp_path / "gauss.csv"
         write_representation(interval_representation(ts, GAUSSIAN, 1), path)
-        meta, _ = read_representation(path)
+        meta, _ = read_columns(path)
         assert "beta_fallbacks" not in meta
