@@ -403,6 +403,10 @@ class ItemEntry:
             value = getattr(self, f.name)
             if not isinstance(value, str):
                 raise DataError(f"{f.name}: expected a string, got {value!r}")
+        # The id names output files and is a text cell of summary tables.
+        if not self.item_id or not self.item_id.isprintable() or set(self.item_id) & set("/\\,"):
+            raise DataError(f"item_id: expected a printable name without '/', '\\' or ',', "
+                            f"got {self.item_id!r}")
 
 
 @dataclass
@@ -430,11 +434,14 @@ class DatasetConfig:
             raise DataError(str(exc)) from None
         if self.keep_first is not None:
             _check_int("keep_first", self.keep_first, 1)
+        if not isinstance(self.name, str):
+            raise DataError(f"name: expected a string, got {self.name!r}")
         if self.bounds is not None:
-            try:
-                lo, hi = (float(v) for v in self.bounds)
-            except (TypeError, ValueError):
-                raise DataError(f"bounds: expected [lo, hi], got {self.bounds!r}") from None
+            if not isinstance(self.bounds, (list, tuple)) or len(self.bounds) != 2:
+                raise DataError(f"bounds: expected [lo, hi], got {self.bounds!r}")
+            for value in self.bounds:
+                _check_real("bounds", value, math.isfinite, "finite numbers [lo, hi]")
+            lo, hi = (float(v) for v in self.bounds)
             if not hi > lo:
                 raise DataError("bounds: must satisfy hi > lo")
             self.bounds = (lo, hi)
@@ -541,7 +548,7 @@ def load_manifest(path) -> ExperimentManifest:
         manifest = _manifest_from_doc(doc, os.path.dirname(os.path.abspath(path)))
         for item in manifest.dataset.items:
             for kind, rel in (("trace", item.trace_file), ("feature", item.feature_file)):
-                if not os.path.exists(manifest.resolve(rel)):
+                if not os.path.isfile(manifest.resolve(rel)):
                     raise DataError(f"item {item.item_id!r}: missing {kind} file {rel}")
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
@@ -557,6 +564,11 @@ def _manifest_from_doc(doc, base_dir) -> ExperimentManifest:
         raise DataError("dataset.items: the manifest lists no items")
     items = [parse_section(f"dataset.items[{i}]", entry, ItemEntry)
              for i, entry in enumerate(entries)]
+    seen = set()
+    for i, item in enumerate(items):
+        if item.item_id in seen:
+            raise DataError(f"dataset.items[{i}].item_id: duplicate id {item.item_id!r}")
+        seen.add(item.item_id)
     settings = {key: value for key, value in ds.items() if key != "items"}
     return ExperimentManifest(
         dataset=parse_section("dataset", settings, DatasetConfig, items=items),

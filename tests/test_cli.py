@@ -1,12 +1,26 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ambitrace import cli
 from ambitrace.cli import main
-from ambitrace.data_io import read_table
+from ambitrace.data_io import (
+    REPRESENTATION_KEYS,
+    DatasetConfig,
+    ItemEntry,
+    SplitSpec,
+    read_table,
+)
+from ambitrace.model import ModelConfig, TrainConfig
 
 FAST_SYNTH = {
     "items": 6,
@@ -200,6 +214,16 @@ class TestManifestSections:
         (lambda ds: ds["items"][0].pop("group"), "dataset.items[0].group"),
         (lambda ds: ds.update(window_length=1.3), "dataset.window_length"),
         (lambda ds: ds.update(delay_offset=0.49), "dataset.delay_offset"),
+        (lambda ds: ds["items"][0].update(trace_file=""), "missing trace file"),
+        (lambda ds: ds["items"][2].update(feature_file="."), "missing feature file"),
+        (lambda ds: ds["items"][0].update(item_id="a/b"), "dataset.items[0].item_id"),
+        (lambda ds: ds["items"][1].update(item_id="a,b"), "dataset.items[1].item_id"),
+        (lambda ds: ds["items"][0].update(item_id=""), "dataset.items[0].item_id"),
+        (lambda ds: ds["items"][2].update(item_id="item000"), "dataset.items[2].item_id"),
+        (lambda ds: ds.update(name={"a": 1}), "dataset.name"),
+        (lambda ds: ds.update(bounds="-9"), "dataset.bounds"),
+        (lambda ds: ds.update(bounds=[-1.0, float("inf")]), "dataset.bounds"),
+        (lambda ds: ds.update(bounds=[True, 2.0]), "dataset.bounds"),
     ])
     def test_bad_dataset_entry_exits_2(self, workspace, tmp_path, edit, name):
         doc = json.loads((workspace / "data" / "manifest.json").read_text())
@@ -211,6 +235,78 @@ class TestManifestSections:
         assert result.exit_code == 2, result.output
         assert name in result.output
         assert result.output.count(str(path)) == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+# Each site is (path to a JSON object, key): one key the fuzz may drop,
+# rename or overwrite.  Known keys that the manifest leaves out count too.
+SECTION_KEYS = {
+    ("dataset",): [f.name for f in fields(DatasetConfig)],
+    ("representation",): list(REPRESENTATION_KEYS),
+    ("model",): [f.name for f in fields(ModelConfig)],
+    ("train",): [f.name for f in fields(TrainConfig)],
+    ("split",): [f.name for f in fields(SplitSpec)],
+    ("dataset", "items", 0): [f.name for f in fields(ItemEntry)],
+    ("dataset", "items", 2): [f.name for f in fields(ItemEntry)],
+    (): ["dataset", "representation", "model", "train", "split", "seed"],
+}
+OVERFLOW = "__1e400__"  # written as the JSON literal 1e400, which reads as inf
+
+WRONG_VALUES = st.one_of(
+    st.none(),
+    st.just(True),
+    st.integers(max_value=-1),
+    st.floats(max_value=-1e-300),
+    st.just(OVERFLOW),
+    st.text(max_size=6),
+    st.text(alphabet="/\\,.\n\x00 a", max_size=3),  # path and table separators
+    st.dictionaries(st.text(max_size=4), st.integers() | st.text(max_size=4), max_size=2),
+    st.lists(st.integers() | st.text(max_size=3), max_size=3),
+)
+
+
+@st.composite
+def manifest_mutations(draw):
+    """(site, key, mutation, value): one edit of one manifest section."""
+    site = draw(st.sampled_from(sorted(SECTION_KEYS, key=len)))
+    key = draw(st.sampled_from(SECTION_KEYS[site]))
+    mutation = draw(st.sampled_from(["drop", "rename", "set"]))
+    value = draw(WRONG_VALUES) if mutation == "set" else None
+    return site, key, mutation, value
+
+
+class TestManifestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(edit=manifest_mutations())
+    def test_loads_or_exits_2_naming_the_manifest(self, workspace, edit):
+        site, key, mutation, value = edit
+        data = workspace / "data"
+        doc = json.loads((data / "manifest.json").read_text())
+        node = doc
+        for part in site:
+            node = node[part]
+        if mutation == "drop":
+            node.pop(key, None)
+        elif mutation == "rename":
+            node[key + "_x"] = node.pop(key, None)
+        else:
+            node[key] = value
+        path = data / "fuzz.json"
+        path.write_text(json.dumps(doc).replace(f'"{OVERFLOW}"', "1e400"))
+
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            try:
+                cli._load_manifest(str(path))
+            except SystemExit as exc:
+                assert exc.code == 2
+                assert stderr.getvalue().startswith(f"error: {path}: "), stderr.getvalue()
+                return
+        # A manifest that loads must not fail later with a traceback either.
+        with tempfile.TemporaryDirectory() as out:
+            result = run_cli(["represent", "--manifest", path, "--tag", "I",
+                              "--out", os.path.join(out, "rep")])
+        assert result.exit_code in (0, 2, 3), result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
 

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -93,6 +97,46 @@ class TestGaussianFit:
     def test_too_few_samples(self):
         with pytest.raises(FitError):
             fit_gaussian([1.0])
+
+
+class TestPolygamma:
+    """The numpy digamma and trigamma of the Beta Newton solve, against scipy."""
+
+    X = np.logspace(-4, 12, 4001)
+
+    def test_digamma(self):
+        got, want = representations._digamma(self.X), psi(self.X)
+        near_root = np.abs(want) < 1.0
+        assert near_root.any()
+        np.testing.assert_allclose(got[near_root], want[near_root], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got[~near_root], want[~near_root], rtol=1e-14, atol=0)
+
+    def test_trigamma(self):
+        np.testing.assert_allclose(representations._trigamma(self.X), polygamma(1, self.X),
+                                   rtol=1e-14, atol=0)
+
+    def test_non_finite(self):
+        x = np.array([np.inf, np.nan])
+        np.testing.assert_array_equal(representations._digamma(x), psi(x))
+        np.testing.assert_array_equal(representations._trigamma(x), polygamma(1, x))
+
+
+def test_scipy_stays_off_the_import_path():
+    code = (
+        "import sys, numpy as np\n"
+        "import ambitrace.cli, ambitrace.pipeline\n"
+        "from ambitrace import representations\n"
+        "u = np.random.default_rng(0).uniform(0.1, 0.9, size=(5, 40))\n"
+        "fit = representations.fit_beta(u, (0.0, 1.0))\n"
+        "assert fit.beta_fallbacks == 0\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(representations.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env)
+    assert result.returncode == 0, result.stderr
 
 
 class TestBetaFit:
