@@ -15,7 +15,6 @@ from .traces import (
     TraceSet,
     align,
     central_difference,
-    minmax_normalize,
     shift_delay,
     window_aggregate,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "TraceSet",
     "align",
     "central_difference",
-    "minmax_normalize",
     "shift_delay",
     "window_aggregate",
     "WindowFits",

@@ -110,7 +110,7 @@ def train_eval(manifest_path, tag, target, out_dir, seed, jobs):
         _fail(EXIT_REPRESENT, f"representation fit failed: {exc}")
     except DataError as exc:
         _fail(EXIT_CONFIG, str(exc))
-    except (TrainingError, ValueError) as exc:
+    except TrainingError as exc:
         _fail(EXIT_TRAIN, f"training failed: {exc}")
     click.echo(pipeline.render_summary_table([summary]))
 

@@ -104,39 +104,97 @@ def read_table(path) -> Table:
 
     ``#`` lines anywhere are header metadata and blank lines are skipped.
     A missing column header, a ragged row or a bad cell is a ``DataError``
-    naming the file and the line.
+    naming the file and the line.  A regular table is parsed in one array
+    call; any other text goes through the line reader, which writes every
+    error message.
     """
-    meta, names, rows, lines = {}, None, [], []
     try:
         with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, value = line[1:].partition(":")
-                    meta[key.strip()] = value.strip()
-                    continue
-                cells = line.split(",")
-                if names is None:
-                    names = cells
-                    continue
-                if len(cells) != len(names):
-                    raise DataError(f"{path}: ragged row at line {lineno}")
-                try:
-                    rows.append(list(map(float, cells)))
-                except ValueError as exc:
-                    raise DataError(f"{path}: bad value at line {lineno}: {exc}") from exc
-                lines.append(lineno)
+            text = fh.read()
+    except UnicodeDecodeError:
+        # Decoded a chunk at a time, a bad row ahead of the bad byte is
+        # still the error reported.
+        with open(path) as fh:
+            return _read_lines(path, fh)
+    return _read_regular(text) or _read_lines(path, text.split("\n"))
+
+
+# numpy's number parser skips these ASCII separators around a cell as
+# whitespace; ``float`` rejects them.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _read_regular(text):
+    """The rows of a regular table in one ``np.loadtxt`` call, else None.
+
+    Regular means leading ``#`` lines, the column header, then only data
+    rows.  ``loadtxt`` then accepts no cell that ``float`` rejects and
+    rounds every cell to the same float, so the result is the line
+    reader's.
+    """
+    if any(sep in text for sep in _SEPARATORS):
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the last line
+    head = 0
+    while head < len(lines) and lines[head].startswith("#"):
+        head += 1
+    header = lines[head].strip() if head < len(lines) else ""
+    body = lines[head + 1 :]
+    # The line reader takes no blank or indented ``#`` line as the header;
+    # loadtxt skips empty lines, and warns when nothing else is left.
+    if not header or header.startswith("#") or not body or "" in body:
+        return None
+    names = header.split(",")
+    try:
+        rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape != (len(body), len(names)) or not np.isfinite(rows).all():
+        return None
+    meta = dict(_meta_entry(line) for line in lines[:head])
+    return Table(meta, names, rows, list(range(head + 2, head + 2 + len(body))))
+
+
+def _meta_entry(line):
+    """(key, value) of a ``# key: value`` line."""
+    key, _, value = line[1:].partition(":")
+    return key.strip(), value.strip()
+
+
+def _read_lines(path, lines):
+    """Parse ``lines`` one at a time: every table, and every error message."""
+    meta, names, rows, row_lines = {}, None, [], []
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                key, value = _meta_entry(line)
+                meta[key] = value
+                continue
+            cells = line.split(",")
+            if names is None:
+                names = cells
+                continue
+            if len(cells) != len(names):
+                raise DataError(f"{path}: ragged row at line {lineno}")
+            try:
+                rows.append(list(map(float, cells)))
+            except ValueError as exc:
+                raise DataError(f"{path}: bad value at line {lineno}: {exc}") from exc
+            row_lines.append(lineno)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not a text table: {exc}") from exc
     if names is None:
         raise DataError(f"{path}: no column header")
-    rows = np.array(rows, dtype=float).reshape(len(lines), len(names))
+    rows = np.array(rows, dtype=float).reshape(len(row_lines), len(names))
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
-        raise DataError(f"{path}: non-finite value at line {lines[np.argmin(finite)]}")
-    return Table(meta, names, rows, lines)
+        raise DataError(f"{path}: non-finite value at line {row_lines[np.argmin(finite)]}")
+    return Table(meta, names, rows, row_lines)
 
 
 # --- trace tables -----------------------------------------------------------

@@ -93,23 +93,30 @@ class TargetScaling:
         return (np.asarray(values, dtype=float) - self.shift) / self.scale
 
 
-def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
-    """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per tensor."""
-    rng = np.random.default_rng(cfg.seed)
-    params = {}
+def _param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
+    """The shape of every parameter tensor, in initialization order."""
     h = cfg.hidden_dim
+    shapes = {}
     for layer in range(cfg.num_layers):
         d_in = cfg.input_dim if layer == 0 else h
-        for name, shape, fan in (
-            (f"l{layer}.Wx", (d_in, 4 * h), d_in),
-            (f"l{layer}.Wh", (h, 4 * h), h),
-            (f"l{layer}.b", (4 * h,), h),
-        ):
-            bound = 1.0 / np.sqrt(fan)
-            params[name] = rng.uniform(-bound, bound, size=shape)
-    bound = 1.0 / np.sqrt(h)
-    params["head.w"] = rng.uniform(-bound, bound, size=(h,))
-    params["head.b"] = rng.uniform(-bound, bound, size=(1,))
+        shapes[f"l{layer}.Wx"] = (d_in, 4 * h)
+        shapes[f"l{layer}.Wh"] = (h, 4 * h)
+        shapes[f"l{layer}.b"] = (4 * h,)
+    shapes["head.w"] = (h,)
+    shapes["head.b"] = (1,)
+    return shapes
+
+
+def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
+    """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per tensor.
+
+    Every tensor's fan-in is the hidden size, except the input weights'.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    params = {}
+    for name, shape in _param_shapes(cfg).items():
+        bound = 1.0 / np.sqrt(shape[0] if name.endswith(".Wx") else cfg.hidden_dim)
+        params[name] = rng.uniform(-bound, bound, size=shape)
     return params
 
 
@@ -649,21 +656,42 @@ def save_checkpoint(model: TrainedModel, path):
 
 
 def load_checkpoint(path) -> TrainedModel:
+    """Read a checkpoint; a malformed one is a ``ValueError`` naming ``path``."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("magic") != CHECKPOINT_MAGIC:
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: not a model checkpoint: {exc}") from exc
+        if not isinstance(header, dict) or header.get("magic") != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a model checkpoint")
+        try:
+            if header.get("format_version") != 1:
+                raise ValueError(f"unsupported format_version {header.get('format_version')!r}")
+            config = ModelConfig(**header["config"])
+            scaling = TargetScaling(**header["scaling"])
+            _check_real("scaling.scale", scaling.scale, lambda v: v != 0 and math.isfinite(v),
+                        "a finite non-zero number")
+            _check_real("scaling.shift", scaling.shift, math.isfinite, "a finite number")
+            _check_int("best_epoch", header["best_epoch"], 0)
+            _check_int("skipped_segments", header.get("skipped_segments", 0), 0)
+        except KeyError as exc:
+            raise ValueError(f"{path}: checkpoint header lacks {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad checkpoint header: {exc}") from exc
+        layout = [[name, list(shape)] for name, shape in sorted(_param_shapes(config).items())]
+        if header.get("layout") != layout:
+            raise ValueError(f"{path}: weight layout does not match the config's shapes")
         params = {}
-        for name, shape in header["layout"]:
-            count = int(np.prod(shape)) if shape else 1
+        for name, shape in layout:
+            count = int(np.prod(shape))
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
                 raise ValueError(f"{path}: truncated weight block for {name}")
             params[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     return TrainedModel(
         params=params,
-        config=ModelConfig(**header["config"]),
-        scaling=TargetScaling(**header["scaling"]),
+        config=config,
+        scaling=scaling,
         best_epoch=header["best_epoch"],
         skipped_segments=header.get("skipped_segments", 0),
     )

@@ -8,13 +8,17 @@ output directory.
 from __future__ import annotations
 
 import json
+import numbers
 import os
+import reprlib
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import data_io, metrics, representations
 from .data_io import (
+    FORMAT_VERSION,
+    SPLIT_MODES,
     DataError,
     ExperimentManifest,
     SplitSpec,
@@ -169,6 +173,15 @@ def _item_data(manifest, tag):
     data = {}
     for item in manifest.dataset.items:
         trace_set, features = prepare_item(manifest, item)
+        # Each item is scored by CCC and SDA, and every fold's model takes
+        # the first item's feature width.
+        if trace_set.window_count < 2:
+            raise DataError(f"{manifest.resolve(item.trace_file)}: only one window after "
+                            f"alignment; train-eval needs at least two")
+        if data and features.shape[1] != width:
+            raise DataError(f"{manifest.resolve(item.feature_file)}: {features.shape[1]} "
+                            f"feature columns, the first item has {width}")
+        width = features.shape[1]
         rep = compute_representation(trace_set, tag, family, radius)
         mu_like, sigma_like = rep.channels
         data[item.item_id] = {
@@ -341,20 +354,67 @@ def render_summary_table(summaries):
     return "\n".join(lines)
 
 
+# Runs are comparable only when these agree; the first that differs is named.
+PROTOCOL_KEYS = ("dataset_hash", "split", "targets", "representation", "model", "train")
+
+
+def _load_summary(path):
+    """One ``summary.json``, checked for every field ``report`` reads."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path}: not a readable summary: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object, got {reprlib.repr(doc)}")
+    targets = doc.get("targets")
+    valid_targets = (isinstance(targets, list) and targets
+                     and all(t in TARGETS for t in targets) and len(set(targets)) == len(targets))
+    metric_keys = {f"{m}_{t}" for t in targets for m in ("ccc", "sda")} if valid_targets else ()
+
+    def metrics_dict(value):
+        return (isinstance(value, dict) and set(value) == metric_keys
+                and all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                        for x in value.values()))
+
+    checks = (
+        ("format_version", lambda v: type(v) is int and v == FORMAT_VERSION,
+         str(FORMAT_VERSION)),
+        ("tag", lambda v: isinstance(v, str) and v in TAGS, f"one of {', '.join(TAGS)}"),
+        ("dataset_hash", lambda v: isinstance(v, str), "a string"),
+        ("targets", lambda v: valid_targets, f"distinct targets from {', '.join(TARGETS)}"),
+        ("split", lambda v: isinstance(v, dict) and v.get("mode") in SPLIT_MODES,
+         f"an object with a mode from {', '.join(SPLIT_MODES)}"),
+        ("representation", lambda v: isinstance(v, dict), "an object"),
+        ("model", lambda v: isinstance(v, dict), "an object"),
+        ("train", lambda v: isinstance(v, dict), "an object"),
+        ("folds", lambda v: isinstance(v, list) and v and all(isinstance(f, dict) for f in v),
+         "a non-empty list of fold records"),
+        ("mean", metrics_dict, "a number per metric and target"),
+        ("std", metrics_dict, "a number per metric and target"),
+    )
+    for key, valid, expected in checks:
+        if not valid(doc.get(key)):
+            raise DataError(f"{path}: {key}: expected {expected}, "
+                            f"got {reprlib.repr(doc.get(key))}")
+    return doc
+
+
 def merge_reports(result_dirs):
-    """Load train-eval summaries and check they describe the same dataset."""
+    """Load train-eval summaries and check they share one dataset and protocol."""
+    paths = [os.path.join(d, "summary.json") for d in result_dirs]
     summaries = []
-    for d in result_dirs:
-        path = os.path.join(d, "summary.json")
+    for d, path in zip(result_dirs, paths):
         if not os.path.exists(path):
             raise DataError(f"{d}: no summary.json (not a train-eval output?)")
-        with open(path) as fh:
-            summaries.append(json.load(fh))
-    hashes = {s["dataset_hash"] for s in summaries}
-    if len(hashes) > 1:
-        raise DataError("result directories come from different datasets")
-    tags = [s["tag"] for s in summaries]
-    if len(set(tags)) != len(tags):
-        raise DataError(f"duplicate representation tags in inputs: {tags}")
-    order = {tag: i for i, tag in enumerate(TAGS)}
-    return sorted(summaries, key=lambda s: order.get(s["tag"], 99))
+        summary = _load_summary(path)
+        for key in PROTOCOL_KEYS:
+            if summaries and summary[key] != summaries[0][key]:
+                raise DataError(f"{path}: {key} differs from {paths[0]}; runs compared "
+                                f"in one report must share the dataset and protocol")
+        for earlier, other in zip(paths, summaries):
+            if other["tag"] == summary["tag"]:
+                raise DataError(f"{path}: representation {summary['tag']} is already "
+                                f"in {earlier}")
+        summaries.append(summary)
+    return sorted(summaries, key=lambda s: TAGS.index(s["tag"]))

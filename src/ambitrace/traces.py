@@ -169,12 +169,3 @@ def central_difference(values):
     g[0] = x[1] - x[0]
     g[-1] = x[-1] - x[-2]
     return g
-
-
-def minmax_normalize(values):
-    """Affine map onto [0, 1]; a constant signal maps to all 0.5."""
-    x = _check_1d_finite(values, "values")
-    lo, hi = x.min(), x.max()
-    if hi == lo:
-        return np.full_like(x, 0.5)
-    return (x - lo) / (hi - lo)

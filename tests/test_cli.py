@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambitrace import cli
+from ambitrace import cli, pipeline
 from ambitrace.cli import main
 from ambitrace.data_io import (
     REPRESENTATION_KEYS,
@@ -179,6 +179,55 @@ class TestTrainEval:
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert all("loss_curve" not in f for f in summary["folds"])
         assert "loss_curve" not in (tmp_path / "run" / "summary.txt").read_text()
+
+
+    def test_constant_target_exits_4(self, tmp_path):
+        # Identical annotators and no pooling give sigma = 0 in every window.
+        cfg = tmp_path / "same.json"
+        cfg.write_text(json.dumps(dict(FAST_SYNTH, offset_std=0.0, noise_std=0.0,
+                                       representation={"neighbor_radius": 0})))
+        assert run_cli(["synth", "--config", cfg, "--out", tmp_path / "d"]).exit_code == 0
+        result = run_cli(["train-eval", "--manifest", tmp_path / "d" / "manifest.json",
+                          "--tag", "I", "--target", "sigma", "--out", tmp_path / "run"])
+        assert result.exit_code == 4, result.output
+        assert "training failed: all segments have constant targets" in result.output
+
+    def test_programming_error_is_not_a_training_failure(self, workspace, tmp_path,
+                                                         monkeypatch):
+        def broken(*args):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(pipeline, "train_stack", broken)
+        result = run_cli(["train-eval", "--manifest", workspace / "data" / "manifest.json",
+                          "--tag", "I", "--target", "mu", "--out", tmp_path / "run"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, ValueError)
+        assert "training failed" not in result.output
+
+    def test_one_window_items_exit_2(self, workspace, tmp_path):
+        doc = json.loads((workspace / "data" / "manifest.json").read_text())
+        doc["dataset"]["keep_first"] = 1
+        path = workspace / "data" / "one_window.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli(["train-eval", "--manifest", path, "--tag", "O_G",
+                          "--out", tmp_path / "run"])
+        assert result.exit_code == 2, result.output
+        assert "item000.csv: only one window after alignment" in result.output
+        assert not (tmp_path / "run").exists()
+
+    def test_feature_width_mismatch_exits_2(self, workspace, tmp_path):
+        def edit(lines):
+            lines[:] = [line if line.startswith("#") else line.rsplit(",", 1)[0]
+                        for line in lines]
+
+        data = workspace / "data"
+        path = TestLoaderErrors.manifest_with_table(data, 3, "feature", "narrow_item003.csv",
+                                                    edit)
+        result = run_cli(["train-eval", "--manifest", path, "--tag", "I",
+                          "--out", tmp_path / "run"])
+        assert result.exit_code == 2, result.output
+        assert "narrow_item003.csv: 7 feature columns, the first item has 8" in result.output
+        assert not (tmp_path / "run").exists()
 
 
 def write_variant_manifest(workspace, name, section, key, value):
@@ -393,6 +442,26 @@ class TestLoaderErrors:
         assert not (tmp_path / "rep").exists()
 
 
+SUMMARY_KEYS = {
+    (): ["format_version", "tag", "targets", "dataset_hash", "representation", "model",
+         "train", "split", "folds", "mean", "std", "evaluation"],
+    ("mean",): ["ccc_mu", "sda_sigma"],
+    ("std",): ["ccc_sigma"],
+    ("split",): ["mode", "k"],
+    ("folds", 0): ["fold", "metrics"],
+}
+
+
+@st.composite
+def summary_mutations(draw):
+    """(site, key, mutation, value): one edit of one summary.json field."""
+    site = draw(st.sampled_from(sorted(SUMMARY_KEYS, key=len)))
+    key = draw(st.sampled_from(SUMMARY_KEYS[site]))
+    mutation = draw(st.sampled_from(["drop", "set"]))
+    value = draw(WRONG_VALUES | st.sampled_from(["I", "O_I", "mu", "k_fold_grouped"]))
+    return site, key, mutation, value
+
+
 @pytest.fixture(scope="module")
 def runs(workspace, tmp_path_factory):
     out = tmp_path_factory.mktemp("runs")
@@ -454,3 +523,99 @@ class TestReport:
                         "--out", tmp_path / "r2"]).exit_code == 0
         result = run_cli(["report", runs / "I", tmp_path / "r2"])
         assert result.exit_code == 5
+
+    @staticmethod
+    def edited_summary(runs, tmp_path, tag, edit):
+        """A result directory holding ``tag``'s summary.json, edited as text."""
+        out = tmp_path / f"edited_{tag}"
+        out.mkdir()
+        (out / "summary.json").write_text(edit((runs / tag / "summary.json").read_text()))
+        return out
+
+    @staticmethod
+    def edit_doc(change):
+        def edit(text):
+            doc = json.loads(text)
+            change(doc)
+            return json.dumps(doc)
+        return edit
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text[: len(text) // 2], "not a readable summary"),
+        (lambda text: '{"tag": "I"}', "format_version: expected 1"),
+        (lambda text: "[1]", "expected a JSON object"),
+        (lambda text: text.replace('"format_version": 1', '"format_version": 2'),
+         "format_version: expected 1, got 2"),
+        (lambda text: text.replace('"tag": "O_I"', '"tag": "X"'), "tag: expected one of"),
+        (lambda text: text.replace('"dataset_hash"', '"hash"'), "dataset_hash: expected"),
+        (lambda text: text.replace('"targets": [', '"targets": ["mu", '),
+         "targets: expected distinct targets"),
+        (lambda text: text.replace('"folds": [', '"folds": [[], '), "folds: expected"),
+        (lambda text: text.replace('"mode": "k_fold_grouped"', '"mode": "loo"'),
+         "split: expected"),
+    ])
+    def test_malformed_summary_exits_5_naming_the_file(self, runs, tmp_path, edit, message):
+        out = self.edited_summary(runs, tmp_path, "O_I", edit)
+        result = run_cli(["report", runs / "I", out])
+        assert result.exit_code == 5, result.output
+        assert result.output.startswith(f"error: {out / 'summary.json'}: {message}"), \
+            result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("key", ["mean", "std"])
+    def test_bad_metric_values_exit_5(self, runs, tmp_path, key):
+        def change(doc):
+            doc[key]["ccc_mu"] = "0.9"
+
+        out = self.edited_summary(runs, tmp_path, "O_G", self.edit_doc(change))
+        result = run_cli(["report", out])
+        assert result.exit_code == 5, result.output
+        assert f"summary.json: {key}: expected a number per metric" in result.output
+
+    @pytest.mark.parametrize("key, change", [
+        ("split", lambda doc: doc["split"].update(seed=doc["split"]["seed"] + 1)),
+        ("targets", lambda doc: [doc["targets"].remove("sigma"),
+                                 doc["mean"].pop("ccc_sigma"), doc["mean"].pop("sda_sigma"),
+                                 doc["std"].pop("ccc_sigma"), doc["std"].pop("sda_sigma")]),
+        ("representation", lambda doc: doc["representation"].update(neighbor_radius=3)),
+        ("model", lambda doc: doc["model"].update(hidden_dim=16)),
+        ("train", lambda doc: doc["train"].update(max_epochs=4)),
+    ])
+    def test_mismatched_protocol_exits_5_naming_the_key(self, runs, tmp_path, key, change):
+        out = self.edited_summary(runs, tmp_path, "O_G", self.edit_doc(change))
+        result = run_cli(["report", runs / "I", runs / "O_I", out])
+        assert result.exit_code == 5, result.output
+        assert (f"error: {out / 'summary.json'}: {key} differs from "
+                f"{runs / 'I' / 'summary.json'}") in result.output
+
+    def test_repeated_tag_exits_5_naming_both_files(self, runs, tmp_path):
+        out = self.edited_summary(runs, tmp_path, "I", lambda text: text)
+        result = run_cli(["report", runs / "I", runs / "O_G", out])
+        assert result.exit_code == 5, result.output
+        assert (f"error: {out / 'summary.json'}: representation I is already in "
+                f"{runs / 'I' / 'summary.json'}") in result.output
+
+    @settings(max_examples=200, deadline=None)
+    @given(edit=summary_mutations())
+    def test_merges_or_exits_5_naming_the_summary(self, runs, edit):
+        site, key, mutation, value = edit
+        doc = json.loads((runs / "O_G" / "summary.json").read_text())
+        node = doc
+        for part in site:
+            node = node[part]
+        if mutation == "drop":
+            node.pop(key, None)
+        else:
+            node[key] = value
+        with tempfile.TemporaryDirectory() as out:
+            path = os.path.join(out, "summary.json")
+            with open(path, "w") as fh:
+                fh.write(json.dumps(doc).replace(f'"{OVERFLOW}"', "1e400"))
+            for dirs in ([out], [runs / "I", out]):
+                result = run_cli(["report", *dirs, "--out", os.path.join(out, "rep")])
+                assert result.exception is None or isinstance(result.exception, SystemExit), \
+                    result.output
+                assert result.exit_code == 0 or (
+                    result.exit_code == 5 and result.output.startswith(f"error: {path}: ")), \
+                    result.output
+

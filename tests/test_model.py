@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -454,6 +455,70 @@ class TestCheckpointFormat:
         assert_close_to_reference(predict(model, x), expected)
         save_checkpoint(model, tmp_path / "again.ckpt")
         assert (tmp_path / "again.ckpt").read_bytes() == blob
+
+    @staticmethod
+    def checkpoint_bytes(change=None, cut=0):
+        """A valid checkpoint, its header edited by ``change`` and ``cut`` bytes dropped."""
+        cfg = ModelConfig(input_dim=3, hidden_dim=4, seed=17)
+        model = TrainedModel(init_params(cfg), cfg, TargetScaling(0.5, 0.25), best_epoch=2)
+        params = model.params
+        layout = [[name, list(params[name].shape)] for name in sorted(params)]
+        header = {"magic": "ambitrace-checkpoint", "format_version": 1,
+                  "config": {"input_dim": 3, "hidden_dim": 4, "num_layers": 2, "seed": 17},
+                  "scaling": {"scale": 0.5, "shift": 0.25}, "best_epoch": 2,
+                  "skipped_segments": 0, "layout": layout}
+        if change is not None:
+            header = change(header)
+        blob = json.dumps(header).encode("utf-8") + b"\n" + b"".join(
+            params[name].astype("<f8").tobytes() for name, _ in layout)
+        return blob[: len(blob) - cut]
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda h: {"magic": "ambitrace-checkpoint"}, "bad checkpoint header: unsupported"),
+        (lambda h: [h], "not a model checkpoint"),
+        (lambda h: {k: v for k, v in h.items() if k != "config"},
+         "checkpoint header lacks 'config'"),
+        (lambda h: {k: v for k, v in h.items() if k != "layout"}, "weight layout does not"),
+        (lambda h: dict(h, config=[3, 4]), "bad checkpoint header"),
+        (lambda h: dict(h, config=dict(h["config"], hidden_dim="4")),
+         "bad checkpoint header: hidden_dim: expected an integer"),
+        (lambda h: dict(h, config=dict(h["config"], depth=3)), "bad checkpoint header"),
+        (lambda h: dict(h, scaling={"scale": 0.0, "shift": 0.0}),
+         "bad checkpoint header: scaling.scale"),
+        (lambda h: dict(h, scaling={"scale": "1"}), "bad checkpoint header: scaling.scale"),
+        (lambda h: dict(h, best_epoch=-1), "bad checkpoint header: best_epoch"),
+        (lambda h: dict(h, skipped_segments=None), "bad checkpoint header: skipped_segments"),
+        (lambda h: dict(h, format_version=2), "bad checkpoint header: unsupported"),
+        (lambda h: dict(h, config=dict(h["config"], hidden_dim=5)), "weight layout does not"),
+        (lambda h: dict(h, layout=h["layout"][::-1]), "weight layout does not"),
+        (lambda h: dict(h, layout=[[n, [s[0] + 1, *s[1:]]] for n, s in h["layout"]]),
+         "weight layout does not"),
+    ])
+    def test_bad_header_names_the_file(self, tmp_path, change, message):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(self.checkpoint_bytes(change))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"{not json\n", "not a model checkpoint"),
+        (b"\xff\xfe\n", "not a model checkpoint"),
+        (b"", "not a model checkpoint"),
+    ])
+    def test_unreadable_header_names_the_file(self, tmp_path, blob, message):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            load_checkpoint(path)
+
+    def test_truncated_weights_name_the_file(self, tmp_path):
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(self.checkpoint_bytes(cut=8))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated weight "
+                                             "block for l1.b"):
+            load_checkpoint(path)
+        path.write_bytes(self.checkpoint_bytes())
+        assert load_checkpoint(path).best_epoch == 2
 
     def test_failed_write_keeps_earlier_checkpoint(self, tmp_path, monkeypatch):
         cfg = tiny_cfg(2)

@@ -1,19 +1,22 @@
 """The one table codec: byte identity with the per-kind writers it replaced,
-and malformed input that always ends in a DataError."""
+a reader that returns what the line-by-line reader it replaced returns, and
+malformed input that always ends in a DataError."""
 
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ambitrace import pipeline, representations
+from ambitrace import data_io, pipeline, representations
 from ambitrace.data_io import (
     DataError,
     FeatureTable,
     SynthConfig,
+    Table,
     load_feature_table,
     load_manifest,
     load_trace_table,
@@ -98,6 +101,70 @@ def ref_summary_table(tag, summary_rows):
     lines = ["# format_version: 1", f"# representation: {tag}", "item_id,mean_sigma"]
     lines += [f"{iid},{format(v, '.17g')}" for iid, v in summary_rows]
     return "\n".join(lines) + "\n"
+
+
+# --- reference reader -------------------------------------------------------
+# ``read_table`` as it was before regular tables were parsed in one array
+# call, kept as the reference for every value and every error message.
+
+
+def ref_read_table(path) -> Table:
+    """Read a table written by ``write_table``; every cell must be a finite float.
+
+    ``#`` lines anywhere are header metadata and blank lines are skipped.
+    A missing column header, a ragged row or a bad cell is a ``DataError``
+    naming the file and the line.
+    """
+    meta, names, rows, lines = {}, None, [], []
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    key, _, value = line[1:].partition(":")
+                    meta[key.strip()] = value.strip()
+                    continue
+                cells = line.split(",")
+                if names is None:
+                    names = cells
+                    continue
+                if len(cells) != len(names):
+                    raise DataError(f"{path}: ragged row at line {lineno}")
+                try:
+                    rows.append(list(map(float, cells)))
+                except ValueError as exc:
+                    raise DataError(f"{path}: bad value at line {lineno}: {exc}") from exc
+                lines.append(lineno)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a text table: {exc}") from exc
+    if names is None:
+        raise DataError(f"{path}: no column header")
+    rows = np.array(rows, dtype=float).reshape(len(lines), len(names))
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}: non-finite value at line {lines[np.argmin(finite)]}")
+    return Table(meta, names, rows, lines)
+
+
+def read_outcome(read, path):
+    """The table ``read`` returns, or the message of the DataError it raises."""
+    try:
+        return read(path)
+    except DataError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(path):
+    new, ref = read_outcome(read_table, path), read_outcome(ref_read_table, path)
+    if isinstance(ref, str):
+        assert new == ref
+        return
+    assert isinstance(new, Table)
+    assert (new.meta, new.names, new.lines) == (ref.meta, ref.names, ref.lines)
+    assert new.rows.dtype == ref.rows.dtype and new.rows.shape == ref.rows.shape
+    assert new.rows.tobytes() == ref.rows.tobytes()
 
 
 def assert_same_bytes(write, ref_write, tmp_path):
@@ -187,25 +254,87 @@ class TestReadTable:
         ("a,b\n1,2\n3,\n", "bad value at line 3"),
         ("a,b\n#c\n1,inf\n", "non-finite value at line 3"),
         ("a,b\n1,2\n3,nan\n", "non-finite value at line 3"),
+        # numpy's parser would skip the separator as whitespace; float does not.
+        ("a,b\n1\x1c,2\n", "bad value at line 2"),
+        ("a,b\n1,2\n3,1_0x\n", "bad value at line 3"),
     ])
     def test_errors_name_file_and_line(self, tmp_path, text, message):
         path = tmp_path / "t.csv"
         path.write_text(text)
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}"):
             read_table(path)
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("text", [
+        "a,b\n1_0,2\n3,4\n",
+        "a\n\u0661\n\uff12\n1e1_0\n",
+        "# k: v\na,b\n1,2\n\n3,4\n",
+        "a,b\n1,2\n# late: meta\n3,4\n",
+        "a,b\r\n1,2\r\n3,4\r\n",
+        "a,b\n\x1c1,2\x1f\n",
+        "  # k: v\n1\n2\n",
+        "# k: v\n\n1\n2\n",
+        "a,b\n\n\n",
+        "a,b\n1,2",
+        "a,b\n",
+    ])
+    def test_edge_case_tables_load_as_before(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert isinstance(read_table(path), Table)
+        assert_same_outcome(path)
+
+    def test_regular_table_takes_the_array_parse(self, tmp_path, monkeypatch):
+        # A reader that always fell back to the line loop would pass every
+        # other test and lose the speed-up.
+        rng = np.random.default_rng(6)
+        traces = [AnnotationTrace(f"ann{m}", rng.uniform(-1, 1, size=8350), 0.04)
+                  for m in range(5)]
+        path = tmp_path / "t.csv"
+        write_trace_table(path, traces)
+        ref = ref_read_table(path)
+
+        def refuse(path, lines):
+            raise AssertionError("the line reader ran on a regular table")
+
+        monkeypatch.setattr(data_io, "_read_lines", refuse)
+        table = read_table(path)
+        assert table.rows.shape == (8350, 6)
+        assert table.rows.tobytes() == ref.rows.tobytes()
+        assert (table.meta, table.names, table.lines) == (ref.meta, ref.names, ref.lines)
+        loaded = load_trace_table(path)
+        assert [tr.annotator_id for tr in loaded] == [f"ann{m}" for m in range(5)]
 
     def test_undecodable_bytes(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"a,b\n1,\xff\n")
         with pytest.raises(DataError, match="not a text table"):
             read_table(path)
+        assert_same_outcome(path)
+
+    def test_bad_row_ahead_of_undecodable_bytes(self, tmp_path):
+        # The bad byte sits past the first decoded chunk, so the bad row
+        # two lines in is reported first, as the line reader always did.
+        path = tmp_path / "t.csv"
+        rows = "".join(f"{i},{i}\n" for i in range(3000))
+        path.write_bytes(b"a,b\n1,x\n" + rows.encode() + b"1,\xff\n")
+        with pytest.raises(DataError, match="bad value at line 2"):
+            read_table(path)
+        assert_same_outcome(path)
 
 
 # --- fuzzing ----------------------------------------------------------------
 
-TOKENS = ["", " ", "abc", "nan", "inf", "-inf", "1e308", "-1e308", "0", "#", "1,2"]
+# ``1_0``, ``1e1_0`` and the non-ASCII digits are floats to ``float`` but not
+# to numpy's parser; ``\x1c`` is whitespace to numpy's parser but not to
+# ``float``.
+TOKENS = ["", " ", "abc", "nan", "inf", "-inf", "1e308", "-1e308", "0", "#", "1,2",
+          "1_0", "1e1_0", "\u0661", "\uff11", " 1", "1 ", "\t", "1\x1c"]
 
-mutation = st.tuples(st.sampled_from(["drop", "replace", "insert", "header", "row"]),
+mutation = st.tuples(st.sampled_from(["drop", "replace", "insert", "header", "row", "blank",
+                                      "meta"]),
                      st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from(TOKENS))
 
 
@@ -241,7 +370,12 @@ def mangled_tables(draw):
                                                                                      "window_")))]
         elif op == "row" and lines:
             del lines[a % len(lines)]
-    return kind, "\n".join(",".join(cells) for cells in lines) + "\n"
+        elif op == "blank":
+            lines.insert(a % (len(lines) + 1), [])
+        elif op == "meta":
+            lines.insert(a % (len(lines) + 1), ["# k: v"])
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return kind, newline.join(",".join(cells) for cells in lines) + newline
 
 
 def check_table(table):
@@ -269,8 +403,9 @@ def check_features(table):
 def test_malformed_tables_give_data_errors(tmp_path, case):
     kind, text = case
     path = os.path.join(tmp_path, f"{kind}.csv")
-    with open(path, "w") as fh:
-        fh.write(text)
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+    assert_same_outcome(path)
     for load, check in ((read_table, check_table), (load_trace_table, check_traces),
                         (load_feature_table, check_features)):
         try:

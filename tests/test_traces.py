@@ -6,7 +6,6 @@ from ambitrace.traces import (
     TraceSet,
     align,
     central_difference,
-    minmax_normalize,
     shift_delay,
     window_aggregate,
 )
@@ -145,24 +144,6 @@ class TestCentralDifference:
     def test_too_short(self):
         with pytest.raises(ValueError):
             central_difference([1.0])
-
-
-class TestMinmaxNormalize:
-    def test_affine_map(self):
-        assert minmax_normalize([2, 4, 6]).tolist() == [0.0, 0.5, 1.0]
-
-    def test_degenerate(self):
-        assert minmax_normalize([3.0, 3.0]).tolist() == [0.5, 0.5]
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=20)
-        once = minmax_normalize(x)
-        np.testing.assert_allclose(minmax_normalize(once), once, atol=1e-15)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            minmax_normalize([1.0, np.nan])
 
 
 class TestTraceSet:
