@@ -10,7 +10,10 @@ The models of one fold are trained as one stack: every parameter tensor
 carries a leading model axis, and the forward pass, backward pass, loss
 and optimizer step each run once for the whole stack.  The models stay
 independent: each has its own seed, shuffle order, target scaling, Adam
-state and best epoch, and ends where training it alone would.
+state and best epoch, and ends where training it alone would.  A stack's
+parameters, gradients and Adam moments are flat (models, P) buffers with
+named views, and its passes reuse one workspace, so after the first step
+a training step allocates no large array.
 """
 
 from __future__ import annotations
@@ -120,69 +123,128 @@ def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
     return params
 
 
-def _sigmoid(z, out):
-    """1 / (1 + exp(-z)) written into ``out`` without temporaries."""
-    np.negative(z, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    return np.reciprocal(out, out=out)
+def _views(flat, cfg) -> dict[str, np.ndarray]:
+    """Named (M, ...) views of the rows of a (M, P) buffer, in ``_param_shapes`` order."""
+    views, start = {}, 0
+    for name, shape in _param_shapes(cfg).items():
+        size = math.prod(shape)
+        views[name] = flat[:, start : start + size].reshape(len(flat), *shape)
+        start += size
+    return views
 
 
-def stack_params(param_dicts) -> dict[str, np.ndarray]:
-    """One parameter dict with a leading model axis from per-model dicts."""
-    return {k: np.stack([p[k] for p in param_dicts]) for k in param_dicts[0]}
+def stack_params(param_dicts, cfg) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """One (models, P) buffer holding per-model parameter dicts, and its named views."""
+    names = _param_shapes(cfg)
+    flat = np.stack([np.concatenate([p[k].ravel() for k in names]) for p in param_dicts])
+    return flat, _views(flat, cfg)
 
 
-def _layer_forward(inp, Wx, Wh, b):
+def _as_rows(models):
+    """Row indices as a slice when they run consecutively, so rows are views."""
+    models = np.asarray(models)
+    if np.array_equal(models, np.arange(models[0], models[0] + len(models))):
+        return slice(int(models[0]), int(models[0]) + len(models))
+    return models
+
+
+class _Workspace:
+    """Named scratch buffers reused by every pass over one stack.
+
+    Each name owns a flat buffer that grows only when a larger shape is
+    asked for; ``get`` returns a C-contiguous view of its first elements,
+    so smaller batches reuse the memory of the largest.  C order is the
+    layout numpy gives the temporaries these views replace, so the sums
+    over them add in the same order and the results are bit-identical.  A
+    view's contents hold until the next ``get`` of the same name.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def get(self, name, shape):
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+def _negate_sigmoid_columns(w, out, H):
+    """``w`` with its i, f and o gate columns negated, so exp(z) is exp(-z) there."""
+    np.negative(w, out=out)
+    out[..., 2 * H : 3 * H] = w[..., 2 * H : 3 * H]
+    return out
+
+
+def _layer_forward(inp, params, layer, ws):
     """One LSTM layer over time-major (T, Mx, B, D) inputs; returns its cache.
 
-    The input projection runs for all steps before the time loop; inside
-    it every step reads and writes contiguous (M, B, ...) blocks.  The
-    gate layout is i, f, g, o; index 0 of ``c`` and ``h`` holds the zero
-    initial state.
+    The input projection runs for all steps before the time loop, into
+    the gate buffer; inside it every step reads and writes contiguous
+    (M, B, ...) blocks.  The gate layout is i, f, g, o; index 0 of ``c``
+    and ``h`` holds the zero initial state.  The sigmoid gates' weight
+    columns are negated once, and ``(-w)·h`` equals ``-(w·h)`` exactly, so
+    each step's sigmoid is ``1 / (1 + exp(z))`` with no negation pass.
     """
     T, _, B, _ = inp.shape
+    Wx, Wh, b = (params[f"l{layer}.{n}"] for n in ("Wx", "Wh", "b"))
     M, H = Wh.shape[0], Wh.shape[1]
-    zx = np.matmul(inp, Wx)
-    zx += b[:, None, :]
-    gates = np.empty((T, M, B, 4 * H))
-    c = np.zeros((T + 1, M, B, H))
-    h = np.zeros((T + 1, M, B, H))
-    tanh_c = np.empty((T, M, B, H))
+    name = f"l{layer}."
+    neg_Wh = _negate_sigmoid_columns(Wh, ws.get(name + "-Wh", Wh.shape), H)
+    gates = ws.get(name + "gates", (T, M, B, 4 * H))
+    np.matmul(inp, _negate_sigmoid_columns(Wx, ws.get(name + "-Wx", Wx.shape), H), out=gates)
+    gates += _negate_sigmoid_columns(b, ws.get(name + "-b", b.shape), H)[:, None, :]
+    c = ws.get(name + "c", (T + 1, M, B, H))
+    h = ws.get(name + "h", (T + 1, M, B, H))
+    c[0] = 0.0
+    h[0] = 0.0
+    tanh_c = ws.get(name + "tanh_c", (T, M, B, H))
+    z = ws.get("z", (M, B, 4 * H))
+    ig = ws.get("ig", (M, B, H))
     for t in range(T):
-        z = np.matmul(h[t], Wh)
-        z += zx[t]
+        np.matmul(h[t], neg_Wh, out=z)
         a = gates[t]
-        _sigmoid(z, out=a)
+        z += a
+        np.exp(z, out=a)
+        a += 1.0
+        np.reciprocal(a, out=a)
         np.tanh(z[..., 2 * H : 3 * H], out=a[..., 2 * H : 3 * H])
         np.multiply(a[..., H : 2 * H], c[t], out=c[t + 1])
-        c[t + 1] += a[..., :H] * a[..., 2 * H : 3 * H]
+        np.multiply(a[..., :H], a[..., 2 * H : 3 * H], out=ig)
+        c[t + 1] += ig
         np.tanh(c[t + 1], out=tanh_c[t])
         np.multiply(a[..., 3 * H :], tanh_c[t], out=h[t + 1])
     return {"inp": inp, "gates": gates, "c": c, "h": h, "tanh_c": tanh_c}
 
 
-def _forward(params, cfg, x):
+def _forward(params, cfg, x, ws=None):
     """Run a stack of M models over a (M, B, T, D) batch.
 
     Every tensor in ``params`` has a leading model axis of length M; an
     input with a leading axis of 1 feeds the same batch to every model.
-    Returns the (M, B, T) outputs and the cache for ``_backward``.
+    Returns the (M, B, T) outputs and the cache for ``_backward``, which
+    lives in ``ws`` (a fresh workspace when None) until its next pass.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 4:
         raise ValueError(f"expected a (models, batch, time, features) array, got {x.shape}")
     if x.shape[3] != cfg.input_dim:
         raise ValueError(f"expected input_dim {cfg.input_dim}, got {x.shape[3]}")
+    ws = _Workspace() if ws is None else ws
     inp = x.transpose(2, 0, 1, 3)
     layer_caches = []
     for layer in range(cfg.num_layers):
-        lc = _layer_forward(inp, *(params[f"l{layer}.{n}"] for n in ("Wx", "Wh", "b")))
+        lc = _layer_forward(inp, params, layer, ws)
         layer_caches.append(lc)
         inp = lc["h"][1:]
-    y = np.tanh(np.matmul(inp, params["head.w"][:, :, None])[..., 0] + params["head.b"])
-    cache = {"layers": layer_caches, "y": y}
-    return np.ascontiguousarray(y.transpose(1, 2, 0)), cache
+    out = ws.get("y", inp.shape[:3] + (1,))
+    np.matmul(inp, params["head.w"][:, :, None], out=out)
+    y = out[..., 0]
+    y += params["head.b"]
+    np.tanh(y, out=y)
+    cache = {"layers": layer_caches, "y": y, "ws": ws}
+    return y.transpose(1, 2, 0).copy(), cache
 
 
 def forward(params, cfg, features):
@@ -204,82 +266,102 @@ def forward(params, cfg, features):
 _MAX_PRODUCT_MACS = 1 << 18
 
 
-def _row_products(a, b):
-    """Per model, the sum over rows n of outer(a[n], b[n]).
+def _row_products(a, b, out, ws):
+    """Per model, the sum over rows n of outer(a[n], b[n]), written into ``out``.
 
     (M, N, P) and (M, N, Q) give (M, P, Q), computed in blocks of rows.
     """
     rows = max(1, _MAX_PRODUCT_MACS // (a.shape[2] * b.shape[2]))
-    out = a[:, :rows].transpose(0, 2, 1) @ b[:, :rows]
+    np.matmul(a[:, :rows].transpose(0, 2, 1), b[:, :rows], out=out)
     for start in range(rows, a.shape[1], rows):
-        out += a[:, start : start + rows].transpose(0, 2, 1) @ b[:, start : start + rows]
-    return out
+        part = ws.get("part", out.shape)
+        np.matmul(a[:, start : start + rows].transpose(0, 2, 1), b[:, start : start + rows],
+                  out=part)
+        out += part
 
 
-def _per_model(a):
+def _per_model(a, ws):
     """(T, M, B, K) -> (M, T * B, K), rows ordered by (t, b) within each model."""
     T, M, B, K = a.shape
-    return a.transpose(1, 0, 2, 3).reshape(M, T * B, K)
+    out = ws.get("rows", (M, T, B, K))
+    np.copyto(out, a.transpose(1, 0, 2, 3))
+    return out.reshape(M, T * B, K)
 
 
-def _layer_backward(lc, Wx, Wh, d_out, input_grad):
+def _layer_backward(lc, params, layer, d_out, grads, ws):
     """Backprop through time for one layer, given d loss/d h of shape (T, M, B, H).
 
-    Returns (dWx, dWh, db, d loss/d input or None).  ``dz`` is kept
+    Writes the layer's weight gradients into ``grads`` and returns
+    d loss/d input, or None for the first layer.  ``dz`` is kept
     model-major so the weight gradients after the time loop need no copy
     of it.
     """
+    Wx, Wh = params[f"l{layer}.Wx"], params[f"l{layer}.Wh"]
     gates, c, h, tanh_c = lc["gates"], lc["c"], lc["h"], lc["tanh_c"]
     T, M, B, H = tanh_c.shape
     i, f, g, o = (gates[..., k * H : (k + 1) * H] for k in range(4))
     # The parts of dz = [dc*g*i', dc*c_prev*f', dc*i*g', dh*tanh_c*o']
     # that do not depend on the gradients carried back through time, for
     # all steps at once; sigmoid' = s*(1-s) and tanh' = 1-g**2.
-    factor = np.empty_like(gates)
-    factor[..., :H] = g * (i * (1.0 - i))
-    factor[..., H : 2 * H] = c[:-1] * (f * (1.0 - f))
-    factor[..., 2 * H : 3 * H] = i * (1.0 - g**2)
-    factor[..., 3 * H :] = tanh_c * (o * (1.0 - o))
+    factor = ws.get("factor", gates.shape)
+    tmp = ws.get("tmp", tanh_c.shape)
+
+    def sigmoid_slope(s):
+        return np.multiply(np.subtract(1.0, s, out=tmp), s, out=tmp)
+
+    np.multiply(g, sigmoid_slope(i), out=factor[..., :H])
+    np.multiply(c[:-1], sigmoid_slope(f), out=factor[..., H : 2 * H])
+    np.square(g, out=tmp)
+    np.multiply(i, np.subtract(1.0, tmp, out=tmp), out=factor[..., 2 * H : 3 * H])
+    np.multiply(tanh_c, sigmoid_slope(o), out=factor[..., 3 * H :])
     factor4 = factor.reshape(T, M, B, 4, H)
-    dc_dh = o * (1.0 - tanh_c**2)
-    dz = np.empty((M, T, B, 4 * H))
+    dc_dh = ws.get("dc_dh", tanh_c.shape)
+    np.square(tanh_c, out=dc_dh)
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= o
+    dz = ws.get("dz", (M, T, B, 4 * H))
     dz4 = dz.reshape(M, T, B, 4, H)
     Wh_T = Wh.transpose(0, 2, 1)
-    dh_next = np.zeros((M, B, H))
-    dc_next = np.zeros((M, B, H))
+    dh, dc, dh_next, dc_next = (ws.get(n, (M, B, H)) for n in ("dh", "dc", "dh+", "dc+"))
+    dh_next[...] = 0.0
+    dc_next[...] = 0.0
     for t in range(T - 1, -1, -1):
-        dh = d_out[t] + dh_next
-        dc = dh * dc_dh[t]
+        np.add(d_out[t], dh_next, out=dh)
+        np.multiply(dh, dc_dh[t], out=dc)
         dc += dc_next
         np.multiply(dc[:, :, None, :], factor4[t, :, :, :3], out=dz4[:, t, :, :3])
         np.multiply(dh, factor4[t, :, :, 3], out=dz4[:, t, :, 3])
-        dc_next = dc * f[t]
-        dh_next = np.matmul(dz[:, t], Wh_T)
+        np.multiply(dc, f[t], out=dc_next)
+        np.matmul(dz[:, t], Wh_T, out=dh_next)
     d_in = None
-    if input_grad:
-        d_in = np.matmul(dz, Wx.transpose(0, 2, 1)[:, None]).transpose(1, 0, 2, 3)
+    if layer > 0:
+        d_in = ws.get("d_in", (M, T, B, Wx.shape[1]))
+        np.matmul(dz, Wx.transpose(0, 2, 1)[:, None], out=d_in)
+        d_in = d_in.transpose(1, 0, 2, 3)
     dz = dz.reshape(M, T * B, 4 * H)
-    dWx = _row_products(_per_model(lc["inp"]), dz)
-    dWh = _row_products(_per_model(h[:-1]), dz)
-    return dWx, dWh, dz.sum(axis=1), d_in
+    _row_products(_per_model(lc["inp"], ws), dz, grads[f"l{layer}.Wx"], ws)
+    _row_products(_per_model(h[:-1], ws), dz, grads[f"l{layer}.Wh"], ws)
+    grads[f"l{layer}.b"][...] = dz.sum(axis=1)
+    return d_in
 
 
-def _backward(params, cfg, cache, dy):
-    """Per-model gradients of a summed loss, given d loss/d y of shape (M, B, T)."""
+def _backward(params, cfg, cache, dy, grads):
+    """Per-model gradients of a summed loss, given d loss/d y of shape (M, B, T).
+
+    They are written into ``grads``, named views of a (M, P) buffer as
+    ``_views`` gives them.
+    """
+    ws = cache["ws"]
     y = cache["y"]
     ds = np.asarray(dy).transpose(2, 0, 1) * (1.0 - y**2)
     top = cache["layers"][-1]["h"][1:]
-    grads = {
-        "head.w": (ds[..., None] * top).sum(axis=(0, 2)),
-        "head.b": ds.sum(axis=(0, 2))[:, None],
-    }
-    d_out = ds[..., None] * params["head.w"][:, None, :]
+    # The head-weight product is summed before d_out takes its buffer.
+    d_out = ws.get("d_out", top.shape)
+    grads["head.w"][...] = np.multiply(ds[..., None], top, out=d_out).sum(axis=(0, 2))
+    grads["head.b"][...] = ds.sum(axis=(0, 2))[:, None]
+    np.multiply(ds[..., None], params["head.w"][:, None, :], out=d_out)
     for layer in range(cfg.num_layers - 1, -1, -1):
-        names = [f"l{layer}.{n}" for n in ("Wx", "Wh", "b")]
-        *layer_grads, d_out = _layer_backward(
-            cache["layers"][layer], params[names[0]], params[names[1]], d_out, layer > 0
-        )
-        grads.update(zip(names, layer_grads))
+        d_out = _layer_backward(cache["layers"][layer], params, layer, d_out, grads, ws)
     return grads
 
 
@@ -298,7 +380,9 @@ def ccc_loss_grad(pred, target):
     my = y.mean(axis=-1, keepdims=True)
     xc, yc = x - mx, y - my
     cov = (xc * yc).mean(axis=-1, keepdims=True)
-    denom = x.var(axis=-1, keepdims=True) + y.var(axis=-1, keepdims=True) + (mx - my) ** 2
+    # The variances as np.var computes them, from the centred values.
+    denom = ((xc * xc).mean(axis=-1, keepdims=True) + (yc * yc).mean(axis=-1, keepdims=True)
+             + (mx - my) ** 2)
     usable = denom >= CCC_DENOM_GUARD
     denom = np.where(usable, denom, 1.0)
     value = np.where(usable, 2.0 * cov / denom, 0.0)
@@ -311,44 +395,51 @@ def ccc_loss_grad(pred, target):
 class Adam:
     """Adam with a per-step multiplicative weight-decay shrink.
 
-    Parameters carry a leading axis of ``n_models`` independent models.
-    Each model keeps its own step count, so one that sits out a step
-    keeps its bias correction where it was.  Decay is applied as
-    ``w *= (1 - weight_decay)`` after the moment update so the norm
-    contracts every step regardless of the learning rate.
+    Works on (n_models, P) flat parameter rows, one row per independent
+    model, updated in place.  Each model keeps its own step count, so one
+    that sits out a step keeps its bias correction where it was.  Decay
+    is applied as ``w *= (1 - weight_decay)`` after the moment update so
+    the norm contracts every step regardless of the learning rate.
     """
 
-    def __init__(self, params, learning_rate, weight_decay, beta1=0.9, beta2=0.999,
-                 n_models=1):
+    def __init__(self, params, learning_rate, weight_decay, beta1=0.9, beta2=0.999):
         self.lr = learning_rate
         self.wd = weight_decay
         self.beta1, self.beta2 = beta1, beta2
-        self.t = np.zeros(n_models, dtype=int)
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.t = np.zeros(len(params), dtype=int)
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._work = np.empty((2,) + params.shape)
 
     def step(self, params, grads, models=None):
-        """Update the models at indices ``models`` (all when None).
+        """Update the rows ``models`` of ``params`` (all when None).
 
-        ``grads`` holds the gradients of just those models, in that order.
+        ``grads`` holds the gradient rows of just those models, in that order.
         """
-        sel = slice(None) if models is None else models
+        sel = slice(None) if models is None else _as_rows(models)
         self.t[sel] += 1
-        b1t = 1.0 - self.beta1 ** self.t[sel]
-        b2t = 1.0 - self.beta2 ** self.t[sel]
-        for k, g in grads.items():
-            shape = (-1,) + (1,) * (g.ndim - 1)
-            m = self.beta1 * self.m[k][sel] + (1.0 - self.beta1) * g
-            v = self.beta2 * self.v[k][sel] + (1.0 - self.beta2) * g * g
-            self.m[k][sel] = m
-            self.v[k][sel] = v
-            m_hat = m / b1t.reshape(shape)
-            v_hat = v / b2t.reshape(shape)
-            w = params[k][sel]
-            w -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            if self.wd:
-                w *= 1.0 - self.wd
-            params[k][sel] = w
+        b1t = (1.0 - self.beta1 ** self.t[sel])[:, None]
+        b2t = (1.0 - self.beta2 ** self.t[sel])[:, None]
+        m, v, w = self.m[sel], self.v[sel], params[sel]
+        update, denom = self._work[:, : len(grads)]
+        m *= self.beta1
+        np.multiply(grads, 1.0 - self.beta1, out=update)
+        m += update
+        v *= self.beta2
+        np.multiply(grads, 1.0 - self.beta2, out=update)
+        update *= grads
+        v += update
+        np.divide(v, b2t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        np.divide(m, b1t, out=update)
+        update *= self.lr
+        update /= denom
+        w -= update
+        if self.wd:
+            w *= 1.0 - self.wd
+        if not isinstance(sel, slice):  # fancy-indexed rows are copies
+            self.m[sel], self.v[sel], params[sel] = m, v, w
 
 
 @dataclass
@@ -437,34 +528,36 @@ def _validation_batches(features, targets_scaled):
     ]
 
 
-def _validation_loss(params, cfg, batches):
+def _validation_loss(params, cfg, batches, ws):
     """Mean CCC loss over the validation sequences, one value per model."""
     losses = np.empty((len(params["head.b"]), sum(len(seqs) for seqs, _, _ in batches)))
     for seqs, X, Y in batches:
-        pred, _ = _forward(params, cfg, X)
+        pred, _ = _forward(params, cfg, X, ws)
         losses[:, seqs], _ = ccc_loss_grad(pred, Y)
     return losses.mean(axis=1)
 
 
-def _train_step(params, opt, cfg, members, X, Y):
+def _train_step(flat, opt, cfg, members, X, Y, ws):
     """One stacked forward, backward and Adam step for the models ``members``.
 
-    Returns each member's summed batch loss and its count of usable rows.
-    A member whose rows are all degenerate takes no optimizer step.
+    ``flat`` holds every model's parameter row; the step's buffers come
+    from ``ws``.  Returns each member's summed batch loss and its count of
+    usable rows.  A member whose rows are all degenerate takes no
+    optimizer step.
     """
-    whole = len(members) == len(opt.t)
-    sub = params if whole else {k: v[members] for k, v in params.items()}
-    preds, cache = _forward(sub, cfg, X)
+    params = _views(flat[_as_rows(members)], cfg)
+    preds, cache = _forward(params, cfg, X, ws)
     loss, grad = ccc_loss_grad(preds, Y)
     counted = grad.any(axis=2).sum(axis=1)
     active = counted > 0
     if active.any():
-        grads = _backward(sub, cfg, cache, grad / np.maximum(counted, 1)[:, None, None])
-        if whole and active.all():
-            opt.step(params, grads)
+        grads = ws.get("grads", (len(members), flat.shape[1]))
+        _backward(params, cfg, cache, grad / np.maximum(counted, 1)[:, None, None],
+                  _views(grads, cfg))
+        if active.all():
+            opt.step(flat, grads, members)
         else:
-            opt.step(params, {k: g[active] for k, g in grads.items()},
-                     np.asarray(members)[active])
+            opt.step(flat, grads[active], np.asarray(members)[active])
     return loss.sum(axis=1), counted
 
 
@@ -511,13 +604,14 @@ def train_stack(
     skipped = np.array([p.skipped_static for p in pools])
     sizes = np.array([p.size for p in pools])
 
-    params = stack_params([init_params(c) for c in model_cfgs])
-    best_params = {k: v.copy() for k, v in params.items()}
-    best_loss = _validation_loss(params, cfg, val_batches)
+    flat, params = stack_params([init_params(c) for c in model_cfgs], cfg)
+    ws = _Workspace()
+    best_flat = flat.copy()
+    best_loss = _validation_loss(params, cfg, val_batches, ws)
     best_epoch = np.zeros(n_models, dtype=int)
     train_curve, val_curve = [], [best_loss.copy()]
 
-    opt = Adam(params, train_cfg.learning_rate, train_cfg.weight_decay, n_models=n_models)
+    opt = Adam(flat, train_cfg.learning_rate, train_cfg.weight_decay)
     rngs = [np.random.default_rng(c.seed + 1) for c in model_cfgs]
     for epoch in range(1, train_cfg.max_epochs + 1):
         batches = [p.batches(rng, train_cfg.batch_segments) for p, rng in zip(pools, rngs)]
@@ -532,18 +626,18 @@ def train_stack(
                 members = [m for m, _, _ in group]
                 X = np.stack([X for _, X, _ in group])
                 Y = np.stack([Y for _, _, Y in group])
-                loss, counted = _train_step(params, opt, cfg, members, X, Y)
+                loss, counted = _train_step(flat, opt, cfg, members, X, Y, ws)
                 total[members] += loss
                 skipped[members] += Y.shape[1] - counted
-        val_loss = _validation_loss(params, cfg, val_batches)
+        val_loss = _validation_loss(params, cfg, val_batches, ws)
         for m in np.flatnonzero(val_loss < best_loss):
             best_loss[m] = val_loss[m]
             best_epoch[m] = epoch
-            for k, v in params.items():
-                best_params[k][m] = v[m]
+            best_flat[m] = flat[m]
         train_curve.append(total / sizes)
         val_curve.append(val_loss)
 
+    best_params = _views(best_flat, cfg)
     return [
         TrainedModel(
             params={k: v[m].copy() for k, v in best_params.items()},
@@ -602,36 +696,35 @@ def gradient_check(
         targets.append(rng.normal(size=steps))
     x = np.stack(xs)[:, None]
     target = np.stack(targets)[:, None]
-    params = stack_params([init_params(c) for c in cfgs])
     cfg = cfgs[0]
+    flat, params = stack_params([init_params(c) for c in cfgs], cfg)
+    ws = _Workspace()
 
-    def losses_at(p):
-        pred, _ = _forward(p, cfg, x)
+    def losses():
+        pred, _ = _forward(params, cfg, x, ws)
         value, _ = ccc_loss_grad(pred, target)
         return value[:, 0]
 
-    pred, cache = _forward(params, cfg, x)
+    pred, cache = _forward(params, cfg, x, ws)
     _, dy = ccc_loss_grad(pred, target)
-    analytic = _backward(params, cfg, cache, dy)
+    analytic = np.empty_like(flat)
+    _backward(params, cfg, cache, dy, _views(analytic, cfg))
 
     max_err = 0.0
-    for key, w in params.items():
-        for m in range(len(seeds)):
-            flat = w[m].reshape(-1)
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + h
-                up = losses_at(params)[m]
-                flat[j] = orig - h
-                down = losses_at(params)[m]
-                flat[j] = orig
-                numeric = (up - down) / (2.0 * h)
-                a = analytic[key][m].reshape(-1)[j]
-                scale = max(abs(a), abs(numeric))
-                # Below ~1e-6 the central difference is dominated by float
-                # roundoff, so compare absolutely there.
-                err = abs(a - numeric) if scale < 1e-6 else abs(a - numeric) / scale
-                max_err = max(max_err, err)
+    for m, j in np.ndindex(flat.shape):
+        orig = flat[m, j]
+        flat[m, j] = orig + h
+        up = losses()[m]
+        flat[m, j] = orig - h
+        down = losses()[m]
+        flat[m, j] = orig
+        numeric = (up - down) / (2.0 * h)
+        a = analytic[m, j]
+        scale = max(abs(a), abs(numeric))
+        # Below ~1e-6 the central difference is dominated by float
+        # roundoff, so compare absolutely there.
+        err = abs(a - numeric) if scale < 1e-6 else abs(a - numeric) / scale
+        max_err = max(max_err, err)
     return max_err
 
 

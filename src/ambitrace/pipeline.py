@@ -11,7 +11,6 @@ import json
 import numbers
 import os
 import reprlib
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -136,6 +135,13 @@ def run_synth(cfg: SynthConfig, out_dir, extra=None):
 # --- represent --------------------------------------------------------------
 
 
+def _require_two_windows(manifest, item, trace_set, command):
+    """Refuse a one-window item: it has no difference to take and no variance to score."""
+    if trace_set.window_count < 2:
+        raise DataError(f"{manifest.resolve(item.trace_file)}: only one window after "
+                        f"alignment; {command} needs at least two")
+
+
 def run_represent(manifest: ExperimentManifest, tag, out_dir):
     """Write one representation table per item plus a mean-spread summary."""
     if tag not in TAGS:
@@ -143,6 +149,9 @@ def run_represent(manifest: ExperimentManifest, tag, out_dir):
     # Every table is read before the output directory exists, so bad
     # input leaves no output behind.
     prepared = [prepare_item(manifest, item)[0] for item in manifest.dataset.items]
+    if tag != TAG_INTERVAL:
+        for item, trace_set in zip(manifest.dataset.items, prepared):
+            _require_two_windows(manifest, item, trace_set, f"represent --tag {tag}")
     os.makedirs(out_dir, exist_ok=True)
     family = manifest.representation.get("family", "gaussian")
     radius = manifest.representation.get("neighbor_radius", 1)
@@ -175,9 +184,7 @@ def _item_data(manifest, tag):
         trace_set, features = prepare_item(manifest, item)
         # Each item is scored by CCC and SDA, and every fold's model takes
         # the first item's feature width.
-        if trace_set.window_count < 2:
-            raise DataError(f"{manifest.resolve(item.trace_file)}: only one window after "
-                            f"alignment; train-eval needs at least two")
+        _require_two_windows(manifest, item, trace_set, "train-eval")
         if data and features.shape[1] != width:
             raise DataError(f"{manifest.resolve(item.feature_file)}: {features.shape[1]} "
                             f"feature columns, the first item has {width}")
@@ -269,6 +276,9 @@ def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs=1,
             )
 
     if jobs > 1:
+        # Imported here: multiprocessing costs every other command start-up time.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for fold, models in pool.map(_train_fold, job_args):
                 _record(fold, models)

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 
@@ -50,6 +52,15 @@ def workspace(tmp_path_factory):
 
 def run_cli(args):
     return CliRunner().invoke(main, [str(a) for a in args])
+
+
+def one_window_manifest(workspace):
+    """A copy of the workspace manifest that keeps one window per item."""
+    doc = json.loads((workspace / "data" / "manifest.json").read_text())
+    doc["dataset"]["keep_first"] = 1
+    path = workspace / "data" / "one_window.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def read_columns(path):
@@ -135,6 +146,35 @@ class TestRepresent:
         assert result.exit_code == 3
         assert "item000" in result.output
 
+    @pytest.mark.parametrize("tag", ["O_I", "O_G"])
+    def test_one_window_items_exit_2(self, workspace, tmp_path, tag):
+        result = run_cli(["represent", "--manifest", one_window_manifest(workspace),
+                          "--tag", tag, "--out", tmp_path / "rep"])
+        assert result.exit_code == 2, result.output
+        assert (f"item000.csv: only one window after alignment; represent --tag {tag} "
+                "needs at least two") in result.output
+        assert not (tmp_path / "rep").exists()
+
+    def test_one_window_items_interval(self, workspace, tmp_path):
+        result = run_cli(["represent", "--manifest", one_window_manifest(workspace),
+                          "--tag", "I", "--out", tmp_path / "rep"])
+        assert result.exit_code == 0, result.output
+        _, cols = read_columns(tmp_path / "rep" / "I_item000.csv")
+        assert len(cols["mu"]) == 1
+
+
+def test_multiprocessing_stays_off_the_import_path():
+    code = ("import sys\n"
+            "import ambitrace.cli\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'multiprocessing'\n"
+            "          or m == 'concurrent.futures' or m.startswith('concurrent.futures.')]\n"
+            "assert not loaded, loaded\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env)
+    assert result.returncode == 0, result.stderr
+
 
 class TestTrainEval:
     def test_single_target_run(self, workspace, tmp_path):
@@ -205,10 +245,7 @@ class TestTrainEval:
         assert "training failed" not in result.output
 
     def test_one_window_items_exit_2(self, workspace, tmp_path):
-        doc = json.loads((workspace / "data" / "manifest.json").read_text())
-        doc["dataset"]["keep_first"] = 1
-        path = workspace / "data" / "one_window.json"
-        path.write_text(json.dumps(doc))
+        path = one_window_manifest(workspace)
         result = run_cli(["train-eval", "--manifest", path, "--tag", "O_G",
                           "--out", tmp_path / "run"])
         assert result.exit_code == 2, result.output

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,6 +134,38 @@ def _backward(params, cfg, cache, dy):
         grads[f"l{layer}.b"] = db
         d_inp = d_below
     return grads
+
+
+class RefAdam:
+    """The per-tensor Adam loop, before parameters were flat; kept as the oracle."""
+
+    def __init__(self, params, learning_rate, weight_decay, beta1=0.9, beta2=0.999,
+                 n_models=1):
+        self.lr = learning_rate
+        self.wd = weight_decay
+        self.beta1, self.beta2 = beta1, beta2
+        self.t = np.zeros(n_models, dtype=int)
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, params, grads, models=None):
+        sel = slice(None) if models is None else models
+        self.t[sel] += 1
+        b1t = 1.0 - self.beta1 ** self.t[sel]
+        b2t = 1.0 - self.beta2 ** self.t[sel]
+        for k, g in grads.items():
+            shape = (-1,) + (1,) * (g.ndim - 1)
+            m = self.beta1 * self.m[k][sel] + (1.0 - self.beta1) * g
+            v = self.beta2 * self.v[k][sel] + (1.0 - self.beta2) * g * g
+            self.m[k][sel] = m
+            self.v[k][sel] = v
+            m_hat = m / b1t.reshape(shape)
+            v_hat = v / b2t.reshape(shape)
+            w = params[k][sel]
+            w -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            if self.wd:
+                w *= 1.0 - self.wd
+            params[k][sel] = w
 
 
 def assert_close_to_reference(actual, expected):
@@ -294,12 +328,12 @@ class TestTraining:
 class TestAdam:
     def test_weight_decay_shrinks_norm_at_zero_learning_rate(self):
         cfg = tiny_cfg(14)
-        params = init_params(cfg)
+        flat, params = stack_params([init_params(cfg)], cfg)
         norms = [np.sqrt(sum(np.sum(v**2) for v in params.values()))]
-        opt = Adam(params, learning_rate=0.0, weight_decay=1e-2)
-        grads = {k: np.ones_like(v) for k, v in params.items()}
+        opt = Adam(flat, learning_rate=0.0, weight_decay=1e-2)
+        grads = np.ones_like(flat)
         for _ in range(5):
-            opt.step(params, grads)
+            opt.step(flat, grads)
             norms.append(np.sqrt(sum(np.sum(v**2) for v in params.values())))
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
@@ -335,9 +369,10 @@ class TestStackedPasses:
         rng = np.random.default_rng(n_models)
         x = rng.normal(size=(1 if shared_input else n_models, 4, 7, 5))
         dy = rng.normal(size=(n_models, 4, 7))
-        params = stack_params(per_model)
+        flat, params = stack_params(per_model, cfgs[0])
         y, cache = stacked._forward(params, cfgs[0], x)
-        grads = stacked._backward(params, cfgs[0], cache, dy)
+        grads = stacked._backward(params, cfgs[0], cache, dy,
+                                  stacked._views(np.empty_like(flat), cfgs[0]))
         for m, p in enumerate(per_model):
             y_ref, cache_ref = _forward(p, cfgs[m], x[0 if shared_input else m])
             assert_close_to_reference(y[m], y_ref)
@@ -352,6 +387,17 @@ class TestStackedPasses:
         # Stacking must not couple the models: the stack's error is the
         # worse of the two models checked alone.
         assert err == pytest.approx(max(gradient_check(seed=3), gradient_check(seed=11)))
+
+    def test_loss_matches_np_var_form_bitwise(self):
+        x, y = np.random.default_rng(6).normal(size=(2, 2, 3, 7))
+        mx, my = x.mean(axis=-1, keepdims=True), y.mean(axis=-1, keepdims=True)
+        cov = ((x - mx) * (y - my)).mean(axis=-1, keepdims=True)
+        denom = x.var(axis=-1, keepdims=True) + y.var(axis=-1, keepdims=True) + (mx - my) ** 2
+        loss, grad = ccc_loss_grad(x, y)
+        np.testing.assert_array_equal(loss, 1.0 - (2.0 * cov / denom)[..., 0])
+        dccc = (2.0 * (y - my) / 7 - 2.0 * cov / denom * (2.0 * (x - mx) / 7
+                                                          + 2.0 * (mx - my) / 7)) / denom
+        np.testing.assert_array_equal(grad, -dccc)
 
     def test_loss_rows_match_single_segments(self):
         rng = np.random.default_rng(5)
@@ -368,12 +414,28 @@ class TestStackedPasses:
                 np.testing.assert_allclose(grad[m, b], row_grad, rtol=1e-12, atol=1e-15)
         assert loss[1, 2] == 1.0 and not np.any(grad[1, 2])
 
+    def test_flat_adam_matches_per_tensor_reference_bitwise(self):
+        cfg = tiny_cfg()
+        flat, params = stack_params([init_params(tiny_cfg(s)) for s in range(3)], cfg)
+        ref_params = {k: v.copy() for k, v in params.items()}
+        opt = Adam(flat, learning_rate=1e-2, weight_decay=1e-3)
+        ref = RefAdam(ref_params, learning_rate=1e-2, weight_decay=1e-3, n_models=3)
+        rng = np.random.default_rng(0)
+        for models in (None, [0, 2], [1], [1, 2], None):
+            rows = np.arange(3) if models is None else np.array(models)
+            grads = rng.normal(size=(len(rows), flat.shape[1]))
+            opt.step(flat, grads, models)
+            ref.step(ref_params, stacked._views(grads, cfg), None if models is None else rows)
+        np.testing.assert_array_equal(opt.t, ref.t)
+        for k, v in params.items():
+            np.testing.assert_array_equal(v, ref_params[k])
+
     def test_adam_steps_only_selected_models(self):
-        params = stack_params([init_params(tiny_cfg(s)) for s in range(3)])
+        flat, params = stack_params([init_params(tiny_cfg(s)) for s in range(3)], tiny_cfg())
         before = {k: v.copy() for k, v in params.items()}
-        opt = Adam(params, learning_rate=1e-2, weight_decay=1e-3, n_models=3)
-        grads = {k: np.ones_like(v[:2]) for k, v in params.items()}
-        opt.step(params, grads, np.array([0, 2]))
+        opt = Adam(flat, learning_rate=1e-2, weight_decay=1e-3)
+        grads = np.ones_like(flat[:2])
+        opt.step(flat, grads, np.array([0, 2]))
         np.testing.assert_array_equal(opt.t, [1, 0, 1])
         for k in params:
             np.testing.assert_array_equal(params[k][1], before[k][1])
@@ -427,6 +489,73 @@ class TestStackTraining:
         with pytest.raises(ValueError):
             train_stack(feats[:6], [mu[:6], sigma[:6]], cfgs, self.TC,
                         feats[6:], [mu[6:], sigma[6:]])
+
+
+class TestWorkspace:
+    # The second run differs in stack size, batch and segment length.
+    RUNS = (((4, 9), TrainConfig(max_epochs=4, segment_length=6, batch_segments=4,
+                                  learning_rate=1e-2)),
+            ((1, 2, 3), TrainConfig(max_epochs=4, segment_length=5, batch_segments=3,
+                                    learning_rate=1e-2)))
+
+    def run_all(self):
+        feats, mu, sigma = two_target_task()
+        targets = [mu, sigma, [m - s for m, s in zip(mu, sigma)]]
+        results = []
+        for seeds, tc in self.RUNS:
+            cfgs = [ModelConfig(input_dim=3, hidden_dim=5, seed=s) for s in seeds]
+            chosen = targets[: len(seeds)]
+            models = train_stack(feats[:6], [t[:6] for t in chosen], cfgs, tc,
+                                 feats[6:], [t[6:] for t in chosen])
+            results.append((models, [predict(m, feats[7]) for m in models]))
+        return results
+
+    def test_reused_workspace_matches_fresh_workspaces(self, monkeypatch):
+        step, validate = stacked._train_step, stacked._validation_loss
+        groups = []
+
+        def step_then_predict(flat, opt, cfg, members, X, Y, ws):
+            groups.append(list(members))
+            result = step(flat, opt, cfg, members, X, Y, ws)
+            first = {k: v[0] for k, v in stacked._views(flat, cfg).items()}
+            predict(TrainedModel(first, cfg, TargetScaling()), X[0, 0])
+            return result
+
+        monkeypatch.setattr(stacked, "_train_step", step_then_predict)
+        reused = self.run_all()
+        # Every shape of stacked step occurs, models not adjacent in the stack included.
+        assert {len(g) for g in groups} == {1, 2, 3} and [0, 2] in groups
+
+        monkeypatch.setattr(stacked, "_train_step",
+                            lambda *args: step(*args[:-1], stacked._Workspace()))
+        monkeypatch.setattr(stacked, "_validation_loss",
+                            lambda *args: validate(*args[:-1], stacked._Workspace()))
+        fresh = self.run_all()
+        for (models, preds), (fresh_models, fresh_preds) in zip(reused, fresh):
+            for model, pred, alone, alone_pred in zip(models, preds, fresh_models, fresh_preds):
+                assert model.best_epoch == alone.best_epoch
+                assert model.train_loss == alone.train_loss
+                assert model.val_loss == alone.val_loss
+                for key, value in alone.params.items():
+                    np.testing.assert_array_equal(model.params[key], value)
+                np.testing.assert_array_equal(pred, alone_pred)
+
+    def test_training_step_allocates_no_large_buffers(self):
+        cfg = ModelConfig(input_dim=8, hidden_dim=32)
+        flat, _ = stack_params([init_params(replace(cfg, seed=s)) for s in (0, 1)], cfg)
+        opt = Adam(flat, learning_rate=1e-3, weight_decay=1e-4)
+        ws = stacked._Workspace()
+        rng = np.random.default_rng(0)
+        X, Y = rng.normal(size=(2, 8, 19, 8)), rng.normal(size=(2, 8, 19))
+        stacked._train_step(flat, opt, cfg, [0, 1], X, Y, ws)
+        tracemalloc.start()
+        try:
+            stacked._train_step(flat, opt, cfg, [0, 1], X, Y, ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One (T, M, B, 4H) gate block alone is 311 KB at this shape.
+        assert peak < 600 * 1024
 
 
 class TestCheckpointFormat:
