@@ -1,42 +1,40 @@
-"""Ambiguity-aware interval and ordinal representations for emotion traces."""
+"""Ambiguity-aware interval and ordinal representations for emotion traces.
 
-from .metrics import ccc, ccc_loss, sda
-from .representations import (
-    GroupOrdinal,
-    WindowFits,
-    fit_beta,
-    fit_gaussian,
-    group_ordinal,
-    individual_ordinal,
-    interval_representation,
-)
-from .traces import (
-    AnnotationTrace,
-    TraceSet,
-    align,
-    central_difference,
-    shift_delay,
-    window_aggregate,
-)
+The public names below are imported on first use (PEP 562), so a plain
+``import ambitrace`` loads no numpy and leaves the process as it found it.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnnotationTrace",
-    "TraceSet",
-    "align",
-    "central_difference",
-    "shift_delay",
-    "window_aggregate",
-    "WindowFits",
-    "GroupOrdinal",
-    "fit_gaussian",
-    "fit_beta",
-    "interval_representation",
-    "individual_ordinal",
-    "group_ordinal",
-    "ccc",
-    "ccc_loss",
-    "sda",
-    "__version__",
-]
+# Each public name and the submodule that defines it.
+_EXPORTS = {
+    "AnnotationTrace": "traces",
+    "TraceSet": "traces",
+    "align": "traces",
+    "central_difference": "traces",
+    "shift_delay": "traces",
+    "window_aggregate": "traces",
+    "WindowFits": "representations",
+    "GroupOrdinal": "representations",
+    "fit_gaussian": "representations",
+    "fit_beta": "representations",
+    "interval_representation": "representations",
+    "individual_ordinal": "representations",
+    "group_ordinal": "representations",
+    "ccc": "metrics",
+    "ccc_loss": "metrics",
+    "sda": "metrics",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

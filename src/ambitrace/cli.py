@@ -9,13 +9,19 @@ from __future__ import annotations
 
 import json
 import os
+import reprlib
 import sys
+
+# Set before numpy loads: OpenBLAS reads it once, when it starts.  No
+# product here is large enough to gain from a second thread, and an idle
+# OpenBLAS worker spins, so one thread saves start-up CPU.  Results do not
+# depend on it; a value the user exported still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 
 from . import pipeline
 from .data_io import DataError, SynthConfig, _atomic_write, load_manifest
-from .model import TrainingError
 from .representations import FitError
 
 EXIT_CONFIG = 2
@@ -57,14 +63,19 @@ def synth(config_path, out_dir, seed):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         _fail(EXIT_CONFIG, f"config {config_path}: {exc}")
+    if not isinstance(doc, dict):
+        _fail(EXIT_CONFIG, f"config {config_path}: expected a JSON object, "
+                           f"got {reprlib.repr(doc)}")
     extra = {k: doc.pop(k) for k in list(doc) if k in pipeline.MANIFEST_EXTRA_KEYS}
+    for key, section in extra.items():
+        if not isinstance(section, dict):
+            _fail(EXIT_CONFIG, f"config {config_path}: {key}: expected a JSON object, "
+                               f"got {reprlib.repr(section)}")
     if seed is not None:
         doc["seed"] = seed
     try:
         cfg = SynthConfig(**doc)
-    except TypeError as exc:
-        _fail(EXIT_CONFIG, f"config {config_path}: {exc}")
-    except DataError as exc:
+    except (TypeError, DataError) as exc:
         _fail(EXIT_CONFIG, f"config {config_path}: {exc}")
     try:
         manifest_path = pipeline.run_synth(cfg, out_dir, extra)
@@ -100,6 +111,9 @@ def represent(manifest_path, tag, out_dir):
               help="Concurrent fold-training processes.")
 def train_eval(manifest_path, tag, target, out_dir, seed, jobs):
     """Train per-fold models for a representation and evaluate CCC/SDA."""
+    # Imported here: only this command loads the model module.
+    from .model import TrainingError
+
     manifest = _load_manifest(manifest_path)
     targets = list(pipeline.TARGETS) if target == "both" else [target]
     try:

@@ -1,5 +1,8 @@
 """Dataset ingestion, splits, experiment manifests and synthetic data.
 
+The manifest's sections are all checked here, the model and train
+sections included, so reading a manifest loads no model code.
+
 All tables are plain columnar text with decimal floats (17 significant
 digits) so they stay diffable and language-neutral.  ``write_table`` and
 ``read_table`` are the one codec for them; writes go through a temp file
@@ -290,6 +293,46 @@ class SplitSpec:
         _check_int("seed", self.seed, 0)
 
 
+# --- model and train sections -----------------------------------------------
+
+
+@dataclass
+class ModelConfig:
+    input_dim: int
+    hidden_dim: int = 64
+    num_layers: int = 2
+    seed: int = 0
+
+    def __post_init__(self):
+        _check_int("input_dim", self.input_dim, 1)
+        _check_int("hidden_dim", self.hidden_dim, 1)
+        if self.num_layers != 2:
+            raise ValueError("num_layers: the architecture is fixed at two recurrent layers")
+        _check_int("seed", self.seed, 0)
+
+
+@dataclass
+class TrainConfig:
+    learning_rate: float = 1e-3
+    weight_decay: float = 1e-4
+    max_epochs: int = 100
+    segment_length: int = 100
+    batch_segments: int = 8
+    target_margin: float = 0.9
+
+    def __post_init__(self):
+        _check_real("learning_rate", self.learning_rate, lambda v: 0 <= v < math.inf,
+                    "a finite number >= 0")
+        _check_real("weight_decay", self.weight_decay, lambda v: 0 <= v < 1,
+                    "a number in [0, 1)")
+        _check_int("max_epochs", self.max_epochs, 0)
+        # A one-window segment has no variance, so its CCC loss is undefined.
+        _check_int("segment_length", self.segment_length, 2)
+        _check_int("batch_segments", self.batch_segments, 1)
+        _check_real("target_margin", self.target_margin, lambda v: 0 < v <= 1,
+                    "a number in (0, 1]")
+
+
 def make_splits(items, spec: SplitSpec):
     """Build (train_ids, validation_ids) folds from (item_id, group) pairs.
 
@@ -344,22 +387,19 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.annotators < 2:
-            raise DataError("annotators: need at least 2")
-        if self.windows < 2:
-            raise DataError("windows: need at least 2")
-        if self.items < 1 or self.groups < 1 or self.groups > self.items:
-            raise DataError("items/groups: need 1 <= groups <= items")
-        if self.feature_dim < 1 or self.trend_components < 1:
-            raise DataError("feature_dim/trend_components: must be positive")
+        for name, minimum in (("annotators", 2), ("windows", 2), ("items", 1), ("groups", 1),
+                              ("feature_dim", 1), ("trend_components", 1),
+                              ("lag_windows", 0), ("seed", 0)):
+            _check_int(name, getattr(self, name), minimum)
+        if self.groups > self.items:
+            raise DataError(f"groups: expected at most items={self.items}, got {self.groups}")
         for name in ("trend_amplitude", "offset_std", "gain_std", "noise_std",
                      "feature_noise_std"):
-            if getattr(self, name) < 0:
-                raise DataError(f"{name}: must be non-negative")
-        if self.lag_windows < 0:
-            raise DataError("lag_windows: must be non-negative")
+            _check_real(name, getattr(self, name), lambda v: 0 <= v < math.inf,
+                        "a finite number >= 0")
         if self.scenario not in SCENARIOS:
-            raise DataError(f"scenario: expected one of {SCENARIOS}")
+            raise DataError(f"scenario: expected one of {', '.join(SCENARIOS)}, "
+                            f"got {self.scenario!r}")
 
 
 @dataclass
@@ -534,10 +574,6 @@ class ExperimentManifest:
         _check_int("representation.neighbor_radius",
                    self.representation.get("neighbor_radius", 1), 0)
         _check_int("seed", self.seed, 0)
-        # Imported here because the model module writes its checkpoints
-        # through this module.
-        from .model import ModelConfig, TrainConfig
-
         # input_dim comes from the feature files, not from the manifest.
         parse_section("model", self.model, ModelConfig, input_dim=1)
         parse_section("train", self.train, TrainConfig)

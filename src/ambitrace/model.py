@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data_io import _atomic_write, _check_int, _check_real
+from .data_io import ModelConfig, TrainConfig, _atomic_write, _check_int, _check_real
 from .metrics import CCC_DENOM_GUARD
 
 CHECKPOINT_MAGIC = "ambitrace-checkpoint"
@@ -33,43 +33,6 @@ ADAM_EPS = 1e-8
 
 class TrainingError(RuntimeError):
     """Training could not proceed (empty data or unusable targets)."""
-
-
-@dataclass
-class ModelConfig:
-    input_dim: int
-    hidden_dim: int = 64
-    num_layers: int = 2
-    seed: int = 0
-
-    def __post_init__(self):
-        _check_int("input_dim", self.input_dim, 1)
-        _check_int("hidden_dim", self.hidden_dim, 1)
-        if self.num_layers != 2:
-            raise ValueError("num_layers: the architecture is fixed at two recurrent layers")
-        _check_int("seed", self.seed, 0)
-
-
-@dataclass
-class TrainConfig:
-    learning_rate: float = 1e-3
-    weight_decay: float = 1e-4
-    max_epochs: int = 100
-    segment_length: int = 100
-    batch_segments: int = 8
-    target_margin: float = 0.9
-
-    def __post_init__(self):
-        _check_real("learning_rate", self.learning_rate, lambda v: 0 <= v < math.inf,
-                    "a finite number >= 0")
-        _check_real("weight_decay", self.weight_decay, lambda v: 0 <= v < 1,
-                    "a number in [0, 1)")
-        _check_int("max_epochs", self.max_epochs, 0)
-        # A one-window segment has no variance, so its CCC loss is undefined.
-        _check_int("segment_length", self.segment_length, 2)
-        _check_int("batch_segments", self.batch_segments, 1)
-        _check_real("target_margin", self.target_margin, lambda v: 0 < v <= 1,
-                    "a number in (0, 1]")
 
 
 @dataclass
@@ -261,8 +224,10 @@ def forward(params, cfg, features):
 
 # OpenBLAS runs a matrix product of more than 2**18 multiply-adds on
 # several threads.  At the sizes trained here the hand-off costs more than
-# it saves and the idle worker spins, doubling CPU time, so the products
-# below stay under that size.
+# it saves and the idle worker spins, doubling CPU time.  The commands
+# start OpenBLAS with one thread, but the products below still stay under
+# that size: a thread count the user raises then runs no threaded product,
+# and the blocks fix the summation order, so the trained bits stay the same.
 _MAX_PRODUCT_MACS = 1 << 18
 
 

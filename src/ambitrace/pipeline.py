@@ -20,8 +20,10 @@ from .data_io import (
     SPLIT_MODES,
     DataError,
     ExperimentManifest,
+    ModelConfig,
     SplitSpec,
     SynthConfig,
+    TrainConfig,
     _atomic_write,
     dataset_hash,
     make_splits,
@@ -29,7 +31,6 @@ from .data_io import (
     prepare_item,
     write_table,
 )
-from .model import ModelConfig, TrainConfig, predict, save_checkpoint, train_stack
 from .representations import (
     TAG_GROUP,
     TAG_INDIVIDUAL,
@@ -77,29 +78,20 @@ def run_synth(cfg: SynthConfig, out_dir, extra=None):
     """Generate a synthetic dataset on disk plus a ready-to-run manifest.
 
     ``extra`` may override the manifest's representation/model/train/
-    split sections.  Returns the manifest path.
+    split sections.  The manifest is checked before any file is written.
+    Returns the manifest path.
     """
     extra = extra or {}
     items = data_io.synth_generate(cfg)
-    os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "features"), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "latents"), exist_ok=True)
-    entries = []
-    for item in items:
-        trace_rel = os.path.join("traces", f"{item.item_id}.csv")
-        feat_rel = os.path.join("features", f"{item.item_id}.csv")
-        data_io.write_trace_table(os.path.join(out_dir, trace_rel), item.trace_set.traces)
-        data_io.write_feature_table(os.path.join(out_dir, feat_rel), item.features)
-        write_table(os.path.join(out_dir, "latents", f"{item.item_id}.csv"), {},
-                    {"window_index": np.arange(len(item.latent)), "latent": item.latent})
-        entries.append(
-            data_io.ItemEntry(
-                item_id=item.item_id,
-                group=item.group,
-                trace_file=trace_rel,
-                feature_file=feat_rel,
-            )
+    entries = [
+        data_io.ItemEntry(
+            item_id=item.item_id,
+            group=item.group,
+            trace_file=os.path.join("traces", f"{item.item_id}.csv"),
+            feature_file=os.path.join("features", f"{item.item_id}.csv"),
         )
+        for item in items
+    ]
     sections = {}
     for key in ("representation", "model", "train"):
         merged = dict(SYNTH_MANIFEST_DEFAULTS.get(key, {}))
@@ -127,6 +119,13 @@ def run_synth(cfg: SynthConfig, out_dir, extra=None):
         seed=cfg.seed,
         base_dir=out_dir,
     )
+    for sub in ("traces", "features", "latents"):
+        os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
+    for item, entry in zip(items, entries):
+        data_io.write_trace_table(manifest.resolve(entry.trace_file), item.trace_set.traces)
+        data_io.write_feature_table(manifest.resolve(entry.feature_file), item.features)
+        write_table(os.path.join(out_dir, "latents", f"{item.item_id}.csv"), {},
+                    {"window_index": np.arange(len(item.latent)), "latent": item.latent})
     path = os.path.join(out_dir, "manifest.json")
     data_io.save_manifest(manifest, path)
     return path
@@ -201,6 +200,9 @@ def _item_data(manifest, tag):
 
 def _train_fold(args):
     """Train every target of one fold as one stack, then evaluate each model."""
+    # Imported here, as in run_train_eval: no other command loads the model.
+    from .model import predict, train_stack
+
     (fold_idx, train_ids, val_ids, data, targets, model_doc, train_doc) = args
     input_dim = next(iter(data.values()))["features"].shape[1]
     cfgs = [
@@ -261,6 +263,9 @@ def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs=1,
         for idx, (train_ids, val_ids) in enumerate(folds)
     ]
 
+    # Imported here: the LSTM module costs every other command start-up time.
+    from .model import save_checkpoint
+
     # Fold files are written as each fold completes so a failure keeps
     # the finished folds on disk.
     fold_records = []
@@ -275,6 +280,9 @@ def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs=1,
                 model, os.path.join(out_dir, f"fold_{fold['fold']:02d}_{target}.ckpt")
             )
 
+    # A pool starts all its workers at once, so it gets no more than there
+    # are folds.
+    jobs = min(jobs, len(job_args))
     if jobs > 1:
         # Imported here: multiprocessing costs every other command start-up time.
         from concurrent.futures import ProcessPoolExecutor

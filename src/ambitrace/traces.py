@@ -1,8 +1,8 @@
 """Time-series primitives for multi-annotator trace processing.
 
-Windowing, delay compensation, alignment, normalization and central
-differencing.  All functions here are pure and operate on plain 1-D
-float arrays; no global state.
+Windowing, delay compensation, alignment and central differencing.  All
+functions here are pure and operate on plain 1-D float arrays; no global
+state.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
+import concurrent.futures
 import contextlib
 import io
 import json
 import os
-import subprocess
 import sys
 import tempfile
 from dataclasses import fields
@@ -10,19 +10,22 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from conftest import run_fresh
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambitrace import cli, pipeline
+from ambitrace import cli, model, pipeline
 from ambitrace.cli import main
 from ambitrace.data_io import (
     REPRESENTATION_KEYS,
     DatasetConfig,
     ItemEntry,
+    ModelConfig,
     SplitSpec,
+    SynthConfig,
+    TrainConfig,
     read_table,
 )
-from ambitrace.model import ModelConfig, TrainConfig
 
 FAST_SYNTH = {
     "items": 6,
@@ -99,6 +102,25 @@ class TestSynth:
         assert result.exit_code == 2
         assert "wibble" in result.output
 
+    @pytest.mark.parametrize("text", [
+        "5",
+        "null",
+        '{"annotators": 2.5}',
+        '{"windows": 3.5}',
+        '{"seed": -1}',
+        '{"seed": 1.5}',
+        '{"noise_std": NaN}',
+        '{"split": 5}',
+        '{"model": [1]}',
+    ])
+    def test_malformed_config_exits_2_writing_nothing(self, tmp_path, text):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        result = run_cli(["synth", "--config", cfg, "--out", tmp_path / "out"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith(f"error: config {cfg}: "), result.stderr
+        assert not (tmp_path / "out").exists()
+
 
 class TestRepresent:
     def test_interval_on_constant_data_has_zero_sigma(self, tmp_path):
@@ -163,16 +185,86 @@ class TestRepresent:
         assert len(cols["mu"]) == 1
 
 
+class TestStartUp:
+    """Each command pays only for what it runs; checked in fresh interpreters."""
+
+    def test_package_import_is_lazy_and_changes_nothing(self):
+        code = ("import os, sys\n"
+                "before = dict(os.environ)\n"
+                "import ambitrace\n"
+                "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+                "assert dict(os.environ) == before, 'environment changed'\n"
+                "from ambitrace import *\n"
+                "from ambitrace import metrics, representations, traces\n"
+                "assert ccc is metrics.ccc and fit_beta is representations.fit_beta\n"
+                "assert TraceSet is traces.TraceSet\n"
+                "print(','.join(ambitrace.__all__))\n")
+        result = run_fresh(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().split(",") == [
+            "AnnotationTrace", "TraceSet", "align", "central_difference", "shift_delay",
+            "window_aggregate", "WindowFits", "GroupOrdinal", "fit_gaussian", "fit_beta",
+            "interval_representation", "individual_ordinal", "group_ordinal", "ccc",
+            "ccc_loss", "sda", "__version__"]
+
+    def test_unknown_package_attribute_raises(self):
+        import ambitrace
+
+        with pytest.raises(AttributeError, match="wibble"):
+            ambitrace.wibble
+
+    def test_cli_defaults_to_one_blas_thread(self):
+        code = ("import os, sys\n"
+                "import ambitrace.cli\n"
+                "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+                "if sys.platform.startswith('linux'):\n"
+                "    with open('/proc/self/status') as fh:\n"
+                "        threads = [line for line in fh if line.startswith('Threads:')]\n"
+                "    print(threads[0].split()[1])\n")
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        result = run_fresh(code, env=env)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.split()
+        assert lines[0] == "1"
+        if sys.platform.startswith("linux"):
+            assert lines[1] == "1"
+
+    def test_cli_keeps_an_exported_blas_thread_count(self):
+        code = "import os, ambitrace.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        result = run_fresh(code, env=dict(os.environ, OPENBLAS_NUM_THREADS="2"))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "2"
+
+    def test_only_train_eval_loads_the_model(self, workspace, tmp_path):
+        manifest = workspace / "data" / "manifest.json"
+        run = tmp_path / "run"
+        assert run_cli(["train-eval", "--manifest", manifest, "--tag", "I", "--target", "mu",
+                        "--out", run]).exit_code == 0
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(FAST_SYNTH))
+        commands = [
+            ["synth", "--config", cfg, "--out", tmp_path / "d"],
+            ["represent", "--manifest", manifest, "--tag", "O_G", "--out", tmp_path / "rep"],
+            ["report", run, "--out", tmp_path / "report"],
+            ["train-eval", "--manifest", manifest, "--tag", "I", "--target", "mu",
+             "--out", tmp_path / "run2"],
+        ]
+        code = ["import sys", "from ambitrace.cli import main"]
+        for args in commands:
+            loaded = args[0] == "train-eval"
+            code += [f"main({[str(a) for a in args]!r}, standalone_mode=False)",
+                     f"assert ('ambitrace.model' in sys.modules) is {loaded}, {args[0]!r}"]
+        result = run_fresh("\n".join(code) + "\n")
+        assert result.returncode == 0, result.stderr
+
+
 def test_multiprocessing_stays_off_the_import_path():
     code = ("import sys\n"
             "import ambitrace.cli\n"
             "loaded = [m for m in sys.modules if m.split('.')[0] == 'multiprocessing'\n"
             "          or m == 'concurrent.futures' or m.startswith('concurrent.futures.')]\n"
             "assert not loaded, loaded\n")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env)
+    result = run_fresh(code)
     assert result.returncode == 0, result.stderr
 
 
@@ -203,6 +295,26 @@ class TestTrainEval:
         assert run_cli(args + ["--out", tmp_path / "par", "--jobs", "2"]).exit_code == 0
         assert (tmp_path / "serial" / "summary.json").read_bytes() == \
             (tmp_path / "par" / "summary.json").read_bytes()
+
+    def test_pool_is_capped_at_the_fold_count(self, workspace, tmp_path, monkeypatch):
+        workers = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        args = ["train-eval", "--manifest", workspace / "data" / "manifest.json",
+                "--tag", "I", "--target", "mu"]
+        assert run_cli(args + ["--out", tmp_path / "serial"]).exit_code == 0
+        assert run_cli(args + ["--out", tmp_path / "par", "--jobs", "5"]).exit_code == 0
+        assert workers == [3]
+        names = sorted(os.listdir(tmp_path / "serial"))
+        assert names == sorted(os.listdir(tmp_path / "par"))
+        for name in names:
+            assert (tmp_path / "serial" / name).read_bytes() == \
+                (tmp_path / "par" / name).read_bytes()
 
     def test_fold_files_carry_loss_curves(self, workspace, tmp_path):
         result = run_cli(["train-eval", "--manifest", workspace / "data" / "manifest.json",
@@ -237,7 +349,7 @@ class TestTrainEval:
         def broken(*args):
             raise ValueError("operands could not be broadcast together")
 
-        monkeypatch.setattr(pipeline, "train_stack", broken)
+        monkeypatch.setattr(model, "train_stack", broken)
         result = run_cli(["train-eval", "--manifest", workspace / "data" / "manifest.json",
                           "--tag", "I", "--target", "mu", "--out", tmp_path / "run"])
         assert result.exit_code == 1
@@ -394,6 +506,44 @@ class TestManifestFuzz:
                               "--out", os.path.join(out, "rep")])
         assert result.exit_code in (0, 2, 3), result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+# Each site is (path to a JSON object, key): one key of a synth config the
+# fuzz may drop, rename or overwrite.
+SYNTH_KEYS = {
+    (): [f.name for f in fields(SynthConfig)] + list(pipeline.MANIFEST_EXTRA_KEYS),
+    ("model",): [f.name for f in fields(ModelConfig) if f.name != "input_dim"],
+    ("train",): [f.name for f in fields(TrainConfig)],
+    ("split",): [f.name for f in fields(SplitSpec)],
+}
+
+
+class TestSynthFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(site=st.sampled_from(sorted(SYNTH_KEYS, key=len)), data=st.data())
+    def test_writes_or_exits_2_naming_the_config(self, site, data):
+        key = data.draw(st.sampled_from(SYNTH_KEYS[site]))
+        mutation = data.draw(st.sampled_from(["drop", "rename", "set"]))
+        doc = json.loads(json.dumps(FAST_SYNTH))
+        node = doc
+        for part in site:
+            node = node[part]
+        if mutation == "drop":
+            node.pop(key, None)
+        elif mutation == "rename":
+            node[key + "_x"] = node.pop(key, None)
+        else:
+            node[key] = data.draw(WRONG_VALUES)
+        with tempfile.TemporaryDirectory() as root:
+            cfg = os.path.join(root, "synth.json")
+            with open(cfg, "w") as fh:
+                fh.write(json.dumps(doc).replace(f'"{OVERFLOW}"', "1e400"))
+            out = os.path.join(root, "out")
+            result = run_cli(["synth", "--config", cfg, "--out", out])
+            assert result.exit_code in (0, 2), result.output
+            if result.exit_code == 2:
+                assert result.stderr.startswith(f"error: config {cfg}: "), result.stderr
+                assert not os.path.exists(out)
 
 
 class TestLoaderErrors:

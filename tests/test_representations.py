@@ -1,9 +1,6 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
+from conftest import run_fresh
 from scipy.optimize import minimize
 from scipy.special import polygamma, psi
 from scipy.stats import beta as beta_dist
@@ -132,10 +129,7 @@ def test_scipy_stays_off_the_import_path():
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "assert not loaded, loaded\n"
     )
-    src = os.path.dirname(os.path.dirname(representations.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env)
+    result = run_fresh(code)
     assert result.returncode == 0, result.stderr
 
 
