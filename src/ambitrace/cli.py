@@ -21,7 +21,14 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import click
 
 from . import pipeline
-from .data_io import DataError, SynthConfig, _atomic_write, load_manifest
+from .data_io import (
+    DataError,
+    OutputDirError,
+    SynthConfig,
+    _atomic_write,
+    load_manifest,
+    make_output_dir,
+)
 from .representations import FitError
 
 EXIT_CONFIG = 2
@@ -55,7 +62,8 @@ def main():
               help="JSON synthetic-dataset configuration.")
 @click.option("--out", "out_dir", required=True, type=click.Path(),
               help="Output directory for traces, features and the manifest.")
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Override the config seed.")
 def synth(config_path, out_dir, seed):
     """Generate a seeded synthetic dataset and its experiment manifest."""
     try:
@@ -79,6 +87,8 @@ def synth(config_path, out_dir, seed):
         _fail(EXIT_CONFIG, f"config {config_path}: {exc}")
     try:
         manifest_path = pipeline.run_synth(cfg, out_dir, extra)
+    except OutputDirError as exc:
+        _fail(EXIT_CONFIG, str(exc))
     except DataError as exc:
         _fail(EXIT_CONFIG, f"config {config_path}: {exc}")
     click.echo(f"wrote {cfg.items} items and {manifest_path}")
@@ -106,7 +116,8 @@ def represent(manifest_path, tag, out_dir):
 @click.option("--target", type=click.Choice(["mu", "sigma", "both"]), default="both",
               show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--seed", type=int, default=None, help="Override the manifest seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Override the manifest seed.")
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Concurrent fold-training processes.")
 def train_eval(manifest_path, tag, target, out_dir, seed, jobs):
@@ -143,7 +154,10 @@ def report(result_dirs, out_dir):
     table = pipeline.render_summary_table(summaries)
     click.echo(table)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            make_output_dir(out_dir)
+        except DataError as exc:
+            _fail(EXIT_CONFIG, str(exc))
         _atomic_write(os.path.join(out_dir, "report.txt"), table + "\n")
         record = {
             "format_version": 1,

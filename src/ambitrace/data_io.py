@@ -46,6 +46,10 @@ class DataError(ValueError):
     """A data file or configuration failed validation."""
 
 
+class OutputDirError(DataError):
+    """An output directory could not be created."""
+
+
 def _check_int(name, value, minimum):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise DataError(f"{name}: expected an integer >= {minimum}, got {value!r}")
@@ -54,6 +58,23 @@ def _check_int(name, value, minimum):
 def _check_real(name, value, valid, expected):
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not valid(value):
         raise DataError(f"{name}: expected {expected}, got {value!r}")
+
+
+def make_output_dir(path):
+    """Create the directory ``path`` and its missing parents.
+
+    A path that is a file, or lies under one, raises ``OutputDirError``
+    naming it and creates nothing: the first parent that is not a
+    directory exists, so every parent above it exists too.
+    """
+    try:
+        os.makedirs(path, exist_ok=True)
+    except FileExistsError:
+        raise OutputDirError(f"output directory {path}: exists and is not a directory") from None
+    except NotADirectoryError:
+        raise OutputDirError(f"output directory {path}: a parent is not a directory") from None
+    except OSError as exc:
+        raise OutputDirError(f"output directory {path}: {exc.strerror}") from None
 
 
 def _atomic_write(path, data):

@@ -6,14 +6,15 @@ finite differences.  Training minimizes the concordance loss
 1 - ccc(pred, target) per segment with Adam; a separate model is trained
 per target channel (mu-like or sigma-like).
 
-The models of one fold are trained as one stack: every parameter tensor
-carries a leading model axis, and the forward pass, backward pass, loss
-and optimizer step each run once for the whole stack.  The models stay
-independent: each has its own seed, shuffle order, target scaling, Adam
-state and best epoch, and ends where training it alone would.  A stack's
-parameters, gradients and Adam moments are flat (models, P) buffers with
-named views, and its passes reuse one workspace, so after the first step
-a training step allocates no large array.
+The models of one or two folds are trained as one stack: every parameter
+tensor carries a leading model axis, and the forward pass, backward pass,
+loss and optimizer step each run once for the models whose batches share
+a shape.  The models stay independent: each has its own seed, data,
+shuffle order, target scaling, Adam state and best epoch, and ends bit for
+bit where training it alone would.  A stack's parameters, gradients and
+Adam moments are flat (models, P) buffers with named views, kept in the
+stored form ``_gate_signs`` describes, and its passes reuse one workspace,
+so after the first step a training step allocates no large array.
 """
 
 from __future__ import annotations
@@ -96,19 +97,44 @@ def _views(flat, cfg) -> dict[str, np.ndarray]:
     return views
 
 
+def _gate_signs(cfg) -> np.ndarray:
+    """(P,) factors that map a flat parameter row to or from its stored form.
+
+    A stack stores the i, f and o gate columns of every LSTM weight and
+    bias negated (factor -1), so its gate pre-activations there are
+    ``-z`` and each sigmoid is ``1 / (1 + exp(z))`` with no negation pass.
+    Negation is exact in the products, the loss gradient, Adam and the
+    weight decay, so a stored row stays the exact negation of the row an
+    un-negated stack would hold.
+    """
+    H = cfg.hidden_dim
+    signs = []
+    for name, shape in _param_shapes(cfg).items():
+        sign = np.ones(shape)
+        if not name.startswith("head."):
+            sign[..., : 2 * H] = -1.0
+            sign[..., 3 * H :] = -1.0
+        signs.append(sign.ravel())
+    return np.concatenate(signs)
+
+
 def stack_params(param_dicts, cfg) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """One (models, P) buffer holding per-model parameter dicts, and its named views."""
+    """One (models, P) buffer holding per-model parameter dicts, and its named views.
+
+    The buffer holds the stored form (see ``_gate_signs``).
+    """
     names = _param_shapes(cfg)
     flat = np.stack([np.concatenate([p[k].ravel() for k in names]) for p in param_dicts])
+    flat *= _gate_signs(cfg)
     return flat, _views(flat, cfg)
 
 
 def _as_rows(models):
     """Row indices as a slice when they run consecutively, so rows are views."""
-    models = np.asarray(models)
-    if np.array_equal(models, np.arange(models[0], models[0] + len(models))):
-        return slice(int(models[0]), int(models[0]) + len(models))
-    return models
+    first = int(models[0])
+    if all(m == first + k for k, m in enumerate(models)):
+        return slice(first, first + len(models))
+    return np.asarray(models)
 
 
 class _Workspace:
@@ -133,31 +159,22 @@ class _Workspace:
         return buf[:size].reshape(shape)
 
 
-def _negate_sigmoid_columns(w, out, H):
-    """``w`` with its i, f and o gate columns negated, so exp(z) is exp(-z) there."""
-    np.negative(w, out=out)
-    out[..., 2 * H : 3 * H] = w[..., 2 * H : 3 * H]
-    return out
-
-
 def _layer_forward(inp, params, layer, ws):
     """One LSTM layer over time-major (T, Mx, B, D) inputs; returns its cache.
 
     The input projection runs for all steps before the time loop, into
     the gate buffer; inside it every step reads and writes contiguous
     (M, B, ...) blocks.  The gate layout is i, f, g, o; index 0 of ``c``
-    and ``h`` holds the zero initial state.  The sigmoid gates' weight
-    columns are negated once, and ``(-w)·h`` equals ``-(w·h)`` exactly, so
-    each step's sigmoid is ``1 / (1 + exp(z))`` with no negation pass.
+    and ``h`` holds the zero initial state.  ``params`` are in stored form,
+    so the sigmoid gates' pre-activations come out negated.
     """
     T, _, B, _ = inp.shape
     Wx, Wh, b = (params[f"l{layer}.{n}"] for n in ("Wx", "Wh", "b"))
     M, H = Wh.shape[0], Wh.shape[1]
     name = f"l{layer}."
-    neg_Wh = _negate_sigmoid_columns(Wh, ws.get(name + "-Wh", Wh.shape), H)
     gates = ws.get(name + "gates", (T, M, B, 4 * H))
-    np.matmul(inp, _negate_sigmoid_columns(Wx, ws.get(name + "-Wx", Wx.shape), H), out=gates)
-    gates += _negate_sigmoid_columns(b, ws.get(name + "-b", b.shape), H)[:, None, :]
+    np.matmul(inp, Wx, out=gates)
+    gates += b[:, None, :]
     c = ws.get(name + "c", (T + 1, M, B, H))
     h = ws.get(name + "h", (T + 1, M, B, H))
     c[0] = 0.0
@@ -165,29 +182,34 @@ def _layer_forward(inp, params, layer, ws):
     tanh_c = ws.get(name + "tanh_c", (T, M, B, H))
     z = ws.get("z", (M, B, 4 * H))
     ig = ws.get("ig", (M, B, H))
+    # Per-gate views over all steps, so each step indexes them once.
+    i, f, g, o = (gates[..., k * H : (k + 1) * H] for k in range(4))
+    z_g = z[..., 2 * H : 3 * H]
     for t in range(T):
-        np.matmul(h[t], neg_Wh, out=z)
+        np.matmul(h[t], Wh, out=z)
         a = gates[t]
         z += a
         np.exp(z, out=a)
         a += 1.0
         np.reciprocal(a, out=a)
-        np.tanh(z[..., 2 * H : 3 * H], out=a[..., 2 * H : 3 * H])
-        np.multiply(a[..., H : 2 * H], c[t], out=c[t + 1])
-        np.multiply(a[..., :H], a[..., 2 * H : 3 * H], out=ig)
-        c[t + 1] += ig
-        np.tanh(c[t + 1], out=tanh_c[t])
-        np.multiply(a[..., 3 * H :], tanh_c[t], out=h[t + 1])
+        g_t, c_t = g[t], c[t + 1]
+        np.tanh(z_g, out=g_t)
+        np.multiply(f[t], c[t], out=c_t)
+        np.multiply(i[t], g_t, out=ig)
+        c_t += ig
+        np.tanh(c_t, out=tanh_c[t])
+        np.multiply(o[t], tanh_c[t], out=h[t + 1])
     return {"inp": inp, "gates": gates, "c": c, "h": h, "tanh_c": tanh_c}
 
 
 def _forward(params, cfg, x, ws=None):
     """Run a stack of M models over a (M, B, T, D) batch.
 
-    Every tensor in ``params`` has a leading model axis of length M; an
-    input with a leading axis of 1 feeds the same batch to every model.
-    Returns the (M, B, T) outputs and the cache for ``_backward``, which
-    lives in ``ws`` (a fresh workspace when None) until its next pass.
+    Every tensor in ``params`` has a leading model axis of length M and is
+    in stored form (see ``_gate_signs``); an input with a leading axis of
+    1 feeds the same batch to every model.  Returns the (M, B, T) outputs
+    and the cache for ``_backward``, which lives in ``ws`` (a fresh
+    workspace when None) until its next pass.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 4:
@@ -217,8 +239,8 @@ def forward(params, cfg, features):
     """
     x = np.asarray(features, dtype=float)
     single = x.ndim == 2
-    y, _ = _forward({k: v[None] for k, v in params.items()}, cfg,
-                    x[None, None] if single else x[None])
+    _, stored = stack_params([params], cfg)
+    y, _ = _forward(stored, cfg, x[None, None] if single else x[None])
     return y[0, 0] if single else y[0]
 
 
@@ -231,35 +253,29 @@ def forward(params, cfg, features):
 _MAX_PRODUCT_MACS = 1 << 18
 
 
-def _row_products(a, b, out, ws):
+def _row_products(a, b, out, part):
     """Per model, the sum over rows n of outer(a[n], b[n]), written into ``out``.
 
-    (M, N, P) and (M, N, Q) give (M, P, Q), computed in blocks of rows.
+    (M, N, P) and (M, N, Q) give (M, P, Q), computed in blocks of rows;
+    ``part``, of the shape of ``out``, takes each block after the first.
     """
     rows = max(1, _MAX_PRODUCT_MACS // (a.shape[2] * b.shape[2]))
     np.matmul(a[:, :rows].transpose(0, 2, 1), b[:, :rows], out=out)
     for start in range(rows, a.shape[1], rows):
-        part = ws.get("part", out.shape)
         np.matmul(a[:, start : start + rows].transpose(0, 2, 1), b[:, start : start + rows],
                   out=part)
         out += part
-
-
-def _per_model(a, ws):
-    """(T, M, B, K) -> (M, T * B, K), rows ordered by (t, b) within each model."""
-    T, M, B, K = a.shape
-    out = ws.get("rows", (M, T, B, K))
-    np.copyto(out, a.transpose(1, 0, 2, 3))
-    return out.reshape(M, T * B, K)
 
 
 def _layer_backward(lc, params, layer, d_out, grads, ws):
     """Backprop through time for one layer, given d loss/d h of shape (T, M, B, H).
 
     Writes the layer's weight gradients into ``grads`` and returns
-    d loss/d input, or None for the first layer.  ``dz`` is kept
-    model-major so the weight gradients after the time loop need no copy
-    of it.
+    d loss/d input, or None for the first layer.  The gradients are those
+    of the stored form, so the sigmoid gates' columns come out negated.
+    ``dz`` is kept model-major so the weight gradients after the time loop
+    need no copy of it.  The pass consumes the cache: ``c``, ``tanh_c``
+    and ``gates`` are overwritten.
     """
     Wx, Wh = params[f"l{layer}.Wx"], params[f"l{layer}.Wh"]
     gates, c, h, tanh_c = lc["gates"], lc["c"], lc["h"], lc["tanh_c"]
@@ -267,45 +283,56 @@ def _layer_backward(lc, params, layer, d_out, grads, ws):
     i, f, g, o = (gates[..., k * H : (k + 1) * H] for k in range(4))
     # The parts of dz = [dc*g*i', dc*c_prev*f', dc*i*g', dh*tanh_c*o']
     # that do not depend on the gradients carried back through time, for
-    # all steps at once; sigmoid' = s*(1-s) and tanh' = 1-g**2.
-    factor = ws.get("factor", gates.shape)
-    tmp = ws.get("tmp", tanh_c.shape)
-
-    def sigmoid_slope(s):
-        return np.multiply(np.subtract(1.0, s, out=tmp), s, out=tmp)
-
-    np.multiply(g, sigmoid_slope(i), out=factor[..., :H])
-    np.multiply(c[:-1], sigmoid_slope(f), out=factor[..., H : 2 * H])
-    np.square(g, out=tmp)
-    np.multiply(i, np.subtract(1.0, tmp, out=tmp), out=factor[..., 2 * H : 3 * H])
-    np.multiply(tanh_c, sigmoid_slope(o), out=factor[..., 3 * H :])
-    factor4 = factor.reshape(T, M, B, 4, H)
-    dc_dh = ws.get("dc_dh", tanh_c.shape)
+    # all steps at once, written into dz and scaled in place in the time
+    # loop.  The stored form's sigmoid' is (s-1)*s, the exact negation of
+    # s*(1-s); it is taken over all columns at once, and g's are then
+    # overwritten with i*tanh' = i*(1-g**2).  c is dead once f's part is
+    # taken, so tanh' takes its buffer.
+    dz = ws.get("dz", (M, T, B, 4 * H))
+    dz_t = dz.transpose(1, 0, 2, 3)
+    np.subtract(gates, 1.0, out=dz_t)
+    dz_t *= gates
+    for k, other in ((0, g), (1, c[:-1]), (3, tanh_c)):
+        dz_t[..., k * H : (k + 1) * H] *= other
+    tanh_g = c[1:]
+    np.square(g, out=tanh_g)
+    np.subtract(1.0, tanh_g, out=tanh_g)
+    np.multiply(tanh_g, i, out=dz_t[..., 2 * H : 3 * H])
+    dc_dh = tanh_c
     np.square(tanh_c, out=dc_dh)
     np.subtract(1.0, dc_dh, out=dc_dh)
     dc_dh *= o
-    dz = ws.get("dz", (M, T, B, 4 * H))
-    dz4 = dz.reshape(M, T, B, 4, H)
     Wh_T = Wh.transpose(0, 2, 1)
     dh, dc, dh_next, dc_next = (ws.get(n, (M, B, H)) for n in ("dh", "dc", "dh+", "dc+"))
     dh_next[...] = 0.0
     dc_next[...] = 0.0
+    # Time-major views of dz, so each step indexes them once.
+    dz_ifg = dz.reshape(M, T, B, 4, H).transpose(1, 0, 2, 3, 4)[..., :3, :]
+    dz_o = dz_t[..., 3 * H :]
+    dc_ifg = dc[:, :, None, :]
     for t in range(T - 1, -1, -1):
         np.add(d_out[t], dh_next, out=dh)
         np.multiply(dh, dc_dh[t], out=dc)
         dc += dc_next
-        np.multiply(dc[:, :, None, :], factor4[t, :, :, :3], out=dz4[:, t, :, :3])
-        np.multiply(dh, factor4[t, :, :, 3], out=dz4[:, t, :, 3])
+        dz_ifg[t] *= dc_ifg
+        dz_o[t] *= dh
         np.multiply(dc, f[t], out=dc_next)
-        np.matmul(dz[:, t], Wh_T, out=dh_next)
+        np.matmul(dz_t[t], Wh_T, out=dh_next)
     d_in = None
     if layer > 0:
         d_in = ws.get("d_in", (M, T, B, Wx.shape[1]))
         np.matmul(dz, Wx.transpose(0, 2, 1)[:, None], out=d_in)
         d_in = d_in.transpose(1, 0, 2, 3)
+    # The weight gradients sum over (t, b) rows within each model.  The
+    # layer's gates and dc_dh are dead now, so the model-major copy of each
+    # input and the product blocks borrow their buffers.
     dz = dz.reshape(M, T * B, 4 * H)
-    _row_products(_per_model(lc["inp"], ws), dz, grads[f"l{layer}.Wx"], ws)
-    _row_products(_per_model(h[:-1], ws), dz, grads[f"l{layer}.Wh"], ws)
+    name = f"l{layer}."
+    for a, key in ((lc["inp"], "Wx"), (h[:-1], "Wh")):
+        rows = ws.get(name + "tanh_c", (M, T, B, a.shape[3]))
+        np.copyto(rows, a.transpose(1, 0, 2, 3))
+        out = grads[f"l{layer}.{key}"]
+        _row_products(rows.reshape(M, T * B, -1), dz, out, ws.get(name + "gates", out.shape))
     grads[f"l{layer}.b"][...] = dz.sum(axis=1)
     return d_in
 
@@ -314,16 +341,22 @@ def _backward(params, cfg, cache, dy, grads):
     """Per-model gradients of a summed loss, given d loss/d y of shape (M, B, T).
 
     They are written into ``grads``, named views of a (M, P) buffer as
-    ``_views`` gives them.
+    ``_views`` gives them, in stored form like ``params``.
     """
     ws = cache["ws"]
     y = cache["y"]
     ds = np.asarray(dy).transpose(2, 0, 1) * (1.0 - y**2)
     top = cache["layers"][-1]["h"][1:]
-    # The head-weight product is summed before d_out takes its buffer.
-    d_out = ws.get("d_out", top.shape)
+    # The head-weight product is summed before d_out takes its buffer.  The
+    # top layer reads d_out only in its time loop, so the d loss/d input
+    # it writes after it can share the buffer.
+    d_out = ws.get("d_in", top.shape)
     grads["head.w"][...] = np.multiply(ds[..., None], top, out=d_out).sum(axis=(0, 2))
-    grads["head.b"][...] = ds.sum(axis=(0, 2))[:, None]
+    # Summed over b within each step, then step by step: a plain sum over
+    # both axes would add a one-model stack's (T, 1, B) block in another
+    # order than a larger stack's, and a model would not end where it
+    # ends trained beside others.
+    grads["head.b"][...] = np.cumsum(ds.sum(axis=2), axis=0)[-1][:, None]
     np.multiply(ds[..., None], params["head.w"][:, None, :], out=d_out)
     for layer in range(cfg.num_layers - 1, -1, -1):
         d_out = _layer_backward(cache["layers"][layer], params, layer, d_out, grads, ws)
@@ -374,19 +407,20 @@ class Adam:
         self.t = np.zeros(len(params), dtype=int)
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
-        self._work = np.empty((2,) + params.shape)
 
-    def step(self, params, grads, models=None):
+    def step(self, params, grads, models=None, scratch=None):
         """Update the rows ``models`` of ``params`` (all when None).
 
-        ``grads`` holds the gradient rows of just those models, in that order.
+        ``grads`` holds the gradient rows of just those models, in that
+        order.  ``scratch`` is two buffers of the shape of ``grads`` that
+        the step may overwrite; fresh ones are allocated when None.
         """
         sel = slice(None) if models is None else _as_rows(models)
         self.t[sel] += 1
         b1t = (1.0 - self.beta1 ** self.t[sel])[:, None]
         b2t = (1.0 - self.beta2 ** self.t[sel])[:, None]
         m, v, w = self.m[sel], self.v[sel], params[sel]
-        update, denom = self._work[:, : len(grads)]
+        update, denom = np.empty((2,) + grads.shape) if scratch is None else scratch
         m *= self.beta1
         np.multiply(grads, 1.0 - self.beta1, out=update)
         m += update
@@ -477,29 +511,39 @@ class _SegmentPool:
         return self.X[length][rows], self.Y[length][rows]
 
 
-def _validation_batches(features, targets_scaled):
-    """(sequence indices, X of shape (1, B, T, D), Y of shape (M, B, T)) per length.
+def _validation_groups(features, targets_scaled):
+    """Every model's validation sequences, batched per length and stacked by shape.
 
-    ``targets_scaled[m]`` holds model m's scaled validation targets.
+    ``features[m]`` and ``targets_scaled[m]`` hold model m's sequences and
+    scaled targets.  Returns (models, sequence indices per model, X of
+    shape (M, B, T, D), Y of shape (M, B, T)) per batch shape.
     """
-    by_length = {}
-    for s, X in enumerate(features):
-        by_length.setdefault(len(X), []).append(s)
+    groups = {}
+    for m, (feats, targets) in enumerate(zip(features, targets_scaled)):
+        by_length = {}
+        for s, X in enumerate(feats):
+            by_length.setdefault(len(X), []).append(s)
+        for seqs in by_length.values():
+            X = np.stack([np.asarray(feats[s], dtype=float) for s in seqs])
+            groups.setdefault(X.shape, []).append((m, seqs, X, [targets[s] for s in seqs]))
     return [
-        (seqs,
-         np.stack([np.asarray(features[s], dtype=float) for s in seqs])[None],
-         np.array([[targets[s] for s in seqs] for targets in targets_scaled]))
-        for seqs in by_length.values()
+        ([m for m, _, _, _ in group], [seqs for _, seqs, _, _ in group],
+         np.stack([X for _, _, X, _ in group]), np.array([Y for _, _, _, Y in group]))
+        for group in groups.values()
     ]
 
 
-def _validation_loss(params, cfg, batches, ws):
-    """Mean CCC loss over the validation sequences, one value per model."""
-    losses = np.empty((len(params["head.b"]), sum(len(seqs) for seqs, _, _ in batches)))
-    for seqs, X, Y in batches:
-        pred, _ = _forward(params, cfg, X, ws)
-        losses[:, seqs], _ = ccc_loss_grad(pred, Y)
-    return losses.mean(axis=1)
+def _validation_loss(flat, cfg, groups, ws):
+    """Mean CCC loss over each model's validation sequences, one value per model."""
+    counts = np.zeros(len(flat), dtype=int)
+    for members, seqs, _, _ in groups:
+        counts[members] += [len(s) for s in seqs]
+    losses = [np.empty(n) for n in counts]
+    for members, seqs, X, Y in groups:
+        pred, _ = _forward(_views(flat[_as_rows(members)], cfg), cfg, X, ws)
+        for m, s, loss in zip(members, seqs, ccc_loss_grad(pred, Y)[0]):
+            losses[m][s] = loss
+    return np.array([row.mean() for row in losses])
 
 
 def _train_step(flat, opt, cfg, members, X, Y, ws):
@@ -519,10 +563,11 @@ def _train_step(flat, opt, cfg, members, X, Y, ws):
         grads = ws.get("grads", (len(members), flat.shape[1]))
         _backward(params, cfg, cache, grad / np.maximum(counted, 1)[:, None, None],
                   _views(grads, cfg))
-        if active.all():
-            opt.step(flat, grads, members)
-        else:
-            opt.step(flat, grads[active], np.asarray(members)[active])
+        if not active.all():
+            grads, members = grads[active], np.asarray(members)[active]
+        # The backward pass is done with dz and the first layer's gates, so
+        # Adam's scratch rows borrow their buffers.
+        opt.step(flat, grads, members, [ws.get(n, grads.shape) for n in ("dz", "l0.gates")])
     return loss.sum(axis=1), counted
 
 
@@ -534,45 +579,48 @@ def train_stack(
     val_features,
     val_targets,
 ) -> list[TrainedModel]:
-    """Fit one model per target channel on shared features, as one stack.
+    """Fit one model per (data, target) pair, as one stack.
 
-    ``targets[m]`` and ``val_targets[m]`` are lists of per-sequence arrays
-    for model m, whose config (and seed) is ``model_cfgs[m]``; the configs
-    must agree on everything but the seed.  Each model's targets are
-    scaled into [-margin, margin] from its training-split range, and the
-    scaling travels with the returned model.  Each model keeps the epoch
-    with its best validation loss.  At every batch index the models are
-    grouped by batch shape and each group takes one stacked step; a model
-    without a batch there, or whose batch rows are all degenerate, takes
-    no optimizer step.  Deterministic given (seeds, data, config).
+    ``features[m]``, ``targets[m]``, ``val_features[m]`` and
+    ``val_targets[m]`` are lists of per-sequence arrays for model m, whose
+    config (and seed) is ``model_cfgs[m]``; the configs must agree on
+    everything but the seed.  Each model's targets are scaled into
+    [-margin, margin] from its training-split range, and the scaling
+    travels with the returned model.  Each model keeps the epoch with its
+    best validation loss.  At every batch index, and for validation, the
+    models are grouped by batch shape and each group takes one stacked
+    pass; a model without a batch there, or whose batch rows are all
+    degenerate, takes no optimizer step.  Deterministic given (seeds,
+    data, config).
     """
-    if not features or not val_features:
-        raise TrainingError("empty training or validation set")
     n_models = len(model_cfgs)
-    if not n_models or len(targets) != n_models or len(val_targets) != n_models:
-        raise ValueError("need one target list and one validation list per model")
+    if not n_models or any(len(a) != n_models
+                           for a in (features, targets, val_features, val_targets)):
+        raise ValueError("need one feature, target and validation list per model")
+    if not all(features) or not all(val_features):
+        raise TrainingError("empty training or validation set")
     cfg = model_cfgs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in model_cfgs):
         raise ValueError("stacked models must agree on everything but the seed")
     scalings, pools = [], []
-    for t in targets:
+    for feats, t in zip(features, targets):
         scaling = TargetScaling.fit(
             np.concatenate([np.asarray(v, dtype=float) for v in t]),
             margin=train_cfg.target_margin,
         )
         scalings.append(scaling)
-        pools.append(_SegmentPool(features, [scaling.apply(v) for v in t],
+        pools.append(_SegmentPool(feats, [scaling.apply(v) for v in t],
                                   train_cfg.segment_length))
-    val_batches = _validation_batches(
+    val_groups = _validation_groups(
         val_features, [[s.apply(v) for v in t] for s, t in zip(scalings, val_targets)]
     )
     skipped = np.array([p.skipped_static for p in pools])
     sizes = np.array([p.size for p in pools])
 
-    flat, params = stack_params([init_params(c) for c in model_cfgs], cfg)
+    flat, _ = stack_params([init_params(c) for c in model_cfgs], cfg)
     ws = _Workspace()
     best_flat = flat.copy()
-    best_loss = _validation_loss(params, cfg, val_batches, ws)
+    best_loss = _validation_loss(flat, cfg, val_groups, ws)
     best_epoch = np.zeros(n_models, dtype=int)
     train_curve, val_curve = [], [best_loss.copy()]
 
@@ -594,7 +642,7 @@ def train_stack(
                 loss, counted = _train_step(flat, opt, cfg, members, X, Y, ws)
                 total[members] += loss
                 skipped[members] += Y.shape[1] - counted
-        val_loss = _validation_loss(params, cfg, val_batches, ws)
+        val_loss = _validation_loss(flat, cfg, val_groups, ws)
         for m in np.flatnonzero(val_loss < best_loss):
             best_loss[m] = val_loss[m]
             best_epoch[m] = epoch
@@ -602,10 +650,13 @@ def train_stack(
         train_curve.append(total / sizes)
         val_curve.append(val_loss)
 
+    # Each model's parameters are views of its row of best_flat, flipped
+    # out of stored form in place.
+    best_flat *= _gate_signs(cfg)
     best_params = _views(best_flat, cfg)
     return [
         TrainedModel(
-            params={k: v[m].copy() for k, v in best_params.items()},
+            params={k: v[m] for k, v in best_params.items()},
             config=model_cfgs[m],
             scaling=scalings[m],
             best_epoch=int(best_epoch[m]),
@@ -627,7 +678,7 @@ def train(
 ) -> TrainedModel:
     """Fit one target channel: ``train_stack`` with a single model."""
     return train_stack(
-        features, [targets], [model_cfg], train_cfg, val_features, [val_targets]
+        [features], [targets], [model_cfg], train_cfg, [val_features], [val_targets]
     )[0]
 
 
@@ -645,9 +696,10 @@ def gradient_check(
 
     Runs one CCC-loss backward pass through a stack of tiny models, one
     per seed (``seed`` is an int or a sequence of ints), each on its own
-    random sequence, and perturbs every parameter entry of every model.
-    ``zero_feature`` blanks a feature column so the corresponding input
-    weights receive zero gradient.
+    random sequence, and perturbs every parameter entry of every model,
+    in stored form: negation is exact, so the error is the one the
+    un-negated parameters give.  ``zero_feature`` blanks a feature column
+    so the corresponding input weights receive zero gradient.
     """
     seeds = [seed] if np.isscalar(seed) else list(seed)
     cfgs = [ModelConfig(input_dim=input_dim, hidden_dim=hidden_dim, seed=s) for s in seeds]

@@ -26,6 +26,7 @@ from .data_io import (
     TrainConfig,
     _atomic_write,
     dataset_hash,
+    make_output_dir,
     make_splits,
     parse_section,
     prepare_item,
@@ -119,8 +120,9 @@ def run_synth(cfg: SynthConfig, out_dir, extra=None):
         seed=cfg.seed,
         base_dir=out_dir,
     )
+    make_output_dir(out_dir)
     for sub in ("traces", "features", "latents"):
-        os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
+        make_output_dir(os.path.join(out_dir, sub))
     for item, entry in zip(items, entries):
         data_io.write_trace_table(manifest.resolve(entry.trace_file), item.trace_set.traces)
         data_io.write_feature_table(manifest.resolve(entry.feature_file), item.features)
@@ -151,7 +153,7 @@ def run_represent(manifest: ExperimentManifest, tag, out_dir):
     if tag != TAG_INTERVAL:
         for item, trace_set in zip(manifest.dataset.items, prepared):
             _require_two_windows(manifest, item, trace_set, f"represent --tag {tag}")
-    os.makedirs(out_dir, exist_ok=True)
+    make_output_dir(out_dir)
     family = manifest.representation.get("family", "gaussian")
     radius = manifest.representation.get("neighbor_radius", 1)
     source = dataset_hash(manifest)
@@ -198,39 +200,61 @@ def _item_data(manifest, tag):
     return data
 
 
+def _fold_stacks(n_folds, jobs):
+    """The folds trained as one stack each, in fold order.
+
+    Folds 2k and 2k+1 share a stack, which pays the per-pass overhead once
+    for both; pairs are formed only while at least ``jobs`` stacks remain,
+    so every worker of a pool has one.
+    """
+    pairs = min(n_folds // 2, max(0, n_folds - jobs))
+    return [[2 * k, 2 * k + 1] for k in range(pairs)] + [[k] for k in range(2 * pairs, n_folds)]
+
+
 def _train_fold(args):
-    """Train every target of one fold as one stack, then evaluate each model."""
+    """Train every target of a stack's folds as one stack, then evaluate each model.
+
+    Returns (fold record, models by target) per fold, in fold order.
+    """
     # Imported here, as in run_train_eval: no other command loads the model.
     from .model import predict, train_stack
 
-    (fold_idx, train_ids, val_ids, data, targets, model_doc, train_doc) = args
+    (folds, data, targets, model_doc, train_doc) = args
     input_dim = next(iter(data.values()))["features"].shape[1]
-    cfgs = [
-        ModelConfig(input_dim=input_dim,
-                    **dict(model_doc, seed=model_doc["seed"] + 97 * fold_idx + t_idx))
-        for t_idx in range(len(targets))
-    ]
+    # One model per (fold, target), fold by fold.
+    runs = [(fold_idx, train_ids, val_ids, t_idx)
+            for fold_idx, train_ids, val_ids in folds for t_idx in range(len(targets))]
+
+    def column(ids, key):
+        return [data[i][key] for i in ids]
+
     models = train_stack(
-        [data[i]["features"] for i in train_ids],
-        [[data[i][target] for i in train_ids] for target in targets],
-        cfgs,
+        [column(train_ids, "features") for _, train_ids, _, _ in runs],
+        [column(train_ids, targets[t_idx]) for _, train_ids, _, t_idx in runs],
+        [ModelConfig(input_dim=input_dim,
+                     **dict(model_doc, seed=model_doc["seed"] + 97 * fold_idx + t_idx))
+         for fold_idx, _, _, t_idx in runs],
         TrainConfig(**train_doc),
-        [data[i]["features"] for i in val_ids],
-        [[data[i][target] for i in val_ids] for target in targets],
+        [column(val_ids, "features") for _, _, val_ids, _ in runs],
+        [column(val_ids, targets[t_idx]) for _, _, val_ids, t_idx in runs],
     )
-    fold = {"fold": fold_idx, "val_items": list(val_ids), "best_epoch": {}, "metrics": {},
-            "loss_curve": {}}
-    for target, model in zip(targets, models):
-        fold["best_epoch"][target] = model.best_epoch
-        fold["loss_curve"][target] = {"train": model.train_loss, "val": model.val_loss}
-        ccc_vals, sda_vals = [], []
-        for i in val_ids:
-            pred = predict(model, data[i]["features"])
-            ccc_vals.append(metrics.ccc(pred, data[i][target]))
-            sda_vals.append(metrics.sda(pred, data[i][target]))
-        fold["metrics"][f"ccc_{target}"] = float(np.mean(ccc_vals))
-        fold["metrics"][f"sda_{target}"] = float(np.mean(sda_vals))
-    return fold, dict(zip(targets, models))
+    results = []
+    for k, (fold_idx, _, val_ids) in enumerate(folds):
+        fold = {"fold": fold_idx, "val_items": list(val_ids), "best_epoch": {}, "metrics": {},
+                "loss_curve": {}}
+        fold_models = models[k * len(targets) : (k + 1) * len(targets)]
+        for target, model in zip(targets, fold_models):
+            fold["best_epoch"][target] = model.best_epoch
+            fold["loss_curve"][target] = {"train": model.train_loss, "val": model.val_loss}
+            ccc_vals, sda_vals = [], []
+            for i in val_ids:
+                pred = predict(model, data[i]["features"])
+                ccc_vals.append(metrics.ccc(pred, data[i][target]))
+                sda_vals.append(metrics.sda(pred, data[i][target]))
+            fold["metrics"][f"ccc_{target}"] = float(np.mean(ccc_vals))
+            fold["metrics"][f"sda_{target}"] = float(np.mean(sda_vals))
+        results.append((fold, dict(zip(targets, fold_models))))
+    return results
 
 
 def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs=1,
@@ -247,7 +271,7 @@ def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs=1,
             raise ValueError(f"unknown target {target!r}")
     # Inputs are read and fitted before the output directory exists.
     data = _item_data(manifest, tag)
-    os.makedirs(out_dir, exist_ok=True)
+    make_output_dir(out_dir)
     base_seed = seed if seed is not None else manifest.seed
     folds = make_splits(
         [(it.item_id, it.group) for it in manifest.dataset.items], manifest.split
@@ -259,40 +283,43 @@ def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs=1,
         model_doc.setdefault("seed", base_seed)
     train_doc = dict(manifest.train)
     job_args = [
-        (idx, train_ids, val_ids, data, tuple(targets), model_doc, train_doc)
-        for idx, (train_ids, val_ids) in enumerate(folds)
+        ([(idx, *folds[idx]) for idx in stack], data, tuple(targets), model_doc, train_doc)
+        for stack in _fold_stacks(len(folds), jobs)
     ]
 
     # Imported here: the LSTM module costs every other command start-up time.
     from .model import save_checkpoint
 
-    # Fold files are written as each fold completes so a failure keeps
+    # Fold files are written as each stack completes so a failure keeps
     # the finished folds on disk.
     fold_records = []
 
-    def _record(fold, models):
-        # The loss curves stay in the fold files; the summary keeps the rest.
-        fold_records.append({k: v for k, v in fold.items() if k != "loss_curve"})
-        _atomic_write(os.path.join(out_dir, f"fold_{fold['fold']:02d}.json"),
-                      json.dumps(fold, indent=2, sort_keys=True) + "\n")
-        for target, model in models.items():
-            save_checkpoint(
-                model, os.path.join(out_dir, f"fold_{fold['fold']:02d}_{target}.ckpt")
-            )
+    def _record(results):
+        # Called once per stack, so no loop variable keeps a finished
+        # stack's models alive while the next one trains.
+        for fold, models in results:
+            # The loss curves stay in the fold files; the summary keeps the rest.
+            fold_records.append({k: v for k, v in fold.items() if k != "loss_curve"})
+            _atomic_write(os.path.join(out_dir, f"fold_{fold['fold']:02d}.json"),
+                          json.dumps(fold, indent=2, sort_keys=True) + "\n")
+            for target, model in models.items():
+                save_checkpoint(
+                    model, os.path.join(out_dir, f"fold_{fold['fold']:02d}_{target}.ckpt")
+                )
 
     # A pool starts all its workers at once, so it gets no more than there
-    # are folds.
+    # are stacks.
     jobs = min(jobs, len(job_args))
     if jobs > 1:
         # Imported here: multiprocessing costs every other command start-up time.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for fold, models in pool.map(_train_fold, job_args):
-                _record(fold, models)
+            for results in pool.map(_train_fold, job_args):
+                _record(results)
     else:
         for args in job_args:
-            _record(*_train_fold(args))
+            _record(_train_fold(args))
 
     keys = [f"{metric}_{t}" for t in targets for metric in ("ccc", "sda")]
     mean = {k: float(np.mean([f["metrics"][k] for f in fold_records])) for k in keys}

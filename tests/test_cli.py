@@ -316,6 +316,73 @@ class TestTrainEval:
             assert (tmp_path / "serial" / name).read_bytes() == \
                 (tmp_path / "par" / name).read_bytes()
 
+    @pytest.mark.parametrize("jobs, stacks", [
+        (1, [[0, 1], [2]]),
+        (2, [[0, 1], [2]]),
+        (3, [[0], [1], [2]]),
+    ])
+    def test_fold_pairs_leave_a_stack_per_worker(self, workspace, tmp_path, monkeypatch,
+                                                 jobs, stacks):
+        workers, trained = [], []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+            def map(self, fn, *iterables, **kwargs):
+                job_args = list(iterables[0])
+                trained.extend([fold[0] for fold in args[0]] for args in job_args)
+                return super().map(fn, job_args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        args = ["train-eval", "--manifest", workspace / "data" / "manifest.json",
+                "--tag", "I", "--target", "mu"]
+        assert run_cli(args + ["--out", tmp_path / "serial"]).exit_code == 0
+        assert run_cli(args + ["--out", tmp_path / "par", "--jobs", jobs]).exit_code == 0
+        # A serial run pairs every fold it can and starts no pool.
+        assert (workers, trained) == (([jobs], stacks) if jobs > 1 else ([], []))
+        names = sorted(os.listdir(tmp_path / "serial"))
+        assert names == sorted(os.listdir(tmp_path / "par"))
+        for name in names:
+            assert (tmp_path / "serial" / name).read_bytes() == \
+                (tmp_path / "par" / name).read_bytes()
+
+    @pytest.mark.parametrize("folds, jobs, stacks", [
+        (1, 1, [[0]]),
+        (10, 1, [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]),
+        (10, 5, [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]),
+        (10, 7, [[0, 1], [2, 3], [4, 5], [6], [7], [8], [9]]),
+        (10, 16, [[k] for k in range(10)]),
+        (3, 1, [[0, 1], [2]]),
+        (3, 2, [[0, 1], [2]]),
+        (3, 3, [[0], [1], [2]]),
+        (3, 5, [[0], [1], [2]]),
+    ])
+    def test_fold_stacks(self, folds, jobs, stacks):
+        assert pipeline._fold_stacks(folds, jobs) == stacks
+
+    def test_outputs_do_not_depend_on_blas_threads(self, workspace, tmp_path):
+        # The train_eval benchmark's model size, so products reach their full size.
+        manifest = write_variant_manifest(workspace, "hidden32", "model", "hidden_dim", 32)
+        for threads in ("1", "2"):
+            args = ["train-eval", "--manifest", str(manifest), "--tag", "O_I",
+                    "--out", str(tmp_path / threads)]
+            code = f"from ambitrace.cli import main\nmain({args!r})\n"
+            result = run_fresh(code, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+            assert result.returncode == 0, result.stderr
+        names = sorted(os.listdir(tmp_path / "1"))
+        assert "fold_00_mu.ckpt" in names and names == sorted(os.listdir(tmp_path / "2"))
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_negative_seed_exits_2_before_any_output(self, workspace, tmp_path):
+        result = run_cli(["train-eval", "--manifest", workspace / "data" / "manifest.json",
+                          "--tag", "I", "--seed", "-1", "--out", tmp_path / "run"])
+        assert result.exit_code == 2, result.output
+        assert "'--seed'" in result.output
+        assert not (tmp_path / "run").exists()
+
     def test_fold_files_carry_loss_curves(self, workspace, tmp_path):
         result = run_cli(["train-eval", "--manifest", workspace / "data" / "manifest.json",
                           "--tag", "I", "--out", tmp_path / "run"])
@@ -637,6 +704,40 @@ SUMMARY_KEYS = {
     ("split",): ["mode", "k"],
     ("folds", 0): ["fold", "metrics"],
 }
+
+
+class TestOutputDir:
+    """An ``--out`` that is a file, or lies under one, exits 2 and creates nothing."""
+
+    @pytest.mark.parametrize("command", ["synth", "represent", "train-eval", "report"])
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_file_in_the_way_exits_2(self, workspace, runs, tmp_path, command, nested):
+        blocker = tmp_path / "afile"
+        blocker.write_text("keep\n")
+        out = blocker / "sub" if nested else blocker
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(FAST_SYNTH))
+        manifest = workspace / "data" / "manifest.json"
+        args = {"synth": ["synth", "--config", cfg],
+                "represent": ["represent", "--manifest", manifest, "--tag", "I"],
+                "train-eval": ["train-eval", "--manifest", manifest, "--tag", "I",
+                               "--target", "mu"],
+                "report": ["report", runs / "I"]}[command]
+        result = run_cli(args + ["--out", out])
+        assert result.exit_code == 2, result.output
+        expected = "a parent is not a directory" if nested else "exists and is not a directory"
+        assert f"error: output directory {out}: {expected}" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "synth.json"]
+        assert blocker.read_text() == "keep\n"
+
+    def test_synth_names_a_blocked_subdirectory(self, tmp_path):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(FAST_SYNTH))
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "traces").write_text("")
+        result = run_cli(["synth", "--config", cfg, "--out", tmp_path / "out"])
+        assert result.exit_code == 2, result.output
+        assert f"error: output directory {tmp_path / 'out' / 'traces'}: exists" in result.output
 
 
 @st.composite

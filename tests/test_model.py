@@ -371,8 +371,10 @@ class TestStackedPasses:
         dy = rng.normal(size=(n_models, 4, 7))
         flat, params = stack_params(per_model, cfgs[0])
         y, cache = stacked._forward(params, cfgs[0], x)
-        grads = stacked._backward(params, cfgs[0], cache, dy,
-                                  stacked._views(np.empty_like(flat), cfgs[0]))
+        stored = np.empty_like(flat)
+        stacked._backward(params, cfgs[0], cache, dy, stacked._views(stored, cfgs[0]))
+        # The stack's gradients are those of its stored form; map them back.
+        grads = stacked._views(stored * stacked._gate_signs(cfgs[0]), cfgs[0])
         for m, p in enumerate(per_model):
             y_ref, cache_ref = _forward(p, cfgs[m], x[0 if shared_input else m])
             assert_close_to_reference(y[m], y_ref)
@@ -460,8 +462,8 @@ class TestStackTraining:
     def test_stack_matches_training_alone(self):
         feats, mu, sigma = two_target_task()
         cfgs = [ModelConfig(input_dim=3, hidden_dim=5, seed=s) for s in (4, 9)]
-        together = train_stack(feats[:6], [mu[:6], sigma[:6]], cfgs, self.TC,
-                               feats[6:], [mu[6:], sigma[6:]])
+        together = train_stack([feats[:6]] * 2, [mu[:6], sigma[:6]], cfgs, self.TC,
+                               [feats[6:]] * 2, [mu[6:], sigma[6:]])
         for target, cfg, model in zip((mu, sigma), cfgs, together):
             alone = train(feats[:6], target[:6], cfg, self.TC, feats[6:], target[6:])
             assert model.best_epoch == alone.best_epoch
@@ -473,11 +475,48 @@ class TestStackTraining:
         # the constant segment leaves sigma with one segment fewer per epoch
         assert together[1].skipped_segments == together[0].skipped_segments + 1
 
+    def test_two_folds_in_one_stack_end_as_each_fold_alone(self):
+        feats, mu, sigma = two_target_task()
+        # Fold a trains on 6 sequences and validates on 2; fold b trains on
+        # 5 and validates on 3, one of them cut to 9 steps.  Their batches
+        # and validation batches differ in shape, so the stack splits into
+        # groups of one, two and four models.
+        val_b = [feats[0], feats[1], feats[2][:9]]
+        folds = [
+            (feats[:6], [mu[:6], sigma[:6]], feats[6:], [mu[6:], sigma[6:]]),
+            (feats[3:], [mu[3:], sigma[3:]], val_b,
+             [[mu[0], mu[1], mu[2][:9]], [sigma[0], sigma[1], sigma[2][:9]]]),
+        ]
+        cfgs = [ModelConfig(input_dim=3, hidden_dim=5, seed=s) for s in (4, 9, 5, 10)]
+        together = train_stack(
+            [f for f, _, _, _ in folds for _ in range(2)], [t for _, ts, _, _ in folds for t in ts],
+            cfgs, self.TC,
+            [v for _, _, v, _ in folds for _ in range(2)], [t for _, _, _, ts in folds for t in ts])
+        alone = [model for k, (f, ts, v, vts) in enumerate(folds)
+                 for model in train_stack([f] * 2, ts, cfgs[2 * k : 2 * k + 2], self.TC,
+                                          [v] * 2, vts)]
+        for model, ref in zip(together, alone, strict=True):
+            np.testing.assert_array_equal(model.best_epoch, ref.best_epoch)
+            np.testing.assert_array_equal(model.skipped_segments, ref.skipped_segments)
+            np.testing.assert_array_equal(model.train_loss, ref.train_loss)
+            np.testing.assert_array_equal(model.val_loss, ref.val_loss)
+            for key, value in ref.params.items():
+                np.testing.assert_array_equal(model.params[key], value)
+        # fold a holds sigma's constant segment, and fold b validates on it
+        assert [m.skipped_segments > 0 for m in together] == [False, True, False, False]
+        # Each model's validation loss is the mean over its own fold's sequences.
+        for k, model in enumerate(together):
+            _, _, val, val_targets = folds[k // 2]
+            losses = [ccc_loss_grad(forward(model.params, model.config, x),
+                                    model.scaling.apply(y))[0]
+                      for x, y in zip(val, val_targets[k % 2])]
+            assert model.val_loss[model.best_epoch] == pytest.approx(np.mean(losses), rel=1e-12)
+
     def test_best_epoch_is_first_minimum_of_val_curve(self):
         feats, mu, sigma = two_target_task()
         cfgs = [ModelConfig(input_dim=3, hidden_dim=5, seed=s) for s in (1, 2)]
-        for model in train_stack(feats[:6], [mu[:6], sigma[:6]], cfgs, self.TC,
-                                 feats[6:], [mu[6:], sigma[6:]]):
+        for model in train_stack([feats[:6]] * 2, [mu[:6], sigma[:6]], cfgs, self.TC,
+                                 [feats[6:]] * 2, [mu[6:], sigma[6:]]):
             assert len(model.val_loss) == len(model.train_loss) == self.TC.max_epochs + 1
             assert model.train_loss[0] is None
             assert all(np.isfinite(model.train_loss[1:]))
@@ -487,8 +526,8 @@ class TestStackTraining:
         feats, mu, sigma = two_target_task()
         cfgs = [ModelConfig(input_dim=3, hidden_dim=5), ModelConfig(input_dim=3, hidden_dim=6)]
         with pytest.raises(ValueError):
-            train_stack(feats[:6], [mu[:6], sigma[:6]], cfgs, self.TC,
-                        feats[6:], [mu[6:], sigma[6:]])
+            train_stack([feats[:6]] * 2, [mu[:6], sigma[:6]], cfgs, self.TC,
+                        [feats[6:]] * 2, [mu[6:], sigma[6:]])
 
 
 class TestWorkspace:
@@ -505,8 +544,8 @@ class TestWorkspace:
         for seeds, tc in self.RUNS:
             cfgs = [ModelConfig(input_dim=3, hidden_dim=5, seed=s) for s in seeds]
             chosen = targets[: len(seeds)]
-            models = train_stack(feats[:6], [t[:6] for t in chosen], cfgs, tc,
-                                 feats[6:], [t[6:] for t in chosen])
+            models = train_stack([feats[:6]] * len(chosen), [t[:6] for t in chosen], cfgs, tc,
+                                 [feats[6:]] * len(chosen), [t[6:] for t in chosen])
             results.append((models, [predict(m, feats[7]) for m in models]))
         return results
 
@@ -556,6 +595,27 @@ class TestWorkspace:
             tracemalloc.stop()
         # One (T, M, B, 4H) gate block alone is 311 KB at this shape.
         assert peak < 600 * 1024
+
+
+    def test_persistent_bytes_per_model(self):
+        # The train_eval benchmark's shape: batches of 8 segments of 19 steps
+        # and 3 validation sequences, two folds of two targets per stack.
+        cfg = ModelConfig(input_dim=8, hidden_dim=32)
+        n = 4
+        flat, _ = stack_params([init_params(replace(cfg, seed=s)) for s in range(n)], cfg)
+        opt = Adam(flat, learning_rate=1e-3, weight_decay=1e-4)
+        ws = stacked._Workspace()
+        rng = np.random.default_rng(0)
+        X, Y = rng.normal(size=(n, 8, 19, 8)), rng.normal(size=(n, 8, 19))
+        stacked._train_step(flat, opt, cfg, list(range(n)), X, Y, ws)
+        val = stacked._validation_groups([list(rng.normal(size=(3, 19, 8)))] * n,
+                                         [list(rng.normal(size=(3, 19)))] * n)
+        stacked._validation_loss(flat, cfg, val, ws)
+        workspace = sum(buf.nbytes for buf in ws._buffers.values())
+        # flat and best_flat, then Adam's own arrays
+        rows = 2 * flat.nbytes + sum(a.nbytes for a in vars(opt).values()
+                                     if isinstance(a, np.ndarray))
+        assert (workspace + rows) / n <= 1.45 * 2**20
 
 
 class TestCheckpointFormat:
