@@ -10,9 +10,7 @@ __version__ = "0.1.0"
 
 # Each public name and the submodule that defines it.
 _EXPORTS = {
-    "AnnotationTrace": "traces",
     "TraceSet": "traces",
-    "align": "traces",
     "central_difference": "traces",
     "shift_delay": "traces",
     "window_aggregate": "traces",
@@ -24,7 +22,6 @@ _EXPORTS = {
     "individual_ordinal": "representations",
     "group_ordinal": "representations",
     "ccc": "metrics",
-    "ccc_loss": "metrics",
     "sda": "metrics",
 }
 

@@ -22,14 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .traces import (
-    AnnotationTrace,
-    TraceSet,
-    _ratio_as_int,
-    align,
-    shift_delay,
-    window_aggregate,
-)
+from .traces import TraceSet, _ratio_as_int, shift_delay, window_aggregate
 
 FORMAT_VERSION = 1
 TIME_TOLERANCE = 1e-9  # relative tolerance for uniform time steps
@@ -224,22 +217,20 @@ def _read_lines(path, lines):
 # --- trace tables -----------------------------------------------------------
 
 
-def write_trace_table(path, traces):
-    """Columnar text: time_s plus one column per annotator."""
-    period = traces[0].sample_period
-    n = len(traces[0])
-    for tr in traces:
-        if len(tr) != n or tr.sample_period != period:
-            raise DataError("traces must share length and sample period")
-    if len({tr.annotator_id for tr in traces}) != len(traces):
+def write_trace_table(path, annotators, matrix, period):
+    """Columnar text: time_s plus one column per annotator, a row of ``matrix`` each."""
+    if len(set(annotators)) != len(annotators):
         raise DataError("annotator ids must be unique")
-    columns = {"time_s": np.arange(n) * period}
-    columns.update((tr.annotator_id, tr.values) for tr in traces)
+    columns = {"time_s": np.arange(matrix.shape[1]) * period}
+    columns.update(zip(annotators, matrix, strict=True))
     write_table(path, {}, columns)
 
 
 def load_trace_table(path):
-    """Read a trace table; infers and validates a uniform sample period."""
+    """Read a trace table; infers and validates a uniform sample period.
+
+    Returns (annotator ids, contiguous (annotators, samples) matrix, period).
+    """
     table = read_table(path)
     if table.names[0] != "time_s" or len(table.names) < 2:
         raise DataError(f"{path}: header must be time_s,<annotator>...")
@@ -255,10 +246,7 @@ def load_trace_table(path):
     if off.any():
         raise DataError(f"{path}: non-uniform time step at line "
                         f"{table.lines[np.argmax(off) + 1]}")
-    return [
-        AnnotationTrace(annotator_id=name, values=table.rows[:, j], sample_period=float(period))
-        for j, name in enumerate(table.names[1:], start=1)
-    ]
+    return table.names[1:], np.ascontiguousarray(table.rows[:, 1:].T), float(period)
 
 
 # --- feature tables ---------------------------------------------------------
@@ -474,15 +462,14 @@ def synth_generate(cfg: SynthConfig):
         item_id = f"item{idx:03d}"
         group = f"g{idx % cfg.groups:02d}"
         latent = _latent_trend(cfg, rng)
-        traces = []
+        rows = []
         if cfg.scenario == "consistent_trend":
             for m in range(cfg.annotators):
                 offset = rng.normal(0.0, cfg.offset_std)
                 gain = 1.0 + rng.normal(0.0, cfg.gain_std) if cfg.gain_std else 1.0
                 lag = int(rng.integers(0, cfg.lag_windows + 1)) if cfg.lag_windows else 0
                 noise = rng.normal(0.0, cfg.noise_std, size=cfg.windows)
-                values = gain * _lagged(latent, lag) + offset + noise
-                traces.append(AnnotationTrace(f"ann{m}", values, 1.0))
+                rows.append(gain * _lagged(latent, lag) + offset + noise)
         else:
             signs = np.where(rng.random(cfg.annotators) < 0.5, -1.0, 1.0)
             if np.all(signs == signs[0]):
@@ -490,8 +477,7 @@ def synth_generate(cfg: SynthConfig):
             offset = rng.normal(0.0, cfg.offset_std)
             for m in range(cfg.annotators):
                 noise = rng.normal(0.0, cfg.noise_std, size=cfg.windows)
-                values = signs[m] * latent + offset + noise
-                traces.append(AnnotationTrace(f"ann{m}", values, 1.0))
+                rows.append(signs[m] * latent + offset + noise)
         fnoise = rng.normal(0.0, cfg.feature_noise_std, size=(cfg.windows, cfg.feature_dim))
         matrix = latent[:, None] * projection[None, :] + bias[None, :] + fnoise
         features = FeatureTable(item_id=item_id, matrix=matrix, feature_name="synthetic")
@@ -499,7 +485,7 @@ def synth_generate(cfg: SynthConfig):
             SynthItem(
                 item_id=item_id,
                 group=group,
-                trace_set=TraceSet(traces, window_length=1.0),
+                trace_set=TraceSet([f"ann{m}" for m in range(cfg.annotators)], np.stack(rows)),
                 features=features,
                 latent=latent,
             )
@@ -700,25 +686,25 @@ def prepare_item(manifest: ExperimentManifest, item: ItemEntry):
     """Load one item and run the label pipeline; returns (TraceSet, features).
 
     The trace table's time step must equal ``dataset.native_period``.
-    Labels are delay-shifted at native rate, windowed, and aligned;
-    trailing feature windows beyond the aligned label length are
-    dropped (they correspond to the stimulus frames consumed by the
-    delay shift).
+    Labels are delay-shifted at native rate, windowed, and cut to
+    ``dataset.keep_first`` windows; trailing feature windows beyond the
+    label length are dropped (they correspond to the stimulus frames
+    consumed by the delay shift).
     """
     trace_path = manifest.resolve(item.trace_file)
-    traces = load_trace_table(trace_path)
+    annotators, matrix, period = load_trace_table(trace_path)
     ds = manifest.dataset
-    period = traces[0].sample_period
     if abs(period - ds.native_period) > TIME_TOLERANCE * ds.native_period:
         raise DataError(f"{trace_path}: time step {period:.12g} s does not match "
                         f"dataset.native_period {ds.native_period:.12g} s")
     try:
-        windowed = []
-        for tr in traces:
-            shifted = shift_delay(tr.values, ds.native_period, ds.delay_offset)
-            agg = window_aggregate(shifted, ds.native_period, ds.window_length)
-            windowed.append(AnnotationTrace(tr.annotator_id, agg, ds.window_length))
-        trace_set = align(windowed, keep_first=ds.keep_first, bounds=ds.bounds)
+        shifted = shift_delay(matrix, ds.native_period, ds.delay_offset)
+        if shifted.shape[1] < ds.samples_per_window:
+            raise ValueError(f"{shifted.shape[1]} samples after the {ds.delay_offset:g} s "
+                             f"delay shift, fewer than one {ds.window_length:g} s window "
+                             f"({ds.samples_per_window} samples)")
+        windowed = window_aggregate(shifted, ds.native_period, ds.window_length)
+        trace_set = TraceSet(annotators, windowed[:, : ds.keep_first], ds.bounds)
     except ValueError as exc:
         raise DataError(f"{trace_path}: {exc}") from exc
     table = load_feature_table(manifest.resolve(item.feature_file))

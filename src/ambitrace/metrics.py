@@ -1,4 +1,4 @@
-"""Agreement measures and losses: Pearson, CCC, CCC loss and SDA."""
+"""Agreement measures: CCC and SDA."""
 
 from __future__ import annotations
 
@@ -19,14 +19,6 @@ def _pair(x, y):
     return x, y
 
 
-def pearson(x, y):
-    x, y = _pair(x, y)
-    sx, sy = x.std(), y.std()
-    if sx == 0.0 or sy == 0.0:
-        return 0.0
-    return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
-
-
 def ccc(x, y):
     """Concordance correlation coefficient (population moments).
 
@@ -40,11 +32,6 @@ def ccc(x, y):
     if denom < CCC_DENOM_GUARD:
         return 0.0
     return float(2.0 * cov / denom)
-
-
-def ccc_loss(pred, target):
-    """Training loss 1 - ccc(pred, target); ranges over [0, 2]."""
-    return 1.0 - ccc(pred, target)
 
 
 def sda(x, y):

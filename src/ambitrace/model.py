@@ -668,20 +668,6 @@ def train_stack(
     ]
 
 
-def train(
-    features,
-    targets,
-    model_cfg: ModelConfig,
-    train_cfg: TrainConfig,
-    val_features,
-    val_targets,
-) -> TrainedModel:
-    """Fit one target channel: ``train_stack`` with a single model."""
-    return train_stack(
-        [features], [targets], [model_cfg], train_cfg, [val_features], [val_targets]
-    )[0]
-
-
 def predict(model: TrainedModel, features):
     """Forward pass mapped back to original target units."""
     if model.scaling is None:

@@ -124,7 +124,8 @@ def run_synth(cfg: SynthConfig, out_dir, extra=None):
     for sub in ("traces", "features", "latents"):
         make_output_dir(os.path.join(out_dir, sub))
     for item, entry in zip(items, entries):
-        data_io.write_trace_table(manifest.resolve(entry.trace_file), item.trace_set.traces)
+        data_io.write_trace_table(manifest.resolve(entry.trace_file), item.trace_set.annotators,
+                                  item.trace_set.matrix, manifest.dataset.native_period)
         data_io.write_feature_table(manifest.resolve(entry.feature_file), item.features)
         write_table(os.path.join(out_dir, "latents", f"{item.item_id}.csv"), {},
                     {"window_index": np.arange(len(item.latent)), "latent": item.latent})

@@ -292,7 +292,7 @@ def interval_representation(
     """Fit the chosen family per window over neighbor-pooled annotations."""
     if family == BETA_MAPPED and trace_set.bounds is None:
         raise ValueError("Beta fitting requires the TraceSet to declare bounds")
-    pooled, valid = pool_windows(trace_set.matrix(), neighbor_radius)
+    pooled, valid = pool_windows(trace_set.matrix, neighbor_radius)
     if family == GAUSSIAN:
         fits = fit_gaussian(pooled, where=valid)
     elif family == BETA_MAPPED:
@@ -310,8 +310,7 @@ def individual_ordinal(trace_set: TraceSet, neighbor_radius: int = 1) -> WindowF
     """
     if trace_set.window_count < 2:
         raise ValueError("need at least two windows to differentiate")
-    grads = np.stack([central_difference(tr.values) for tr in trace_set.traces])
-    pooled, valid = pool_windows(grads, neighbor_radius)
+    pooled, valid = pool_windows(central_difference(trace_set.matrix), neighbor_radius)
     return replace(fit_gaussian(pooled, where=valid),
                    neighbor_radius=neighbor_radius, tag=TAG_INDIVIDUAL)
 

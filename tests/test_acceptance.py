@@ -40,15 +40,12 @@ from ambitrace.data_io import (
     write_feature_table,
     write_trace_table,
 )
-from ambitrace.traces import AnnotationTrace, central_difference
+from ambitrace.traces import central_difference
 
 
 def _write_item(tmp_path, name, n_samples, period, n_windows, dim=4):
-    traces = [
-        AnnotationTrace("a", np.zeros(n_samples), period),
-        AnnotationTrace("b", np.zeros(n_samples), period),
-    ]
-    write_trace_table(tmp_path / f"{name}_traces.csv", traces)
+    write_trace_table(tmp_path / f"{name}_traces.csv", ["a", "b"], np.zeros((2, n_samples)),
+                      period)
     write_feature_table(tmp_path / f"{name}_features.csv",
                         FeatureTable(name, np.zeros((n_windows, dim))))
     return ItemEntry(item_id=name, group="g0",

@@ -19,12 +19,15 @@ from ambitrace.cli import main
 from ambitrace.data_io import (
     REPRESENTATION_KEYS,
     DatasetConfig,
+    FeatureTable,
     ItemEntry,
     ModelConfig,
     SplitSpec,
     SynthConfig,
     TrainConfig,
     read_table,
+    write_feature_table,
+    write_trace_table,
 )
 
 FAST_SYNTH = {
@@ -202,10 +205,10 @@ class TestStartUp:
         result = run_fresh(code)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip().split(",") == [
-            "AnnotationTrace", "TraceSet", "align", "central_difference", "shift_delay",
-            "window_aggregate", "WindowFits", "GroupOrdinal", "fit_gaussian", "fit_beta",
-            "interval_representation", "individual_ordinal", "group_ordinal", "ccc",
-            "ccc_loss", "sda", "__version__"]
+            "TraceSet", "central_difference", "shift_delay", "window_aggregate",
+            "WindowFits", "GroupOrdinal", "fit_gaussian", "fit_beta",
+            "interval_representation", "individual_ordinal", "group_ordinal", "ccc", "sda",
+            "__version__"]
 
     def test_unknown_package_attribute_raises(self):
         import ambitrace
@@ -693,6 +696,25 @@ class TestLoaderErrors:
         assert result.exit_code == 2, result.output
         assert ("item000.csv: time step 1 s does not match dataset.native_period 0.5 s"
                 in result.output)
+        assert not (tmp_path / "rep").exists()
+
+    def test_trace_shorter_than_a_window_after_the_shift_exits_2(self, tmp_path):
+        # 120 samples at 40 ms lose 100 to the 4 s shift; a 3 s window needs 75.
+        write_trace_table(tmp_path / "short.csv", ["a", "b"], np.zeros((2, 120)), 0.04)
+        write_feature_table(tmp_path / "short_features.csv",
+                            FeatureTable("short", np.zeros((2, 3))))
+        doc = {"dataset": {"native_period": 0.04, "window_length": 3.0, "delay_offset": 4.0,
+                           "items": [{"item_id": "short", "group": "g0",
+                                      "trace_file": "short.csv",
+                                      "feature_file": "short_features.csv"}]},
+               "representation": {"family": "gaussian"}}
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli(["represent", "--manifest", path, "--tag", "I",
+                          "--out", tmp_path / "rep"])
+        assert result.exit_code == 2, result.output
+        assert (f"{tmp_path / 'short.csv'}: 20 samples after the 4 s delay shift, fewer "
+                "than one 3 s window (75 samples)") in result.output
         assert not (tmp_path / "rep").exists()
 
 

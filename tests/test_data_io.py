@@ -23,17 +23,17 @@ from ambitrace.data_io import (
     write_trace_table,
 )
 from ambitrace.metrics import ccc
-from ambitrace.traces import AnnotationTrace
 
 
 class TestTraceTable:
     def test_small_file(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("time_s,alice,bob\n0.0,0.1,0.2\n0.5,0.3,0.4\n1.0,0.5,0.6\n")
-        traces = load_trace_table(path)
-        assert [t.annotator_id for t in traces] == ["alice", "bob"]
-        assert all(len(t) == 3 for t in traces)
-        assert traces[0].sample_period == 0.5
+        annotators, matrix, period = load_trace_table(path)
+        assert annotators == ["alice", "bob"]
+        np.testing.assert_array_equal(matrix, [[0.1, 0.3, 0.5], [0.2, 0.4, 0.6]])
+        assert matrix.flags.c_contiguous
+        assert period == 0.5
 
     def test_non_uniform_timing_names_row(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -67,21 +67,19 @@ class TestTraceTable:
             load_trace_table(path)
 
     def test_duplicate_annotator_ids_rejected(self, tmp_path):
-        traces = [AnnotationTrace("a", np.zeros(3), 1.0) for _ in range(2)]
         with pytest.raises(DataError, match="annotator ids must be unique"):
-            write_trace_table(tmp_path / "t.csv", traces)
+            write_trace_table(tmp_path / "t.csv", ["a", "a"], np.zeros((2, 3)), 1.0)
         assert not (tmp_path / "t.csv").exists()
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        traces = [
-            AnnotationTrace(f"ann{i}", rng.normal(size=25), 0.04) for i in range(3)
-        ]
+        matrix = rng.normal(size=(3, 25))
         path = tmp_path / "rt.csv"
-        write_trace_table(path, traces)
-        loaded = load_trace_table(path)
-        for src, out in zip(traces, loaded):
-            np.testing.assert_array_equal(out.values, src.values)
+        write_trace_table(path, ["ann0", "ann1", "ann2"], matrix, 0.04)
+        annotators, loaded, period = load_trace_table(path)
+        assert annotators == ["ann0", "ann1", "ann2"]
+        assert period == pytest.approx(0.04)
+        np.testing.assert_array_equal(loaded, matrix)
 
 
 class TestFeatureTable:
@@ -143,12 +141,12 @@ class TestSynth:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.latent, y.latent)
             np.testing.assert_array_equal(x.features.matrix, y.features.matrix)
-            np.testing.assert_array_equal(x.trace_set.matrix(), y.trace_set.matrix())
+            np.testing.assert_array_equal(x.trace_set.matrix, y.trace_set.matrix)
 
     def test_noise_free_consistent_traces_identical(self):
         cfg = SynthConfig(items=2, groups=2, offset_std=0.0, noise_std=0.0, seed=0)
         for item in synth_generate(cfg):
-            matrix = item.trace_set.matrix()
+            matrix = item.trace_set.matrix
             expected = np.broadcast_to(matrix[0], matrix.shape)
             np.testing.assert_allclose(matrix, expected, atol=1e-15)
 
@@ -165,7 +163,7 @@ class TestSynth:
         cfg = SynthConfig(items=5, groups=5, scenario="inconsistent_trend", seed=2,
                           noise_std=0.0, offset_std=0.0)
         for item in synth_generate(cfg):
-            corr = np.corrcoef(item.trace_set.matrix())
+            corr = np.corrcoef(item.trace_set.matrix)
             assert corr.min() < -0.9  # at least one anti-correlated pair
 
     def test_config_validation(self):
@@ -178,11 +176,8 @@ class TestSynth:
 
 
 def _write_item(tmp_path, name, n_samples, period, n_windows, dim=4, value=0.0):
-    traces = [
-        AnnotationTrace("a", np.full(n_samples, value), period),
-        AnnotationTrace("b", np.full(n_samples, value), period),
-    ]
-    write_trace_table(tmp_path / f"{name}_traces.csv", traces)
+    write_trace_table(tmp_path / f"{name}_traces.csv", ["a", "b"],
+                      np.full((2, n_samples), value), period)
     table = FeatureTable(name, np.zeros((n_windows, dim)))
     write_feature_table(tmp_path / f"{name}_features.csv", table)
     return ItemEntry(

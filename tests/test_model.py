@@ -24,7 +24,6 @@ from ambitrace.model import (
     predict,
     save_checkpoint,
     stack_params,
-    train,
     train_stack,
 )
 
@@ -289,7 +288,7 @@ class TestTraining:
         feats, targs = make_affine_task(n_seq=10, steps=15, seed=1)
         cfg = ModelConfig(input_dim=3, hidden_dim=16, seed=0)
         tc = TrainConfig(max_epochs=200, segment_length=15, batch_segments=4)
-        model = train(feats[:8], targs[:8], cfg, tc, feats[8:], targs[8:])
+        model, = train_stack([feats[:8]], [targs[:8]], [cfg], tc, [feats[8:]], [targs[8:]])
         scores = [ccc(predict(model, f), t) for f, t in zip(feats[8:], targs[8:])]
         assert np.mean(scores) > 0.9
 
@@ -297,7 +296,7 @@ class TestTraining:
         feats, targs = make_affine_task(seed=2)
         cfg = tiny_cfg(3)
         tc = TrainConfig(max_epochs=0, segment_length=12)
-        model = train(feats[:6], targs[:6], cfg, tc, feats[6:], targs[6:])
+        model, = train_stack([feats[:6]], [targs[:6]], [cfg], tc, [feats[6:]], [targs[6:]])
         assert model.best_epoch == 0
         init = init_params(cfg)
         for k in init:
@@ -307,22 +306,22 @@ class TestTraining:
         feats, targs = make_affine_task(seed=4)
         cfg = tiny_cfg(5)
         tc = TrainConfig(max_epochs=10, segment_length=12)
-        m1 = train(feats[:6], targs[:6], cfg, tc, feats[6:], targs[6:])
-        m2 = train(feats[:6], targs[:6], cfg, tc, feats[6:], targs[6:])
+        m1, = train_stack([feats[:6]], [targs[:6]], [cfg], tc, [feats[6:]], [targs[6:]])
+        m2, = train_stack([feats[:6]], [targs[:6]], [cfg], tc, [feats[6:]], [targs[6:]])
         assert m1.best_epoch == m2.best_epoch
         for k in m1.params:
             np.testing.assert_array_equal(m1.params[k], m2.params[k])
 
     def test_empty_data_rejected(self):
         with pytest.raises(TrainingError):
-            train([], [], tiny_cfg(), TrainConfig(segment_length=2), [], [])
+            train_stack([[]], [[]], [tiny_cfg()], TrainConfig(segment_length=2), [[]], [[]])
 
     def test_all_constant_targets_rejected(self):
         feats, _ = make_affine_task(seed=6)
         flat = [np.zeros(len(f)) for f in feats]
         with pytest.raises(TrainingError):
-            train(feats[:6], flat[:6], tiny_cfg(), TrainConfig(segment_length=12),
-                  feats[6:], flat[6:])
+            train_stack([feats[:6]], [flat[:6]], [tiny_cfg()], TrainConfig(segment_length=12),
+                        [feats[6:]], [flat[6:]])
 
 
 class TestAdam:
@@ -343,7 +342,7 @@ class TestCheckpoint:
         feats, targs = make_affine_task(seed=7)
         cfg = tiny_cfg(8)
         tc = TrainConfig(max_epochs=5, segment_length=12)
-        model = train(feats[:6], targs[:6], cfg, tc, feats[6:], targs[6:])
+        model, = train_stack([feats[:6]], [targs[:6]], [cfg], tc, [feats[6:]], [targs[6:]])
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
@@ -465,7 +464,8 @@ class TestStackTraining:
         together = train_stack([feats[:6]] * 2, [mu[:6], sigma[:6]], cfgs, self.TC,
                                [feats[6:]] * 2, [mu[6:], sigma[6:]])
         for target, cfg, model in zip((mu, sigma), cfgs, together):
-            alone = train(feats[:6], target[:6], cfg, self.TC, feats[6:], target[6:])
+            alone, = train_stack([feats[:6]], [target[:6]], [cfg], self.TC, [feats[6:]],
+                                 [target[6:]])
             assert model.best_epoch == alone.best_epoch
             assert model.skipped_segments == alone.skipped_segments
             assert model.scaling == alone.scaling

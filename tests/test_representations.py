@@ -7,7 +7,7 @@ from scipy.stats import beta as beta_dist
 
 from ambitrace import representations
 from ambitrace.data_io import read_table
-from ambitrace.traces import AnnotationTrace, TraceSet, central_difference
+from ambitrace.traces import TraceSet, central_difference
 from ambitrace.representations import (
     BETA_MAPPED,
     FitError,
@@ -23,9 +23,7 @@ from ambitrace.representations import (
 
 
 def make_set(matrix, bounds=None):
-    matrix = np.asarray(matrix, dtype=float)
-    traces = [AnnotationTrace(f"ann{i}", row, 1.0) for i, row in enumerate(matrix)]
-    return TraceSet(traces, window_length=1.0, bounds=bounds)
+    return TraceSet([f"ann{i}" for i in range(len(matrix))], matrix, bounds)
 
 
 def read_columns(path):
@@ -49,17 +47,17 @@ def beta_loglik_oracle(samples):
 class TestPoolNeighbors:
     def test_radius_zero_is_window_column(self):
         ts = make_set(np.arange(12.0).reshape(3, 4))
-        pooled, _ = pool_windows(ts.matrix(), 0)
+        pooled, _ = pool_windows(ts.matrix, 0)
         np.testing.assert_array_equal(pooled[2], [2.0, 6.0, 10.0])
 
     def test_interior_count_with_six_annotators(self):
         ts = make_set(np.random.default_rng(0).normal(size=(6, 5)))
-        _, valid = pool_windows(ts.matrix(), 1)
+        _, valid = pool_windows(ts.matrix, 1)
         assert valid[2].sum() == 18
 
     def test_boundary_truncates(self):
         ts = make_set(np.random.default_rng(0).normal(size=(6, 5)))
-        _, valid = pool_windows(ts.matrix(), 1)
+        _, valid = pool_windows(ts.matrix, 1)
         assert valid[0].sum() == 12
 
 
@@ -312,7 +310,7 @@ def ref_pool_neighbors(trace_set, index, radius):
         raise ValueError("radius must be non-negative")
     lo = max(0, index - radius)
     hi = min(n - 1, index + radius)
-    return trace_set.matrix()[:, lo : hi + 1].ravel()
+    return trace_set.matrix[:, lo : hi + 1].ravel()
 
 
 def ref_fit_gaussian(samples):
@@ -412,7 +410,7 @@ class TestMatchesPerWindowReference:
         assert_matches_reference(
             rep, [ref(ref_pool_neighbors(ts, n, radius)) for n in range(windows)])
 
-        grads = make_set(np.stack([central_difference(tr.values) for tr in ts.traces]))
+        grads = make_set(np.stack([central_difference(row) for row in ts.matrix]))
         individual = individual_ordinal(ts, radius)
         assert_matches_reference(individual, [
             ref_fit_gaussian(ref_pool_neighbors(grads, n, radius))[:2] + (np.nan, np.nan)

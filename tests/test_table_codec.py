@@ -34,7 +34,7 @@ from ambitrace.representations import (
     interval_representation,
     write_representation,
 )
-from ambitrace.traces import AnnotationTrace, TraceSet
+from ambitrace.traces import TraceSet
 
 # --- reference writers ------------------------------------------------------
 # The five hand-rolled table writers that ``write_table`` replaced, kept as
@@ -45,13 +45,11 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def ref_write_trace_table(path, traces):
-    period = traces[0].sample_period
-    n = len(traces[0])
+def ref_write_trace_table(path, annotators, matrix, period):
     lines = ["# format_version: 1"]
-    lines.append(",".join(["time_s"] + [tr.annotator_id for tr in traces]))
-    for i in range(n):
-        row = [_fmt(i * period)] + [_fmt(tr.values[i]) for tr in traces]
+    lines.append(",".join(["time_s"] + list(annotators)))
+    for i in range(matrix.shape[1]):
+        row = [_fmt(i * period)] + [_fmt(values[i]) for values in matrix]
         lines.append(",".join(row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -178,10 +176,12 @@ class TestByteIdentity:
     @pytest.mark.parametrize("period", [1.0, 0.04])
     def test_trace_table(self, tmp_path, period):
         rng = np.random.default_rng(1)
-        traces = [AnnotationTrace(f"ann{m}", rng.normal(size=300) * 10.0 ** rng.integers(-8, 8),
-                                  period) for m in range(4)]
-        assert_same_bytes(lambda p: write_trace_table(p, traces),
-                          lambda p: ref_write_trace_table(p, traces), tmp_path)
+        matrix = np.stack([rng.normal(size=300) * 10.0 ** rng.integers(-8, 8)
+                           for _ in range(4)])
+        annotators = [f"ann{m}" for m in range(4)]
+        assert_same_bytes(lambda p: write_trace_table(p, annotators, matrix, period),
+                          lambda p: ref_write_trace_table(p, annotators, matrix, period),
+                          tmp_path)
 
     def test_feature_table(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -195,9 +195,8 @@ class TestByteIdentity:
     @pytest.mark.parametrize("kind", ["I_gaussian", "I_beta", "I_beta_fallbacks", "O_I", "O_G"])
     def test_representation_table(self, tmp_path, monkeypatch, kind):
         rng = np.random.default_rng(3)
-        traces = [AnnotationTrace(f"ann{m}", rng.uniform(-0.9, 0.9, size=30), 1.0)
-                  for m in range(4)]
-        ts = TraceSet(traces, window_length=1.0, bounds=(-1.0, 1.0))
+        matrix = np.stack([rng.uniform(-0.9, 0.9, size=30) for _ in range(4)])
+        ts = TraceSet([f"ann{m}" for m in range(4)], matrix, bounds=(-1.0, 1.0))
         if kind == "I_beta_fallbacks":
             monkeypatch.setattr(representations, "BETA_MAX_NEWTON_ITERS", 0)
         rep = {
@@ -290,10 +289,10 @@ class TestReadTable:
         # A reader that always fell back to the line loop would pass every
         # other test and lose the speed-up.
         rng = np.random.default_rng(6)
-        traces = [AnnotationTrace(f"ann{m}", rng.uniform(-1, 1, size=8350), 0.04)
-                  for m in range(5)]
+        annotators = [f"ann{m}" for m in range(5)]
+        matrix = np.stack([rng.uniform(-1, 1, size=8350) for _ in range(5)])
         path = tmp_path / "t.csv"
-        write_trace_table(path, traces)
+        write_trace_table(path, annotators, matrix, 0.04)
         ref = ref_read_table(path)
 
         def refuse(path, lines):
@@ -304,8 +303,7 @@ class TestReadTable:
         assert table.rows.shape == (8350, 6)
         assert table.rows.tobytes() == ref.rows.tobytes()
         assert (table.meta, table.names, table.lines) == (ref.meta, ref.names, ref.lines)
-        loaded = load_trace_table(path)
-        assert [tr.annotator_id for tr in loaded] == [f"ann{m}" for m in range(5)]
+        assert load_trace_table(path)[0] == annotators
 
     def test_undecodable_bytes(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -383,13 +381,11 @@ def check_table(table):
     assert np.all(np.isfinite(table.rows))
 
 
-def check_traces(traces):
-    assert len(traces) >= 1
-    period = traces[0].sample_period
+def check_traces(result):
+    annotators, matrix, period = result
     assert np.isfinite(period) and period > 0
-    for tr in traces:
-        assert len(tr) == len(traces[0]) >= 2 and tr.sample_period == period
-        assert np.all(np.isfinite(tr.values))
+    assert matrix.ndim == 2 and len(matrix) == len(annotators) >= 1 and matrix.shape[1] >= 2
+    assert np.all(np.isfinite(matrix))
 
 
 def check_features(table):
@@ -422,9 +418,8 @@ def test_malformed_tables_give_data_errors(tmp_path, case):
        st.sampled_from([1.0, 0.04, 0.25]))
 def test_written_traces_load_back_exactly(tmp_path, values, period):
     path = os.path.join(tmp_path, "t.csv")
-    traces = [AnnotationTrace("a", values, period), AnnotationTrace("b", values[::-1], period)]
-    write_trace_table(path, traces)
-    loaded = load_trace_table(path)
-    assert [tr.sample_period for tr in loaded] == [period, period]
-    for src, out in zip(traces, loaded):
-        np.testing.assert_array_equal(out.values, src.values)
+    matrix = np.array([values, values[::-1]])
+    write_trace_table(path, ["a", "b"], matrix, period)
+    annotators, loaded, loaded_period = load_trace_table(path)
+    assert (annotators, loaded_period) == (["a", "b"], period)
+    np.testing.assert_array_equal(loaded, matrix)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ambitrace.traces import (
-    AnnotationTrace,
     TraceSet,
-    align,
     central_difference,
     shift_delay,
     window_aggregate,
@@ -78,43 +79,6 @@ class TestShiftDelay:
             shift_delay([1.0, 2.0], 1.0, 2.0)
 
 
-class TestAlign:
-    def _traces(self, lengths, period=1.0):
-        return [
-            AnnotationTrace(f"a{i}", np.arange(n, dtype=float), period)
-            for i, n in enumerate(lengths)
-        ]
-
-    def test_keep_first_19(self):
-        ts = align(self._traces([20] * 5), keep_first=19)
-        assert ts.window_count == 19
-        assert ts.annotator_count == 5
-
-    def test_min_length_rule(self):
-        ts = align(self._traces([19, 19, 18]))
-        assert ts.window_count == 18
-
-    def test_single_trace_rejected(self):
-        with pytest.raises(ValueError):
-            align(self._traces([5]))
-
-    def test_mismatched_periods_rejected(self):
-        traces = self._traces([5, 5])
-        traces[1].sample_period = 2.0
-        with pytest.raises(ValueError):
-            align(traces)
-
-    def test_never_reorders_or_alters_values(self):
-        rng = np.random.default_rng(1)
-        traces = [
-            AnnotationTrace(f"a{i}", rng.normal(size=12), 1.0) for i in range(3)
-        ]
-        ts = align(traces, keep_first=10)
-        for src, out in zip(traces, ts.traces):
-            assert out.annotator_id == src.annotator_id
-            np.testing.assert_array_equal(out.values, src.values[:10])
-
-
 class TestCentralDifference:
     def test_linear_ramp(self):
         assert central_difference([0, 1, 2, 3]).tolist() == [1, 1, 1, 1]
@@ -147,15 +111,54 @@ class TestCentralDifference:
 
 
 class TestTraceSet:
-    def test_bounds_enforced(self):
-        traces = [
-            AnnotationTrace("a", [0.0, 1.5], 1.0),
-            AnnotationTrace("b", [0.0, 0.5], 1.0),
-        ]
-        with pytest.raises(ValueError):
-            TraceSet(traces, window_length=1.0, bounds=(-1.0, 1.0))
+    def test_keeps_ids_and_values_in_order(self):
+        matrix = np.random.default_rng(1).normal(size=(5, 20))
+        ids = [f"a{i}" for i in range(5)]
+        ts = TraceSet(ids, matrix[:, :19])
+        assert ts.annotators == ids
+        assert ts.window_count == 19
+        np.testing.assert_array_equal(ts.matrix, matrix[:, :19])
 
-    def test_matrix_shape(self):
-        traces = [AnnotationTrace(c, [0.0, 1.0, 2.0], 1.0) for c in "ab"]
-        ts = TraceSet(traces, window_length=1.0)
-        assert ts.matrix().shape == (2, 3)
+    def test_values_on_the_bounds_accepted(self):
+        ts = TraceSet(["a", "b"], [[-1.0, 1.0], [0.0, 0.0]], bounds=(-1.0, 1.0))
+        assert ts.matrix.shape == (2, 2)
+
+    @pytest.mark.parametrize("ids, matrix, bounds, message", [
+        (["a", "b"], np.zeros(3), None, "must be 2-D"),
+        (["a", "b"], np.zeros((2, 3, 1)), None, "must be 2-D"),
+        (["a", "b", "c"], np.zeros((2, 3)), None, "3 annotator ids for 2 matrix rows"),
+        (["a"], np.zeros((1, 5)), None, "at least two annotators"),
+        (["a", "b"], np.zeros((2, 0)), None, "at least one window"),
+        (["a", "b"], [[0.0, 1.0], [np.nan, 0.0]], None, "trace 'b' has non-finite values"),
+        (["a", "b"], [[np.inf, 1.0], [0.0, 0.0]], None, "trace 'a' has non-finite values"),
+        (["a", "b", "c"], [[0.0, 0.5], [0.0, 1.5], [-2.0, 0.0]], (-1.0, 1.0),
+         "^trace 'b' has values outside bounds$"),
+        (["a", "b"], np.zeros((2, 3)), (1.0, -1.0), "hi > lo"),
+    ])
+    def test_refusals(self, ids, matrix, bounds, message):
+        with pytest.raises(ValueError, match=message):
+            TraceSet(ids, matrix, bounds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_matrix_rows_equal_one_dimensional_calls(data):
+    """Each primitive on an (annotators, samples) matrix gives every row the
+    bits the 1-D call on that row gives, the shifted view included."""
+    period = data.draw(st.sampled_from([1.0, 0.25, 0.1, 0.04]))
+    per_window = data.draw(st.integers(1, 80))
+    delay = data.draw(st.integers(0, 30))
+    samples = data.draw(st.integers(max(2, delay + per_window), delay + 3 * per_window + 20))
+    matrix = data.draw(arrays(np.float64, (data.draw(st.integers(1, 5)), samples),
+                              elements=st.floats(-1e6, 1e6)))
+    window, offset = per_window * period, delay * period
+    shifted = shift_delay(matrix, period, offset)
+    windowed = window_aggregate(matrix, period, window)
+    shifted_windows = window_aggregate(shifted, period, window)
+    diffs = central_difference(matrix)
+    for m, row in enumerate(matrix):
+        np.testing.assert_array_equal(shifted[m], shift_delay(row, period, offset))
+        np.testing.assert_array_equal(windowed[m], window_aggregate(row, period, window))
+        np.testing.assert_array_equal(
+            shifted_windows[m], window_aggregate(shift_delay(row, period, offset), period, window))
+        np.testing.assert_array_equal(diffs[m], central_difference(row))
