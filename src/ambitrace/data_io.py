@@ -6,16 +6,21 @@ sections included, so reading a manifest loads no model code.
 All tables are plain columnar text with decimal floats (17 significant
 digits) so they stay diffable and language-neutral.  ``write_table`` and
 ``read_table`` are the one codec for them; writes go through a temp file
-and an atomic rename.
+and an atomic rename.  ``read_table`` keeps the parsed numbers of a regular
+table in a memo directory beside it (``MEMO_DIR``), keyed by the file's
+bytes, so a table that has not changed is parsed once, not once per command.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import numbers
 import os
+import re
 import tempfile
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import NamedTuple
@@ -116,24 +121,100 @@ def write_table(path, meta, columns):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def read_table(path) -> Table:
+def read_table(path, digest=None, check=None) -> Table:
     """Read a table written by ``write_table``; every cell must be a finite float.
 
     ``#`` lines anywhere are header metadata and blank lines are skipped.
     A missing column header, a ragged row or a bad cell is a ``DataError``
     naming the file and the line.  A regular table is parsed in one array
-    call; any other text goes through the line reader, which writes every
-    error message.
+    call, or its rows come from the memo (see ``_Memo``); any other text
+    goes through the line reader, which writes every error message.
+
+    The file is opened and read once.  ``digest``, a hashlib object, is
+    updated with its bytes.  ``check(path, table)`` is the caller's own
+    validation, raising ``DataError``: it runs on every read, and a parse
+    is memoized only once it has passed.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if digest is not None:
+        digest.update(raw)
     try:
-        with open(path) as fh:
-            text = fh.read()
+        # Decoded as ``open(path)`` decodes, so the text is the same.
+        text = io.TextIOWrapper(io.BytesIO(raw)).read()
     except UnicodeDecodeError:
         # Decoded a chunk at a time, a bad row ahead of the bad byte is
         # still the error reported.
-        with open(path) as fh:
-            return _read_lines(path, fh)
-    return _read_regular(text) or _read_lines(path, text.split("\n"))
+        return _read_lines(path, io.TextIOWrapper(io.BytesIO(raw)))
+    memo = _Memo(path, hashlib.sha256(raw).hexdigest())
+    del raw  # the text alone is parsed; the bytes need not stay in memory
+    table = _read_regular(text, memo) or _read_lines(path, text.split("\n"))
+    if check is not None:
+        check(path, table)
+    memo.write()
+    return table
+
+
+MEMO_DIR = "__ambitrace_cache__"
+# Part of every entry's name: a change to what an entry holds takes a new
+# version, so no code reads an entry another version wrote.
+_MEMO_VERSION = 1
+# What follows the table's file name in the name of each of its entries.
+_ENTRY_SUFFIX = re.compile(r"\.[0-9a-f]{64}\.v[0-9]+\.npy")
+
+
+class _Memo:
+    """The rows of one regular table, kept as a ``.npy`` entry on disk.
+
+    The entry is ``<table dir>/MEMO_DIR/<file name>.<sha256>.v<version>.npy``,
+    keyed by the sha256 of the table's bytes, so an edited table never
+    finds the entry of its old bytes.  Only the number parse is replaced:
+    every check of the text runs on a hit as on a miss.  An entry that
+    cannot be read, or is not a C-ordered float64 array of the expected
+    shape, counts as absent and is written again.  Writing one replaces
+    the table's other entries; a location that cannot be written leaves
+    the table parsed every time.
+    """
+
+    def __init__(self, path, key):
+        directory, self.name = os.path.split(os.path.abspath(path))
+        self.dir = os.path.join(directory, MEMO_DIR)
+        self.entry = os.path.join(self.dir, f"{self.name}.{key}.v{_MEMO_VERSION}.npy")
+        self.parsed = None  # rows to store, once every check has passed
+
+    def load(self, shape):
+        """The entry's rows if it holds a C-ordered float64 array of ``shape``, else None."""
+        try:
+            with open(self.entry, "rb") as fh:
+                rows = np.load(fh, allow_pickle=False)
+        # MemoryError: a damaged header can declare a huge shape.
+        except (OSError, ValueError, EOFError, MemoryError):
+            return None
+        if (isinstance(rows, np.ndarray) and rows.dtype == np.float64
+                and rows.shape == shape and rows.flags.c_contiguous):
+            return rows
+        return None
+
+    def write(self):
+        """Store ``parsed``, if set, then delete the table's other entries."""
+        if self.parsed is None:
+            return
+        # The bytes ``np.save`` writes, without its two extra copies of the rows.
+        buf = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            buf, np.lib.format.header_data_from_array_1_0(self.parsed))
+        buf.write(self.parsed.data)
+        try:
+            with contextlib.suppress(FileExistsError):
+                os.mkdir(self.dir)
+            _atomic_write(self.entry, buf.getvalue())
+            for name in os.listdir(self.dir):
+                path = os.path.join(self.dir, name)
+                if (path != self.entry and name.startswith(self.name)
+                        and _ENTRY_SUFFIX.fullmatch(name, len(self.name))):
+                    os.unlink(path)
+        except OSError:
+            pass  # an unwritable location: the table is parsed next time too
 
 
 # numpy's number parser skips these ASCII separators around a cell as
@@ -141,13 +222,14 @@ def read_table(path) -> Table:
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
-def _read_regular(text):
+def _read_regular(text, memo):
     """The rows of a regular table in one ``np.loadtxt`` call, else None.
 
     Regular means leading ``#`` lines, the column header, then only data
     rows.  ``loadtxt`` then accepts no cell that ``float`` rejects and
     rounds every cell to the same float, so the result is the line
-    reader's.
+    reader's.  Rows the memo holds for this text replace the parse; parsed
+    rows that pass are handed to the memo to store.
     """
     if any(sep in text for sep in _SEPARATORS):
         return None
@@ -164,12 +246,18 @@ def _read_regular(text):
     if not header or header.startswith("#") or not body or "" in body:
         return None
     names = header.split(",")
-    try:
-        rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
+    shape = (len(body), len(names))
+    rows = memo.load(shape)
+    parsed = rows is None
+    if parsed:
+        try:
+            rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if rows.shape != shape or not np.isfinite(rows).all():
         return None
-    if rows.shape != (len(body), len(names)) or not np.isfinite(rows).all():
-        return None
+    if parsed:
+        memo.parsed = rows
     meta = dict(_meta_entry(line) for line in lines[:head])
     return Table(meta, names, rows, list(range(head + 2, head + 2 + len(body))))
 
@@ -226,12 +314,19 @@ def write_trace_table(path, annotators, matrix, period):
     write_table(path, {}, columns)
 
 
-def load_trace_table(path):
+def load_trace_table(path, digest=None):
     """Read a trace table; infers and validates a uniform sample period.
 
     Returns (annotator ids, contiguous (annotators, samples) matrix, period).
+    ``digest`` is passed to ``read_table``.
     """
-    table = read_table(path)
+    table = read_table(path, digest, check=_check_time_column)
+    times = table.rows[:, 0]
+    return table.names[1:], np.ascontiguousarray(table.rows[:, 1:].T), float(times[1] - times[0])
+
+
+def _check_time_column(path, table):
+    """Refuse a trace table without a uniformly increasing ``time_s`` column."""
     if table.names[0] != "time_s" or len(table.names) < 2:
         raise DataError(f"{path}: header must be time_s,<annotator>...")
     if len(table.lines) < 2:
@@ -246,7 +341,6 @@ def load_trace_table(path):
     if off.any():
         raise DataError(f"{path}: non-uniform time step at line "
                         f"{table.lines[np.argmax(off) + 1]}")
-    return table.names[1:], np.ascontiguousarray(table.rows[:, 1:].T), float(period)
 
 
 # --- feature tables ---------------------------------------------------------
@@ -273,8 +367,9 @@ def write_feature_table(path, table: FeatureTable):
                 columns)
 
 
-def load_feature_table(path) -> FeatureTable:
-    table = read_table(path)
+def load_feature_table(path, digest=None) -> FeatureTable:
+    """Read a feature table; ``digest`` is passed to ``read_table``."""
+    table = read_table(path, digest)
     if not table.lines:
         raise DataError(f"{path}: no feature rows")
     return FeatureTable(
@@ -682,17 +777,18 @@ def _manifest_from_doc(doc, base_dir) -> ExperimentManifest:
     )
 
 
-def prepare_item(manifest: ExperimentManifest, item: ItemEntry):
+def prepare_item(manifest: ExperimentManifest, item: ItemEntry, digest=None):
     """Load one item and run the label pipeline; returns (TraceSet, features).
 
     The trace table's time step must equal ``dataset.native_period``.
     Labels are delay-shifted at native rate, windowed, and cut to
     ``dataset.keep_first`` windows; trailing feature windows beyond the
     label length are dropped (they correspond to the stimulus frames
-    consumed by the delay shift).
+    consumed by the delay shift).  ``digest`` takes the bytes of the trace
+    file, then of the feature file, as they are read.
     """
     trace_path = manifest.resolve(item.trace_file)
-    annotators, matrix, period = load_trace_table(trace_path)
+    annotators, matrix, period = load_trace_table(trace_path, digest)
     ds = manifest.dataset
     if abs(period - ds.native_period) > TIME_TOLERANCE * ds.native_period:
         raise DataError(f"{trace_path}: time step {period:.12g} s does not match "
@@ -707,7 +803,7 @@ def prepare_item(manifest: ExperimentManifest, item: ItemEntry):
         trace_set = TraceSet(annotators, windowed[:, : ds.keep_first], ds.bounds)
     except ValueError as exc:
         raise DataError(f"{trace_path}: {exc}") from exc
-    table = load_feature_table(manifest.resolve(item.feature_file))
+    table = load_feature_table(manifest.resolve(item.feature_file), digest)
     n = trace_set.window_count
     if table.matrix.shape[0] < n:
         raise DataError(
@@ -717,11 +813,19 @@ def prepare_item(manifest: ExperimentManifest, item: ItemEntry):
     return trace_set, table.matrix[:n]
 
 
+def dataset_digest(manifest: ExperimentManifest):
+    """A sha256 object holding the dataset section; ``dataset_hash`` adds the files.
+
+    Passed to ``prepare_item`` for every item in manifest order, it ends
+    holding what ``dataset_hash`` hashes, with each file read only once.
+    """
+    doc = manifest_to_dict(manifest)["dataset"]
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8"))
+
+
 def dataset_hash(manifest: ExperimentManifest) -> str:
     """Digest of the dataset config and every referenced data file."""
-    digest = hashlib.sha256()
-    doc = manifest_to_dict(manifest)["dataset"]
-    digest.update(json.dumps(doc, sort_keys=True).encode("utf-8"))
+    digest = dataset_digest(manifest)
     for item in manifest.dataset.items:
         for rel in (item.trace_file, item.feature_file):
             with open(manifest.resolve(rel), "rb") as fh:

@@ -675,6 +675,23 @@ def predict(model: TrainedModel, features):
     return model.scaling.invert(forward(model.params, model.config, features))
 
 
+def predict_stack(models, sequences):
+    """Every model's predictions on each (T, D) sequence, as one (models, T) array each.
+
+    The models must agree on everything but the seed.  Each sequence takes
+    one stacked forward pass with a batch of one, so row m of its result
+    is ``predict(models[m], sequence)`` bit for bit.
+    """
+    cfg = models[0].config
+    _, stored = stack_params([m.params for m in models], cfg)
+    ws = _Workspace()
+    results = []
+    for x in sequences:
+        y, _ = _forward(stored, cfg, np.asarray(x, dtype=float)[None, None], ws)
+        results.append(np.stack([m.scaling.invert(row) for m, row in zip(models, y[:, 0])]))
+    return results
+
+
 def gradient_check(
     input_dim=3, hidden_dim=4, steps=5, seed=0, h=1e-5, zero_feature=None
 ):

@@ -1,8 +1,9 @@
 """End-to-end orchestration: synth, represent, train-eval and report merging.
 
 The CLI is a thin wrapper over these functions; everything here is
-deterministic given the manifest seed and writes only into the caller's
-output directory.
+deterministic given the manifest seed.  Outputs go only into the caller's
+output directory; the one other write is ``data_io.read_table``'s memo of
+parsed input tables, in a ``data_io.MEMO_DIR`` directory beside them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .data_io import (
     SynthConfig,
     TrainConfig,
     _atomic_write,
-    dataset_hash,
+    dataset_digest,
     make_output_dir,
     make_splits,
     parse_section,
@@ -150,14 +151,17 @@ def run_represent(manifest: ExperimentManifest, tag, out_dir):
         raise ValueError(f"unknown representation tag {tag!r}")
     # Every table is read before the output directory exists, so bad
     # input leaves no output behind.
-    prepared = [prepare_item(manifest, item)[0] for item in manifest.dataset.items]
+    # Each input file is read once: the dataset hash is taken from the
+    # bytes the tables are parsed from.
+    digest = dataset_digest(manifest)
+    prepared = [prepare_item(manifest, item, digest)[0] for item in manifest.dataset.items]
     if tag != TAG_INTERVAL:
         for item, trace_set in zip(manifest.dataset.items, prepared):
             _require_two_windows(manifest, item, trace_set, f"represent --tag {tag}")
     make_output_dir(out_dir)
     family = manifest.representation.get("family", "gaussian")
     radius = manifest.representation.get("neighbor_radius", 1)
-    source = dataset_hash(manifest)
+    source = digest.hexdigest()
     summary_rows = []
     for item, trace_set in zip(manifest.dataset.items, prepared):
         try:
@@ -179,11 +183,13 @@ def run_represent(manifest: ExperimentManifest, tag, out_dir):
 
 
 def _item_data(manifest, tag):
+    """Features and both targets per item id, and the dataset hash."""
     family = manifest.representation.get("family", "gaussian")
     radius = manifest.representation.get("neighbor_radius", 1)
+    digest = dataset_digest(manifest)
     data = {}
     for item in manifest.dataset.items:
-        trace_set, features = prepare_item(manifest, item)
+        trace_set, features = prepare_item(manifest, item, digest)
         # Each item is scored by CCC and SDA, and every fold's model takes
         # the first item's feature width.
         _require_two_windows(manifest, item, trace_set, "train-eval")
@@ -198,7 +204,7 @@ def _item_data(manifest, tag):
             "mu": np.asarray(mu_like),
             "sigma": np.asarray(sigma_like),
         }
-    return data
+    return data, digest.hexdigest()
 
 
 def _fold_stacks(n_folds, jobs):
@@ -218,7 +224,7 @@ def _train_fold(args):
     Returns (fold record, models by target) per fold, in fold order.
     """
     # Imported here, as in run_train_eval: no other command loads the model.
-    from .model import predict, train_stack
+    from .model import predict_stack, train_stack
 
     (folds, data, targets, model_doc, train_doc) = args
     input_dim = next(iter(data.values()))["features"].shape[1]
@@ -244,14 +250,15 @@ def _train_fold(args):
         fold = {"fold": fold_idx, "val_items": list(val_ids), "best_epoch": {}, "metrics": {},
                 "loss_curve": {}}
         fold_models = models[k * len(targets) : (k + 1) * len(targets)]
-        for target, model in zip(targets, fold_models):
+        # The fold's targets share each validation item's forward pass.
+        preds = predict_stack(fold_models, column(val_ids, "features"))
+        for t_idx, (target, model) in enumerate(zip(targets, fold_models)):
             fold["best_epoch"][target] = model.best_epoch
             fold["loss_curve"][target] = {"train": model.train_loss, "val": model.val_loss}
             ccc_vals, sda_vals = [], []
-            for i in val_ids:
-                pred = predict(model, data[i]["features"])
-                ccc_vals.append(metrics.ccc(pred, data[i][target]))
-                sda_vals.append(metrics.sda(pred, data[i][target]))
+            for i, pred in zip(val_ids, preds):
+                ccc_vals.append(metrics.ccc(pred[t_idx], data[i][target]))
+                sda_vals.append(metrics.sda(pred[t_idx], data[i][target]))
             fold["metrics"][f"ccc_{target}"] = float(np.mean(ccc_vals))
             fold["metrics"][f"sda_{target}"] = float(np.mean(sda_vals))
         results.append((fold, dict(zip(targets, fold_models))))
@@ -271,7 +278,7 @@ def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs=1,
         if target not in TARGETS:
             raise ValueError(f"unknown target {target!r}")
     # Inputs are read and fitted before the output directory exists.
-    data = _item_data(manifest, tag)
+    data, source = _item_data(manifest, tag)
     make_output_dir(out_dir)
     base_seed = seed if seed is not None else manifest.seed
     folds = make_splits(
@@ -329,7 +336,7 @@ def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs=1,
         "format_version": 1,
         "tag": tag,
         "targets": list(targets),
-        "dataset_hash": dataset_hash(manifest),
+        "dataset_hash": source,
         "dataset_name": manifest.dataset.name,
         "representation": manifest.representation,
         "model": model_doc,

@@ -1,8 +1,12 @@
+import builtins
+import collections
 import concurrent.futures
 import contextlib
+import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 from dataclasses import fields
@@ -14,7 +18,7 @@ from conftest import run_fresh
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambitrace import cli, model, pipeline
+from ambitrace import cli, data_io, model, pipeline
 from ambitrace.cli import main
 from ambitrace.data_io import (
     REPRESENTATION_KEYS,
@@ -76,20 +80,28 @@ def read_columns(path):
 
 
 class TestSynth:
-    def test_outputs_exist(self, workspace):
-        data = workspace / "data"
-        assert (data / "manifest.json").exists()
-        assert len(list((data / "traces").iterdir())) == 6
-        assert len(list((data / "features").iterdir())) == 6
-        assert len(list((data / "latents").iterdir())) == 6
+    # Other tests add tables and memo entries to the shared workspace, so
+    # the directories listed are those of a fresh synth run.
+    def test_outputs_exist(self, tmp_path):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(FAST_SYNTH))
+        assert run_cli(["synth", "--config", cfg, "--out", tmp_path / "data"]).exit_code == 0
+        data = tmp_path / "data"
+        assert sorted(p.name for p in data.iterdir()) == [
+            "features", "latents", "manifest.json", "traces"]
+        for sub in ("traces", "features", "latents"):
+            assert sorted(p.name for p in (data / sub).iterdir()) == [
+                f"item{i:03d}.csv" for i in range(6)]
 
     def test_byte_identical_rerun(self, workspace, tmp_path):
         cfg = workspace / "synth.json"
         result = run_cli(["synth", "--config", cfg, "--out", tmp_path / "again"])
         assert result.exit_code == 0
         for sub in ("traces", "features", "latents"):
-            for f in sorted((workspace / "data" / sub).iterdir()):
-                assert f.read_bytes() == (tmp_path / "again" / sub / f.name).read_bytes()
+            again = sorted((tmp_path / "again" / sub).iterdir())
+            assert len(again) == 6
+            for f in again:
+                assert f.read_bytes() == (workspace / "data" / sub / f.name).read_bytes()
 
     def test_invalid_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -716,6 +728,139 @@ class TestLoaderErrors:
         assert (f"{tmp_path / 'short.csv'}: 20 samples after the 4 s delay shift, fewer "
                 "than one 3 s window (75 samples)") in result.output
         assert not (tmp_path / "rep").exists()
+
+
+def memo_entries(table):
+    """The names of the memo entries of the table file ``table``."""
+    memo = table.parent / data_io.MEMO_DIR
+    if not memo.is_dir():
+        return []
+    return sorted(p.name for p in memo.iterdir() if p.name.startswith(table.name + "."))
+
+
+def memo_entry(table):
+    """The name of the memo entry of the table's current bytes."""
+    digest = hashlib.sha256(table.read_bytes()).hexdigest()
+    return f"{table.name}.{digest}.v{data_io._MEMO_VERSION}.npy"
+
+
+def edit_cell(row, column, value):
+    """Damage: set one cell of a table's text."""
+    def edit(table, entry):
+        lines = table.read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[column] = value
+        lines[row] = ",".join(cells)
+        table.write_text("\n".join(lines) + "\n")
+    return edit
+
+
+def insert_blank_line(table, entry):
+    lines = table.read_text().splitlines()
+    table.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n")
+
+
+def block_memo(table, entry):
+    """Damage: the memo location becomes a regular file, which root cannot write into."""
+    shutil.rmtree(entry.parent)
+    entry.parent.write_text("not a directory\n")
+
+
+# Damage done to a trace table or to its memo entry, and what becomes of
+# the entry: "new" (one entry, for the new bytes), "rewritten" (the same
+# entry, readable again), "blocked" (nothing written) or "none" (no entry
+# for the table's bytes).
+MEMO_CASES = {
+    "edited source": (edit_cell(3, 1, "0.5"), "new"),
+    "truncated entry": (lambda table, entry: entry.write_bytes(entry.read_bytes()[:-40]),
+                        "rewritten"),
+    "float32 entry": (lambda table, entry: np.save(entry, np.load(entry).astype(np.float32)),
+                      "rewritten"),
+    "one-dimensional entry": (lambda table, entry: np.save(entry, np.load(entry).ravel()),
+                              "rewritten"),
+    "unwritable memo location": (block_memo, "blocked"),
+    "bad cell": (edit_cell(3, 1, "x"), "none"),
+    "non-uniform time": (edit_cell(4, 0, "2.5"), "none"),
+    "irregular table": (insert_blank_line, "none"),
+}
+
+
+class TestInputMemo:
+    @pytest.mark.parametrize("case", list(MEMO_CASES))
+    def test_damage_gives_the_parse_result(self, tmp_path, case):
+        damage, outcome = MEMO_CASES[case]
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(dict(FAST_SYNTH, items=3, groups=3, split={"k": 3})))
+        data = tmp_path / "data"
+        assert run_cli(["synth", "--config", cfg, "--out", data]).exit_code == 0
+
+        def represent(root, out):
+            return run_cli(["represent", "--manifest", root / "manifest.json", "--tag", "O_G",
+                            "--out", out])
+
+        assert represent(data, tmp_path / "warm").exit_code == 0
+        trace = data / "traces" / "item000.csv"
+        old = memo_entries(trace)
+        assert old == [memo_entry(trace)]
+        damage(trace, trace.parent / data_io.MEMO_DIR / old[0])
+        listing = sorted(trace.parent.rglob("*"))
+        result = represent(data, tmp_path / "out")
+        # The same command on a copy without the memo parses every table.
+        clean = tmp_path / "clean"
+        shutil.copytree(data, clean, ignore=shutil.ignore_patterns(data_io.MEMO_DIR))
+        expected = represent(clean, tmp_path / "clean_out")
+        assert result.exit_code == expected.exit_code
+        assert result.stderr == expected.stderr.replace(str(clean), str(data))
+        if result.exit_code == 0:
+            written = sorted(p.name for p in (tmp_path / "out").iterdir())
+            assert written == sorted(p.name for p in (tmp_path / "clean_out").iterdir())
+            for name in written:
+                assert ((tmp_path / "out" / name).read_bytes()
+                        == (tmp_path / "clean_out" / name).read_bytes())
+        else:
+            assert not (tmp_path / "out").exists()
+
+        entries = memo_entries(trace)
+        if outcome == "new":
+            assert entries == [memo_entry(trace)] != old
+        elif outcome == "rewritten":
+            assert entries == old
+            rows = np.load(trace.parent / data_io.MEMO_DIR / old[0], allow_pickle=False)
+            assert rows.dtype == np.float64
+            np.testing.assert_array_equal(rows, read_table(clean / "traces" / trace.name).rows)
+        elif outcome == "blocked":
+            assert (trace.parent / data_io.MEMO_DIR).read_text() == "not a directory\n"
+            assert sorted(trace.parent.rglob("*")) == listing
+        else:
+            assert memo_entry(trace) not in entries
+
+    @pytest.mark.parametrize("command", [
+        ["represent", "--tag", "O_I"],
+        ["train-eval", "--tag", "I", "--target", "both"],
+    ])
+    def test_each_input_file_opened_once(self, workspace, tmp_path, monkeypatch, command):
+        manifest = workspace / "data" / "manifest.json"
+        items = json.loads(manifest.read_text())["dataset"]["items"]
+        inputs = [manifest] + [workspace / "data" / item[key] for item in items
+                               for key in ("trace_file", "feature_file")]
+        opened = collections.Counter()
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                opened[os.path.realpath(file)] += 1
+            return real_open(file, *args, **kwargs)
+
+        # A second run reads the memo entries the first one wrote.
+        for run in ("first", "second"):
+            opened.clear()
+            monkeypatch.setattr(builtins, "open", counting_open)
+            result = run_cli([command[0], "--manifest", manifest, *command[1:],
+                              "--out", tmp_path / run])
+            monkeypatch.undo()
+            assert result.exit_code == 0, result.output
+            assert [opened[os.path.realpath(p)] for p in inputs] == [1] * len(inputs)
+            assert not list((tmp_path / run).rglob(data_io.MEMO_DIR))
 
 
 SUMMARY_KEYS = {

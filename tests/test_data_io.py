@@ -11,6 +11,7 @@ from ambitrace.data_io import (
     ItemEntry,
     SplitSpec,
     SynthConfig,
+    dataset_digest,
     dataset_hash,
     load_feature_table,
     load_manifest,
@@ -367,3 +368,21 @@ class TestManifest:
         assert h1 == dataset_hash(manifest)
         item2 = _write_item(tmp_path, "h1", 20, 1.0, 20, value=1.0)
         assert dataset_hash(manifest) != h1
+
+    def test_loader_digest_equals_dataset_hash(self, tmp_path):
+        items = [_write_item(tmp_path, name, 20, 1.0, 20, value=value)
+                 for name, value in (("b", 1.0), ("a", 2.0), ("c", 3.0))]
+        manifest = ExperimentManifest(
+            dataset=DatasetConfig(native_period=1.0, window_length=1.0, items=items),
+            representation={"family": "gaussian"},
+            model={},
+            train={},
+            split=SplitSpec(),
+            base_dir=str(tmp_path),
+        )
+        # Twice: with the memo missing, then hitting.
+        for _ in range(2):
+            digest = dataset_digest(manifest)
+            for item in items:
+                prepare_item(manifest, item, digest)
+            assert digest.hexdigest() == dataset_hash(manifest)

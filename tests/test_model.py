@@ -382,6 +382,21 @@ class TestStackedPasses:
             for key, g in grads_ref.items():
                 assert_close_to_reference(grads[key][m], g)
 
+    @pytest.mark.parametrize("hidden_dim", [5, 32])
+    def test_predict_stack_matches_predict_bitwise(self, hidden_dim):
+        cfgs = [ModelConfig(input_dim=8, hidden_dim=hidden_dim, seed=s) for s in (3, 100, 197)]
+        scalings = [TargetScaling(1.3, -0.2), TargetScaling(0.7, 0.4), TargetScaling(2.1, 0.0)]
+        models = [TrainedModel(init_params(c), c, s) for c, s in zip(cfgs, scalings)]
+        rng = np.random.default_rng(hidden_dim)
+        sequences = [rng.normal(size=(steps, 8)) for steps in (19, 7, 19, 2)]
+        for n_models in (1, 2, 3):
+            preds = stacked.predict_stack(models[:n_models], sequences)
+            assert len(preds) == len(sequences)
+            for seq, pred in zip(sequences, preds):
+                assert pred.shape == (n_models, len(seq))
+                for row, model in zip(pred, models):
+                    np.testing.assert_array_equal(row, predict(model, seq))
+
     def test_gradient_check_two_model_stack(self):
         err = gradient_check(seed=(3, 11))
         assert err < 1e-4

@@ -2,9 +2,12 @@
 a reader that returns what the line-by-line reader it replaced returns, and
 malformed input that always ends in a DataError."""
 
+import contextlib
 import os
 import re
+import shutil
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -154,15 +157,33 @@ def read_outcome(read, path):
         return str(exc)
 
 
+def memo_entries(path):
+    """The names of the memo entries of the table at ``path``."""
+    memo = os.path.join(os.path.dirname(path), data_io.MEMO_DIR)
+    name = os.path.basename(path)
+    return [e for e in os.listdir(memo) if e.startswith(name + ".")] if os.path.isdir(memo) else []
+
+
 def assert_same_outcome(path):
-    new, ref = read_outcome(read_table, path), read_outcome(ref_read_table, path)
+    """``read_table`` gives the reference's outcome with the memo missing, then hitting."""
+    ref = read_outcome(ref_read_table, path)
+    shutil.rmtree(os.path.join(os.path.dirname(path), data_io.MEMO_DIR), ignore_errors=True)
+    missing = read_outcome(read_table, path)
+    entries = memo_entries(path)
+    assert len(entries) <= 1
+    # Reading an entry replaces the parse, so none may run.
+    no_parse = mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed on a hit"))
+    with no_parse if entries else contextlib.nullcontext():
+        hitting = read_outcome(read_table, path)
     if isinstance(ref, str):
-        assert new == ref
+        assert missing == hitting == ref
+        assert not entries  # a table that fails is never memoized
         return
-    assert isinstance(new, Table)
-    assert (new.meta, new.names, new.lines) == (ref.meta, ref.names, ref.lines)
-    assert new.rows.dtype == ref.rows.dtype and new.rows.shape == ref.rows.shape
-    assert new.rows.tobytes() == ref.rows.tobytes()
+    for new in (missing, hitting):
+        assert isinstance(new, Table)
+        assert (new.meta, new.names, new.lines) == (ref.meta, ref.names, ref.lines)
+        assert new.rows.dtype == ref.rows.dtype and new.rows.shape == ref.rows.shape
+        assert new.rows.tobytes() == ref.rows.tobytes()
 
 
 def assert_same_bytes(write, ref_write, tmp_path):
