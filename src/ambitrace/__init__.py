@@ -15,7 +15,6 @@ _EXPORTS = {
     "shift_delay": "traces",
     "window_aggregate": "traces",
     "WindowFits": "representations",
-    "GroupOrdinal": "representations",
     "fit_gaussian": "representations",
     "fit_beta": "representations",
     "interval_representation": "representations",

@@ -22,12 +22,15 @@ import click
 
 from . import pipeline
 from .data_io import (
+    FORMAT_VERSION,
     DataError,
     OutputDirError,
     SynthConfig,
     _atomic_write,
     load_manifest,
     make_output_dir,
+    parse_section,
+    write_json,
 )
 from .representations import FitError
 
@@ -82,8 +85,8 @@ def synth(config_path, out_dir, seed):
     if seed is not None:
         doc["seed"] = seed
     try:
-        cfg = SynthConfig(**doc)
-    except (TypeError, DataError) as exc:
+        cfg = parse_section("", doc, SynthConfig)
+    except DataError as exc:
         _fail(EXIT_CONFIG, f"config {config_path}: {exc}")
     try:
         manifest_path = pipeline.run_synth(cfg, out_dir, extra)
@@ -118,7 +121,7 @@ def represent(manifest_path, tag, out_dir):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Override the manifest seed.")
-@click.option("--jobs", type=int, default=1, show_default=True,
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Concurrent fold-training processes.")
 def train_eval(manifest_path, tag, target, out_dir, seed, jobs):
     """Train per-fold models for a representation and evaluate CCC/SDA."""
@@ -129,7 +132,7 @@ def train_eval(manifest_path, tag, target, out_dir, seed, jobs):
     targets = list(pipeline.TARGETS) if target == "both" else [target]
     try:
         summary = pipeline.run_train_eval(
-            manifest, tag, targets, out_dir, jobs=max(1, jobs), seed=seed
+            manifest, tag, targets, out_dir, jobs=jobs, seed=seed
         )
     except FitError as exc:
         _fail(EXIT_REPRESENT, f"representation fit failed: {exc}")
@@ -160,15 +163,14 @@ def report(result_dirs, out_dir):
             _fail(EXIT_CONFIG, str(exc))
         _atomic_write(os.path.join(out_dir, "report.txt"), table + "\n")
         record = {
-            "format_version": 1,
+            "format_version": FORMAT_VERSION,
             "dataset_hash": summaries[0]["dataset_hash"],
             "rows": [
                 {"tag": s["tag"], "mean": s["mean"], "std": s["std"]}
                 for s in summaries
             ],
         }
-        _atomic_write(os.path.join(out_dir, "report.json"),
-                      json.dumps(record, indent=2, sort_keys=True) + "\n")
+        write_json(os.path.join(out_dir, "report.json"), record)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ import math
 import numbers
 import os
 import re
-import tempfile
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -76,9 +75,14 @@ def make_output_dir(path):
 
 
 def _atomic_write(path, data):
-    """Write ``data`` (str or bytes) to a temp file beside ``path``, then rename."""
+    """Write ``data`` (str or bytes) to a temp file beside ``path``, then rename.
+
+    The file gets the mode ``open()`` would give it: 0o666 less the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    # O_EXCL: a name that is already taken fails instead of being reused.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
             fh.write(data)
@@ -87,6 +91,11 @@ def _atomic_write(path, data):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path, doc):
+    """Write ``doc`` as indented JSON with sorted keys, atomically."""
+    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # --- headed tables ----------------------------------------------------------
@@ -684,28 +693,35 @@ class ExperimentManifest:
         return os.path.join(self.base_dir, relpath)
 
 
+def _key_name(section, key):
+    """``section.key``, or ``key`` alone in the unnamed top-level section."""
+    return f"{section}.{key}" if section else f"{key}"
+
+
 def _check_keys(section, doc, known):
     if not isinstance(doc, dict):
         raise DataError(f"{section}: expected a JSON object, got {doc!r}")
     for key in doc:
         if key not in known:
-            raise DataError(f"{section}.{key}: unknown key (expected one of "
+            raise DataError(f"{_key_name(section, key)}: unknown key (expected one of "
                             f"{', '.join(sorted(known))})")
 
 
 def parse_section(section, doc, cls, **derived):
     """Build ``cls`` from one manifest section; every error names ``section.key``.
 
-    ``derived`` supplies the fields that do not come from the manifest.
+    ``derived`` supplies the fields that do not come from the manifest.  A
+    document with no enclosing section, such as a synth config, passes
+    ``section=""`` and its errors name the key alone.
     """
     _check_keys(section, doc, [f.name for f in fields(cls) if f.name not in derived])
     for f in fields(cls):
         if f.name not in doc and f.name not in derived and f.default is MISSING:
-            raise DataError(f"{section}.{f.name}: missing")
+            raise DataError(f"{_key_name(section, f.name)}: missing")
     try:
         return cls(**derived, **doc)
     except ValueError as exc:
-        raise DataError(f"{section}.{exc}") from exc
+        raise DataError(_key_name(section, exc)) from exc
 
 
 def manifest_to_dict(manifest: ExperimentManifest) -> dict:
@@ -729,7 +745,7 @@ def manifest_to_dict(manifest: ExperimentManifest) -> dict:
 
 
 def save_manifest(manifest: ExperimentManifest, path):
-    _atomic_write(path, json.dumps(manifest_to_dict(manifest), indent=2, sort_keys=True) + "\n")
+    write_json(path, manifest_to_dict(manifest))
 
 
 def load_manifest(path) -> ExperimentManifest:

@@ -31,6 +31,7 @@ from .data_io import (
     make_splits,
     parse_section,
     prepare_item,
+    write_json,
     write_table,
 )
 from .representations import (
@@ -135,44 +136,60 @@ def run_synth(cfg: SynthConfig, out_dir, extra=None):
     return path
 
 
-# --- represent --------------------------------------------------------------
+# --- represent and train-eval ----------------------------------------------
 
 
-def _require_two_windows(manifest, item, trace_set, command):
-    """Refuse a one-window item: it has no difference to take and no variance to score."""
-    if trace_set.window_count < 2:
-        raise DataError(f"{manifest.resolve(item.trace_file)}: only one window after "
-                        f"alignment; {command} needs at least two")
+def _fit_items(manifest: ExperimentManifest, tag, min_windows, command):
+    """Read, then check, then fit every item; returns (dataset hash, fitted items).
+
+    Each phase covers every item before the next starts, so the caller
+    can create its output after this returns and no bad input or failed
+    fit leaves any behind.  Each input file is read once: the dataset hash
+    is taken from the bytes the tables are parsed from.  An item needs
+    ``min_windows`` windows after alignment and as many feature columns as
+    the first item, at least one; ``command`` names the caller in the
+    messages.  The fitted items are (item, features, fits), in manifest
+    order.
+    """
+    items = manifest.dataset.items
+    digest = dataset_digest(manifest)
+    prepared = [prepare_item(manifest, item, digest) for item in items]
+    # Every fold's model takes the first item's feature width.
+    width = prepared[0][1].shape[1]
+    for item, (trace_set, features) in zip(items, prepared):
+        if trace_set.window_count < min_windows:
+            # No difference to take and no variance to score.
+            raise DataError(f"{manifest.resolve(item.trace_file)}: only one window after "
+                            f"alignment; {command} needs at least two")
+        if features.shape[1] == 0:
+            raise DataError(f"{manifest.resolve(item.feature_file)}: no feature columns")
+        if features.shape[1] != width:
+            raise DataError(f"{manifest.resolve(item.feature_file)}: {features.shape[1]} "
+                            f"feature columns, the first item has {width}")
+    family = manifest.representation.get("family", "gaussian")
+    radius = manifest.representation.get("neighbor_radius", 1)
+    fitted = []
+    for item, (trace_set, features) in zip(items, prepared):
+        try:
+            fits = compute_representation(trace_set, tag, family, radius)
+        except representations.FitError as exc:
+            raise representations.FitError(f"item {item.item_id!r}: {exc}") from exc
+        fitted.append((item, features, fits))
+    return digest.hexdigest(), fitted
 
 
 def run_represent(manifest: ExperimentManifest, tag, out_dir):
     """Write one representation table per item plus a mean-spread summary."""
-    if tag not in TAGS:
-        raise ValueError(f"unknown representation tag {tag!r}")
-    # Every table is read before the output directory exists, so bad
-    # input leaves no output behind.
-    # Each input file is read once: the dataset hash is taken from the
-    # bytes the tables are parsed from.
-    digest = dataset_digest(manifest)
-    prepared = [prepare_item(manifest, item, digest)[0] for item in manifest.dataset.items]
-    if tag != TAG_INTERVAL:
-        for item, trace_set in zip(manifest.dataset.items, prepared):
-            _require_two_windows(manifest, item, trace_set, f"represent --tag {tag}")
+    # An interval fit needs one window; a difference needs two.
+    source, fitted = _fit_items(manifest, tag, 1 if tag == TAG_INTERVAL else 2,
+                               f"represent --tag {tag}")
     make_output_dir(out_dir)
-    family = manifest.representation.get("family", "gaussian")
-    radius = manifest.representation.get("neighbor_radius", 1)
-    source = digest.hexdigest()
     summary_rows = []
-    for item, trace_set in zip(manifest.dataset.items, prepared):
-        try:
-            rep = compute_representation(trace_set, tag, family, radius)
-        except representations.FitError as exc:
-            raise representations.FitError(f"item {item.item_id!r}: {exc}") from exc
+    for item, _, fits in fitted:
         write_representation(
-            rep, os.path.join(out_dir, f"{tag}_{item.item_id}.csv"), source_hash=source
+            fits, os.path.join(out_dir, f"{tag}_{item.item_id}.csv"), source_hash=source
         )
-        _, sigma_like = rep.channels
-        summary_rows.append((item.item_id, float(np.mean(sigma_like))))
+        summary_rows.append((item.item_id, float(np.mean(fits.sigma))))
     ids, means = zip(*summary_rows)
     write_table(os.path.join(out_dir, f"summary_{tag}.csv"), {"representation": tag},
                 {"item_id": ids, "mean_sigma": means})
@@ -180,31 +197,6 @@ def run_represent(manifest: ExperimentManifest, tag, out_dir):
 
 
 # --- train-eval -------------------------------------------------------------
-
-
-def _item_data(manifest, tag):
-    """Features and both targets per item id, and the dataset hash."""
-    family = manifest.representation.get("family", "gaussian")
-    radius = manifest.representation.get("neighbor_radius", 1)
-    digest = dataset_digest(manifest)
-    data = {}
-    for item in manifest.dataset.items:
-        trace_set, features = prepare_item(manifest, item, digest)
-        # Each item is scored by CCC and SDA, and every fold's model takes
-        # the first item's feature width.
-        _require_two_windows(manifest, item, trace_set, "train-eval")
-        if data and features.shape[1] != width:
-            raise DataError(f"{manifest.resolve(item.feature_file)}: {features.shape[1]} "
-                            f"feature columns, the first item has {width}")
-        width = features.shape[1]
-        rep = compute_representation(trace_set, tag, family, radius)
-        mu_like, sigma_like = rep.channels
-        data[item.item_id] = {
-            "features": features,
-            "mu": np.asarray(mu_like),
-            "sigma": np.asarray(sigma_like),
-        }
-    return data, digest.hexdigest()
 
 
 def _fold_stacks(n_folds, jobs):
@@ -272,14 +264,14 @@ def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs=1,
     Evaluation is computed per validation sequence and averaged across
     sequences within a fold, then mean +/- std across folds.
     """
-    if tag not in TAGS:
-        raise ValueError(f"unknown representation tag {tag!r}")
     for target in targets:
         if target not in TARGETS:
             raise ValueError(f"unknown target {target!r}")
-    # Inputs are read and fitted before the output directory exists.
-    data, source = _item_data(manifest, tag)
+    # Each item is scored by CCC and SDA, which need two windows.
+    source, fitted = _fit_items(manifest, tag, 2, "train-eval")
     make_output_dir(out_dir)
+    data = {item.item_id: {"features": features, "mu": fits.mu, "sigma": fits.sigma}
+            for item, features, fits in fitted}
     base_seed = seed if seed is not None else manifest.seed
     folds = make_splits(
         [(it.item_id, it.group) for it in manifest.dataset.items], manifest.split
@@ -308,8 +300,7 @@ def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs=1,
         for fold, models in results:
             # The loss curves stay in the fold files; the summary keeps the rest.
             fold_records.append({k: v for k, v in fold.items() if k != "loss_curve"})
-            _atomic_write(os.path.join(out_dir, f"fold_{fold['fold']:02d}.json"),
-                          json.dumps(fold, indent=2, sort_keys=True) + "\n")
+            write_json(os.path.join(out_dir, f"fold_{fold['fold']:02d}.json"), fold)
             for target, model in models.items():
                 save_checkpoint(
                     model, os.path.join(out_dir, f"fold_{fold['fold']:02d}_{target}.ckpt")
@@ -333,7 +324,7 @@ def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs=1,
     mean = {k: float(np.mean([f["metrics"][k] for f in fold_records])) for k in keys}
     std = {k: float(np.std([f["metrics"][k] for f in fold_records])) for k in keys}
     summary = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "tag": tag,
         "targets": list(targets),
         "dataset_hash": source,
@@ -348,8 +339,7 @@ def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs=1,
         "mean": mean,
         "std": std,
     }
-    _atomic_write(os.path.join(out_dir, "summary.json"),
-                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(os.path.join(out_dir, "summary.json"), summary)
     _atomic_write(os.path.join(out_dir, "summary.txt"), render_summary_table([summary]) + "\n")
     return summary
 

@@ -38,8 +38,9 @@ class WindowFits:
     mu/sigma are the Beta mean and std mapped back to original trace
     units, (alpha, beta) are kept alongside, and ``beta_fallbacks``
     counts the windows whose Newton solve failed and kept the moment
-    estimate.  The interval (``I``) and individual ordinal (``O_I``)
-    representations are both of this type; ``tag`` tells them apart.
+    estimate.  All three representations are of this type, and ``tag``
+    tells them apart: for the group ordinal (``O_G``) mu/sigma are the
+    rates of change of the interval mu/sigma, with family ``-``.
     """
 
     mu: np.ndarray
@@ -51,6 +52,12 @@ class WindowFits:
     neighbor_radius: int = -1
     tag: str = ""
 
+    def __post_init__(self):
+        # Traces near the float64 limit can overflow a mean, a spread or a difference.
+        finite = np.isfinite(self.mu) & np.isfinite(self.sigma)
+        _raise_first_failure([(~finite, "fit is not finite; trace values too large")],
+                             np.shape(self.mu))
+
     def __len__(self):
         return len(self.mu)
 
@@ -59,45 +66,12 @@ class WindowFits:
         """(alpha, beta), or None outside the Beta family."""
         return None if self.alpha is None else (self.alpha, self.beta)
 
-    @property
-    def channels(self):
-        """(mu-like, sigma-like) target sequences."""
-        return self.mu, self.sigma
-
     def columns(self) -> dict:
-        cols = {"mu": self.mu, "sigma": self.sigma}
+        mu, sigma = ("dmu", "dsigma") if self.tag == TAG_GROUP else ("mu", "sigma")
+        cols = {mu: self.mu, sigma: self.sigma}
         if self.alpha is not None:
             cols.update(alpha=self.alpha, beta=self.beta)
         return cols
-
-
-@dataclass
-class GroupOrdinal:
-    dmu: np.ndarray
-    dsigma: np.ndarray
-
-    tag = TAG_GROUP
-    family = "-"
-    neighbor_radius = -1
-
-    def __post_init__(self):
-        self.dmu = np.asarray(self.dmu, dtype=float)
-        self.dsigma = np.asarray(self.dsigma, dtype=float)
-        if self.dmu.shape != self.dsigma.shape:
-            raise ValueError("dmu and dsigma must have equal length")
-        if not (np.all(np.isfinite(self.dmu)) and np.all(np.isfinite(self.dsigma))):
-            raise ValueError("gradients must be finite")
-
-    def __len__(self):
-        return len(self.dmu)
-
-    @property
-    def channels(self):
-        """(mu-like, sigma-like) target sequences."""
-        return self.dmu, self.dsigma
-
-    def columns(self) -> dict:
-        return {"dmu": self.dmu, "dsigma": self.dsigma}
 
 
 def pool_windows(matrix, radius):
@@ -315,14 +289,12 @@ def individual_ordinal(trace_set: TraceSet, neighbor_radius: int = 1) -> WindowF
                    neighbor_radius=neighbor_radius, tag=TAG_INDIVIDUAL)
 
 
-def group_ordinal(interval: WindowFits) -> GroupOrdinal:
+def group_ordinal(interval: WindowFits) -> WindowFits:
     """Rates of change of the interval representation's mu and sigma."""
     if len(interval) < 2:
         raise ValueError("need at least two windows to differentiate")
-    return GroupOrdinal(
-        dmu=central_difference(interval.mu),
-        dsigma=central_difference(interval.sigma),
-    )
+    return WindowFits(mu=central_difference(interval.mu),
+                      sigma=central_difference(interval.sigma), family="-", tag=TAG_GROUP)
 
 
 # --- columnar text serialization -------------------------------------------

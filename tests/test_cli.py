@@ -7,6 +7,7 @@ import io
 import json
 import os
 import shutil
+import stat
 import sys
 import tempfile
 from dataclasses import fields
@@ -218,7 +219,7 @@ class TestStartUp:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip().split(",") == [
             "TraceSet", "central_difference", "shift_delay", "window_aggregate",
-            "WindowFits", "GroupOrdinal", "fit_gaussian", "fit_beta",
+            "WindowFits", "fit_gaussian", "fit_beta",
             "interval_representation", "individual_ordinal", "group_ordinal", "ccc", "sda",
             "__version__"]
 
@@ -391,11 +392,12 @@ class TestTrainEval:
         for name in names:
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
-    def test_negative_seed_exits_2_before_any_output(self, workspace, tmp_path):
+    @pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--jobs", "0")])
+    def test_bad_option_exits_2_before_any_output(self, workspace, tmp_path, option, value):
         result = run_cli(["train-eval", "--manifest", workspace / "data" / "manifest.json",
-                          "--tag", "I", "--seed", "-1", "--out", tmp_path / "run"])
+                          "--tag", "I", option, value, "--out", tmp_path / "run"])
         assert result.exit_code == 2, result.output
-        assert "'--seed'" in result.output
+        assert f"'{option}'" in result.output
         assert not (tmp_path / "run").exists()
 
     def test_fold_files_carry_loss_curves(self, workspace, tmp_path):
@@ -459,6 +461,62 @@ class TestTrainEval:
         assert result.exit_code == 2, result.output
         assert "narrow_item003.csv: 7 feature columns, the first item has 8" in result.output
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["represent", "train-eval"])
+    def test_feature_table_without_feature_columns_exits_2(self, workspace, tmp_path,
+                                                           command):
+        def edit(lines):
+            lines[:] = [line if line.startswith("#") else line.split(",")[0]
+                        for line in lines]
+
+        data = workspace / "data"
+        path = TestLoaderErrors.manifest_with_table(data, 0, "feature", "bare_item000.csv",
+                                                    edit)
+        result = run_cli([command, "--manifest", path, "--tag", "I", "--out", tmp_path / "out"])
+        assert result.exit_code == 2, result.output
+        assert f"{data / 'features' / 'bare_item000.csv'}: no feature columns" in result.output
+        assert not (tmp_path / "out").exists()
+
+
+def beta_manifest_with_a_constant_item(root, constant):
+    """A Beta-family manifest of four items; item ``constant`` has equal trace values."""
+    rng = np.random.default_rng(5)
+    items = []
+    for i in range(4):
+        matrix = np.full((3, 8), 0.25) if i == constant else rng.uniform(-0.9, 0.9, (3, 8))
+        write_trace_table(root / f"t{i}.csv", ["a", "b", "c"], matrix, 1.0)
+        write_feature_table(root / f"f{i}.csv", FeatureTable(f"it{i}", rng.normal(size=(8, 2))))
+        items.append({"item_id": f"it{i}", "group": f"g{i}", "trace_file": f"t{i}.csv",
+                      "feature_file": f"f{i}.csv"})
+    doc = {"dataset": {"native_period": 1.0, "window_length": 1.0, "bounds": [-1.0, 1.0],
+                       "items": items},
+           "representation": {"family": "beta_mapped", "neighbor_radius": 1},
+           "model": {"hidden_dim": 4}, "train": {"max_epochs": 1, "segment_length": 8},
+           "split": {"k": 2}}
+    path = root / "beta.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("command", ["represent", "train-eval"])
+def test_fit_failure_exits_3_naming_the_item_before_any_output(tmp_path, command):
+    path = beta_manifest_with_a_constant_item(tmp_path, constant=2)
+    result = run_cli([command, "--manifest", path, "--tag", "I", "--out", tmp_path / "out"])
+    assert result.exit_code == 3, result.output
+    assert ("error: representation fit failed: item 'it2': window 0: all samples identical "
+            "after clamping; widen the pool") in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["represent", "train-eval"])
+def test_configuration_error_wins_over_fit_failure(tmp_path, command):
+    # Every item is checked before any is fitted.
+    path = beta_manifest_with_a_constant_item(tmp_path, constant=1)
+    write_feature_table(tmp_path / "f3.csv", FeatureTable("it3", np.zeros((8, 3))))
+    result = run_cli([command, "--manifest", path, "--tag", "I", "--out", tmp_path / "out"])
+    assert result.exit_code == 2, result.output
+    assert f"{tmp_path / 'f3.csv'}: 3 feature columns, the first item has 2" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def write_variant_manifest(workspace, name, section, key, value):
@@ -624,7 +682,11 @@ class TestSynthFuzz:
             result = run_cli(["synth", "--config", cfg, "--out", out])
             assert result.exit_code in (0, 2), result.output
             if result.exit_code == 2:
-                assert result.stderr.startswith(f"error: config {cfg}: "), result.stderr
+                prefix = f"error: config {cfg}: "
+                assert result.stderr.startswith(prefix), result.stderr
+                # The message names the mutated key, inside its section.
+                assert result.stderr[len(prefix):].startswith(".".join([*site, key])), \
+                    result.stderr
                 assert not os.path.exists(out)
 
 
@@ -905,6 +967,28 @@ class TestOutputDir:
         result = run_cli(["synth", "--config", cfg, "--out", tmp_path / "out"])
         assert result.exit_code == 2, result.output
         assert f"error: output directory {tmp_path / 'out' / 'traces'}: exists" in result.output
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_new_files_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(dict(FAST_SYNTH, items=3, groups=3, split={"k": 3})))
+    manifest = tmp_path / "d" / "manifest.json"
+    previous = os.umask(umask)
+    try:
+        for args in (["synth", "--config", cfg, "--out", tmp_path / "d"],
+                     ["represent", "--manifest", manifest, "--tag", "I", "--out", tmp_path / "rep"],
+                     ["train-eval", "--manifest", manifest, "--tag", "I", "--target", "mu",
+                      "--out", tmp_path / "run"]):
+            result = run_cli(args)
+            assert result.exit_code == 0, result.output
+    finally:
+        os.umask(previous)
+    trace = tmp_path / "d" / "traces" / "item000.csv"
+    for path in (trace, trace.parent / data_io.MEMO_DIR / memo_entry(trace), manifest,
+                 tmp_path / "rep" / "I_item000.csv", tmp_path / "run" / "summary.json",
+                 tmp_path / "run" / "fold_00_mu.ckpt"):
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path
 
 
 @st.composite

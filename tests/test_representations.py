@@ -12,6 +12,7 @@ from ambitrace.representations import (
     BETA_MAPPED,
     FitError,
     GAUSSIAN,
+    WindowFits,
     fit_beta,
     fit_gaussian,
     group_ordinal,
@@ -258,20 +259,29 @@ class TestGroupOrdinal:
     def test_constant_params_zero_gradients(self):
         rep = interval_representation(make_set(np.full((3, 5), 0.2)), GAUSSIAN, 1)
         g = group_ordinal(rep)
-        np.testing.assert_allclose(g.dmu, 0.0, atol=1e-12)
-        np.testing.assert_allclose(g.dsigma, 0.0, atol=1e-12)
+        np.testing.assert_allclose(g.mu, 0.0, atol=1e-12)
+        np.testing.assert_allclose(g.sigma, 0.0, atol=1e-12)
 
     def test_affine_mu_constant_slope(self):
         base = np.linspace(0.0, 1.0, 6)
         ts = make_set(np.stack([base, base + 0.2]))
         g = group_ordinal(interval_representation(ts, GAUSSIAN, 0))
-        np.testing.assert_allclose(g.dmu, base[1] - base[0], atol=1e-12)
+        np.testing.assert_allclose(g.mu, base[1] - base[0], atol=1e-12)
 
     def test_hand_case(self):
         mu = np.array([0.0, 0.2, 0.1, 0.4])
         matrix = np.stack([mu, mu])  # identical annotators: interval mu == mu
         g = group_ordinal(interval_representation(make_set(matrix), GAUSSIAN, 0))
-        np.testing.assert_allclose(g.dmu, [0.2, 0.05, 0.1, 0.3], atol=1e-12)
+        np.testing.assert_allclose(g.mu, [0.2, 0.05, 0.1, 0.3], atol=1e-12)
+
+    def test_overflow_is_a_fit_error(self):
+        # Finite traces whose mean (I) or difference (O_G) overflows float64.
+        big = np.array([0.0, 1.5e308, -1.5e308, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FitError, match="window 1: fit is not finite"):
+                interval_representation(make_set(np.stack([big, big])), GAUSSIAN, 0)
+            with pytest.raises(FitError, match="window 1: fit is not finite"):
+                group_ordinal(WindowFits(mu=big[[1, 0, 2, 3]], sigma=np.zeros(4)))
 
 
 class TestSerialization:
