@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
-Exit codes partition the failure classes: 2 for configuration problems,
-3 for representation fit failures, 4 for training failures, 5 for
-report merging conflicts.
+Exit codes partition the failure classes: 2 for configuration problems
+and outputs that cannot be written, 3 for representation fit failures, 4
+for training failures, 5 for report merging conflicts.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import pipeline
 from .data_io import (
     FORMAT_VERSION,
     DataError,
-    OutputDirError,
+    OutputError,
     SynthConfig,
     _atomic_write,
     load_manifest,
@@ -85,12 +85,12 @@ def synth(config_path, out_dir, seed):
     if seed is not None:
         doc["seed"] = seed
     try:
-        cfg = parse_section("", doc, SynthConfig)
+        cfg = parse_section("", doc, SynthConfig, also_known=pipeline.MANIFEST_EXTRA_KEYS)
     except DataError as exc:
         _fail(EXIT_CONFIG, f"config {config_path}: {exc}")
     try:
         manifest_path = pipeline.run_synth(cfg, out_dir, extra)
-    except OutputDirError as exc:
+    except OutputError as exc:
         _fail(EXIT_CONFIG, str(exc))
     except DataError as exc:
         _fail(EXIT_CONFIG, f"config {config_path}: {exc}")
@@ -157,11 +157,6 @@ def report(result_dirs, out_dir):
     table = pipeline.render_summary_table(summaries)
     click.echo(table)
     if out_dir is not None:
-        try:
-            make_output_dir(out_dir)
-        except DataError as exc:
-            _fail(EXIT_CONFIG, str(exc))
-        _atomic_write(os.path.join(out_dir, "report.txt"), table + "\n")
         record = {
             "format_version": FORMAT_VERSION,
             "dataset_hash": summaries[0]["dataset_hash"],
@@ -170,7 +165,12 @@ def report(result_dirs, out_dir):
                 for s in summaries
             ],
         }
-        write_json(os.path.join(out_dir, "report.json"), record)
+        try:
+            make_output_dir(out_dir)
+            _atomic_write(os.path.join(out_dir, "report.txt"), table + "\n")
+            write_json(os.path.join(out_dir, "report.json"), record)
+        except OutputError as exc:
+            _fail(EXIT_CONFIG, str(exc))
 
 
 if __name__ == "__main__":

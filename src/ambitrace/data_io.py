@@ -43,8 +43,8 @@ class DataError(ValueError):
     """A data file or configuration failed validation."""
 
 
-class OutputDirError(DataError):
-    """An output directory could not be created."""
+class OutputError(DataError):
+    """An output directory could not be created or an output file written."""
 
 
 def _check_int(name, value, minimum):
@@ -60,37 +60,42 @@ def _check_real(name, value, valid, expected):
 def make_output_dir(path):
     """Create the directory ``path`` and its missing parents.
 
-    A path that is a file, or lies under one, raises ``OutputDirError``
+    A path that is a file, or lies under one, raises ``OutputError``
     naming it and creates nothing: the first parent that is not a
     directory exists, so every parent above it exists too.
     """
     try:
         os.makedirs(path, exist_ok=True)
     except FileExistsError:
-        raise OutputDirError(f"output directory {path}: exists and is not a directory") from None
+        raise OutputError(f"output directory {path}: exists and is not a directory") from None
     except NotADirectoryError:
-        raise OutputDirError(f"output directory {path}: a parent is not a directory") from None
+        raise OutputError(f"output directory {path}: a parent is not a directory") from None
     except OSError as exc:
-        raise OutputDirError(f"output directory {path}: {exc.strerror}") from None
+        raise OutputError(f"output directory {path}: {exc.strerror}") from None
 
 
 def _atomic_write(path, data):
     """Write ``data`` (str or bytes) to a temp file beside ``path``, then rename.
 
     The file gets the mode ``open()`` would give it: 0o666 less the umask.
+    A failed write leaves any earlier ``path`` as it was and raises
+    ``OutputError`` naming ``path``.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
-    # O_EXCL: a name that is already taken fails instead of being reused.
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        # O_EXCL: a name that is already taken fails instead of being reused.
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OutputError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 
 
 def write_json(path, doc):
@@ -222,7 +227,7 @@ class _Memo:
                 if (path != self.entry and name.startswith(self.name)
                         and _ENTRY_SUFFIX.fullmatch(name, len(self.name))):
                     os.unlink(path)
-        except OSError:
+        except (OSError, OutputError):
             pass  # an unwritable location: the table is parsed next time too
 
 
@@ -707,14 +712,17 @@ def _check_keys(section, doc, known):
                             f"{', '.join(sorted(known))})")
 
 
-def parse_section(section, doc, cls, **derived):
+def parse_section(section, doc, cls, also_known=(), **derived):
     """Build ``cls`` from one manifest section; every error names ``section.key``.
 
     ``derived`` supplies the fields that do not come from the manifest.  A
     document with no enclosing section, such as a synth config, passes
-    ``section=""`` and its errors name the key alone.
+    ``section=""`` and its errors name the key alone.  ``also_known`` names
+    the keys the caller took out of ``doc`` before; an unknown key's
+    message lists them with the fields.
     """
-    _check_keys(section, doc, [f.name for f in fields(cls) if f.name not in derived])
+    _check_keys(section, doc,
+                [f.name for f in fields(cls) if f.name not in derived] + list(also_known))
     for f in fields(cls):
         if f.name not in doc and f.name not in derived and f.default is MISSING:
             raise DataError(f"{_key_name(section, f.name)}: missing")

@@ -1,10 +1,17 @@
 """Sequence regressor: two-layer unidirectional LSTM with a tanh head.
 
-Implemented directly in numpy (float64) so that training is bitwise
-reproducible from a seed and the backward pass can be verified against
-finite differences.  Training minimizes the concordance loss
-1 - ccc(pred, target) per segment with Adam; a separate model is trained
-per target channel (mu-like or sigma-like).
+Implemented directly in numpy so that training is bitwise reproducible
+from a seed and the backward pass can be verified against finite
+differences.  Training minimizes the concordance loss 1 - ccc(pred, target)
+per segment with Adam; a separate model is trained per target channel
+(mu-like or sigma-like).
+
+A stack computes in the dtype of the parameter arrays it is built from.
+Training and prediction run in float32 (``TRAIN_DTYPE``): the forward and
+backward passes and Adam's state, which hold nearly all the work and the
+memory.  The loss and its gradient, the target scaling and the metrics
+stay in float64.  ``init_params`` returns float64, so the reference tests
+and ``gradient_check`` run float64 stacks.
 
 The models of one or two folds are trained as one stack: every parameter
 tensor carries a leading model axis, and the forward pass, backward pass,
@@ -29,7 +36,10 @@ from .data_io import ModelConfig, TrainConfig, _atomic_write, _check_int, _check
 from .metrics import CCC_DENOM_GUARD
 
 CHECKPOINT_MAGIC = "ambitrace-checkpoint"
+CHECKPOINT_VERSION = 2
 ADAM_EPS = 1e-8
+# The dtype every training and prediction pass runs in; not a setting.
+TRAIN_DTYPE = np.float32
 
 
 class TrainingError(RuntimeError):
@@ -121,7 +131,8 @@ def _gate_signs(cfg) -> np.ndarray:
 def stack_params(param_dicts, cfg) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """One (models, P) buffer holding per-model parameter dicts, and its named views.
 
-    The buffer holds the stored form (see ``_gate_signs``).
+    The buffer holds the stored form (see ``_gate_signs``), in the dtype of
+    the given arrays.
     """
     names = _param_shapes(cfg)
     flat = np.stack([np.concatenate([p[k].ravel() for k in names]) for p in param_dicts])
@@ -145,17 +156,19 @@ class _Workspace:
     so smaller batches reuse the memory of the largest.  C order is the
     layout numpy gives the temporaries these views replace, so the sums
     over them add in the same order and the results are bit-identical.  A
-    view's contents hold until the next ``get`` of the same name.
+    view's contents hold until the next ``get`` of the same name.  Every
+    buffer has the dtype of the stack the workspace serves.
     """
 
-    def __init__(self):
+    def __init__(self, dtype):
+        self.dtype = np.dtype(dtype)
         self._buffers = {}
 
     def get(self, name, shape):
         size = math.prod(shape)
         buf = self._buffers.get(name)
         if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size)
+            buf = self._buffers[name] = np.empty(size, self.dtype)
         return buf[:size].reshape(shape)
 
 
@@ -166,7 +179,9 @@ def _layer_forward(inp, params, layer, ws):
     the gate buffer; inside it every step reads and writes contiguous
     (M, B, ...) blocks.  The gate layout is i, f, g, o; index 0 of ``c``
     and ``h`` holds the zero initial state.  ``params`` are in stored form,
-    so the sigmoid gates' pre-activations come out negated.
+    so the sigmoid gates' pre-activations come out negated.  A saturated
+    gate's ``exp`` may overflow (above 88 in float32); 1 / (1 + inf) = 0 is
+    then the exact sigmoid, so the overflow is not reported.
     """
     T, _, B, _ = inp.shape
     Wx, Wh, b = (params[f"l{layer}.{n}"] for n in ("Wx", "Wh", "b"))
@@ -185,20 +200,21 @@ def _layer_forward(inp, params, layer, ws):
     # Per-gate views over all steps, so each step indexes them once.
     i, f, g, o = (gates[..., k * H : (k + 1) * H] for k in range(4))
     z_g = z[..., 2 * H : 3 * H]
-    for t in range(T):
-        np.matmul(h[t], Wh, out=z)
-        a = gates[t]
-        z += a
-        np.exp(z, out=a)
-        a += 1.0
-        np.reciprocal(a, out=a)
-        g_t, c_t = g[t], c[t + 1]
-        np.tanh(z_g, out=g_t)
-        np.multiply(f[t], c[t], out=c_t)
-        np.multiply(i[t], g_t, out=ig)
-        c_t += ig
-        np.tanh(c_t, out=tanh_c[t])
-        np.multiply(o[t], tanh_c[t], out=h[t + 1])
+    with np.errstate(over="ignore"):
+        for t in range(T):
+            np.matmul(h[t], Wh, out=z)
+            a = gates[t]
+            z += a
+            np.exp(z, out=a)
+            a += 1.0
+            np.reciprocal(a, out=a)
+            g_t, c_t = g[t], c[t + 1]
+            np.tanh(z_g, out=g_t)
+            np.multiply(f[t], c[t], out=c_t)
+            np.multiply(i[t], g_t, out=ig)
+            c_t += ig
+            np.tanh(c_t, out=tanh_c[t])
+            np.multiply(o[t], tanh_c[t], out=h[t + 1])
     return {"inp": inp, "gates": gates, "c": c, "h": h, "tanh_c": tanh_c}
 
 
@@ -207,16 +223,18 @@ def _forward(params, cfg, x, ws=None):
 
     Every tensor in ``params`` has a leading model axis of length M and is
     in stored form (see ``_gate_signs``); an input with a leading axis of
-    1 feeds the same batch to every model.  Returns the (M, B, T) outputs
-    and the cache for ``_backward``, which lives in ``ws`` (a fresh
-    workspace when None) until its next pass.
+    1 feeds the same batch to every model.  The pass runs in the dtype of
+    ``params``, to which ``x`` is cast.  Returns the (M, B, T) outputs and
+    the cache for ``_backward``, which lives in ``ws`` (a fresh workspace
+    when None) until its next pass.
     """
-    x = np.asarray(x, dtype=float)
+    dtype = params["head.b"].dtype
+    x = np.asarray(x, dtype=dtype)
     if x.ndim != 4:
         raise ValueError(f"expected a (models, batch, time, features) array, got {x.shape}")
     if x.shape[3] != cfg.input_dim:
         raise ValueError(f"expected input_dim {cfg.input_dim}, got {x.shape[3]}")
-    ws = _Workspace() if ws is None else ws
+    ws = _Workspace(dtype) if ws is None else ws
     inp = x.transpose(2, 0, 1, 3)
     layer_caches = []
     for layer in range(cfg.num_layers):
@@ -235,9 +253,10 @@ def _forward(params, cfg, x, ws=None):
 def forward(params, cfg, features):
     """Raw head outputs in (-1, 1) of one model; causal in the time dimension.
 
-    ``features`` is a (T, D) sequence or a (B, T, D) batch.
+    ``features`` is a (T, D) sequence or a (B, T, D) batch; the pass runs
+    in the dtype of ``params``.
     """
-    x = np.asarray(features, dtype=float)
+    x = np.asarray(features)
     single = x.ndim == 2
     _, stored = stack_params([params], cfg)
     y, _ = _forward(stored, cfg, x[None, None] if single else x[None])
@@ -341,11 +360,12 @@ def _backward(params, cfg, cache, dy, grads):
     """Per-model gradients of a summed loss, given d loss/d y of shape (M, B, T).
 
     They are written into ``grads``, named views of a (M, P) buffer as
-    ``_views`` gives them, in stored form like ``params``.
+    ``_views`` gives them, in stored form like ``params``.  ``dy`` is cast
+    to the dtype of ``params``.
     """
     ws = cache["ws"]
     y = cache["y"]
-    ds = np.asarray(dy).transpose(2, 0, 1) * (1.0 - y**2)
+    ds = np.asarray(dy, dtype=y.dtype).transpose(2, 0, 1) * (1.0 - y**2)
     top = cache["layers"][-1]["h"][1:]
     # The head-weight product is summed before d_out takes its buffer.  The
     # top layer reads d_out only in its time loop, so the d loss/d input
@@ -394,10 +414,11 @@ class Adam:
     """Adam with a per-step multiplicative weight-decay shrink.
 
     Works on (n_models, P) flat parameter rows, one row per independent
-    model, updated in place.  Each model keeps its own step count, so one
-    that sits out a step keeps its bias correction where it was.  Decay
-    is applied as ``w *= (1 - weight_decay)`` after the moment update so
-    the norm contracts every step regardless of the learning rate.
+    model, updated in place; the moments take the dtype of the rows.  Each
+    model keeps its own step count, so one that sits out a step keeps its
+    bias correction where it was.  Decay is applied as
+    ``w *= (1 - weight_decay)`` after the moment update so the norm
+    contracts every step regardless of the learning rate.
     """
 
     def __init__(self, params, learning_rate, weight_decay, beta1=0.9, beta2=0.999):
@@ -417,10 +438,10 @@ class Adam:
         """
         sel = slice(None) if models is None else _as_rows(models)
         self.t[sel] += 1
-        b1t = (1.0 - self.beta1 ** self.t[sel])[:, None]
-        b2t = (1.0 - self.beta2 ** self.t[sel])[:, None]
+        b1t = (1.0 - self.beta1 ** self.t[sel])[:, None].astype(params.dtype)
+        b2t = (1.0 - self.beta2 ** self.t[sel])[:, None].astype(params.dtype)
         m, v, w = self.m[sel], self.v[sel], params[sel]
-        update, denom = np.empty((2,) + grads.shape) if scratch is None else scratch
+        update, denom = np.empty((2,) + grads.shape, params.dtype) if scratch is None else scratch
         m *= self.beta1
         np.multiply(grads, 1.0 - self.beta1, out=update)
         m += update
@@ -470,7 +491,10 @@ def _segment(features, targets, segment_length):
 
 
 class _SegmentPool:
-    """One model's usable training segments, stacked per length for batching."""
+    """One model's usable training segments, stacked per length for batching.
+
+    The features are stored in ``TRAIN_DTYPE``, the targets in float64.
+    """
 
     def __init__(self, features, targets_scaled, segment_length):
         segments = _segment(features, targets_scaled, segment_length)
@@ -489,7 +513,7 @@ class _SegmentPool:
         self.X, self.Y = {}, {}
         for length, members in by_length.items():
             self.rank[members] = np.arange(len(members))
-            self.X[length] = np.stack([usable[i][0] for i in members])
+            self.X[length] = np.stack([usable[i][0] for i in members]).astype(TRAIN_DTYPE)
             self.Y[length] = np.stack([usable[i][1] for i in members])
 
     def batches(self, rng, batch_segments):
@@ -516,7 +540,8 @@ def _validation_groups(features, targets_scaled):
 
     ``features[m]`` and ``targets_scaled[m]`` hold model m's sequences and
     scaled targets.  Returns (models, sequence indices per model, X of
-    shape (M, B, T, D), Y of shape (M, B, T)) per batch shape.
+    shape (M, B, T, D) in ``TRAIN_DTYPE``, Y of shape (M, B, T)) per batch
+    shape.
     """
     groups = {}
     for m, (feats, targets) in enumerate(zip(features, targets_scaled)):
@@ -524,7 +549,7 @@ def _validation_groups(features, targets_scaled):
         for s, X in enumerate(feats):
             by_length.setdefault(len(X), []).append(s)
         for seqs in by_length.values():
-            X = np.stack([np.asarray(feats[s], dtype=float) for s in seqs])
+            X = np.stack([np.asarray(feats[s], dtype=TRAIN_DTYPE) for s in seqs])
             groups.setdefault(X.shape, []).append((m, seqs, X, [targets[s] for s in seqs]))
     return [
         ([m for m, _, _, _ in group], [seqs for _, seqs, _, _ in group],
@@ -590,7 +615,9 @@ def train_stack(
     best validation loss.  At every batch index, and for validation, the
     models are grouped by batch shape and each group takes one stacked
     pass; a model without a batch there, or whose batch rows are all
-    degenerate, takes no optimizer step.  Deterministic given (seeds,
+    degenerate, takes no optimizer step.  Training starts from the
+    ``TRAIN_DTYPE`` rounding of each seeded init and runs in that dtype,
+    and the returned parameters have it.  Deterministic given (seeds,
     data, config).
     """
     n_models = len(model_cfgs)
@@ -617,8 +644,9 @@ def train_stack(
     skipped = np.array([p.skipped_static for p in pools])
     sizes = np.array([p.size for p in pools])
 
-    flat, _ = stack_params([init_params(c) for c in model_cfgs], cfg)
-    ws = _Workspace()
+    flat, _ = stack_params([{k: v.astype(TRAIN_DTYPE) for k, v in init_params(c).items()}
+                            for c in model_cfgs], cfg)
+    ws = _Workspace(flat.dtype)
     best_flat = flat.copy()
     best_loss = _validation_loss(flat, cfg, val_groups, ws)
     best_epoch = np.zeros(n_models, dtype=int)
@@ -678,16 +706,16 @@ def predict(model: TrainedModel, features):
 def predict_stack(models, sequences):
     """Every model's predictions on each (T, D) sequence, as one (models, T) array each.
 
-    The models must agree on everything but the seed.  Each sequence takes
-    one stacked forward pass with a batch of one, so row m of its result
-    is ``predict(models[m], sequence)`` bit for bit.
+    The models must agree on everything but the seed and share a dtype.
+    Each sequence takes one stacked forward pass with a batch of one, so
+    row m of its result is ``predict(models[m], sequence)`` bit for bit.
     """
     cfg = models[0].config
-    _, stored = stack_params([m.params for m in models], cfg)
-    ws = _Workspace()
+    flat, stored = stack_params([m.params for m in models], cfg)
+    ws = _Workspace(flat.dtype)
     results = []
     for x in sequences:
-        y, _ = _forward(stored, cfg, np.asarray(x, dtype=float)[None, None], ws)
+        y, _ = _forward(stored, cfg, np.asarray(x)[None, None], ws)
         results.append(np.stack([m.scaling.invert(row) for m, row in zip(models, y[:, 0])]))
     return results
 
@@ -718,7 +746,7 @@ def gradient_check(
     target = np.stack(targets)[:, None]
     cfg = cfgs[0]
     flat, params = stack_params([init_params(c) for c in cfgs], cfg)
-    ws = _Workspace()
+    ws = _Workspace(flat.dtype)
 
     def losses():
         pred, _ = _forward(params, cfg, x, ws)
@@ -752,24 +780,29 @@ def gradient_check(
 
 
 def save_checkpoint(model: TrainedModel, path):
-    """Structured-text header plus little-endian float64 weight blocks."""
+    """Structured-text header plus little-endian float32 weight blocks."""
     layout = [[name, list(model.params[name].shape)] for name in sorted(model.params)]
     header = {
         "magic": CHECKPOINT_MAGIC,
-        "format_version": 1,
+        "format_version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
         "scaling": asdict(model.scaling),
         "best_epoch": model.best_epoch,
         "skipped_segments": model.skipped_segments,
         "layout": layout,
     }
-    blocks = [model.params[name].astype("<f8").tobytes() for name, _ in layout]
+    blocks = [model.params[name].astype("<f4").tobytes() for name, _ in layout]
     _atomic_write(path, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
                   + b"".join(blocks))
 
 
 def load_checkpoint(path) -> TrainedModel:
-    """Read a checkpoint; a malformed one is a ``ValueError`` naming ``path``."""
+    """Read a checkpoint; a malformed one is a ``ValueError`` naming ``path``.
+
+    The weights come back in ``TRAIN_DTYPE``, so ``predict`` on a loaded
+    model runs as the evaluation in ``train-eval`` did.  Format 1 held
+    float64 weights of models trained in float64; it is refused.
+    """
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))
@@ -778,8 +811,12 @@ def load_checkpoint(path) -> TrainedModel:
         if not isinstance(header, dict) or header.get("magic") != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a model checkpoint")
         try:
-            if header.get("format_version") != 1:
-                raise ValueError(f"unsupported format_version {header.get('format_version')!r}")
+            version = header.get("format_version")
+            if version == 1:
+                raise ValueError("unsupported format_version 1 (float64 weights from an "
+                                 "earlier release); re-run train-eval to write format 2")
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported format_version {version!r}")
             config = ModelConfig(**header["config"])
             scaling = TargetScaling(**header["scaling"])
             _check_real("scaling.scale", scaling.scale, lambda v: v != 0 and math.isfinite(v),
@@ -797,10 +834,10 @@ def load_checkpoint(path) -> TrainedModel:
         params = {}
         for name, shape in layout:
             count = int(np.prod(shape))
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
+            buf = fh.read(count * 4)
+            if len(buf) != count * 4:
                 raise ValueError(f"{path}: truncated weight block for {name}")
-            params[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            params[name] = np.frombuffer(buf, dtype="<f4").reshape(shape).astype(TRAIN_DTYPE)
     return TrainedModel(
         params=params,
         config=config,

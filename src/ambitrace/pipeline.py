@@ -149,7 +149,8 @@ def _fit_items(manifest: ExperimentManifest, tag, min_windows, command):
     ``min_windows`` windows after alignment and as many feature columns as
     the first item, at least one; ``command`` names the caller in the
     messages.  The fitted items are (item, features, fits), in manifest
-    order.
+    order.  The fits run with numpy's floating-point warnings off: a fit
+    that overflows ends in a ``FitError``, which says so in one line.
     """
     items = manifest.dataset.items
     digest = dataset_digest(manifest)
@@ -171,7 +172,8 @@ def _fit_items(manifest: ExperimentManifest, tag, min_windows, command):
     fitted = []
     for item, (trace_set, features) in zip(items, prepared):
         try:
-            fits = compute_representation(trace_set, tag, family, radius)
+            with np.errstate(all="ignore"):
+                fits = compute_representation(trace_set, tag, family, radius)
         except representations.FitError as exc:
             raise representations.FitError(f"item {item.item_id!r}: {exc}") from exc
         fitted.append((item, features, fits))

@@ -508,6 +508,38 @@ def test_fit_failure_exits_3_naming_the_item_before_any_output(tmp_path, command
     assert not (tmp_path / "out").exists()
 
 
+def test_overflowing_fit_prints_one_line(tmp_path):
+    # Finite traces whose spread overflows float64: numpy's RuntimeWarning
+    # must not reach stderr ahead of the fit error.
+    write_trace_table(tmp_path / "t.csv", ["a", "b"], np.array([[1e308] * 6, [-1e308] * 6]),
+                      1.0)
+    write_feature_table(tmp_path / "f.csv", FeatureTable("x", np.zeros((6, 2))))
+    doc = {"dataset": {"native_period": 1.0, "window_length": 1.0,
+                       "items": [{"item_id": "x", "group": "g", "trace_file": "t.csv",
+                                  "feature_file": "f.csv"}]}}
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    args = ["represent", "--manifest", str(tmp_path / "m.json"), "--tag", "I",
+            "--out", str(tmp_path / "out")]
+    # A fresh interpreter, so the warning would print as it does for a user.
+    result = run_fresh(f"from ambitrace.cli import main\nmain({args!r})")
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.splitlines() == [
+        "error: representation fit failed: item 'x': window 0: fit is not finite; "
+        "trace values too large"]
+
+
+@pytest.mark.parametrize("command, name", [("represent", "I_item003.csv"),
+                                           ("train-eval", "fold_00_mu.ckpt")])
+def test_unwritable_output_exits_2_naming_the_path(workspace, tmp_path, command, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)  # a directory where an output file goes
+    result = run_cli([command, "--manifest", workspace / "data" / "manifest.json", "--tag", "I",
+                      "--out", out] + (["--target", "mu"] if command == "train-eval" else []))
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {out / name}: cannot write: Is a directory\n"
+    assert not [p for p in os.listdir(out) if p.startswith(".tmp-")]
+
+
 @pytest.mark.parametrize("command", ["represent", "train-eval"])
 def test_configuration_error_wins_over_fit_failure(tmp_path, command):
     # Every item is checked before any is fitted.
@@ -659,6 +691,16 @@ SYNTH_KEYS = {
 
 
 class TestSynthFuzz:
+    def test_unknown_key_lists_the_sections_too(self, tmp_path):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(dict(FAST_SYNTH, itemz=3)))
+        result = run_cli(["synth", "--config", cfg, "--out", tmp_path / "out"])
+        assert result.exit_code == 2, result.output
+        # The generator fields and the representation, model, train and split sections.
+        assert result.stderr == (f"error: config {cfg}: itemz: unknown key (expected one of "
+                                 f"{', '.join(sorted(SYNTH_KEYS[()]))})\n")
+        assert not (tmp_path / "out").exists()
+
     @settings(max_examples=150, deadline=None)
     @given(site=st.sampled_from(sorted(SYNTH_KEYS, key=len)), data=st.data())
     def test_writes_or_exits_2_naming_the_config(self, site, data):
@@ -1036,7 +1078,8 @@ class TestReport:
 
         monkeypatch.setattr(os, "replace", refuse)
         result = run_cli(["report", runs / "I", runs / "O_G", "--out", out])
-        assert isinstance(result.exception, OSError)
+        assert result.exit_code == 2, result.output
+        assert f"error: {out / 'report.txt'}: cannot write: disk full" in result.output
         assert {name: (out / name).read_bytes() for name in before} == before
         assert sorted(p.name for p in out.iterdir()) == ["report.json", "report.txt"]
 

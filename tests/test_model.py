@@ -2,12 +2,14 @@ import json
 import os
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ambitrace import model as stacked
+from ambitrace.data_io import DataError
 from ambitrace.metrics import ccc
 from ambitrace.model import (
     Adam,
@@ -22,6 +24,7 @@ from ambitrace.model import (
     init_params,
     load_checkpoint,
     predict,
+    predict_stack,
     save_checkpoint,
     stack_params,
     train_stack,
@@ -298,9 +301,10 @@ class TestTraining:
         tc = TrainConfig(max_epochs=0, segment_length=12)
         model, = train_stack([feats[:6]], [targs[:6]], [cfg], tc, [feats[6:]], [targs[6:]])
         assert model.best_epoch == 0
+        # Training starts from the float32 rounding of the seeded init.
         init = init_params(cfg)
         for k in init:
-            np.testing.assert_array_equal(model.params[k], init[k])
+            np.testing.assert_array_equal(model.params[k], init[k].astype(np.float32))
 
     def test_deterministic_given_seed(self):
         feats, targs = make_affine_task(seed=4)
@@ -382,11 +386,13 @@ class TestStackedPasses:
             for key, g in grads_ref.items():
                 assert_close_to_reference(grads[key][m], g)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("hidden_dim", [5, 32])
-    def test_predict_stack_matches_predict_bitwise(self, hidden_dim):
+    def test_predict_stack_matches_predict_bitwise(self, hidden_dim, dtype):
         cfgs = [ModelConfig(input_dim=8, hidden_dim=hidden_dim, seed=s) for s in (3, 100, 197)]
         scalings = [TargetScaling(1.3, -0.2), TargetScaling(0.7, 0.4), TargetScaling(2.1, 0.0)]
-        models = [TrainedModel(init_params(c), c, s) for c, s in zip(cfgs, scalings)]
+        models = [TrainedModel({k: v.astype(dtype) for k, v in init_params(c).items()}, c, s)
+                  for c, s in zip(cfgs, scalings)]
         rng = np.random.default_rng(hidden_dim)
         sequences = [rng.normal(size=(steps, 8)) for steps in (19, 7, 19, 2)]
         for n_models in (1, 2, 3):
@@ -519,12 +525,19 @@ class TestStackTraining:
                 np.testing.assert_array_equal(model.params[key], value)
         # fold a holds sigma's constant segment, and fold b validates on it
         assert [m.skipped_segments > 0 for m in together] == [False, True, False, False]
-        # Each model's validation loss is the mean over its own fold's sequences.
+        # Each model's validation loss is the mean over its own fold's
+        # sequences.  Validation runs each length's sequences as one batch,
+        # and a batch of two rounds differently from two batches of one, so
+        # the reference batches them the same way.
         for k, model in enumerate(together):
             _, _, val, val_targets = folds[k // 2]
-            losses = [ccc_loss_grad(forward(model.params, model.config, x),
-                                    model.scaling.apply(y))[0]
-                      for x, y in zip(val, val_targets[k % 2])]
+            by_length = {}
+            for x, y in zip(val, val_targets[k % 2]):
+                by_length.setdefault(len(x), []).append((x, model.scaling.apply(y)))
+            losses = np.concatenate([
+                ccc_loss_grad(forward(model.params, model.config, np.stack([x for x, _ in group])),
+                              np.stack([y for _, y in group]))[0]
+                for group in by_length.values()])
             assert model.val_loss[model.best_epoch] == pytest.approx(np.mean(losses), rel=1e-12)
 
     def test_best_epoch_is_first_minimum_of_val_curve(self):
@@ -581,9 +594,9 @@ class TestWorkspace:
         assert {len(g) for g in groups} == {1, 2, 3} and [0, 2] in groups
 
         monkeypatch.setattr(stacked, "_train_step",
-                            lambda *args: step(*args[:-1], stacked._Workspace()))
+                            lambda *args: step(*args[:-1], stacked._Workspace(args[0].dtype)))
         monkeypatch.setattr(stacked, "_validation_loss",
-                            lambda *args: validate(*args[:-1], stacked._Workspace()))
+                            lambda *args: validate(*args[:-1], stacked._Workspace(args[0].dtype)))
         fresh = self.run_all()
         for (models, preds), (fresh_models, fresh_preds) in zip(reused, fresh):
             for model, pred, alone, alone_pred in zip(models, preds, fresh_models, fresh_preds):
@@ -598,7 +611,7 @@ class TestWorkspace:
         cfg = ModelConfig(input_dim=8, hidden_dim=32)
         flat, _ = stack_params([init_params(replace(cfg, seed=s)) for s in (0, 1)], cfg)
         opt = Adam(flat, learning_rate=1e-3, weight_decay=1e-4)
-        ws = stacked._Workspace()
+        ws = stacked._Workspace(flat.dtype)
         rng = np.random.default_rng(0)
         X, Y = rng.normal(size=(2, 8, 19, 8)), rng.normal(size=(2, 8, 19))
         stacked._train_step(flat, opt, cfg, [0, 1], X, Y, ws)
@@ -614,12 +627,15 @@ class TestWorkspace:
 
     def test_persistent_bytes_per_model(self):
         # The train_eval benchmark's shape: batches of 8 segments of 19 steps
-        # and 3 validation sequences, two folds of two targets per stack.
+        # and 3 validation sequences, two folds of two targets per stack, in
+        # the float32 stack train_stack builds.
         cfg = ModelConfig(input_dim=8, hidden_dim=32)
         n = 4
-        flat, _ = stack_params([init_params(replace(cfg, seed=s)) for s in range(n)], cfg)
+        flat, _ = stack_params([{k: v.astype(stacked.TRAIN_DTYPE)
+                                 for k, v in init_params(replace(cfg, seed=s)).items()}
+                                for s in range(n)], cfg)
         opt = Adam(flat, learning_rate=1e-3, weight_decay=1e-4)
-        ws = stacked._Workspace()
+        ws = stacked._Workspace(flat.dtype)
         rng = np.random.default_rng(0)
         X, Y = rng.normal(size=(n, 8, 19, 8)), rng.normal(size=(n, 8, 19))
         stacked._train_step(flat, opt, cfg, list(range(n)), X, Y, ws)
@@ -630,11 +646,73 @@ class TestWorkspace:
         # flat and best_flat, then Adam's own arrays
         rows = 2 * flat.nbytes + sum(a.nbytes for a in vars(opt).values()
                                      if isinstance(a, np.ndarray))
-        assert (workspace + rows) / n <= 1.45 * 2**20
+        assert (workspace + rows) / n <= 0.72 * 2**20
+
+
+class TestSinglePrecision:
+    def test_float32_passes_match_float64_reference(self):
+        # The train_eval benchmark's shape: two folds of two targets per
+        # stack, batches of 8 segments of 19 steps, 8 features, 32 units.
+        cfgs = [ModelConfig(input_dim=8, hidden_dim=32, seed=s) for s in range(4)]
+        per_model = [init_params(c) for c in cfgs]
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(4, 8, 19, 8))
+        dy = rng.normal(size=(4, 8, 19))
+        flat, params = stack_params(
+            [{k: v.astype(np.float32) for k, v in p.items()} for p in per_model], cfgs[0])
+        y, cache = stacked._forward(params, cfgs[0], x)
+        stored = np.empty_like(flat)
+        stacked._backward(params, cfgs[0], cache, dy, stacked._views(stored, cfgs[0]))
+        assert y.dtype == stored.dtype == np.float32
+        grads = stacked._views(stored * stacked._gate_signs(cfgs[0]), cfgs[0])
+        for m, p in enumerate(per_model):
+            y_ref, cache_ref = _forward(p, cfgs[m], x[m])
+            grads_ref = _backward(p, cfgs[m], cache_ref, dy[m])
+            # 1e-5 of each tensor's scale is about 80 float32 ulps; the
+            # passes agree to within about 15.
+            for actual, expected in [(y[m], y_ref)] + [(grads[k][m], g)
+                                                       for k, g in grads_ref.items()]:
+                np.testing.assert_allclose(actual, expected, rtol=1e-5,
+                                           atol=1e-5 * np.abs(expected).max())
+
+    def test_trained_params_and_checkpoints_are_float32(self, tmp_path):
+        feats, mu, sigma = two_target_task()
+        cfgs = [ModelConfig(input_dim=3, hidden_dim=5, seed=s) for s in (1, 2)]
+        models = train_stack([feats[:6]] * 2, [mu[:6], sigma[:6]], cfgs,
+                             TrainConfig(max_epochs=3, segment_length=6),
+                             [feats[6:]] * 2, [mu[6:], sigma[6:]])
+        preds = predict_stack(models, [feats[7]])[0]
+        for k, model in enumerate(models):
+            assert {v.dtype for v in model.params.values()} == {np.dtype(np.float32)}
+            path = tmp_path / f"{k}.ckpt"
+            save_checkpoint(model, path)
+            assert path.read_bytes().split(b"\n", 1)[1] == b"".join(
+                model.params[name].astype("<f4").tobytes() for name in sorted(model.params))
+            loaded = load_checkpoint(path)
+            for key, value in model.params.items():
+                assert loaded.params[key].dtype == np.float32
+                np.testing.assert_array_equal(loaded.params[key], value)
+            # A reloaded model predicts as the evaluation inside train-eval did.
+            np.testing.assert_array_equal(predict(loaded, feats[7]), preds[k])
+
+    def test_large_features_train_without_warnings(self):
+        # Unnormalised features saturate the gates: float32 exp overflows
+        # above 88, and the saturated sigmoid is still exact.
+        feats, targs = make_affine_task(seed=8)
+        feats = [1e3 * f for f in feats]
+        cfg = tiny_cfg(9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, = train_stack([feats[:6]], [targs[:6]], [cfg],
+                                 TrainConfig(max_epochs=5, segment_length=12),
+                                 [feats[6:]], [targs[6:]])
+            preds = [predict(model, f) for f in feats]
+        assert all(np.all(np.isfinite(p)) for p in preds)
+        assert all(np.all(np.isfinite(v)) for v in model.params.values())
 
 
 class TestCheckpointFormat:
-    def test_format_version_1_file_loads_and_predicts(self, tmp_path):
+    def test_format_version_1_file_is_refused_naming_the_file(self, tmp_path):
         cfg = ModelConfig(input_dim=3, hidden_dim=4, seed=17)
         params = init_params(cfg)
         layout = [[name, list(params[name].shape)] for name in sorted(params)]
@@ -651,14 +729,9 @@ class TestCheckpointFormat:
             params[name].astype("<f8").tobytes() for name, _ in layout)
         path = tmp_path / "v1.ckpt"
         path.write_bytes(blob)
-
-        model = load_checkpoint(path)
-        assert (model.best_epoch, model.skipped_segments) == (7, 2)
-        x = np.random.default_rng(3).normal(size=(9, 3))
-        expected = (_forward(params, cfg, x)[0] - 0.25) / 0.5
-        assert_close_to_reference(predict(model, x), expected)
-        save_checkpoint(model, tmp_path / "again.ckpt")
-        assert (tmp_path / "again.ckpt").read_bytes() == blob
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bad checkpoint header: "
+                                             "unsupported format_version 1 .*re-run train-eval"):
+            load_checkpoint(path)
 
     @staticmethod
     def checkpoint_bytes(change=None, cut=0):
@@ -667,14 +740,14 @@ class TestCheckpointFormat:
         model = TrainedModel(init_params(cfg), cfg, TargetScaling(0.5, 0.25), best_epoch=2)
         params = model.params
         layout = [[name, list(params[name].shape)] for name in sorted(params)]
-        header = {"magic": "ambitrace-checkpoint", "format_version": 1,
+        header = {"magic": "ambitrace-checkpoint", "format_version": 2,
                   "config": {"input_dim": 3, "hidden_dim": 4, "num_layers": 2, "seed": 17},
                   "scaling": {"scale": 0.5, "shift": 0.25}, "best_epoch": 2,
                   "skipped_segments": 0, "layout": layout}
         if change is not None:
             header = change(header)
         blob = json.dumps(header).encode("utf-8") + b"\n" + b"".join(
-            params[name].astype("<f8").tobytes() for name, _ in layout)
+            params[name].astype("<f4").tobytes() for name, _ in layout)
         return blob[: len(blob) - cut]
 
     @pytest.mark.parametrize("change, message", [
@@ -692,7 +765,8 @@ class TestCheckpointFormat:
         (lambda h: dict(h, scaling={"scale": "1"}), "bad checkpoint header: scaling.scale"),
         (lambda h: dict(h, best_epoch=-1), "bad checkpoint header: best_epoch"),
         (lambda h: dict(h, skipped_segments=None), "bad checkpoint header: skipped_segments"),
-        (lambda h: dict(h, format_version=2), "bad checkpoint header: unsupported"),
+        (lambda h: dict(h, format_version=1), "bad checkpoint header: unsupported"),
+        (lambda h: dict(h, format_version=3), "bad checkpoint header: unsupported"),
         (lambda h: dict(h, config=dict(h["config"], hidden_dim=5)), "weight layout does not"),
         (lambda h: dict(h, layout=h["layout"][::-1]), "weight layout does not"),
         (lambda h: dict(h, layout=[[n, [s[0] + 1, *s[1:]]] for n, s in h["layout"]]),
@@ -734,7 +808,7 @@ class TestCheckpointFormat:
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", refuse)
-        with pytest.raises(OSError):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: cannot write: disk full"):
             save_checkpoint(TrainedModel(init_params(tiny_cfg(3)), cfg, TargetScaling()), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
