@@ -9,6 +9,7 @@ digits) so they stay diffable and language-neutral.  ``write_table`` and
 and an atomic rename.  ``read_table`` keeps the parsed numbers of a regular
 table in a memo directory beside it (``MEMO_DIR``), keyed by the file's
 bytes, so a table that has not changed is parsed once, not once per command.
+Trace and feature tables are read into plain matrices, nothing more.
 """
 
 from __future__ import annotations
@@ -360,37 +361,19 @@ def _check_time_column(path, table):
 # --- feature tables ---------------------------------------------------------
 
 
-@dataclass
-class FeatureTable:
-    item_id: str
-    matrix: np.ndarray
-    feature_name: str = "features"
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        if self.matrix.ndim != 2:
-            raise DataError("feature matrix must be 2-D (windows x dims)")
-        if not np.all(np.isfinite(self.matrix)):
-            raise DataError("feature matrix contains non-finite values")
+def write_feature_table(path, item_id, matrix, feature_name):
+    """Columnar text: window_index plus one column per feature, a row of ``matrix`` each."""
+    columns = {"window_index": np.arange(len(matrix))}
+    columns.update((f"f{j:03d}", col) for j, col in enumerate(matrix.T))
+    write_table(path, {"item_id": item_id, "feature_name": feature_name}, columns)
 
 
-def write_feature_table(path, table: FeatureTable):
-    columns = {"window_index": np.arange(len(table.matrix))}
-    columns.update((f"f{j:03d}", col) for j, col in enumerate(table.matrix.T))
-    write_table(path, {"item_id": table.item_id, "feature_name": table.feature_name},
-                columns)
-
-
-def load_feature_table(path, digest=None) -> FeatureTable:
-    """Read a feature table; ``digest`` is passed to ``read_table``."""
+def load_feature_table(path, digest=None):
+    """A feature table's (windows, features) matrix; ``digest`` is passed to ``read_table``."""
     table = read_table(path, digest)
     if not table.lines:
         raise DataError(f"{path}: no feature rows")
-    return FeatureTable(
-        item_id=table.meta.get("item_id", os.path.basename(path)),
-        matrix=table.rows[:, 1:],
-        feature_name=table.meta.get("feature_name", "features"),
-    )
+    return table.rows[:, 1:]
 
 
 # --- splits -----------------------------------------------------------------
@@ -525,7 +508,7 @@ class SynthItem:
     item_id: str
     group: str
     trace_set: TraceSet
-    features: FeatureTable
+    features: np.ndarray
     latent: np.ndarray
 
 
@@ -588,8 +571,7 @@ def synth_generate(cfg: SynthConfig):
                 noise = rng.normal(0.0, cfg.noise_std, size=cfg.windows)
                 rows.append(signs[m] * latent + offset + noise)
         fnoise = rng.normal(0.0, cfg.feature_noise_std, size=(cfg.windows, cfg.feature_dim))
-        matrix = latent[:, None] * projection[None, :] + bias[None, :] + fnoise
-        features = FeatureTable(item_id=item_id, matrix=matrix, feature_name="synthetic")
+        features = latent[:, None] * projection[None, :] + bias[None, :] + fnoise
         items.append(
             SynthItem(
                 item_id=item_id,
@@ -732,28 +714,10 @@ def parse_section(section, doc, cls, also_known=(), **derived):
         raise DataError(_key_name(section, exc)) from exc
 
 
-def manifest_to_dict(manifest: ExperimentManifest) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "seed": manifest.seed,
-        "dataset": {
-            "name": manifest.dataset.name,
-            "native_period": manifest.dataset.native_period,
-            "window_length": manifest.dataset.window_length,
-            "delay_offset": manifest.dataset.delay_offset,
-            "keep_first": manifest.dataset.keep_first,
-            "bounds": list(manifest.dataset.bounds) if manifest.dataset.bounds else None,
-            "items": [asdict(it) for it in manifest.dataset.items],
-        },
-        "representation": manifest.representation,
-        "model": manifest.model,
-        "train": manifest.train,
-        "split": asdict(manifest.split),
-    }
-
-
 def save_manifest(manifest: ExperimentManifest, path):
-    write_json(path, manifest_to_dict(manifest))
+    doc = asdict(manifest)
+    del doc["base_dir"]
+    write_json(path, {"format_version": FORMAT_VERSION, **doc})
 
 
 def load_manifest(path) -> ExperimentManifest:
@@ -827,31 +791,22 @@ def prepare_item(manifest: ExperimentManifest, item: ItemEntry, digest=None):
         trace_set = TraceSet(annotators, windowed[:, : ds.keep_first], ds.bounds)
     except ValueError as exc:
         raise DataError(f"{trace_path}: {exc}") from exc
-    table = load_feature_table(manifest.resolve(item.feature_file), digest)
+    features = load_feature_table(manifest.resolve(item.feature_file), digest)
     n = trace_set.window_count
-    if table.matrix.shape[0] < n:
+    if features.shape[0] < n:
         raise DataError(
-            f"item {item.item_id!r}: features have {table.matrix.shape[0]} windows, "
+            f"item {item.item_id!r}: features have {features.shape[0]} windows, "
             f"traces have {n} after alignment"
         )
-    return trace_set, table.matrix[:n]
+    return trace_set, features[:n]
 
 
 def dataset_digest(manifest: ExperimentManifest):
-    """A sha256 object holding the dataset section; ``dataset_hash`` adds the files.
+    """A sha256 object holding the dataset section as JSON with sorted keys.
 
     Passed to ``prepare_item`` for every item in manifest order, it ends
-    holding what ``dataset_hash`` hashes, with each file read only once.
+    holding the dataset hash: the section, then each item's trace file and
+    feature file, each read only once.
     """
-    doc = manifest_to_dict(manifest)["dataset"]
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8"))
-
-
-def dataset_hash(manifest: ExperimentManifest) -> str:
-    """Digest of the dataset config and every referenced data file."""
-    digest = dataset_digest(manifest)
-    for item in manifest.dataset.items:
-        for rel in (item.trace_file, item.feature_file):
-            with open(manifest.resolve(rel), "rb") as fh:
-                digest.update(fh.read())
-    return digest.hexdigest()
+    doc = json.dumps(asdict(manifest.dataset), sort_keys=True)
+    return hashlib.sha256(doc.encode("utf-8"))

@@ -37,6 +37,8 @@ from .metrics import CCC_DENOM_GUARD
 
 CHECKPOINT_MAGIC = "ambitrace-checkpoint"
 CHECKPOINT_VERSION = 2
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # The dtype every training and prediction pass runs in; not a setting.
 TRAIN_DTYPE = np.float32
@@ -54,7 +56,7 @@ class TargetScaling:
     shift: float = 0.0
 
     @classmethod
-    def fit(cls, values, margin=0.9) -> "TargetScaling":
+    def fit(cls, values, margin) -> "TargetScaling":
         values = np.asarray(values, dtype=float)
         lo, hi = values.min(), values.max()
         if hi == lo:
@@ -421,10 +423,9 @@ class Adam:
     contracts every step regardless of the learning rate.
     """
 
-    def __init__(self, params, learning_rate, weight_decay, beta1=0.9, beta2=0.999):
+    def __init__(self, params, learning_rate, weight_decay):
         self.lr = learning_rate
         self.wd = weight_decay
-        self.beta1, self.beta2 = beta1, beta2
         self.t = np.zeros(len(params), dtype=int)
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
@@ -438,15 +439,15 @@ class Adam:
         """
         sel = slice(None) if models is None else _as_rows(models)
         self.t[sel] += 1
-        b1t = (1.0 - self.beta1 ** self.t[sel])[:, None].astype(params.dtype)
-        b2t = (1.0 - self.beta2 ** self.t[sel])[:, None].astype(params.dtype)
+        b1t = (1.0 - ADAM_BETA1 ** self.t[sel])[:, None].astype(params.dtype)
+        b2t = (1.0 - ADAM_BETA2 ** self.t[sel])[:, None].astype(params.dtype)
         m, v, w = self.m[sel], self.v[sel], params[sel]
         update, denom = np.empty((2,) + grads.shape, params.dtype) if scratch is None else scratch
-        m *= self.beta1
-        np.multiply(grads, 1.0 - self.beta1, out=update)
+        m *= ADAM_BETA1
+        np.multiply(grads, 1.0 - ADAM_BETA1, out=update)
         m += update
-        v *= self.beta2
-        np.multiply(grads, 1.0 - self.beta2, out=update)
+        v *= ADAM_BETA2
+        np.multiply(grads, 1.0 - ADAM_BETA2, out=update)
         update *= grads
         v += update
         np.divide(v, b2t, out=denom)
@@ -698,8 +699,6 @@ def train_stack(
 
 def predict(model: TrainedModel, features):
     """Forward pass mapped back to original target units."""
-    if model.scaling is None:
-        raise ValueError("model is missing target-scaling metadata")
     return model.scaling.invert(forward(model.params, model.config, features))
 
 
@@ -823,7 +822,7 @@ def load_checkpoint(path) -> TrainedModel:
                         "a finite non-zero number")
             _check_real("scaling.shift", scaling.shift, math.isfinite, "a finite number")
             _check_int("best_epoch", header["best_epoch"], 0)
-            _check_int("skipped_segments", header.get("skipped_segments", 0), 0)
+            _check_int("skipped_segments", header["skipped_segments"], 0)
         except KeyError as exc:
             raise ValueError(f"{path}: checkpoint header lacks {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -843,5 +842,5 @@ def load_checkpoint(path) -> TrainedModel:
         config=config,
         scaling=scaling,
         best_epoch=header["best_epoch"],
-        skipped_segments=header.get("skipped_segments", 0),
+        skipped_segments=header["skipped_segments"],
     )

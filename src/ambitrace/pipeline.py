@@ -128,7 +128,8 @@ def run_synth(cfg: SynthConfig, out_dir, extra=None):
     for item, entry in zip(items, entries):
         data_io.write_trace_table(manifest.resolve(entry.trace_file), item.trace_set.annotators,
                                   item.trace_set.matrix, manifest.dataset.native_period)
-        data_io.write_feature_table(manifest.resolve(entry.feature_file), item.features)
+        data_io.write_feature_table(manifest.resolve(entry.feature_file), item.item_id,
+                                    item.features, "synthetic")
         write_table(os.path.join(out_dir, "latents", f"{item.item_id}.csv"), {},
                     {"window_index": np.arange(len(item.latent)), "latent": item.latent})
     path = os.path.join(out_dir, "manifest.json")
@@ -259,16 +260,12 @@ def _train_fold(args):
     return results
 
 
-def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs=1,
-                   seed=None):
+def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs, seed):
     """Per-fold training and evaluation; writes fold files and a summary.
 
     Evaluation is computed per validation sequence and averaged across
     sequences within a fold, then mean +/- std across folds.
     """
-    for target in targets:
-        if target not in TARGETS:
-            raise ValueError(f"unknown target {target!r}")
     # Each item is scored by CCC and SDA, which need two windows.
     source, fitted = _fit_items(manifest, tag, 2, "train-eval")
     make_output_dir(out_dir)
@@ -290,10 +287,10 @@ def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs=1,
     ]
 
     # Imported here: the LSTM module costs every other command start-up time.
-    from .model import save_checkpoint
+    from .model import TrainingError, save_checkpoint
 
-    # Fold files are written as each stack completes so a failure keeps
-    # the finished folds on disk.
+    # Fold files are written as each stack is handed back, in fold order, so
+    # a failure keeps the folds recorded before it on disk.
     fold_records = []
 
     def _record(results):
@@ -314,10 +311,17 @@ def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs=1,
     if jobs > 1:
         # Imported here: multiprocessing costs every other command start-up time.
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for results in pool.map(_train_fold, job_args):
-                _record(results)
+        try:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                for results in pool.map(_train_fold, job_args):
+                    _record(results)
+        except BrokenProcessPool as exc:
+            # The pool fails every stack it has not handed back yet.
+            lost = sorted(set(range(len(folds))) - {fold["fold"] for fold in fold_records})
+            raise TrainingError(f"a worker process was lost; folds "
+                                f"{', '.join(map(str, lost))} were not written") from exc
     else:
         for args in job_args:
             _record(_train_fold(args))
@@ -366,9 +370,7 @@ def _cell(summary, key):
 
 
 def render_summary_table(summaries):
-    """Rows I / O_I / O_G by metric columns; per-column maxima marked with *."""
-    order = {tag: i for i, tag in enumerate(TAGS)}
-    summaries = sorted(summaries, key=lambda s: order.get(s["tag"], 99))
+    """A row per summary, in the order given, by metric columns; maxima marked with *."""
     cells = {}
     for s in summaries:
         for key in REPORT_COLUMNS:

@@ -61,11 +61,6 @@ class WindowFits:
     def __len__(self):
         return len(self.mu)
 
-    @property
-    def beta_params(self):
-        """(alpha, beta), or None outside the Beta family."""
-        return None if self.alpha is None else (self.alpha, self.beta)
-
     def columns(self) -> dict:
         mu, sigma = ("dmu", "dsigma") if self.tag == TAG_GROUP else ("mu", "sigma")
         cols = {mu: self.mu, sigma: self.sigma}

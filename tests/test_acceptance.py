@@ -34,7 +34,6 @@ from ambitrace.representations import (
     interval_representation,
 )
 from ambitrace.data_io import (
-    FeatureTable,
     ItemEntry,
     prepare_item,
     write_feature_table,
@@ -46,8 +45,8 @@ from ambitrace.traces import central_difference
 def _write_item(tmp_path, name, n_samples, period, n_windows, dim=4):
     write_trace_table(tmp_path / f"{name}_traces.csv", ["a", "b"], np.zeros((2, n_samples)),
                       period)
-    write_feature_table(tmp_path / f"{name}_features.csv",
-                        FeatureTable(name, np.zeros((n_windows, dim))))
+    write_feature_table(tmp_path / f"{name}_features.csv", name, np.zeros((n_windows, dim)),
+                        "features")
     return ItemEntry(item_id=name, group="g0",
                      trace_file=f"{name}_traces.csv",
                      feature_file=f"{name}_features.csv")
@@ -120,7 +119,8 @@ def test_distribution_fits():
             assert d.sigma == pytest.approx(x.std(), abs=1e-12)
         for a, b in [(2.0, 5.0), (0.8, 0.8), (6.0, 2.0)]:
             samples = np.random.default_rng(int(a * 10 + b)).beta(a, b, size=10_000)
-            fa, fb = fit_beta(samples, (0.0, 1.0)).beta_params
+            fit = fit_beta(samples, (0.0, 1.0))
+            fa, fb = fit.alpha, fit.beta
             assert fa == pytest.approx(a, rel=0.05)
             assert fb == pytest.approx(b, rel=0.05)
             oa, ob = _beta_optimizer_oracle(np.clip(samples, 1e-6, 1 - 1e-6))

@@ -24,7 +24,6 @@ from ambitrace.cli import main
 from ambitrace.data_io import (
     REPRESENTATION_KEYS,
     DatasetConfig,
-    FeatureTable,
     ItemEntry,
     ModelConfig,
     SplitSpec,
@@ -478,6 +477,34 @@ class TestTrainEval:
         assert not (tmp_path / "out").exists()
 
 
+real_train_fold = pipeline._train_fold
+
+
+def train_fold_losing_the_worker_of_fold_2(args):
+    """``pipeline._train_fold``, except that the process training fold 2 dies.
+
+    Module level, so a pool worker can unpickle it by name.
+    """
+    if any(fold == 2 for fold, _, _ in args[0]):
+        os._exit(1)
+    return real_train_fold(args)
+
+
+def test_lost_worker_exits_4_naming_the_unwritten_folds(workspace, tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_train_fold", train_fold_losing_the_worker_of_fold_2)
+    out = tmp_path / "run"
+    result = run_cli(["train-eval", "--manifest", workspace / "data" / "manifest.json",
+                      "--tag", "I", "--target", "mu", "--jobs", "2", "--out", out])
+    assert result.exit_code == 4, result.output
+    assert "Traceback" not in result.output
+    # Folds 0 and 1 train in the other worker, which may finish before the
+    # loss or be stopped by it; the message names what is not on disk.
+    missing = [k for k in range(3) if not (out / f"fold_{k:02d}.json").exists()]
+    assert 2 in missing
+    assert result.stderr == ("error: training failed: a worker process was lost; folds "
+                             f"{', '.join(map(str, missing))} were not written\n")
+
+
 def beta_manifest_with_a_constant_item(root, constant):
     """A Beta-family manifest of four items; item ``constant`` has equal trace values."""
     rng = np.random.default_rng(5)
@@ -485,7 +512,7 @@ def beta_manifest_with_a_constant_item(root, constant):
     for i in range(4):
         matrix = np.full((3, 8), 0.25) if i == constant else rng.uniform(-0.9, 0.9, (3, 8))
         write_trace_table(root / f"t{i}.csv", ["a", "b", "c"], matrix, 1.0)
-        write_feature_table(root / f"f{i}.csv", FeatureTable(f"it{i}", rng.normal(size=(8, 2))))
+        write_feature_table(root / f"f{i}.csv", f"it{i}", rng.normal(size=(8, 2)), "features")
         items.append({"item_id": f"it{i}", "group": f"g{i}", "trace_file": f"t{i}.csv",
                       "feature_file": f"f{i}.csv"})
     doc = {"dataset": {"native_period": 1.0, "window_length": 1.0, "bounds": [-1.0, 1.0],
@@ -513,7 +540,7 @@ def test_overflowing_fit_prints_one_line(tmp_path):
     # must not reach stderr ahead of the fit error.
     write_trace_table(tmp_path / "t.csv", ["a", "b"], np.array([[1e308] * 6, [-1e308] * 6]),
                       1.0)
-    write_feature_table(tmp_path / "f.csv", FeatureTable("x", np.zeros((6, 2))))
+    write_feature_table(tmp_path / "f.csv", "x", np.zeros((6, 2)), "features")
     doc = {"dataset": {"native_period": 1.0, "window_length": 1.0,
                        "items": [{"item_id": "x", "group": "g", "trace_file": "t.csv",
                                   "feature_file": "f.csv"}]}}
@@ -544,7 +571,7 @@ def test_unwritable_output_exits_2_naming_the_path(workspace, tmp_path, command,
 def test_configuration_error_wins_over_fit_failure(tmp_path, command):
     # Every item is checked before any is fitted.
     path = beta_manifest_with_a_constant_item(tmp_path, constant=1)
-    write_feature_table(tmp_path / "f3.csv", FeatureTable("it3", np.zeros((8, 3))))
+    write_feature_table(tmp_path / "f3.csv", "it3", np.zeros((8, 3)), "features")
     result = run_cli([command, "--manifest", path, "--tag", "I", "--out", tmp_path / "out"])
     assert result.exit_code == 2, result.output
     assert f"{tmp_path / 'f3.csv'}: 3 feature columns, the first item has 2" in result.output
@@ -817,8 +844,8 @@ class TestLoaderErrors:
     def test_trace_shorter_than_a_window_after_the_shift_exits_2(self, tmp_path):
         # 120 samples at 40 ms lose 100 to the 4 s shift; a 3 s window needs 75.
         write_trace_table(tmp_path / "short.csv", ["a", "b"], np.zeros((2, 120)), 0.04)
-        write_feature_table(tmp_path / "short_features.csv",
-                            FeatureTable("short", np.zeros((2, 3))))
+        write_feature_table(tmp_path / "short_features.csv", "short", np.zeros((2, 3)),
+                            "features")
         doc = {"dataset": {"native_period": 0.04, "window_length": 3.0, "delay_offset": 4.0,
                            "items": [{"item_id": "short", "group": "g0",
                                       "trace_file": "short.csv",

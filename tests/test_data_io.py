@@ -1,29 +1,65 @@
+import hashlib
 import json
+import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from ambitrace.data_io import (
+    FORMAT_VERSION,
     DataError,
     DatasetConfig,
     ExperimentManifest,
-    FeatureTable,
     ItemEntry,
     SplitSpec,
     SynthConfig,
     dataset_digest,
-    dataset_hash,
     load_feature_table,
     load_manifest,
     load_trace_table,
     make_splits,
     prepare_item,
+    read_table,
     save_manifest,
     synth_generate,
     write_feature_table,
     write_trace_table,
 )
 from ambitrace.metrics import ccc
+from ambitrace.pipeline import run_synth
+
+
+def dataset_hash(manifest: ExperimentManifest) -> str:
+    """Digest of the dataset config and every referenced data file."""
+    digest = dataset_digest(manifest)
+    for item in manifest.dataset.items:
+        for rel in (item.trace_file, item.feature_file):
+            with open(manifest.resolve(rel), "rb") as fh:
+                digest.update(fh.read())
+    return digest.hexdigest()
+
+
+# The hand-written serialiser that ``save_manifest`` and ``dataset_digest``
+# replaced with ``dataclasses.asdict``, kept as the reference for their bytes.
+def manifest_to_dict(manifest: ExperimentManifest) -> dict:
+    return {
+        "format_version": FORMAT_VERSION,
+        "seed": manifest.seed,
+        "dataset": {
+            "name": manifest.dataset.name,
+            "native_period": manifest.dataset.native_period,
+            "window_length": manifest.dataset.window_length,
+            "delay_offset": manifest.dataset.delay_offset,
+            "keep_first": manifest.dataset.keep_first,
+            "bounds": list(manifest.dataset.bounds) if manifest.dataset.bounds else None,
+            "items": [asdict(it) for it in manifest.dataset.items],
+        },
+        "representation": manifest.representation,
+        "model": manifest.model,
+        "train": manifest.train,
+        "split": asdict(manifest.split),
+    }
 
 
 class TestTraceTable:
@@ -85,16 +121,19 @@ class TestTraceTable:
 
 class TestFeatureTable:
     def test_round_trip(self, tmp_path):
-        table = FeatureTable("item1", np.random.default_rng(1).normal(size=(5, 3)))
+        matrix = np.random.default_rng(1).normal(size=(5, 3))
         path = tmp_path / "f.csv"
-        write_feature_table(path, table)
+        write_feature_table(path, "item1", matrix, "features")
         loaded = load_feature_table(path)
-        assert loaded.item_id == "item1"
-        np.testing.assert_array_equal(loaded.matrix, table.matrix)
+        assert read_table(path).meta["item_id"] == "item1"
+        np.testing.assert_array_equal(loaded, matrix)
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(DataError):
-            FeatureTable("x", np.array([[1.0, np.inf]]))
+    def test_non_finite_rejected(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("# item_id: x\nwindow_index,f000,f001\n0,1.0,2.0\n1,1.0,inf\n")
+        message = f"{path}: non-finite value at line 4"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_feature_table(path)
 
 
 class TestSplits:
@@ -141,7 +180,7 @@ class TestSynth:
         b = synth_generate(cfg)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.latent, y.latent)
-            np.testing.assert_array_equal(x.features.matrix, y.features.matrix)
+            np.testing.assert_array_equal(x.features, y.features)
             np.testing.assert_array_equal(x.trace_set.matrix, y.trace_set.matrix)
 
     def test_noise_free_consistent_traces_identical(self):
@@ -154,7 +193,7 @@ class TestSynth:
     def test_latent_learnable_from_features(self):
         cfg = SynthConfig(seed=3)
         items = synth_generate(cfg)
-        F = np.concatenate([it.features.matrix for it in items])
+        F = np.concatenate([it.features for it in items])
         L = np.concatenate([it.latent for it in items])
         design = np.c_[F, np.ones(len(F))]
         coef, *_ = np.linalg.lstsq(design, L, rcond=None)
@@ -179,8 +218,8 @@ class TestSynth:
 def _write_item(tmp_path, name, n_samples, period, n_windows, dim=4, value=0.0):
     write_trace_table(tmp_path / f"{name}_traces.csv", ["a", "b"],
                       np.full((2, n_samples), value), period)
-    table = FeatureTable(name, np.zeros((n_windows, dim)))
-    write_feature_table(tmp_path / f"{name}_features.csv", table)
+    write_feature_table(tmp_path / f"{name}_features.csv", name, np.zeros((n_windows, dim)),
+                        "features")
     return ItemEntry(
         item_id=name,
         group="g0",
@@ -386,3 +425,37 @@ class TestManifest:
             for item in items:
                 prepare_item(manifest, item, digest)
             assert digest.hexdigest() == dataset_hash(manifest)
+
+
+class TestManifestSerialiser:
+    """``save_manifest`` and ``dataset_digest`` against ``manifest_to_dict``.
+
+    A field added to ``DatasetConfig`` or ``ExperimentManifest`` changes
+    what ``asdict`` writes, and so every dataset hash; this fails first.
+    """
+
+    @pytest.fixture(params=["synth", "bounded"])
+    def manifest(self, request, tmp_path):
+        if request.param == "synth":
+            path = run_synth(SynthConfig(items=4, groups=2, seed=3), tmp_path / "data")
+            return load_manifest(path)
+        items = [_write_item(tmp_path, name, 260, 0.04, 2) for name in ("u1", "u2")]
+        return ExperimentManifest(
+            dataset=DatasetConfig(native_period=0.04, window_length=3.0, delay_offset=4.0,
+                                  keep_first=2, bounds=(-1.0, 1.0), items=items,
+                                  name="bounded"),
+            representation={"family": "beta_mapped", "neighbor_radius": 2},
+            model={"hidden_dim": 8}, train={"max_epochs": 2},
+            split=SplitSpec(mode="fixed_train_dev"), seed=4, base_dir=str(tmp_path),
+        )
+
+    def test_saved_bytes_match_the_reference(self, manifest, tmp_path):
+        path = tmp_path / "saved.json"
+        save_manifest(manifest, path)
+        expected = json.dumps(manifest_to_dict(manifest), indent=2, sort_keys=True) + "\n"
+        assert path.read_text() == expected
+
+    def test_digest_matches_the_reference(self, manifest):
+        doc = json.dumps(manifest_to_dict(manifest)["dataset"], sort_keys=True)
+        expected = hashlib.sha256(doc.encode("utf-8")).hexdigest()
+        assert dataset_digest(manifest).hexdigest() == expected

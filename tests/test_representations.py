@@ -138,7 +138,7 @@ class TestBetaFit:
         rng = np.random.default_rng(int(a * 10 + b))
         samples = rng.beta(a, b, size=10_000)
         fit = fit_beta(samples, (0.0, 1.0))
-        fa, fb = fit.beta_params
+        fa, fb = fit.alpha, fit.beta
         assert fa == pytest.approx(a, rel=0.05)
         assert fb == pytest.approx(b, rel=0.05)
         oa, ob = beta_loglik_oracle(np.clip(samples, 1e-6, 1 - 1e-6))
@@ -158,7 +158,7 @@ class TestBetaFit:
         x = rng.beta(3.0, 3.0, size=5000)
         x = np.concatenate([x, 1.0 - x])  # force exact symmetry about 0.5
         fit = fit_beta(x, (0.0, 1.0))
-        fa, fb = fit.beta_params
+        fa, fb = fit.alpha, fit.beta
         assert fa == pytest.approx(fb, rel=1e-6)
         assert fit.mu == pytest.approx(0.5, abs=1e-9)
 
@@ -172,7 +172,7 @@ class TestBetaFit:
 
     def test_boundary_sample_is_clamped(self):
         fit = fit_beta([0.0, 0.2, 0.5, 0.9], (0.0, 1.0))
-        assert fit.beta_params[0] > 0
+        assert fit.alpha > 0
 
     def test_identical_after_clamp_errors(self):
         with pytest.raises(FitError):

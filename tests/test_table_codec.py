@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from ambitrace import data_io, pipeline, representations
 from ambitrace.data_io import (
     DataError,
-    FeatureTable,
     SynthConfig,
     Table,
     load_feature_table,
@@ -58,16 +57,16 @@ def ref_write_trace_table(path, annotators, matrix, period):
         fh.write("\n".join(lines) + "\n")
 
 
-def ref_write_feature_table(path, table):
-    n, d = table.matrix.shape
+def ref_write_feature_table(path, item_id, matrix, feature_name):
+    n, d = matrix.shape
     lines = [
         "# format_version: 1",
-        f"# item_id: {table.item_id}",
-        f"# feature_name: {table.feature_name}",
+        f"# item_id: {item_id}",
+        f"# feature_name: {feature_name}",
         ",".join(["window_index"] + [f"f{j:03d}" for j in range(d)]),
     ]
     for i in range(n):
-        lines.append(",".join([str(i)] + [_fmt(v) for v in table.matrix[i]]))
+        lines.append(",".join([str(i)] + [_fmt(v) for v in matrix[i]]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -209,9 +208,9 @@ class TestByteIdentity:
         matrix = rng.normal(size=(40, 12)) * np.logspace(-12, 12, 12)
         matrix[3, 4] = 0.0
         matrix[5, 6] = -0.0
-        table = FeatureTable("item007", matrix, feature_name="egemaps")
-        assert_same_bytes(lambda p: write_feature_table(p, table),
-                          lambda p: ref_write_feature_table(p, table), tmp_path)
+        assert_same_bytes(lambda p: write_feature_table(p, "item007", matrix, "egemaps"),
+                          lambda p: ref_write_feature_table(p, "item007", matrix, "egemaps"),
+                          tmp_path)
 
     @pytest.mark.parametrize("kind", ["I_gaussian", "I_beta", "I_beta_fallbacks", "O_I", "O_G"])
     def test_representation_table(self, tmp_path, monkeypatch, kind):
@@ -409,9 +408,9 @@ def check_traces(result):
     assert np.all(np.isfinite(matrix))
 
 
-def check_features(table):
-    assert table.matrix.ndim == 2 and table.matrix.shape[0] >= 1
-    assert np.all(np.isfinite(table.matrix))
+def check_features(matrix):
+    assert matrix.ndim == 2 and matrix.shape[0] >= 1
+    assert np.all(np.isfinite(matrix))
 
 
 @settings(max_examples=400, deadline=None,
