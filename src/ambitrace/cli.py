@@ -1,15 +1,12 @@
 """Batch command-line front end.
 
-Exit codes partition the failure classes: 2 for configuration problems
-and outputs that cannot be written, 3 for representation fit failures, 4
-for training failures, 5 for report merging conflicts.
+Each failure a command reports is a ``data_io.AmbitraceError``; the command
+group prints it as one ``error:`` line and exits with its class's code.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import reprlib
 import sys
 
 # Set before numpy loads: OpenBLAS reads it once, when it starts.  No
@@ -21,41 +18,28 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import click
 
 from . import pipeline
-from .data_io import (
-    FORMAT_VERSION,
-    DataError,
-    OutputError,
-    SynthConfig,
-    _atomic_write,
-    load_manifest,
-    make_output_dir,
-    parse_section,
-    write_json,
-)
-from .representations import FitError
-
-EXIT_CONFIG = 2
-EXIT_REPRESENT = 3
-EXIT_TRAIN = 4
-EXIT_REPORT = 5
+from .data_io import AmbitraceError, check_output_dir, load_manifest
 
 
-def _fail(code, message):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class _Commands(click.Group):
+    """The command group: an ``AmbitraceError`` ends any command with one line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except AmbitraceError as exc:
+            click.echo(f"error: {exc.prefix}{exc}", err=True)
+            sys.exit(exc.exit_code)
 
 
-def _load_manifest(path):
-    try:
-        return load_manifest(path)
-    except DataError as exc:
-        # load_manifest already names the manifest.
-        _fail(EXIT_CONFIG, str(exc))
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(EXIT_CONFIG, f"manifest {path}: {exc}")
+def _out_dir(ctx, param, path):
+    """``--out`` must be absent or an empty directory; checked before anything is read."""
+    if path is not None:
+        check_output_dir(path)
+    return path
 
 
-@click.group()
+@click.group(cls=_Commands)
 def main():
     """Ambiguity-aware trace representations: synth, represent, train-eval, report."""
 
@@ -63,53 +47,24 @@ def main():
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=False),
               help="JSON synthetic-dataset configuration.")
-@click.option("--out", "out_dir", required=True, type=click.Path(),
+@click.option("--out", "out_dir", required=True, type=click.Path(), callback=_out_dir,
               help="Output directory for traces, features and the manifest.")
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Override the config seed.")
 def synth(config_path, out_dir, seed):
     """Generate a seeded synthetic dataset and its experiment manifest."""
-    try:
-        with open(config_path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(EXIT_CONFIG, f"config {config_path}: {exc}")
-    if not isinstance(doc, dict):
-        _fail(EXIT_CONFIG, f"config {config_path}: expected a JSON object, "
-                           f"got {reprlib.repr(doc)}")
-    extra = {k: doc.pop(k) for k in list(doc) if k in pipeline.MANIFEST_EXTRA_KEYS}
-    for key, section in extra.items():
-        if not isinstance(section, dict):
-            _fail(EXIT_CONFIG, f"config {config_path}: {key}: expected a JSON object, "
-                               f"got {reprlib.repr(section)}")
-    if seed is not None:
-        doc["seed"] = seed
-    try:
-        cfg = parse_section("", doc, SynthConfig, also_known=pipeline.MANIFEST_EXTRA_KEYS)
-    except DataError as exc:
-        _fail(EXIT_CONFIG, f"config {config_path}: {exc}")
-    try:
-        manifest_path = pipeline.run_synth(cfg, out_dir, extra)
-    except OutputError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except DataError as exc:
-        _fail(EXIT_CONFIG, f"config {config_path}: {exc}")
+    cfg, extra = pipeline.load_synth_config(config_path, seed)
+    manifest_path = pipeline.run_synth(cfg, out_dir, extra)
     click.echo(f"wrote {cfg.items} items and {manifest_path}")
 
 
 @main.command()
 @click.option("--manifest", "manifest_path", required=True, type=click.Path())
 @click.option("--tag", required=True, type=click.Choice(pipeline.TAGS))
-@click.option("--out", "out_dir", required=True, type=click.Path())
+@click.option("--out", "out_dir", required=True, type=click.Path(), callback=_out_dir)
 def represent(manifest_path, tag, out_dir):
     """Compute one representation for every item and write its tables."""
-    manifest = _load_manifest(manifest_path)
-    try:
-        rows = pipeline.run_represent(manifest, tag, out_dir)
-    except FitError as exc:
-        _fail(EXIT_REPRESENT, f"representation fit failed: {exc}")
-    except DataError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    rows = pipeline.run_represent(load_manifest(manifest_path), tag, out_dir)
     click.echo(f"wrote {len(rows)} representation tables to {out_dir}")
 
 
@@ -118,59 +73,30 @@ def represent(manifest_path, tag, out_dir):
 @click.option("--tag", required=True, type=click.Choice(pipeline.TAGS))
 @click.option("--target", type=click.Choice(["mu", "sigma", "both"]), default="both",
               show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path())
+@click.option("--out", "out_dir", required=True, type=click.Path(), callback=_out_dir)
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Override the manifest seed.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Concurrent fold-training processes.")
 def train_eval(manifest_path, tag, target, out_dir, seed, jobs):
     """Train per-fold models for a representation and evaluate CCC/SDA."""
-    # Imported here: only this command loads the model module.
-    from .model import TrainingError
-
-    manifest = _load_manifest(manifest_path)
     targets = list(pipeline.TARGETS) if target == "both" else [target]
-    try:
-        summary = pipeline.run_train_eval(
-            manifest, tag, targets, out_dir, jobs=jobs, seed=seed
-        )
-    except FitError as exc:
-        _fail(EXIT_REPRESENT, f"representation fit failed: {exc}")
-    except DataError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except TrainingError as exc:
-        _fail(EXIT_TRAIN, f"training failed: {exc}")
+    summary = pipeline.run_train_eval(load_manifest(manifest_path), tag, targets, out_dir,
+                                      jobs=jobs, seed=seed)
     click.echo(pipeline.render_summary_table([summary]))
 
 
 @main.command()
-@click.argument("result_dirs", nargs=-1, required=True,
-                type=click.Path(exists=False))
-@click.option("--out", "out_dir", default=None, type=click.Path(),
+@click.argument("result_dirs", nargs=-1, required=True, type=click.Path(exists=False))
+@click.option("--out", "out_dir", default=None, type=click.Path(), callback=_out_dir,
               help="Also write report.txt and report.json here.")
 def report(result_dirs, out_dir):
     """Merge train-eval results into one comparative table."""
-    try:
-        summaries = pipeline.merge_reports(result_dirs)
-    except DataError as exc:
-        _fail(EXIT_REPORT, str(exc))
+    summaries = pipeline.merge_reports(result_dirs)
     table = pipeline.render_summary_table(summaries)
     click.echo(table)
     if out_dir is not None:
-        record = {
-            "format_version": FORMAT_VERSION,
-            "dataset_hash": summaries[0]["dataset_hash"],
-            "rows": [
-                {"tag": s["tag"], "mean": s["mean"], "std": s["std"]}
-                for s in summaries
-            ],
-        }
-        try:
-            make_output_dir(out_dir)
-            _atomic_write(os.path.join(out_dir, "report.txt"), table + "\n")
-            write_json(os.path.join(out_dir, "report.json"), record)
-        except OutputError as exc:
-            _fail(EXIT_CONFIG, str(exc))
+        pipeline.write_report(summaries, table, out_dir)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ import math
 import numbers
 import os
 import re
+import reprlib
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -40,22 +41,75 @@ MANIFEST_KEYS = ("format_version", "seed", "dataset", "representation", "model",
                  "split")
 
 
-class DataError(ValueError):
+class AmbitraceError(Exception):
+    """A failure a command reports as one line, ``error: <prefix><message>``, and
+    ends with the class's ``exit_code``; any other exception is a program fault.
+    """
+
+    exit_code: int
+    prefix = ""
+
+
+class DataError(AmbitraceError, ValueError):
     """A data file or configuration failed validation."""
+
+    exit_code = 2
 
 
 class OutputError(DataError):
     """An output directory could not be created or an output file written."""
 
 
+class ReportError(DataError):
+    """``report`` cannot read a summary, or cannot compare the runs it is given."""
+
+    exit_code = 5
+
+
 def _check_int(name, value, minimum):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise DataError(f"{name}: expected an integer >= {minimum}, got {value!r}")
+        raise DataError(f"{name}: expected an integer >= {minimum}, got {reprlib.repr(value)}")
 
 
 def _check_real(name, value, valid, expected):
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not valid(value):
-        raise DataError(f"{name}: expected {expected}, got {value!r}")
+        raise DataError(f"{name}: expected {expected}, got {reprlib.repr(value)}")
+
+
+def read_json(path, kind, error=DataError):
+    """The JSON object in the file ``path``, a ``kind`` of input such as ``"manifest"``.
+
+    A file that cannot be read, is not UTF-8 or JSON (``ValueError``), nests
+    too deep to parse, or holds anything but an object raises ``error`` naming it.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"{path}: not a readable {kind}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: expected a JSON object, got {reprlib.repr(doc)}")
+    return doc
+
+
+def check_output_dir(path):
+    """Refuse ``path`` as a command's output directory unless it is absent or empty.
+
+    A directory that holds anything, a file, or a path under a file raises
+    ``OutputError`` naming ``path``; nothing is created.
+    """
+    try:
+        if not os.listdir(path):
+            return
+        problem = "not empty"
+    except FileNotFoundError:
+        return
+    except NotADirectoryError:
+        problem = ("exists and is not a directory" if os.path.lexists(path)
+                   else "a parent is not a directory")
+    except OSError as exc:
+        problem = exc.strerror
+    raise OutputError(f"output directory {path}: {problem}")
 
 
 def make_output_dir(path):
@@ -140,8 +194,9 @@ def read_table(path, digest=None, check=None) -> Table:
     """Read a table written by ``write_table``; every cell must be a finite float.
 
     ``#`` lines anywhere are header metadata and blank lines are skipped.
-    A missing column header, a ragged row or a bad cell is a ``DataError``
-    naming the file and the line.  A regular table is parsed in one array
+    A file that cannot be read is a ``DataError`` naming it; a missing
+    column header, a ragged row or a bad cell is one naming the file and
+    the line.  A regular table is parsed in one array
     call, or its rows come from the memo (see ``_Memo``); any other text
     goes through the line reader, which writes every error message.
 
@@ -150,8 +205,11 @@ def read_table(path, digest=None, check=None) -> Table:
     validation, raising ``DataError``: it runs on every read, and a parse
     is memoized only once it has passed.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     if digest is not None:
         digest.update(raw)
     try:
@@ -387,7 +445,8 @@ class SplitSpec:
 
     def __post_init__(self):
         if self.mode not in SPLIT_MODES:
-            raise DataError(f"mode: expected one of {', '.join(SPLIT_MODES)}, got {self.mode!r}")
+            raise DataError(f"mode: expected one of {', '.join(SPLIT_MODES)}, "
+                            f"got {reprlib.repr(self.mode)}")
         # k only matters for grouped folds, which need at least two.
         if self.mode == "k_fold_grouped":
             _check_int("k", self.k, 2)
@@ -446,12 +505,12 @@ def make_splits(items, spec: SplitSpec):
         train = [i for i, g in items if g == "train"]
         dev = [i for i, g in items if g == "dev"]
         if not train or not dev:
-            raise DataError("fixed split needs items labeled 'train' and 'dev'")
+            raise DataError("split.mode: fixed_train_dev needs items labeled 'train' and 'dev'")
         return [(train, dev)]
 
     groups = sorted({g for _, g in items})
     if spec.k > len(groups):
-        raise DataError(f"k={spec.k} exceeds the {len(groups)} available groups")
+        raise DataError(f"split.k: {spec.k} exceeds the {len(groups)} available groups")
     rng = np.random.default_rng(spec.seed)
     order = [groups[i] for i in rng.permutation(len(groups))]
     buckets = [order[i :: spec.k] for i in range(spec.k)]
@@ -500,7 +559,7 @@ class SynthConfig:
                         "a finite number >= 0")
         if self.scenario not in SCENARIOS:
             raise DataError(f"scenario: expected one of {', '.join(SCENARIOS)}, "
-                            f"got {self.scenario!r}")
+                            f"got {reprlib.repr(self.scenario)}")
 
 
 @dataclass
@@ -598,11 +657,11 @@ class ItemEntry:
         for f in fields(self):
             value = getattr(self, f.name)
             if not isinstance(value, str):
-                raise DataError(f"{f.name}: expected a string, got {value!r}")
+                raise DataError(f"{f.name}: expected a string, got {reprlib.repr(value)}")
         # The id names output files and is a text cell of summary tables.
         if not self.item_id or not self.item_id.isprintable() or set(self.item_id) & set("/\\,"):
             raise DataError(f"item_id: expected a printable name without '/', '\\' or ',', "
-                            f"got {self.item_id!r}")
+                            f"got {reprlib.repr(self.item_id)}")
 
 
 @dataclass
@@ -631,10 +690,10 @@ class DatasetConfig:
         if self.keep_first is not None:
             _check_int("keep_first", self.keep_first, 1)
         if not isinstance(self.name, str):
-            raise DataError(f"name: expected a string, got {self.name!r}")
+            raise DataError(f"name: expected a string, got {reprlib.repr(self.name)}")
         if self.bounds is not None:
             if not isinstance(self.bounds, (list, tuple)) or len(self.bounds) != 2:
-                raise DataError(f"bounds: expected [lo, hi], got {self.bounds!r}")
+                raise DataError(f"bounds: expected [lo, hi], got {reprlib.repr(self.bounds)}")
             for value in self.bounds:
                 _check_real("bounds", value, math.isfinite, "finite numbers [lo, hi]")
             lo, hi = (float(v) for v in self.bounds)
@@ -666,7 +725,7 @@ class ExperimentManifest:
         family = self.representation.get("family")
         if family not in FAMILIES:
             raise DataError(f"representation.family: expected one of {', '.join(FAMILIES)}, "
-                            f"got {family!r}")
+                            f"got {reprlib.repr(family)}")
         if family == "beta_mapped" and self.dataset.bounds is None:
             raise DataError("representation.family: beta_mapped requires dataset bounds")
         _check_int("representation.neighbor_radius",
@@ -687,7 +746,7 @@ def _key_name(section, key):
 
 def _check_keys(section, doc, known):
     if not isinstance(doc, dict):
-        raise DataError(f"{section}: expected a JSON object, got {doc!r}")
+        raise DataError(f"{section}: expected a JSON object, got {reprlib.repr(doc)}")
     for key in doc:
         if key not in known:
             raise DataError(f"{_key_name(section, key)}: unknown key (expected one of "
@@ -726,8 +785,7 @@ def load_manifest(path) -> ExperimentManifest:
     The tables themselves are read by ``prepare_item``.  Every DataError
     raised here starts with the manifest path.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path, "manifest")
     try:
         manifest = _manifest_from_doc(doc, os.path.dirname(os.path.abspath(path)))
         for item in manifest.dataset.items:
@@ -751,7 +809,8 @@ def _manifest_from_doc(doc, base_dir) -> ExperimentManifest:
     seen = set()
     for i, item in enumerate(items):
         if item.item_id in seen:
-            raise DataError(f"dataset.items[{i}].item_id: duplicate id {item.item_id!r}")
+            raise DataError(f"dataset.items[{i}].item_id: duplicate id "
+                            f"{reprlib.repr(item.item_id)}")
         seen.add(item.item_id)
     settings = {key: value for key, value in ds.items() if key != "items"}
     return ExperimentManifest(

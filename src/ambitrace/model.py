@@ -32,7 +32,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data_io import ModelConfig, TrainConfig, _atomic_write, _check_int, _check_real
+from .data_io import (AmbitraceError, ModelConfig, TrainConfig, _atomic_write, _check_int,
+                      _check_real)
 from .metrics import CCC_DENOM_GUARD
 
 CHECKPOINT_MAGIC = "ambitrace-checkpoint"
@@ -44,8 +45,11 @@ ADAM_EPS = 1e-8
 TRAIN_DTYPE = np.float32
 
 
-class TrainingError(RuntimeError):
-    """Training could not proceed (empty data or unusable targets)."""
+class TrainingError(AmbitraceError, RuntimeError):
+    """Training could not proceed (empty data, unusable targets or a lost worker)."""
+
+    exit_code = 4
+    prefix = "training failed: "
 
 
 @dataclass

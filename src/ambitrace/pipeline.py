@@ -8,7 +8,6 @@ parsed input tables, in a ``data_io.MEMO_DIR`` directory beside them.
 
 from __future__ import annotations
 
-import json
 import numbers
 import os
 import reprlib
@@ -22,6 +21,7 @@ from .data_io import (
     DataError,
     ExperimentManifest,
     ModelConfig,
+    ReportError,
     SplitSpec,
     SynthConfig,
     TrainConfig,
@@ -66,15 +66,47 @@ def compute_representation(trace_set, tag, family, neighbor_radius):
 SYNTH_MANIFEST_DEFAULTS = {
     "representation": {"family": "gaussian", "neighbor_radius": 1},
     "model": {"hidden_dim": 32},
-    "train": {
-        "learning_rate": 1e-3,
-        "weight_decay": 1e-4,
-        "max_epochs": 300,
-        "segment_length": 19,
-        "batch_segments": 8,
-        "target_margin": 0.9,
-    },
+    "train": {"learning_rate": 1e-3, "weight_decay": 1e-4, "max_epochs": 300,
+              "segment_length": 19, "batch_segments": 8, "target_margin": 0.9},
 }
+
+
+def _synth_manifest(cfg: SynthConfig, extra, entries, base_dir):
+    """The manifest of a synth run, every section checked; ``extra`` overrides the defaults."""
+    sections = {key: {**defaults, **extra.get(key, {})}
+                for key, defaults in SYNTH_MANIFEST_DEFAULTS.items()}
+    sections["model"].setdefault("seed", cfg.seed)
+    split = {"mode": "k_fold_grouped", "k": min(10, cfg.groups), "seed": cfg.seed,
+             **extra.get("split", {})}
+    dataset = data_io.DatasetConfig(native_period=1.0, window_length=1.0,
+                                    keep_first=cfg.windows, name="synthetic", items=entries)
+    return ExperimentManifest(dataset=dataset, **sections, seed=cfg.seed, base_dir=base_dir,
+                              split=parse_section("split", split, SplitSpec))
+
+
+def load_synth_config(path, seed=None):
+    """A synth config file as (SynthConfig, embedded manifest sections), checked in full.
+
+    The config is one JSON object: generator fields plus optional
+    representation/model/train/split sections; ``seed`` overrides its
+    seed.  Any error is a ``DataError`` starting ``config <path>: ``.
+    """
+    try:
+        doc = data_io.read_json(path, "config")
+    except DataError as exc:
+        raise DataError(f"config {exc}") from exc
+    try:
+        extra = {k: doc.pop(k) for k in list(doc) if k in MANIFEST_EXTRA_KEYS}
+        for key, section in extra.items():
+            if not isinstance(section, dict):
+                raise DataError(f"{key}: expected a JSON object, got {reprlib.repr(section)}")
+        if seed is not None:
+            doc["seed"] = seed
+        cfg = parse_section("", doc, SynthConfig, also_known=MANIFEST_EXTRA_KEYS)
+        _synth_manifest(cfg, extra, [], ".")
+    except DataError as exc:
+        raise DataError(f"config {path}: {exc}") from exc
+    return cfg, extra
 
 
 def run_synth(cfg: SynthConfig, out_dir, extra=None):
@@ -84,44 +116,12 @@ def run_synth(cfg: SynthConfig, out_dir, extra=None):
     split sections.  The manifest is checked before any file is written.
     Returns the manifest path.
     """
-    extra = extra or {}
     items = data_io.synth_generate(cfg)
-    entries = [
-        data_io.ItemEntry(
-            item_id=item.item_id,
-            group=item.group,
-            trace_file=os.path.join("traces", f"{item.item_id}.csv"),
-            feature_file=os.path.join("features", f"{item.item_id}.csv"),
-        )
-        for item in items
-    ]
-    sections = {}
-    for key in ("representation", "model", "train"):
-        merged = dict(SYNTH_MANIFEST_DEFAULTS.get(key, {}))
-        merged.update(extra.get(key, {}))
-        sections[key] = merged
-    sections["model"].setdefault("seed", cfg.seed)
-    split_doc = dict(extra.get("split", {}))
-    split_doc.setdefault("mode", "k_fold_grouped")
-    split_doc.setdefault("k", min(10, cfg.groups))
-    split_doc.setdefault("seed", cfg.seed)
-    manifest = ExperimentManifest(
-        dataset=data_io.DatasetConfig(
-            native_period=1.0,
-            window_length=1.0,
-            delay_offset=0.0,
-            keep_first=cfg.windows,
-            bounds=None,
-            name="synthetic",
-            items=entries,
-        ),
-        representation=sections["representation"],
-        model=sections["model"],
-        train=sections["train"],
-        split=parse_section("split", split_doc, SplitSpec),
-        seed=cfg.seed,
-        base_dir=out_dir,
-    )
+    entries = [data_io.ItemEntry(item_id=item.item_id, group=item.group,
+                                 trace_file=os.path.join("traces", f"{item.item_id}.csv"),
+                                 feature_file=os.path.join("features", f"{item.item_id}.csv"))
+               for item in items]
+    manifest = _synth_manifest(cfg, extra or {}, entries, out_dir)
     make_output_dir(out_dir)
     for sub in ("traces", "features", "latents"):
         make_output_dir(os.path.join(out_dir, sub))
@@ -266,28 +266,26 @@ def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs, se
     Evaluation is computed per validation sequence and averaged across
     sequences within a fold, then mean +/- std across folds.
     """
+    # Imported here: the LSTM module costs every other command start-up time.  Imported
+    # after the inputs are read, it raised the peak RSS by 0.8 MiB (train_eval inputs).
+    from .model import TrainingError, save_checkpoint
+
+    # Built first: a split the items cannot fill reads no table and leaves no --out.
+    folds = make_splits([(it.item_id, it.group) for it in manifest.dataset.items],
+                        manifest.split)
     # Each item is scored by CCC and SDA, which need two windows.
     source, fitted = _fit_items(manifest, tag, 2, "train-eval")
     make_output_dir(out_dir)
     data = {item.item_id: {"features": features, "mu": fits.mu, "sigma": fits.sigma}
             for item, features, fits in fitted}
-    base_seed = seed if seed is not None else manifest.seed
-    folds = make_splits(
-        [(it.item_id, it.group) for it in manifest.dataset.items], manifest.split
-    )
     model_doc = dict(manifest.model)
-    if seed is not None:
-        model_doc["seed"] = seed
-    else:
-        model_doc.setdefault("seed", base_seed)
+    # --seed replaces the model seed; without it, the manifest seed is the default.
+    model_doc["seed"] = seed if seed is not None else model_doc.get("seed", manifest.seed)
     train_doc = dict(manifest.train)
     job_args = [
         ([(idx, *folds[idx]) for idx in stack], data, tuple(targets), model_doc, train_doc)
         for stack in _fold_stacks(len(folds), jobs)
     ]
-
-    # Imported here: the LSTM module costs every other command start-up time.
-    from .model import TrainingError, save_checkpoint
 
     # Fold files are written as each stack is handed back, in fold order, so
     # a failure keeps the folds recorded before it on disk.
@@ -407,13 +405,7 @@ PROTOCOL_KEYS = ("dataset_hash", "split", "targets", "representation", "model", 
 
 def _load_summary(path):
     """One ``summary.json``, checked for every field ``report`` reads."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"{path}: not a readable summary: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: expected a JSON object, got {reprlib.repr(doc)}")
+    doc = data_io.read_json(path, "summary", ReportError)
     targets = doc.get("targets")
     valid_targets = (isinstance(targets, list) and targets
                      and all(t in TARGETS for t in targets) and len(set(targets)) == len(targets))
@@ -442,26 +434,40 @@ def _load_summary(path):
     )
     for key, valid, expected in checks:
         if not valid(doc.get(key)):
-            raise DataError(f"{path}: {key}: expected {expected}, "
-                            f"got {reprlib.repr(doc.get(key))}")
+            raise ReportError(f"{path}: {key}: expected {expected}, "
+                              f"got {reprlib.repr(doc.get(key))}")
     return doc
 
 
 def merge_reports(result_dirs):
-    """Load train-eval summaries and check they share one dataset and protocol."""
+    """Load train-eval summaries and check they share one dataset and protocol.
+
+    Every failure is a ``ReportError``.
+    """
     paths = [os.path.join(d, "summary.json") for d in result_dirs]
     summaries = []
     for d, path in zip(result_dirs, paths):
         if not os.path.exists(path):
-            raise DataError(f"{d}: no summary.json (not a train-eval output?)")
+            raise ReportError(f"{d}: no summary.json (not a train-eval output?)")
         summary = _load_summary(path)
         for key in PROTOCOL_KEYS:
             if summaries and summary[key] != summaries[0][key]:
-                raise DataError(f"{path}: {key} differs from {paths[0]}; runs compared "
-                                f"in one report must share the dataset and protocol")
+                raise ReportError(f"{path}: {key} differs from {paths[0]}; runs compared "
+                                  f"in one report must share the dataset and protocol")
         for earlier, other in zip(paths, summaries):
             if other["tag"] == summary["tag"]:
-                raise DataError(f"{path}: representation {summary['tag']} is already "
-                                f"in {earlier}")
+                raise ReportError(f"{path}: representation {summary['tag']} is already "
+                                  f"in {earlier}")
         summaries.append(summary)
     return sorted(summaries, key=lambda s: TAGS.index(s["tag"]))
+
+
+def write_report(summaries, table, out_dir):
+    """Write ``table`` to ``report.txt`` and each summary's means to ``report.json``."""
+    make_output_dir(out_dir)
+    _atomic_write(os.path.join(out_dir, "report.txt"), table + "\n")
+    write_json(os.path.join(out_dir, "report.json"), {
+        "format_version": FORMAT_VERSION,
+        "dataset_hash": summaries[0]["dataset_hash"],
+        "rows": [{"tag": s["tag"], "mean": s["mean"], "std": s["std"]} for s in summaries],
+    })

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data_io import write_table
+from .data_io import AmbitraceError, write_table
 from .traces import TraceSet, central_difference
 
 GAUSSIAN = "gaussian"
@@ -26,8 +26,11 @@ TAG_INDIVIDUAL = "O_I"
 TAG_GROUP = "O_G"
 
 
-class FitError(ValueError):
+class FitError(AmbitraceError, ValueError):
     """A per-window distribution fit could not be computed."""
+
+    exit_code = 3
+    prefix = "representation fit failed: "
 
 
 @dataclass

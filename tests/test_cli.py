@@ -1,11 +1,10 @@
 import builtins
 import collections
 import concurrent.futures
-import contextlib
 import hashlib
-import io
 import json
 import os
+import pathlib
 import shutil
 import stat
 import sys
@@ -19,7 +18,7 @@ from conftest import run_fresh
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambitrace import cli, data_io, model, pipeline
+from ambitrace import data_io, model, pipeline
 from ambitrace.cli import main
 from ambitrace.data_io import (
     REPRESENTATION_KEYS,
@@ -557,9 +556,18 @@ def test_overflowing_fit_prints_one_line(tmp_path):
 
 @pytest.mark.parametrize("command, name", [("represent", "I_item003.csv"),
                                            ("train-eval", "fold_00_mu.ckpt")])
-def test_unwritable_output_exits_2_naming_the_path(workspace, tmp_path, command, name):
+def test_unwritable_output_exits_2_naming_the_path(workspace, tmp_path, monkeypatch, command,
+                                                   name):
     out = tmp_path / "out"
-    (out / name).mkdir(parents=True)  # a directory where an output file goes
+    real_make_output_dir = pipeline.make_output_dir
+
+    def make_and_block(path):
+        # A non-empty --out is refused up front, so the directory where an
+        # output file goes appears once the command has created --out.
+        real_make_output_dir(path)
+        (out / name).mkdir(exist_ok=True)
+
+    monkeypatch.setattr(pipeline, "make_output_dir", make_and_block)
     result = run_cli([command, "--manifest", workspace / "data" / "manifest.json", "--tag", "I",
                       "--out", out] + (["--target", "mu"] if command == "train-eval" else []))
     assert result.exit_code == 2, result.output
@@ -634,6 +642,44 @@ class TestManifestSections:
         assert result.output.count(str(path)) == 1
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("split, message", [
+        ({"k": 4, "seed": 11}, "split.k: 4 exceeds the 3 available groups"),
+        ({"mode": "fixed_train_dev"},
+         "split.mode: fixed_train_dev needs items labeled 'train' and 'dev'"),
+    ])
+    def test_split_the_items_cannot_fill_exits_2_before_any_output(self, workspace, tmp_path,
+                                                                   split, message):
+        doc = json.loads((workspace / "data" / "manifest.json").read_text())
+        doc["split"] = split
+        path = workspace / "data" / f"split_{'_'.join(map(str, split.values()))}.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli(["train-eval", "--manifest", path, "--tag", "I",
+                          "--out", tmp_path / "run"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("change", [
+        lambda doc: list(range(20_000)),
+        lambda doc: dict(doc, representation=["x"] * 5000),
+        lambda doc: dict(doc, seed="s" * 100_000),
+        lambda doc: dict(doc, dataset=dict(doc["dataset"], name=list(range(5000)))),
+        lambda doc: dict(doc, dataset=dict(doc["dataset"], bounds=[0.0] * 5000)),
+        lambda doc: dict(doc, split=dict(doc["split"], mode="m" * 100_000)),
+        lambda doc: dict(doc, dataset=dict(doc["dataset"], items=[
+            dict(doc["dataset"]["items"][0], group=list(range(5000)))])),
+    ])
+    def test_a_long_bad_value_prints_a_short_line(self, workspace, tmp_path, change):
+        doc = json.loads((workspace / "data" / "manifest.json").read_text())
+        path = workspace / "data" / "long_value.json"
+        path.write_text(json.dumps(change(doc)))
+        result = run_cli(["represent", "--manifest", path, "--tag", "I",
+                          "--out", tmp_path / "rep"])
+        assert result.exit_code == 2, result.output
+        (line,) = result.stderr.splitlines()
+        assert line.startswith(f"error: {path}: "), line
+        assert len(line) < len(str(path)) + 160, line
+
 
 # Each site is (path to a JSON object, key): one key the fuzz may drop,
 # rename or overwrite.  Known keys that the manifest leaves out count too.
@@ -691,14 +737,12 @@ class TestManifestFuzz:
         path = data / "fuzz.json"
         path.write_text(json.dumps(doc).replace(f'"{OVERFLOW}"', "1e400"))
 
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
-            try:
-                cli._load_manifest(str(path))
-            except SystemExit as exc:
-                assert exc.code == 2
-                assert stderr.getvalue().startswith(f"error: {path}: "), stderr.getvalue()
-                return
+        try:
+            data_io.load_manifest(str(path))
+        except data_io.DataError as exc:
+            assert exc.exit_code == 2
+            assert str(exc).startswith(f"{path}: "), str(exc)
+            return
         # A manifest that loads must not fail later with a traceback either.
         with tempfile.TemporaryDirectory() as out:
             result = run_cli(["represent", "--manifest", path, "--tag", "I",
@@ -861,6 +905,22 @@ class TestLoaderErrors:
         assert not (tmp_path / "rep").exists()
 
 
+    @pytest.mark.skipif(not os.path.isfile("/proc/self/mem"),
+                        reason="needs a regular file whose read fails")
+    @pytest.mark.parametrize("kind", ["trace", "feature"])
+    def test_unreadable_table_exits_2_naming_it(self, workspace, tmp_path, kind):
+        # /proc/self/mem is a regular file; reading it from offset 0 fails with EIO.
+        doc = json.loads((workspace / "data" / "manifest.json").read_text())
+        doc["dataset"]["items"][1][f"{kind}_file"] = "/proc/self/mem"
+        path = workspace / "data" / f"unreadable_{kind}.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli(["represent", "--manifest", path, "--tag", "I",
+                          "--out", tmp_path / "rep"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == "error: /proc/self/mem: cannot read: Input/output error\n"
+        assert not (tmp_path / "rep").exists()
+
+
 def memo_entries(table):
     """The names of the memo entries of the table file ``table``."""
     memo = table.parent / data_io.MEMO_DIR
@@ -1005,7 +1065,8 @@ SUMMARY_KEYS = {
 
 
 class TestOutputDir:
-    """An ``--out`` that is a file, or lies under one, exits 2 and creates nothing."""
+    """An ``--out`` that is a file, lies under one, or holds anything exits 2 and
+    creates nothing; an absent or empty one is written."""
 
     @pytest.mark.parametrize("command", ["synth", "represent", "train-eval", "report"])
     @pytest.mark.parametrize("nested", [False, True])
@@ -1028,14 +1089,79 @@ class TestOutputDir:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "synth.json"]
         assert blocker.read_text() == "keep\n"
 
-    def test_synth_names_a_blocked_subdirectory(self, tmp_path):
+    def test_synth_names_a_blocked_subdirectory(self, tmp_path, monkeypatch):
         cfg = tmp_path / "synth.json"
         cfg.write_text(json.dumps(FAST_SYNTH))
-        (tmp_path / "out").mkdir()
-        (tmp_path / "out" / "traces").write_text("")
+        real_make_output_dir = pipeline.make_output_dir
+
+        def make_and_block(path):
+            # A non-empty --out is refused up front, so the file in the way
+            # appears once synth has created --out.
+            real_make_output_dir(path)
+            if path == str(tmp_path / "out"):
+                (tmp_path / "out" / "traces").write_text("")
+
+        monkeypatch.setattr(pipeline, "make_output_dir", make_and_block)
         result = run_cli(["synth", "--config", cfg, "--out", tmp_path / "out"])
         assert result.exit_code == 2, result.output
         assert f"error: output directory {tmp_path / 'out' / 'traces'}: exists" in result.output
+
+    @pytest.mark.parametrize("command", ["synth", "represent", "train-eval", "report"])
+    def test_non_empty_out_is_refused_before_anything_is_read(self, tmp_path, command):
+        out = tmp_path / "out"
+        (out / "earlier").mkdir(parents=True)
+        (out / "earlier" / "fold_00.json").write_text("keep\n")
+        # Inputs that do not exist: reading any of them would fail otherwise.
+        missing = tmp_path / "missing"
+        args = {"synth": ["synth", "--config", missing / "synth.json"],
+                "represent": ["represent", "--manifest", missing / "manifest.json", "--tag", "I"],
+                "train-eval": ["train-eval", "--manifest", missing / "manifest.json",
+                               "--tag", "I"],
+                "report": ["report", missing]}[command]
+        result = run_cli(args + ["--out", out])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: output directory {out}: not empty\n"
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+            "earlier", "earlier/fold_00.json"]
+        assert (out / "earlier" / "fold_00.json").read_text() == "keep\n"
+
+    @pytest.mark.parametrize("command", ["synth", "represent", "train-eval", "report"])
+    def test_empty_out_is_written(self, workspace, runs, tmp_path, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(FAST_SYNTH))
+        manifest = workspace / "data" / "manifest.json"
+        args = {"synth": ["synth", "--config", cfg],
+                "represent": ["represent", "--manifest", manifest, "--tag", "I"],
+                "train-eval": ["train-eval", "--manifest", manifest, "--tag", "I",
+                               "--target", "mu"],
+                "report": ["report", runs / "I"]}[command]
+        result = run_cli(args + ["--out", out])
+        assert result.exit_code == 0, result.output
+        assert os.listdir(out)
+
+
+@pytest.mark.parametrize("state", ["non-UTF-8", "a directory"])
+@pytest.mark.parametrize("command", ["synth", "represent", "train-eval", "report"])
+def test_unreadable_json_input_exits_with_its_code(tmp_path, command, state):
+    path = tmp_path / ("summary.json" if command == "report" else "input.json")
+    if state == "non-UTF-8":
+        path.write_bytes(b'{"seed": "\xe9"}')
+    else:
+        path.mkdir()
+    args = {"synth": ["synth", "--config", path],
+            "represent": ["represent", "--manifest", path, "--tag", "I"],
+            "train-eval": ["train-eval", "--manifest", path, "--tag", "I"],
+            "report": ["report", tmp_path]}[command]
+    result = run_cli(args + ["--out", tmp_path / "out"])
+    code, expected = {"synth": (2, f"config {path}: not a readable config: "),
+                      "report": (5, f"{path}: not a readable summary: ")}.get(
+                          command, (2, f"{path}: not a readable manifest: "))
+    assert result.exit_code == code, result.output
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"error: {expected}"), line
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
@@ -1096,13 +1222,26 @@ class TestReport:
         assert "loss_curve" not in (tmp_path / "rep" / "report.json").read_text()
 
     def test_failed_write_keeps_earlier_report(self, runs, tmp_path, monkeypatch):
-        out = tmp_path / "rep"
-        assert run_cli(["report", runs / "I", "--out", out]).exit_code == 0
-        before = {name: (out / name).read_bytes() for name in ("report.txt", "report.json")}
+        earlier = tmp_path / "earlier"
+        assert run_cli(["report", runs / "I", "--out", earlier]).exit_code == 0
+        before = {name: (earlier / name).read_bytes() for name in ("report.txt", "report.json")}
+        # A rerun into the same --out is refused before anything is read.
+        result = run_cli(["report", runs / "I", runs / "O_G", "--out", earlier])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: output directory {earlier}: not empty\n"
 
         def refuse(src, dst):
             raise OSError("disk full")
 
+        # So the earlier report is put into --out once the command has created it.
+        out = tmp_path / "rep"
+        real_make_output_dir = pipeline.make_output_dir
+
+        def make_and_copy(path):
+            real_make_output_dir(path)
+            shutil.copytree(earlier, out, dirs_exist_ok=True)
+
+        monkeypatch.setattr(pipeline, "make_output_dir", make_and_copy)
         monkeypatch.setattr(os, "replace", refuse)
         result = run_cli(["report", runs / "I", runs / "O_G", "--out", out])
         assert result.exit_code == 2, result.output
@@ -1220,11 +1359,128 @@ class TestReport:
             path = os.path.join(out, "summary.json")
             with open(path, "w") as fh:
                 fh.write(json.dumps(doc).replace(f'"{OVERFLOW}"', "1e400"))
-            for dirs in ([out], [runs / "I", out]):
-                result = run_cli(["report", *dirs, "--out", os.path.join(out, "rep")])
+            for k, dirs in enumerate(([out], [runs / "I", out])):
+                result = run_cli(["report", *dirs, "--out", os.path.join(out, f"rep{k}")])
                 assert result.exception is None or isinstance(result.exception, SystemExit), \
                     result.output
                 assert result.exit_code == 0 or (
                     result.exit_code == 5 and result.output.startswith(f"error: {path}: ")), \
                     result.output
 
+
+
+# The command-line fuzz: a 4-item dataset, so each run that goes through is short.
+FUZZ_SYNTH = {"items": 4, "groups": 2, "annotators": 3, "windows": 8, "seed": 3,
+              "train": {"max_epochs": 1, "segment_length": 8}, "split": {"k": 2, "seed": 3},
+              "model": {"hidden_dim": 4}}
+# Each option's values, the valid ones first; None leaves the option out.
+FUZZ_OPTIONS = {"--seed": ([None, "0", "5"], ["-1", "x", "1.5", ""]),
+                "--jobs": ([None, "1"], ["0", "-3", "two"]),
+                "--target": ([None, "mu", "both"], ["MU", "bogus", ""])}
+COMMAND_OPTIONS = {"synth": ["--seed"], "represent": [], "report": [],
+                   "train-eval": ["--seed", "--jobs", "--target"]}
+# A name each command writes into --out.
+OUTPUT_NAMES = {"synth": "manifest.json", "represent": "I_item000.csv",
+                "train-eval": "fold_00_mu.ckpt", "report": "report.txt"}
+OUT_STATES = ["absent", "empty", "file", "non-empty", "under a file", "holds an output name"]
+INPUT_STATES = ["good", "non-UTF-8", "unreadable", "missing"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Each command's input in every ``INPUT_STATES`` state, by (command, state)."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "synth.json").write_text(json.dumps(FUZZ_SYNTH))
+    manifest = root / "data" / "manifest.json"
+    assert run_cli(["synth", "--config", root / "synth.json", "--out", root / "data"]
+                   ).exit_code == 0
+    assert run_cli(["train-eval", "--manifest", manifest, "--tag", "I", "--out", root / "run"]
+                   ).exit_code == 0
+    (root / "latin1.json").write_bytes(b'{"seed": "\xe9"}')
+    (root / "latin1").mkdir()
+    (root / "latin1" / "summary.json").write_bytes(b'{"tag": "\xe9"}')
+    (root / "folder.json").mkdir()
+    (root / "folder" / "summary.json").mkdir(parents=True)
+    inputs = {}
+    for command, good in (("synth", root / "synth.json"), ("represent", manifest),
+                          ("train-eval", manifest), ("report", root / "run")):
+        suffix = "" if command == "report" else ".json"
+        inputs.update({(command, "good"): good,
+                       (command, "non-UTF-8"): root / f"latin1{suffix}",
+                       (command, "unreadable"): root / f"folder{suffix}",
+                       (command, "missing"): root / f"nothing{suffix}"})
+    return inputs
+
+
+def make_out(root, state, command):
+    """An --out in ``state`` under the directory ``root``."""
+    out = root / "out"
+    if state == "empty":
+        out.mkdir()
+    elif state == "file":
+        out.write_text("x\n")
+    elif state == "non-empty":
+        out.mkdir()
+        (out / "notes.txt").write_text("x\n")
+    elif state == "under a file":
+        (root / "afile").write_text("x\n")
+        out = root / "afile" / "out"
+    elif state == "holds an output name":
+        (out / OUTPUT_NAMES[command]).mkdir(parents=True)
+    return out
+
+
+@st.composite
+def command_lines(draw):
+    """(command, input state, out state, {option: value})."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    options = {}
+    for option in COMMAND_OPTIONS[command]:
+        valid, invalid = FUZZ_OPTIONS[option]
+        value = draw(st.sampled_from(valid + invalid))
+        if value is not None:
+            options[option] = value
+    return (command, draw(st.sampled_from(INPUT_STATES)), draw(st.sampled_from(OUT_STATES)),
+            options)
+
+
+class TestCommandLineFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(case=command_lines())
+    def test_exits_0_or_with_its_code_naming_the_cause(self, fuzz_inputs, case):
+        command, input_state, out_state, options = case
+        source = fuzz_inputs[(command, input_state)]
+        input_args = {"synth": ["--config", source],
+                      "represent": ["--manifest", source, "--tag", "I"],
+                      "train-eval": ["--manifest", source, "--tag", "I"], "report": [source]}
+        with tempfile.TemporaryDirectory() as tmp:
+            root = pathlib.Path(tmp)
+            out = make_out(root, out_state, command)
+            before = sorted(root.rglob("*"))
+            option_args = [a for option, value in options.items() for a in (option, value)]
+            # --out comes last, so an option error is found first.
+            result = run_cli([command, *input_args[command], *option_args, "--out", out])
+            assert "Traceback" not in result.output
+            assert result.exception is None or isinstance(result.exception, SystemExit), \
+                result.output
+            bad_options = [o for o, v in options.items() if v not in FUZZ_OPTIONS[o][0]]
+            if not bad_options and out_state in ("absent", "empty") and input_state == "good":
+                assert result.exit_code == 0, result.output
+                assert out.is_dir() and os.listdir(out)
+                return
+            # Click's usage errors say "Error:", the commands' own "error:".
+            lines = [line for line in result.stderr.splitlines()
+                     if line.lower().startswith("error:")]
+            assert len(lines) == 1, result.stderr
+            if bad_options:
+                assert result.exit_code == 2, result.output
+                assert f"'{bad_options[0]}'" in lines[0], result.stderr
+            elif out_state not in ("absent", "empty"):
+                assert result.exit_code == 2, result.output
+                assert result.stderr == lines[0] + "\n"
+                assert lines[0].startswith(f"error: output directory {out}: "), lines[0]
+            else:
+                assert result.exit_code == (5 if command == "report" else 2), result.output
+                assert result.stderr == lines[0] + "\n"
+                assert str(source) in lines[0], lines[0]
+            assert sorted(root.rglob("*")) == before

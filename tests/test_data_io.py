@@ -12,6 +12,7 @@ from ambitrace.data_io import (
     DatasetConfig,
     ExperimentManifest,
     ItemEntry,
+    ReportError,
     SplitSpec,
     SynthConfig,
     dataset_digest,
@@ -20,6 +21,7 @@ from ambitrace.data_io import (
     load_trace_table,
     make_splits,
     prepare_item,
+    read_json,
     read_table,
     save_manifest,
     synth_generate,
@@ -164,13 +166,47 @@ class TestSplits:
         assert a == b
 
     def test_k_exceeding_groups(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"^split\.k: 3 exceeds the 2 available groups$"):
             make_splits([("a", "g0"), ("b", "g1")], SplitSpec(k=3))
+
+    def test_fixed_split_without_labels_names_the_mode(self):
+        with pytest.raises(DataError, match=r"^split\.mode: fixed_train_dev needs items "
+                                            r"labeled 'train' and 'dev'$"):
+            make_splits([("a", "train"), ("b", "g1")], SplitSpec(mode="fixed_train_dev"))
 
     def test_fixed_train_dev(self):
         items = [("a", "train"), ("b", "train"), ("c", "dev")]
         folds = make_splits(items, SplitSpec(mode="fixed_train_dev"))
         assert folds == [(["a", "b"], ["c"])]
+
+
+class TestReadJson:
+    @pytest.mark.parametrize("content, reason", [
+        (b'{"seed": "\xff"}', "not a readable manifest: 'utf-8' codec can't decode"),
+        (b'{"seed": 1', "not a readable manifest: Expecting"),
+        (b"[" * 100_000, "not a readable manifest: maximum recursion depth"),
+        (b"1" * 5000, "not a readable manifest: Exceeds the limit"),
+        (json.dumps(list(range(20_000))).encode(),
+         "expected a JSON object, got [0, 1, 2, 3, 4, 5, ...]"),
+    ])
+    def test_bad_file_names_it(self, tmp_path, content, reason):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        with pytest.raises(DataError) as info:
+            read_json(path, "manifest")
+        assert str(info.value).startswith(f"{path}: {reason}"), str(info.value)
+
+    def test_unreadable_path_and_error_class(self, tmp_path):
+        with pytest.raises(ReportError, match=f"^{re.escape(str(tmp_path))}: not a readable "
+                                              "summary: ") as info:
+            read_json(tmp_path, "summary", ReportError)
+        assert info.value.exit_code == 5
+        assert isinstance(info.value.__cause__, IsADirectoryError)
+
+    def test_reads_an_object(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": [1, 2.5, "x"]}')
+        assert read_json(path, "config") == {"a": [1, 2.5, "x"]}
 
 
 class TestSynth:
