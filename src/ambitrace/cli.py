@@ -53,9 +53,9 @@ def main():
               help="Override the config seed.")
 def synth(config_path, out_dir, seed):
     """Generate a seeded synthetic dataset and its experiment manifest."""
-    cfg, extra = pipeline.load_synth_config(config_path, seed)
-    manifest_path = pipeline.run_synth(cfg, out_dir, extra)
-    click.echo(f"wrote {cfg.items} items and {manifest_path}")
+    manifest = pipeline.run_synth(config_path, out_dir, seed)
+    click.echo(f"wrote {len(manifest.dataset.items)} items and "
+               f"{manifest.resolve('manifest.json')}")
 
 
 @main.command()
@@ -71,7 +71,7 @@ def represent(manifest_path, tag, out_dir):
 @main.command(name="train-eval")
 @click.option("--manifest", "manifest_path", required=True, type=click.Path())
 @click.option("--tag", required=True, type=click.Choice(pipeline.TAGS))
-@click.option("--target", type=click.Choice(["mu", "sigma", "both"]), default="both",
+@click.option("--target", type=click.Choice([*pipeline.TARGETS, "both"]), default="both",
               show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(), callback=_out_dir)
 @click.option("--seed", type=click.IntRange(min=0), default=None,
@@ -81,8 +81,7 @@ def represent(manifest_path, tag, out_dir):
 def train_eval(manifest_path, tag, target, out_dir, seed, jobs):
     """Train per-fold models for a representation and evaluate CCC/SDA."""
     targets = list(pipeline.TARGETS) if target == "both" else [target]
-    summary = pipeline.run_train_eval(load_manifest(manifest_path), tag, targets, out_dir,
-                                      jobs=jobs, seed=seed)
+    summary = pipeline.run_train_eval(manifest_path, tag, targets, out_dir, jobs, seed)
     click.echo(pipeline.render_summary_table([summary]))
 
 

@@ -1,7 +1,7 @@
 """Dataset ingestion, splits, experiment manifests and synthetic data.
 
-The manifest's sections are all checked here, the model and train
-sections included, so reading a manifest loads no model code.
+Every manifest section is a dataclass here, the model's included, built and
+checked once by ``parse_section``, so reading a manifest loads no model code.
 
 All tables are plain columnar text with decimal floats (17 significant
 digits) so they stay diffable and language-neutral.  ``write_table`` and
@@ -23,7 +23,7 @@ import numbers
 import os
 import re
 import reprlib
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -36,9 +36,6 @@ TIME_TOLERANCE = 1e-9  # relative tolerance for uniform time steps
 FAMILIES = ("gaussian", "beta_mapped")
 SCENARIOS = ("consistent_trend", "inconsistent_trend")
 SPLIT_MODES = ("k_fold_grouped", "fixed_train_dev")
-REPRESENTATION_KEYS = ("family", "neighbor_radius")
-MANIFEST_KEYS = ("format_version", "seed", "dataset", "representation", "model", "train",
-                 "split")
 
 
 class AmbitraceError(Exception):
@@ -453,18 +450,32 @@ class SplitSpec:
         _check_int("seed", self.seed, 0)
 
 
-# --- model and train sections -----------------------------------------------
+# --- settings sections ------------------------------------------------------
+
+
+@dataclass
+class RepresentationConfig:
+    family: str
+    neighbor_radius: int = 1
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise DataError(f"family: expected one of {', '.join(FAMILIES)}, "
+                            f"got {reprlib.repr(self.family)}")
+        _check_int("neighbor_radius", self.neighbor_radius, 0)
 
 
 @dataclass
 class ModelConfig:
-    input_dim: int
+    # The feature width: no manifest key, set by train-eval from the feature tables.
+    input_dim: int | None = None
     hidden_dim: int = 64
     num_layers: int = 2
     seed: int = 0
 
     def __post_init__(self):
-        _check_int("input_dim", self.input_dim, 1)
+        if self.input_dim is not None:
+            _check_int("input_dim", self.input_dim, 1)
         _check_int("hidden_dim", self.hidden_dim, 1)
         if self.num_layers != 2:
             raise ValueError("num_layers: the architecture is fixed at two recurrent layers")
@@ -491,6 +502,23 @@ class TrainConfig:
         _check_int("batch_segments", self.batch_segments, 1)
         _check_real("target_margin", self.target_margin, lambda v: 0 < v <= 1,
                     "a number in (0, 1]")
+
+
+# The settings a manifest holds and a train-eval summary records, by section.
+SECTIONS = {"representation": RepresentationConfig, "model": ModelConfig,
+            "train": TrainConfig, "split": SplitSpec}
+
+
+def parse_settings(key, doc):
+    """Settings section ``key`` of a manifest or summary, as its ``SECTIONS`` type."""
+    derived = {"input_dim": None} if key == "model" else {}
+    return parse_section(key, doc, SECTIONS[key], **derived)
+
+
+def settings_docs(manifest):
+    """The manifest's ``SECTIONS`` as JSON objects that list every field but ``input_dim``."""
+    return {key: {name: value for name, value in asdict(getattr(manifest, key)).items()
+                  if name != "input_dim"} for key in SECTIONS}
 
 
 def make_splits(items, spec: SplitSpec):
@@ -713,27 +741,17 @@ class DatasetConfig:
 @dataclass
 class ExperimentManifest:
     dataset: DatasetConfig
-    representation: dict
-    model: dict
-    train: dict
+    representation: RepresentationConfig
+    model: ModelConfig
+    train: TrainConfig
     split: SplitSpec
     seed: int = 0
     base_dir: str = "."
 
     def __post_init__(self):
-        _check_keys("representation", self.representation, REPRESENTATION_KEYS)
-        family = self.representation.get("family")
-        if family not in FAMILIES:
-            raise DataError(f"representation.family: expected one of {', '.join(FAMILIES)}, "
-                            f"got {reprlib.repr(family)}")
-        if family == "beta_mapped" and self.dataset.bounds is None:
+        if self.representation.family == "beta_mapped" and self.dataset.bounds is None:
             raise DataError("representation.family: beta_mapped requires dataset bounds")
-        _check_int("representation.neighbor_radius",
-                   self.representation.get("neighbor_radius", 1), 0)
         _check_int("seed", self.seed, 0)
-        # input_dim comes from the feature files, not from the manifest.
-        parse_section("model", self.model, ModelConfig, input_dim=1)
-        parse_section("train", self.train, TrainConfig)
 
     def resolve(self, relpath) -> str:
         return os.path.join(self.base_dir, relpath)
@@ -744,12 +762,17 @@ def _key_name(section, key):
     return f"{section}.{key}" if section else f"{key}"
 
 
+def _short(text):
+    """``text`` for a message, shortened by ``reprlib`` as a value is, without its quotes."""
+    return reprlib.repr(text)[1:-1]
+
+
 def _check_keys(section, doc, known):
     if not isinstance(doc, dict):
         raise DataError(f"{section}: expected a JSON object, got {reprlib.repr(doc)}")
     for key in doc:
         if key not in known:
-            raise DataError(f"{_key_name(section, key)}: unknown key (expected one of "
+            raise DataError(f"{_key_name(section, _short(key))}: unknown key (expected one of "
                             f"{', '.join(sorted(known))})")
 
 
@@ -774,31 +797,34 @@ def parse_section(section, doc, cls, also_known=(), **derived):
 
 
 def save_manifest(manifest: ExperimentManifest, path):
-    doc = asdict(manifest)
-    del doc["base_dir"]
-    write_json(path, {"format_version": FORMAT_VERSION, **doc})
+    write_json(path, {"format_version": FORMAT_VERSION, "seed": manifest.seed,
+                      "dataset": asdict(manifest.dataset), **settings_docs(manifest)})
 
 
-def load_manifest(path) -> ExperimentManifest:
+def load_manifest(path, model_seed=None) -> ExperimentManifest:
     """Parse and validate a manifest and check that every data file exists.
 
-    The tables themselves are read by ``prepare_item``.  Every DataError
+    ``model_seed`` (``train-eval --seed``) replaces the model seed.  The
+    tables themselves are read by ``prepare_item``.  Every DataError
     raised here starts with the manifest path.
     """
     doc = read_json(path, "manifest")
     try:
-        manifest = _manifest_from_doc(doc, os.path.dirname(os.path.abspath(path)))
+        manifest = _manifest_from_doc(doc, os.path.dirname(os.path.abspath(path)), model_seed)
         for item in manifest.dataset.items:
             for kind, rel in (("trace", item.trace_file), ("feature", item.feature_file)):
                 if not os.path.isfile(manifest.resolve(rel)):
-                    raise DataError(f"item {item.item_id!r}: missing {kind} file {rel}")
+                    raise DataError(f"item {reprlib.repr(item.item_id)}: "
+                                    f"missing {kind} file {_short(rel)}")
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
     return manifest
 
 
-def _manifest_from_doc(doc, base_dir) -> ExperimentManifest:
-    _check_keys("manifest", doc, MANIFEST_KEYS)
+def _manifest_from_doc(doc, base_dir, model_seed=None) -> ExperimentManifest:
+    """The manifest ``doc`` describes; its model seed is ``model_seed``, else
+    ``model.seed``, else the manifest ``seed``."""
+    _check_keys("manifest", doc, ["format_version", "seed", "dataset", *SECTIONS])
     ds = doc.get("dataset", {})
     _check_keys("dataset", ds, [f.name for f in fields(DatasetConfig)])
     entries = ds.get("items")
@@ -812,16 +838,19 @@ def _manifest_from_doc(doc, base_dir) -> ExperimentManifest:
             raise DataError(f"dataset.items[{i}].item_id: duplicate id "
                             f"{reprlib.repr(item.item_id)}")
         seen.add(item.item_id)
-    settings = {key: value for key, value in ds.items() if key != "items"}
-    return ExperimentManifest(
-        dataset=parse_section("dataset", settings, DatasetConfig, items=items),
-        representation=doc.get("representation", {"family": "gaussian"}),
-        model=doc.get("model", {}),
-        train=doc.get("train", {}),
-        split=parse_section("split", doc.get("split", {}), SplitSpec),
-        seed=doc.get("seed", 0),
-        base_dir=base_dir,
-    )
+    dataset = parse_section("dataset", {key: value for key, value in ds.items() if key != "items"},
+                            DatasetConfig, items=items)
+    seed = doc.get("seed", 0)
+    _check_int("seed", seed, 0)  # before the model section, whose seed it defaults
+    sections = {key: doc.get(key, {}) for key in SECTIONS}
+    if "representation" not in doc:
+        sections["representation"] = {"family": "gaussian"}
+    if isinstance(sections["model"], dict):  # anything else is refused by parse_section
+        sections["model"] = {"seed": seed, **sections["model"]}
+    settings = {key: parse_settings(key, section) for key, section in sections.items()}
+    if model_seed is not None:
+        settings["model"] = replace(settings["model"], seed=model_seed)
+    return ExperimentManifest(dataset=dataset, **settings, seed=seed, base_dir=base_dir)
 
 
 def prepare_item(manifest: ExperimentManifest, item: ItemEntry, digest=None):

@@ -32,8 +32,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data_io import (AmbitraceError, ModelConfig, TrainConfig, _atomic_write, _check_int,
-                      _check_real)
+from .data_io import (AmbitraceError, DataError, ModelConfig, TrainConfig, _atomic_write,
+                      _check_int, _check_real, parse_section)
 from .metrics import CCC_DENOM_GUARD
 
 CHECKPOINT_MAGIC = "ambitrace-checkpoint"
@@ -634,6 +634,8 @@ def train_stack(
     cfg = model_cfgs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in model_cfgs):
         raise ValueError("stacked models must agree on everything but the seed")
+    if cfg.input_dim is None:
+        raise ValueError("a model config needs input_dim, the feature width")
     scalings, pools = [], []
     for feats, t in zip(features, targets):
         scaling = TargetScaling.fit(
@@ -800,19 +802,23 @@ def save_checkpoint(model: TrainedModel, path):
 
 
 def load_checkpoint(path) -> TrainedModel:
-    """Read a checkpoint; a malformed one is a ``ValueError`` naming ``path``.
+    """Read a checkpoint; an unreadable or malformed one is a ``DataError`` naming ``path``.
 
     The weights come back in ``TRAIN_DTYPE``, so ``predict`` on a loaded
     model runs as the evaluation in ``train-eval`` did.  Format 1 held
     float64 weights of models trained in float64; it is refused.
     """
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    with fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))
         except ValueError as exc:
-            raise ValueError(f"{path}: not a model checkpoint: {exc}") from exc
+            raise DataError(f"{path}: not a model checkpoint: {exc}") from exc
         if not isinstance(header, dict) or header.get("magic") != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint")
+            raise DataError(f"{path}: not a model checkpoint")
         try:
             version = header.get("format_version")
             if version == 1:
@@ -820,7 +826,8 @@ def load_checkpoint(path) -> TrainedModel:
                                  "earlier release); re-run train-eval to write format 2")
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported format_version {version!r}")
-            config = ModelConfig(**header["config"])
+            config = parse_section("config", header["config"], ModelConfig)
+            _check_int("config.input_dim", config.input_dim, 1)
             scaling = TargetScaling(**header["scaling"])
             _check_real("scaling.scale", scaling.scale, lambda v: v != 0 and math.isfinite(v),
                         "a finite non-zero number")
@@ -828,18 +835,18 @@ def load_checkpoint(path) -> TrainedModel:
             _check_int("best_epoch", header["best_epoch"], 0)
             _check_int("skipped_segments", header["skipped_segments"], 0)
         except KeyError as exc:
-            raise ValueError(f"{path}: checkpoint header lacks {exc}") from exc
+            raise DataError(f"{path}: checkpoint header lacks {exc}") from exc
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: bad checkpoint header: {exc}") from exc
+            raise DataError(f"{path}: bad checkpoint header: {exc}") from exc
         layout = [[name, list(shape)] for name, shape in sorted(_param_shapes(config).items())]
         if header.get("layout") != layout:
-            raise ValueError(f"{path}: weight layout does not match the config's shapes")
+            raise DataError(f"{path}: weight layout does not match the config's shapes")
         params = {}
         for name, shape in layout:
             count = int(np.prod(shape))
             buf = fh.read(count * 4)
             if len(buf) != count * 4:
-                raise ValueError(f"{path}: truncated weight block for {name}")
+                raise DataError(f"{path}: truncated weight block for {name}")
             params[name] = np.frombuffer(buf, dtype="<f4").reshape(shape).astype(TRAIN_DTYPE)
     return TrainedModel(
         params=params,

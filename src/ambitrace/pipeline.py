@@ -11,20 +11,18 @@ from __future__ import annotations
 import numbers
 import os
 import reprlib
+from dataclasses import replace
 
 import numpy as np
 
 from . import data_io, metrics, representations
 from .data_io import (
     FORMAT_VERSION,
-    SPLIT_MODES,
+    SECTIONS,
     DataError,
     ExperimentManifest,
-    ModelConfig,
     ReportError,
-    SplitSpec,
     SynthConfig,
-    TrainConfig,
     _atomic_write,
     dataset_digest,
     make_output_dir,
@@ -47,94 +45,78 @@ from .representations import (
 TAGS = (TAG_INTERVAL, TAG_INDIVIDUAL, TAG_GROUP)
 TARGETS = ("mu", "sigma")
 
-MANIFEST_EXTRA_KEYS = ("representation", "model", "train", "split")
 
-
-def compute_representation(trace_set, tag, family, neighbor_radius):
+def compute_representation(trace_set, tag, rep: data_io.RepresentationConfig):
     """The requested representation sequence for one item."""
     if tag == TAG_INTERVAL:
-        return interval_representation(trace_set, family, neighbor_radius)
+        return interval_representation(trace_set, rep.family, rep.neighbor_radius)
     if tag == TAG_INDIVIDUAL:
-        return individual_ordinal(trace_set, neighbor_radius)
+        return individual_ordinal(trace_set, rep.neighbor_radius)
     if tag == TAG_GROUP:
-        return group_ordinal(interval_representation(trace_set, family, neighbor_radius))
+        return group_ordinal(interval_representation(trace_set, rep.family, rep.neighbor_radius))
     raise ValueError(f"unknown representation tag {tag!r}")
 
 
 # --- synth ------------------------------------------------------------------
 
+# A synth manifest's settings where they differ from the dataclass defaults;
+# the split also defaults to min(10, groups) folds seeded with the config seed.
 SYNTH_MANIFEST_DEFAULTS = {
-    "representation": {"family": "gaussian", "neighbor_radius": 1},
+    "representation": {"family": "gaussian"},
     "model": {"hidden_dim": 32},
-    "train": {"learning_rate": 1e-3, "weight_decay": 1e-4, "max_epochs": 300,
-              "segment_length": 19, "batch_segments": 8, "target_margin": 0.9},
+    "train": {"max_epochs": 300, "segment_length": 19},
 }
 
 
-def _synth_manifest(cfg: SynthConfig, extra, entries, base_dir):
-    """The manifest of a synth run, every section checked; ``extra`` overrides the defaults."""
-    sections = {key: {**defaults, **extra.get(key, {})}
-                for key, defaults in SYNTH_MANIFEST_DEFAULTS.items()}
-    sections["model"].setdefault("seed", cfg.seed)
-    split = {"mode": "k_fold_grouped", "k": min(10, cfg.groups), "seed": cfg.seed,
-             **extra.get("split", {})}
-    dataset = data_io.DatasetConfig(native_period=1.0, window_length=1.0,
-                                    keep_first=cfg.windows, name="synthetic", items=entries)
-    return ExperimentManifest(dataset=dataset, **sections, seed=cfg.seed, base_dir=base_dir,
-                              split=parse_section("split", split, SplitSpec))
-
-
-def load_synth_config(path, seed=None):
-    """A synth config file as (SynthConfig, embedded manifest sections), checked in full.
+def run_synth(config_path, out_dir, seed=None):
+    """Generate the synthetic dataset a config file describes, plus its manifest.
 
     The config is one JSON object: generator fields plus optional
-    representation/model/train/split sections; ``seed`` overrides its
-    seed.  Any error is a ``DataError`` starting ``config <path>: ``.
+    representation/model/train/split sections, whose keys override the
+    manifest defaults; ``seed`` overrides its seed.  The config and the
+    manifest it gives are checked in full before any file is written; any
+    error is a ``DataError`` starting ``config <path>: ``.  Returns the
+    manifest, which is written to ``manifest.json`` in ``out_dir``.
     """
     try:
-        doc = data_io.read_json(path, "config")
+        doc = data_io.read_json(config_path, "config")
     except DataError as exc:
         raise DataError(f"config {exc}") from exc
     try:
-        extra = {k: doc.pop(k) for k in list(doc) if k in MANIFEST_EXTRA_KEYS}
-        for key, section in extra.items():
+        sections = {key: doc.pop(key) for key in SECTIONS if key in doc}
+        for key, section in sections.items():
             if not isinstance(section, dict):
                 raise DataError(f"{key}: expected a JSON object, got {reprlib.repr(section)}")
         if seed is not None:
             doc["seed"] = seed
-        cfg = parse_section("", doc, SynthConfig, also_known=MANIFEST_EXTRA_KEYS)
-        _synth_manifest(cfg, extra, [], ".")
+        cfg = parse_section("", doc, SynthConfig, also_known=SECTIONS)
+        items = data_io.synth_generate(cfg)
+        defaults = dict(SYNTH_MANIFEST_DEFAULTS,
+                        split={"k": min(10, cfg.groups), "seed": cfg.seed})
+        manifest = data_io._manifest_from_doc({
+            "seed": cfg.seed,
+            "dataset": {"name": "synthetic", "native_period": 1.0, "window_length": 1.0,
+                        "keep_first": cfg.windows, "items": [
+                            {"item_id": item.item_id, "group": item.group,
+                             "trace_file": os.path.join("traces", f"{item.item_id}.csv"),
+                             "feature_file": os.path.join("features", f"{item.item_id}.csv")}
+                            for item in items]},
+            **{key: {**defaults[key], **sections.get(key, {})} for key in SECTIONS},
+        }, out_dir)
     except DataError as exc:
-        raise DataError(f"config {path}: {exc}") from exc
-    return cfg, extra
-
-
-def run_synth(cfg: SynthConfig, out_dir, extra=None):
-    """Generate a synthetic dataset on disk plus a ready-to-run manifest.
-
-    ``extra`` may override the manifest's representation/model/train/
-    split sections.  The manifest is checked before any file is written.
-    Returns the manifest path.
-    """
-    items = data_io.synth_generate(cfg)
-    entries = [data_io.ItemEntry(item_id=item.item_id, group=item.group,
-                                 trace_file=os.path.join("traces", f"{item.item_id}.csv"),
-                                 feature_file=os.path.join("features", f"{item.item_id}.csv"))
-               for item in items]
-    manifest = _synth_manifest(cfg, extra or {}, entries, out_dir)
+        raise DataError(f"config {config_path}: {exc}") from exc
     make_output_dir(out_dir)
     for sub in ("traces", "features", "latents"):
         make_output_dir(os.path.join(out_dir, sub))
-    for item, entry in zip(items, entries):
+    for item, entry in zip(items, manifest.dataset.items):
         data_io.write_trace_table(manifest.resolve(entry.trace_file), item.trace_set.annotators,
                                   item.trace_set.matrix, manifest.dataset.native_period)
         data_io.write_feature_table(manifest.resolve(entry.feature_file), item.item_id,
                                     item.features, "synthetic")
         write_table(os.path.join(out_dir, "latents", f"{item.item_id}.csv"), {},
                     {"window_index": np.arange(len(item.latent)), "latent": item.latent})
-    path = os.path.join(out_dir, "manifest.json")
-    data_io.save_manifest(manifest, path)
-    return path
+    data_io.save_manifest(manifest, manifest.resolve("manifest.json"))
+    return manifest
 
 
 # --- represent and train-eval ----------------------------------------------
@@ -168,13 +150,11 @@ def _fit_items(manifest: ExperimentManifest, tag, min_windows, command):
         if features.shape[1] != width:
             raise DataError(f"{manifest.resolve(item.feature_file)}: {features.shape[1]} "
                             f"feature columns, the first item has {width}")
-    family = manifest.representation.get("family", "gaussian")
-    radius = manifest.representation.get("neighbor_radius", 1)
     fitted = []
     for item, (trace_set, features) in zip(items, prepared):
         try:
             with np.errstate(all="ignore"):
-                fits = compute_representation(trace_set, tag, family, radius)
+                fits = compute_representation(trace_set, tag, manifest.representation)
         except representations.FitError as exc:
             raise representations.FitError(f"item {item.item_id!r}: {exc}") from exc
         fitted.append((item, features, fits))
@@ -221,8 +201,7 @@ def _train_fold(args):
     # Imported here, as in run_train_eval: no other command loads the model.
     from .model import predict_stack, train_stack
 
-    (folds, data, targets, model_doc, train_doc) = args
-    input_dim = next(iter(data.values()))["features"].shape[1]
+    (folds, data, targets, model, train) = args
     # One model per (fold, target), fold by fold.
     runs = [(fold_idx, train_ids, val_ids, t_idx)
             for fold_idx, train_ids, val_ids in folds for t_idx in range(len(targets))]
@@ -233,10 +212,9 @@ def _train_fold(args):
     models = train_stack(
         [column(train_ids, "features") for _, train_ids, _, _ in runs],
         [column(train_ids, targets[t_idx]) for _, train_ids, _, t_idx in runs],
-        [ModelConfig(input_dim=input_dim,
-                     **dict(model_doc, seed=model_doc["seed"] + 97 * fold_idx + t_idx))
+        [replace(model, seed=model.seed + 97 * fold_idx + t_idx)
          for fold_idx, _, _, t_idx in runs],
-        TrainConfig(**train_doc),
+        train,
         [column(val_ids, "features") for _, _, val_ids, _ in runs],
         [column(val_ids, targets[t_idx]) for _, _, val_ids, t_idx in runs],
     )
@@ -260,9 +238,10 @@ def _train_fold(args):
     return results
 
 
-def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs, seed):
+def run_train_eval(manifest_path, tag, targets, out_dir, jobs, seed=None):
     """Per-fold training and evaluation; writes fold files and a summary.
 
+    ``seed`` replaces the model seed (see ``data_io.load_manifest``).
     Evaluation is computed per validation sequence and averaged across
     sequences within a fold, then mean +/- std across folds.
     """
@@ -270,20 +249,22 @@ def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs, se
     # after the inputs are read, it raised the peak RSS by 0.8 MiB (train_eval inputs).
     from .model import TrainingError, save_checkpoint
 
+    manifest = data_io.load_manifest(manifest_path, seed)
     # Built first: a split the items cannot fill reads no table and leaves no --out.
-    folds = make_splits([(it.item_id, it.group) for it in manifest.dataset.items],
-                        manifest.split)
+    try:
+        folds = make_splits([(it.item_id, it.group) for it in manifest.dataset.items],
+                            manifest.split)
+    except DataError as exc:
+        raise DataError(f"{manifest_path}: {exc}") from exc
     # Each item is scored by CCC and SDA, which need two windows.
     source, fitted = _fit_items(manifest, tag, 2, "train-eval")
     make_output_dir(out_dir)
     data = {item.item_id: {"features": features, "mu": fits.mu, "sigma": fits.sigma}
             for item, features, fits in fitted}
-    model_doc = dict(manifest.model)
-    # --seed replaces the model seed; without it, the manifest seed is the default.
-    model_doc["seed"] = seed if seed is not None else model_doc.get("seed", manifest.seed)
-    train_doc = dict(manifest.train)
+    # Every fold's model takes the feature width, which _fit_items checked is common.
+    model = replace(manifest.model, input_dim=fitted[0][1].shape[1])
     job_args = [
-        ([(idx, *folds[idx]) for idx in stack], data, tuple(targets), model_doc, train_doc)
+        ([(idx, *folds[idx]) for idx in stack], data, tuple(targets), model, manifest.train)
         for stack in _fold_stacks(len(folds), jobs)
     ]
 
@@ -333,11 +314,7 @@ def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs, se
         "targets": list(targets),
         "dataset_hash": source,
         "dataset_name": manifest.dataset.name,
-        "representation": manifest.representation,
-        "model": model_doc,
-        "train": train_doc,
-        "split": {"mode": manifest.split.mode, "k": manifest.split.k,
-                  "seed": manifest.split.seed},
+        **data_io.settings_docs(manifest),
         "evaluation": "per-sequence metrics averaged within folds",
         "folds": fold_records,
         "mean": mean,
@@ -350,46 +327,27 @@ def run_train_eval(manifest: ExperimentManifest, tag, targets, out_dir, jobs, se
 
 # --- report -----------------------------------------------------------------
 
-REPORT_COLUMNS = ("ccc_mu", "ccc_sigma", "sda_mu", "sda_sigma")
-COLUMN_TITLES = {
-    "ccc_mu": "CCC mu",
-    "ccc_sigma": "CCC sigma",
-    "sda_mu": "SDA mu",
-    "sda_sigma": "SDA sigma",
-}
-
-
-def _cell(summary, key):
-    if key not in summary["mean"]:
-        return None
-    if summary["split"]["mode"] == "k_fold_grouped" and len(summary["folds"]) > 1:
-        return summary["mean"][key], summary["std"][key]
-    return summary["mean"][key], None
+# Each reported metric and its column title, in column order.
+REPORT_COLUMNS = {"ccc_mu": "CCC mu", "ccc_sigma": "CCC sigma", "sda_mu": "SDA mu",
+                  "sda_sigma": "SDA sigma"}
 
 
 def render_summary_table(summaries):
-    """A row per summary, in the order given, by metric columns; maxima marked with *."""
-    cells = {}
-    for s in summaries:
-        for key in REPORT_COLUMNS:
-            cells[(s["tag"], key)] = _cell(s, key)
-    maxima = {}
-    for key in REPORT_COLUMNS:
-        values = [cells[(s["tag"], key)][0] for s in summaries
-                  if cells.get((s["tag"], key)) is not None]
-        if values:
-            maxima[key] = max(values)
-    rows = [["Representation"] + [COLUMN_TITLES[k] for k in REPORT_COLUMNS]]
+    """A row per summary, in the order given, by metric columns; maxima marked with *.
+
+    The summaries share their targets; another target's columns show ``-``.
+    A mean carries its spread across folds when there are several.
+    """
+    rows = [["Representation", *REPORT_COLUMNS.values()]]
     for s in summaries:
         row = [s["tag"]]
         for key in REPORT_COLUMNS:
-            cell = cells.get((s["tag"], key))
-            if cell is None:
+            if key not in s["mean"]:
                 row.append("-")
                 continue
-            mean, std = cell
-            text = f"{mean:.3f}" if std is None else f"{mean:.3f}+/-{std:.3f}"
-            if len(summaries) > 1 and mean == maxima[key]:
+            mean = s["mean"][key]
+            text = f"{mean:.3f}" if len(s["folds"]) == 1 else f"{mean:.3f}+/-{s['std'][key]:.3f}"
+            if len(summaries) > 1 and mean == max(other["mean"][key] for other in summaries):
                 text = f"*{text}*"
             row.append(text)
         rows.append(row)
@@ -404,7 +362,12 @@ PROTOCOL_KEYS = ("dataset_hash", "split", "targets", "representation", "model", 
 
 
 def _load_summary(path):
-    """One ``summary.json``, checked for every field ``report`` reads."""
+    """One ``summary.json``, checked for every field ``report`` reads.
+
+    Its settings sections come back as their ``SECTIONS`` types, so runs
+    are compared by the settings that ran, however a summary spells them:
+    one written before the sections listed every field compares equal.
+    """
     doc = data_io.read_json(path, "summary", ReportError)
     targets = doc.get("targets")
     valid_targets = (isinstance(targets, list) and targets
@@ -422,11 +385,6 @@ def _load_summary(path):
         ("tag", lambda v: isinstance(v, str) and v in TAGS, f"one of {', '.join(TAGS)}"),
         ("dataset_hash", lambda v: isinstance(v, str), "a string"),
         ("targets", lambda v: valid_targets, f"distinct targets from {', '.join(TARGETS)}"),
-        ("split", lambda v: isinstance(v, dict) and v.get("mode") in SPLIT_MODES,
-         f"an object with a mode from {', '.join(SPLIT_MODES)}"),
-        ("representation", lambda v: isinstance(v, dict), "an object"),
-        ("model", lambda v: isinstance(v, dict), "an object"),
-        ("train", lambda v: isinstance(v, dict), "an object"),
         ("folds", lambda v: isinstance(v, list) and v and all(isinstance(f, dict) for f in v),
          "a non-empty list of fold records"),
         ("mean", metrics_dict, "a number per metric and target"),
@@ -436,6 +394,10 @@ def _load_summary(path):
         if not valid(doc.get(key)):
             raise ReportError(f"{path}: {key}: expected {expected}, "
                               f"got {reprlib.repr(doc.get(key))}")
+    try:
+        doc.update((key, data_io.parse_settings(key, doc.get(key))) for key in SECTIONS)
+    except DataError as exc:
+        raise ReportError(f"{path}: {exc}") from exc
     return doc
 
 

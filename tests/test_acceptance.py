@@ -20,8 +20,11 @@ from ambitrace.cli import main
 from ambitrace.data_io import (
     DatasetConfig,
     ExperimentManifest,
+    ModelConfig,
+    RepresentationConfig,
     SplitSpec,
     SynthConfig,
+    TrainConfig,
     synth_generate,
 )
 from ambitrace.metrics import ccc, sda
@@ -253,8 +256,8 @@ def test_pipeline_constants(tmp_path):
             dataset=DatasetConfig(native_period=0.04, window_length=3.0,
                                   delay_offset=4.0, bounds=(-1.0, 1.0),
                                   items=[item]),
-            representation={"family": "beta_mapped", "neighbor_radius": 1},
-            model={}, train={}, split=SplitSpec(), base_dir=str(tmp_path),
+            representation=RepresentationConfig("beta_mapped"),
+            model=ModelConfig(), train=TrainConfig(), split=SplitSpec(), base_dir=str(tmp_path),
         )
         assert manifest.dataset.samples_per_window == 75
         assert manifest.dataset.delay_samples == 100
@@ -264,8 +267,8 @@ def test_pipeline_constants(tmp_path):
         manifest = ExperimentManifest(
             dataset=DatasetConfig(native_period=0.25, window_length=3.0,
                                   keep_first=19, items=[item]),
-            representation={"family": "gaussian", "neighbor_radius": 1},
-            model={}, train={}, split=SplitSpec(), base_dir=str(tmp_path),
+            representation=RepresentationConfig("gaussian"),
+            model=ModelConfig(), train=TrainConfig(), split=SplitSpec(), base_dir=str(tmp_path),
         )
         assert manifest.dataset.samples_per_window == 12
         trace_set, feats = prepare_item(manifest, item)

@@ -9,7 +9,7 @@ import shutil
 import stat
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 from ambitrace import data_io, model, pipeline
 from ambitrace.cli import main
 from ambitrace.data_io import (
-    REPRESENTATION_KEYS,
     DatasetConfig,
     ItemEntry,
     ModelConfig,
+    RepresentationConfig,
     SplitSpec,
     SynthConfig,
     TrainConfig,
@@ -656,7 +656,7 @@ class TestManifestSections:
         result = run_cli(["train-eval", "--manifest", path, "--tag", "I",
                           "--out", tmp_path / "run"])
         assert result.exit_code == 2, result.output
-        assert result.stderr == f"error: {message}\n"
+        assert result.stderr == f"error: {path}: {message}\n"
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("change", [
@@ -668,6 +668,11 @@ class TestManifestSections:
         lambda doc: dict(doc, split=dict(doc["split"], mode="m" * 100_000)),
         lambda doc: dict(doc, dataset=dict(doc["dataset"], items=[
             dict(doc["dataset"]["items"][0], group=list(range(5000)))])),
+        lambda doc: dict(doc, **{"k" * 100_000: 1}),
+        lambda doc: dict(doc, dataset=dict(doc["dataset"], items=[
+            dict(doc["dataset"]["items"][0], trace_file="t" * 100_000)])),
+        lambda doc: dict(doc, dataset=dict(doc["dataset"], items=[
+            dict(doc["dataset"]["items"][0], item_id="i" * 100_000, trace_file="none.csv")])),
     ])
     def test_a_long_bad_value_prints_a_short_line(self, workspace, tmp_path, change):
         doc = json.loads((workspace / "data" / "manifest.json").read_text())
@@ -685,7 +690,7 @@ class TestManifestSections:
 # rename or overwrite.  Known keys that the manifest leaves out count too.
 SECTION_KEYS = {
     ("dataset",): [f.name for f in fields(DatasetConfig)],
-    ("representation",): list(REPRESENTATION_KEYS),
+    ("representation",): [f.name for f in fields(RepresentationConfig)],
     ("model",): [f.name for f in fields(ModelConfig)],
     ("train",): [f.name for f in fields(TrainConfig)],
     ("split",): [f.name for f in fields(SplitSpec)],
@@ -754,7 +759,7 @@ class TestManifestFuzz:
 # Each site is (path to a JSON object, key): one key of a synth config the
 # fuzz may drop, rename or overwrite.
 SYNTH_KEYS = {
-    (): [f.name for f in fields(SynthConfig)] + list(pipeline.MANIFEST_EXTRA_KEYS),
+    (): [f.name for f in fields(SynthConfig)] + list(data_io.SECTIONS),
     ("model",): [f.name for f in fields(ModelConfig) if f.name != "input_dim"],
     ("train",): [f.name for f in fields(TrainConfig)],
     ("split",): [f.name for f in fields(SplitSpec)],
@@ -1300,7 +1305,13 @@ class TestReport:
          "targets: expected distinct targets"),
         (lambda text: text.replace('"folds": [', '"folds": [[], '), "folds: expected"),
         (lambda text: text.replace('"mode": "k_fold_grouped"', '"mode": "loo"'),
-         "split: expected"),
+         "split.mode: expected one of"),
+        (lambda text: text.replace('"hidden_dim": 8', '"hidden_dim": 0'),
+         "model.hidden_dim: expected an integer >= 1, got 0"),
+        (lambda text: text.replace('"max_epochs": 3', '"max_epoch": 3'),
+         "train.max_epoch: unknown key"),
+        (lambda text: text.replace('"num_layers"', '"input_dim"'),
+         "model.input_dim: unknown key"),
     ])
     def test_malformed_summary_exits_5_naming_the_file(self, runs, tmp_path, edit, message):
         out = self.edited_summary(runs, tmp_path, "O_I", edit)
@@ -1342,6 +1353,49 @@ class TestReport:
         assert result.exit_code == 5, result.output
         assert (f"error: {out / 'summary.json'}: representation I is already in "
                 f"{runs / 'I' / 'summary.json'}") in result.output
+
+    def test_merges_settings_spelled_differently(self, workspace, tmp_path):
+        # Two manifests that differ only in how the train section is spelled:
+        # one leaves the defaults out, the other writes them.
+        doc = json.loads((workspace / "data" / "manifest.json").read_text())
+        spellings = {"I": {"max_epochs": 2, "segment_length": 19},
+                     "O_I": {"max_epochs": 2, "segment_length": 19, "learning_rate": 1e-3,
+                             "weight_decay": 1e-4, "batch_segments": 8, "target_margin": 0.9}}
+        for tag, train in spellings.items():
+            path = workspace / "data" / f"spelled_{tag}.json"
+            path.write_text(json.dumps(dict(doc, train=train)))
+            result = run_cli(["train-eval", "--manifest", path, "--tag", tag,
+                              "--out", tmp_path / tag])
+            assert result.exit_code == 0, result.output
+        result = run_cli(["report", tmp_path / "I", tmp_path / "O_I"])
+        assert result.exit_code == 0, result.output
+        assert [row.split()[0] for row in result.output.splitlines()[1:]] == ["I", "O_I"]
+
+    def test_sections_list_every_field(self, workspace, runs):
+        fields_of = {key: [f.name for f in fields(cls) if f.name != "input_dim"]
+                     for key, cls in data_io.SECTIONS.items()}
+        for path in (workspace / "data" / "manifest.json", runs / "O_I" / "summary.json"):
+            doc = json.loads(path.read_text())
+            assert {key: sorted(doc[key]) for key in fields_of} == \
+                {key: sorted(names) for key, names in fields_of.items()}, path
+        # The effective settings: the synth defaults, the config's own keys
+        # and the model seed, which defaults to the manifest seed.
+        assert doc["model"] == {"hidden_dim": 8, "num_layers": 2, "seed": 11}
+        assert doc["train"] == dict(asdict(TrainConfig()), max_epochs=3, segment_length=19)
+        assert doc["representation"] == {"family": "gaussian", "neighbor_radius": 1}
+
+    def test_sparse_summary_merges_with_a_full_one(self, runs, tmp_path):
+        # Sections as earlier releases wrote them: the manifest's own keys only.
+        def sparse(doc):
+            doc["representation"] = {"family": "gaussian"}
+            doc["model"] = {"hidden_dim": 8, "seed": 11}
+            doc["train"] = {"max_epochs": 3, "segment_length": 19}
+
+        out = self.edited_summary(runs, tmp_path, "O_G", self.edit_doc(sparse))
+        full = run_cli(["report", runs / "I", runs / "O_G"])
+        result = run_cli(["report", runs / "I", out])
+        assert result.exit_code == 0, result.output
+        assert result.output == full.output
 
     @settings(max_examples=200, deadline=None)
     @given(edit=summary_mutations())

@@ -5,16 +5,23 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambitrace.data_io import (
+    FAMILIES,
     FORMAT_VERSION,
+    SPLIT_MODES,
     DataError,
     DatasetConfig,
     ExperimentManifest,
     ItemEntry,
+    ModelConfig,
     ReportError,
+    RepresentationConfig,
     SplitSpec,
     SynthConfig,
+    TrainConfig,
     dataset_digest,
     load_feature_table,
     load_manifest,
@@ -57,9 +64,11 @@ def manifest_to_dict(manifest: ExperimentManifest) -> dict:
             "bounds": list(manifest.dataset.bounds) if manifest.dataset.bounds else None,
             "items": [asdict(it) for it in manifest.dataset.items],
         },
-        "representation": manifest.representation,
-        "model": manifest.model,
-        "train": manifest.train,
+        "representation": {"family": manifest.representation.family,
+                           "neighbor_radius": manifest.representation.neighbor_radius},
+        "model": {"hidden_dim": manifest.model.hidden_dim,
+                  "num_layers": manifest.model.num_layers, "seed": manifest.model.seed},
+        "train": asdict(manifest.train),
         "split": asdict(manifest.split),
     }
 
@@ -277,9 +286,9 @@ class TestManifest:
                 bounds=(-1.0, 1.0),
                 items=[item],
             ),
-            representation={"family": "beta_mapped", "neighbor_radius": 1},
-            model={},
-            train={},
+            representation=RepresentationConfig("beta_mapped"),
+            model=ModelConfig(),
+            train=TrainConfig(),
             split=SplitSpec(),
             base_dir=str(tmp_path),
         )
@@ -298,9 +307,9 @@ class TestManifest:
                 keep_first=19,
                 items=[item],
             ),
-            representation={"family": "gaussian", "neighbor_radius": 1},
-            model={},
-            train={},
+            representation=RepresentationConfig("gaussian"),
+            model=ModelConfig(),
+            train=TrainConfig(),
             split=SplitSpec(),
             base_dir=str(tmp_path),
         )
@@ -315,9 +324,9 @@ class TestManifest:
             dataset=DatasetConfig(
                 native_period=1.0, window_length=1.0, items=[item], keep_first=19
             ),
-            representation={"family": "gaussian", "neighbor_radius": 1},
-            model={"hidden_dim": 8},
-            train={"max_epochs": 2},
+            representation=RepresentationConfig("gaussian"),
+            model=ModelConfig(hidden_dim=8),
+            train=TrainConfig(max_epochs=2),
             split=SplitSpec(k=2),
             seed=5,
             base_dir=str(tmp_path),
@@ -327,7 +336,8 @@ class TestManifest:
         loaded = load_manifest(path)
         assert loaded.seed == 5
         assert loaded.dataset.keep_first == 19
-        assert loaded.model == {"hidden_dim": 8}
+        assert loaded.model == ModelConfig(hidden_dim=8)
+        assert loaded == manifest
 
     def test_missing_feature_file_names_item(self, tmp_path):
         item = _write_item(tmp_path, "x1", 20, 1.0, 20)
@@ -354,7 +364,7 @@ class TestManifest:
         (tmp_path / "m1_features.csv").write_text("window_index,f000\n0,abc\n")
         manifest = ExperimentManifest(
             dataset=DatasetConfig(native_period=1.0, window_length=1.0, items=[item]),
-            representation={"family": "gaussian"}, model={}, train={}, split=SplitSpec(),
+            representation=RepresentationConfig("gaussian"), model=ModelConfig(), train=TrainConfig(), split=SplitSpec(),
             base_dir=str(tmp_path),
         )
         path = tmp_path / "manifest.json"
@@ -369,7 +379,7 @@ class TestManifest:
         manifest = ExperimentManifest(
             dataset=DatasetConfig(native_period=period, window_length=2 * period,
                                   items=[item]),
-            representation={"family": "gaussian"}, model={}, train={}, split=SplitSpec(),
+            representation=RepresentationConfig("gaussian"), model=ModelConfig(), train=TrainConfig(), split=SplitSpec(),
             base_dir=str(tmp_path),
         )
         with pytest.raises(DataError, match=f"p1_traces.csv: time step 1 s does not match "
@@ -381,7 +391,7 @@ class TestManifest:
         manifest = ExperimentManifest(
             dataset=DatasetConfig(native_period=1.0 + 1e-12, window_length=1.0 + 1e-12,
                                   items=[item]),
-            representation={"family": "gaussian"}, model={}, train={}, split=SplitSpec(),
+            representation=RepresentationConfig("gaussian"), model=ModelConfig(), train=TrainConfig(), split=SplitSpec(),
             base_dir=str(tmp_path),
         )
         trace_set, _ = prepare_item(manifest, item)
@@ -391,9 +401,9 @@ class TestManifest:
         item = _write_item(tmp_path, "y1", 20, 1.0, 10)
         manifest = ExperimentManifest(
             dataset=DatasetConfig(native_period=1.0, window_length=1.0, items=[item]),
-            representation={"family": "gaussian"},
-            model={},
-            train={},
+            representation=RepresentationConfig("gaussian"),
+            model=ModelConfig(),
+            train=TrainConfig(),
             split=SplitSpec(),
             base_dir=str(tmp_path),
         )
@@ -412,30 +422,21 @@ class TestManifest:
         with pytest.raises(DataError, match="^seed: expected an integer"):
             ExperimentManifest(
                 dataset=DatasetConfig(native_period=1.0, window_length=1.0, items=[]),
-                representation={"family": "gaussian"}, model={}, train={},
+                representation=RepresentationConfig("gaussian"), model=ModelConfig(), train=TrainConfig(),
                 split=SplitSpec(), seed=seed,
             )
 
-    def test_unknown_family_rejected(self, tmp_path):
-        item = _write_item(tmp_path, "z1", 20, 1.0, 20)
-        with pytest.raises(DataError, match="family"):
-            ExperimentManifest(
-                dataset=DatasetConfig(
-                    native_period=1.0, window_length=1.0, items=[item]
-                ),
-                representation={"family": "cauchy"},
-                model={},
-                train={},
-                split=SplitSpec(),
-            )
+    def test_unknown_family_rejected(self):
+        with pytest.raises(DataError, match="^family: expected one of gaussian, beta_mapped"):
+            RepresentationConfig("cauchy")
 
     def test_dataset_hash_tracks_content(self, tmp_path):
         item = _write_item(tmp_path, "h1", 20, 1.0, 20)
         manifest = ExperimentManifest(
             dataset=DatasetConfig(native_period=1.0, window_length=1.0, items=[item]),
-            representation={"family": "gaussian"},
-            model={},
-            train={},
+            representation=RepresentationConfig("gaussian"),
+            model=ModelConfig(),
+            train=TrainConfig(),
             split=SplitSpec(),
             base_dir=str(tmp_path),
         )
@@ -449,9 +450,9 @@ class TestManifest:
                  for name, value in (("b", 1.0), ("a", 2.0), ("c", 3.0))]
         manifest = ExperimentManifest(
             dataset=DatasetConfig(native_period=1.0, window_length=1.0, items=items),
-            representation={"family": "gaussian"},
-            model={},
-            train={},
+            representation=RepresentationConfig("gaussian"),
+            model=ModelConfig(),
+            train=TrainConfig(),
             split=SplitSpec(),
             base_dir=str(tmp_path),
         )
@@ -461,6 +462,87 @@ class TestManifest:
             for item in items:
                 prepare_item(manifest, item, digest)
             assert digest.hexdigest() == dataset_hash(manifest)
+
+
+class TestModelSeed:
+    """The model seed is ``train-eval --seed``, else ``model.seed``, else the manifest seed."""
+
+    @pytest.mark.parametrize("model, model_seed, expected", [
+        ({}, None, 5),
+        ({"seed": 7}, None, 7),
+        ({}, 9, 9),
+        ({"seed": 7}, 9, 9),
+    ])
+    def test_resolution_order(self, tmp_path, model, model_seed, expected):
+        item = _write_item(tmp_path, "s1", 20, 1.0, 20)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({
+            "seed": 5, "model": model,
+            "dataset": {"native_period": 1.0, "window_length": 1.0, "items": [asdict(item)]}}))
+        loaded = load_manifest(path, model_seed)
+        assert loaded.model == ModelConfig(seed=expected)
+        assert loaded.seed == 5
+
+    def test_a_bad_model_seed_is_refused_under_an_override(self, tmp_path):
+        item = _write_item(tmp_path, "s2", 20, 1.0, 20)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({
+            "model": {"seed": -1},
+            "dataset": {"native_period": 1.0, "window_length": 1.0, "items": [asdict(item)]}}))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: model.seed: expected"):
+            load_manifest(path, 3)
+
+
+@pytest.fixture(scope="module")
+def round_trip_dir(tmp_path_factory):
+    """A directory holding one item's tables, for manifests saved beside them."""
+    root = tmp_path_factory.mktemp("round_trip")
+    _write_item(root, "r1", 20, 1.0, 20)
+    return root
+
+
+SEEDS = st.integers(min_value=0, max_value=2**40)
+
+
+@st.composite
+def manifests(draw, base_dir):
+    """A valid manifest over the one item in ``base_dir``, every setting drawn."""
+    item = ItemEntry(item_id="r1", group="g0", trace_file="r1_traces.csv",
+                     feature_file="r1_features.csv")
+    bounds = draw(st.sampled_from([None, (-1.0, 1.0)]))
+    return ExperimentManifest(
+        dataset=DatasetConfig(native_period=1.0, window_length=1.0, items=[item],
+                              bounds=bounds, keep_first=draw(st.none() | st.integers(1, 30))),
+        representation=RepresentationConfig(
+            draw(st.sampled_from(FAMILIES if bounds else ("gaussian",))),
+            draw(st.integers(0, 5))),
+        model=ModelConfig(hidden_dim=draw(st.integers(1, 256)), seed=draw(SEEDS)),
+        train=TrainConfig(
+            learning_rate=draw(st.floats(0, 1e6)),
+            weight_decay=draw(st.floats(0, 1, exclude_max=True)),
+            max_epochs=draw(st.integers(0, 10**6)),
+            segment_length=draw(st.integers(2, 10**4)),
+            batch_segments=draw(st.integers(1, 512)),
+            target_margin=draw(st.floats(0, 1, exclude_min=True))),
+        split=SplitSpec(mode=draw(st.sampled_from(SPLIT_MODES)), k=draw(st.integers(2, 20)),
+                        seed=draw(SEEDS)),
+        seed=draw(SEEDS),
+        base_dir=str(base_dir),
+    )
+
+
+class TestManifestRoundTrip:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_load_gives_back_the_saved_manifest(self, round_trip_dir, data):
+        manifest = data.draw(manifests(round_trip_dir))
+        path = round_trip_dir / "manifest.json"
+        save_manifest(manifest, path)
+        assert load_manifest(path) == manifest
+        # Saving what was loaded writes the same bytes.
+        saved = path.read_bytes()
+        save_manifest(load_manifest(path), path)
+        assert path.read_bytes() == saved
 
 
 class TestManifestSerialiser:
@@ -473,15 +555,16 @@ class TestManifestSerialiser:
     @pytest.fixture(params=["synth", "bounded"])
     def manifest(self, request, tmp_path):
         if request.param == "synth":
-            path = run_synth(SynthConfig(items=4, groups=2, seed=3), tmp_path / "data")
-            return load_manifest(path)
+            config = tmp_path / "synth.json"
+            config.write_text(json.dumps({"items": 4, "groups": 2, "seed": 3}))
+            return run_synth(config, tmp_path / "data")
         items = [_write_item(tmp_path, name, 260, 0.04, 2) for name in ("u1", "u2")]
         return ExperimentManifest(
             dataset=DatasetConfig(native_period=0.04, window_length=3.0, delay_offset=4.0,
                                   keep_first=2, bounds=(-1.0, 1.0), items=items,
                                   name="bounded"),
-            representation={"family": "beta_mapped", "neighbor_radius": 2},
-            model={"hidden_dim": 8}, train={"max_epochs": 2},
+            representation=RepresentationConfig("beta_mapped", 2),
+            model=ModelConfig(hidden_dim=8), train=TrainConfig(max_epochs=2),
             split=SplitSpec(mode="fixed_train_dev"), seed=4, base_dir=str(tmp_path),
         )
 

@@ -327,6 +327,13 @@ class TestTraining:
             train_stack([feats[:6]], [flat[:6]], [tiny_cfg()], TrainConfig(segment_length=12),
                         [feats[6:]], [flat[6:]])
 
+    def test_config_without_input_dim_rejected(self):
+        # A manifest's model section leaves the feature width unset.
+        feats, targs = make_affine_task(seed=6)
+        with pytest.raises(ValueError, match="input_dim"):
+            train_stack([feats[:6]], [targs[:6]], [replace(tiny_cfg(), input_dim=None)],
+                        TrainConfig(segment_length=12), [feats[6:]], [targs[6:]])
+
 
 class TestAdam:
     def test_weight_decay_shrinks_norm_at_zero_learning_rate(self):
@@ -756,10 +763,16 @@ class TestCheckpointFormat:
         (lambda h: {k: v for k, v in h.items() if k != "config"},
          "checkpoint header lacks 'config'"),
         (lambda h: {k: v for k, v in h.items() if k != "layout"}, "weight layout does not"),
-        (lambda h: dict(h, config=[3, 4]), "bad checkpoint header"),
+        (lambda h: dict(h, config=[3, 4]), "bad checkpoint header: config: expected a JSON"),
         (lambda h: dict(h, config=dict(h["config"], hidden_dim="4")),
-         "bad checkpoint header: hidden_dim: expected an integer"),
-        (lambda h: dict(h, config=dict(h["config"], depth=3)), "bad checkpoint header"),
+         "bad checkpoint header: config.hidden_dim: expected an integer"),
+        (lambda h: dict(h, config=dict(h["config"], depth=3)),
+         "bad checkpoint header: config.depth: unknown key"),
+        (lambda h: dict(h, config={("hiden_dim" if k == "hidden_dim" else k): v
+                                   for k, v in h["config"].items()}),
+         "bad checkpoint header: config.hiden_dim: unknown key"),
+        (lambda h: dict(h, config={k: v for k, v in h["config"].items() if k != "input_dim"}),
+         "bad checkpoint header: config.input_dim: expected an integer >= 1, got None"),
         (lambda h: dict(h, scaling={"scale": 0.0, "shift": 0.0}),
          "bad checkpoint header: scaling.scale"),
         (lambda h: dict(h, scaling={"scale": "1"}), "bad checkpoint header: scaling.scale"),
@@ -775,7 +788,13 @@ class TestCheckpointFormat:
     def test_bad_header_names_the_file(self, tmp_path, change, message):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(self.checkpoint_bytes(change))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["missing.ckpt", "."])
+    def test_unreadable_file_names_it(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: cannot read: "):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("blob, message", [

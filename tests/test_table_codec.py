@@ -3,10 +3,12 @@ a reader that returns what the line-by-line reader it replaced returns, and
 malformed input that always ends in a DataError."""
 
 import contextlib
+import json
 import os
 import re
 import shutil
 import warnings
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -20,7 +22,6 @@ from ambitrace.data_io import (
     SynthConfig,
     Table,
     load_feature_table,
-    load_manifest,
     load_trace_table,
     read_table,
     synth_generate,
@@ -234,11 +235,12 @@ class TestByteIdentity:
 
     def test_latent_and_summary_tables(self, tmp_path):
         cfg = SynthConfig(items=3, groups=3, annotators=3, windows=7, seed=4)
-        manifest_path = pipeline.run_synth(cfg, tmp_path / "data")
+        (tmp_path / "synth.json").write_text(json.dumps(asdict(cfg)))
+        manifest = pipeline.run_synth(tmp_path / "synth.json", tmp_path / "data")
         for item in synth_generate(cfg):
             written = (tmp_path / "data" / "latents" / f"{item.item_id}.csv").read_text()
             assert written == ref_latent_table(item.latent)
-        rows = pipeline.run_represent(load_manifest(manifest_path), "O_I", tmp_path / "rep")
+        rows = pipeline.run_represent(manifest, "O_I", tmp_path / "rep")
         written = (tmp_path / "rep" / "summary_O_I.csv").read_text()
         assert written == ref_summary_table("O_I", rows)
 
