@@ -36,6 +36,8 @@ TIME_TOLERANCE = 1e-9  # relative tolerance for uniform time steps
 FAMILIES = ("gaussian", "beta_mapped")
 SCENARIOS = ("consistent_trend", "inconsistent_trend")
 SPLIT_MODES = ("k_fold_grouped", "fixed_train_dev")
+# An item id names output files; the longest, O_G_<id>.csv, fits in 255 bytes.
+MAX_ITEM_ID_BYTES = 255 - len("O_G_.csv")
 
 
 class AmbitraceError(Exception):
@@ -690,6 +692,9 @@ class ItemEntry:
         if not self.item_id or not self.item_id.isprintable() or set(self.item_id) & set("/\\,"):
             raise DataError(f"item_id: expected a printable name without '/', '\\' or ',', "
                             f"got {reprlib.repr(self.item_id)}")
+        if len(self.item_id.encode("utf-8")) > MAX_ITEM_ID_BYTES:
+            raise DataError(f"item_id: expected at most {MAX_ITEM_ID_BYTES} bytes in UTF-8, "
+                            f"got {reprlib.repr(self.item_id)}")
 
 
 @dataclass
@@ -732,10 +737,6 @@ class DatasetConfig:
     @property
     def samples_per_window(self) -> int:
         return int(round(self.window_length / self.native_period))
-
-    @property
-    def delay_samples(self) -> int:
-        return int(round(self.delay_offset / self.native_period))
 
 
 @dataclass

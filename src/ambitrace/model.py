@@ -11,7 +11,7 @@ Training and prediction run in float32 (``TRAIN_DTYPE``): the forward and
 backward passes and Adam's state, which hold nearly all the work and the
 memory.  The loss and its gradient, the target scaling and the metrics
 stay in float64.  ``init_params`` returns float64, so the reference tests
-and ``gradient_check`` run float64 stacks.
+and the gradient check in them run float64 stacks.
 
 The models of one or two folds are trained as one stack: every parameter
 tensor carries a leading model axis, and the forward pass, backward pass,
@@ -224,15 +224,14 @@ def _layer_forward(inp, params, layer, ws):
     return {"inp": inp, "gates": gates, "c": c, "h": h, "tanh_c": tanh_c}
 
 
-def _forward(params, cfg, x, ws=None):
+def _forward(params, cfg, x, ws):
     """Run a stack of M models over a (M, B, T, D) batch.
 
     Every tensor in ``params`` has a leading model axis of length M and is
     in stored form (see ``_gate_signs``); an input with a leading axis of
     1 feeds the same batch to every model.  The pass runs in the dtype of
     ``params``, to which ``x`` is cast.  Returns the (M, B, T) outputs and
-    the cache for ``_backward``, which lives in ``ws`` (a fresh workspace
-    when None) until its next pass.
+    the cache for ``_backward``, which lives in ``ws`` until its next pass.
     """
     dtype = params["head.b"].dtype
     x = np.asarray(x, dtype=dtype)
@@ -240,7 +239,6 @@ def _forward(params, cfg, x, ws=None):
         raise ValueError(f"expected a (models, batch, time, features) array, got {x.shape}")
     if x.shape[3] != cfg.input_dim:
         raise ValueError(f"expected input_dim {cfg.input_dim}, got {x.shape[3]}")
-    ws = _Workspace(dtype) if ws is None else ws
     inp = x.transpose(2, 0, 1, 3)
     layer_caches = []
     for layer in range(cfg.num_layers):
@@ -254,19 +252,6 @@ def _forward(params, cfg, x, ws=None):
     np.tanh(y, out=y)
     cache = {"layers": layer_caches, "y": y, "ws": ws}
     return y.transpose(1, 2, 0).copy(), cache
-
-
-def forward(params, cfg, features):
-    """Raw head outputs in (-1, 1) of one model; causal in the time dimension.
-
-    ``features`` is a (T, D) sequence or a (B, T, D) batch; the pass runs
-    in the dtype of ``params``.
-    """
-    x = np.asarray(features)
-    single = x.ndim == 2
-    _, stored = stack_params([params], cfg)
-    y, _ = _forward(stored, cfg, x[None, None] if single else x[None])
-    return y[0, 0] if single else y[0]
 
 
 # OpenBLAS runs a matrix product of more than 2**18 multiply-adds on
@@ -434,19 +419,19 @@ class Adam:
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
 
-    def step(self, params, grads, models=None, scratch=None):
-        """Update the rows ``models`` of ``params`` (all when None).
+    def step(self, params, grads, models, scratch):
+        """Update the rows ``models`` of ``params``.
 
         ``grads`` holds the gradient rows of just those models, in that
         order.  ``scratch`` is two buffers of the shape of ``grads`` that
-        the step may overwrite; fresh ones are allocated when None.
+        the step may overwrite.
         """
-        sel = slice(None) if models is None else _as_rows(models)
+        sel = _as_rows(models)
         self.t[sel] += 1
         b1t = (1.0 - ADAM_BETA1 ** self.t[sel])[:, None].astype(params.dtype)
         b2t = (1.0 - ADAM_BETA2 ** self.t[sel])[:, None].astype(params.dtype)
         m, v, w = self.m[sel], self.v[sel], params[sel]
-        update, denom = np.empty((2,) + grads.shape, params.dtype) if scratch is None else scratch
+        update, denom = scratch
         m *= ADAM_BETA1
         np.multiply(grads, 1.0 - ADAM_BETA1, out=update)
         m += update
@@ -703,17 +688,13 @@ def train_stack(
     ]
 
 
-def predict(model: TrainedModel, features):
-    """Forward pass mapped back to original target units."""
-    return model.scaling.invert(forward(model.params, model.config, features))
-
-
 def predict_stack(models, sequences):
     """Every model's predictions on each (T, D) sequence, as one (models, T) array each.
 
     The models must agree on everything but the seed and share a dtype.
     Each sequence takes one stacked forward pass with a batch of one, so
-    row m of its result is ``predict(models[m], sequence)`` bit for bit.
+    row m of its result is, bit for bit, what ``predict_stack([models[m]], ...)``
+    gives.
     """
     cfg = models[0].config
     flat, stored = stack_params([m.params for m in models], cfg)
@@ -723,62 +704,6 @@ def predict_stack(models, sequences):
         y, _ = _forward(stored, cfg, np.asarray(x)[None, None], ws)
         results.append(np.stack([m.scaling.invert(row) for m, row in zip(models, y[:, 0])]))
     return results
-
-
-def gradient_check(
-    input_dim=3, hidden_dim=4, steps=5, seed=0, h=1e-5, zero_feature=None
-):
-    """Max relative error between analytic and central-difference gradients.
-
-    Runs one CCC-loss backward pass through a stack of tiny models, one
-    per seed (``seed`` is an int or a sequence of ints), each on its own
-    random sequence, and perturbs every parameter entry of every model,
-    in stored form: negation is exact, so the error is the one the
-    un-negated parameters give.  ``zero_feature`` blanks a feature column
-    so the corresponding input weights receive zero gradient.
-    """
-    seeds = [seed] if np.isscalar(seed) else list(seed)
-    cfgs = [ModelConfig(input_dim=input_dim, hidden_dim=hidden_dim, seed=s) for s in seeds]
-    xs, targets = [], []
-    for s in seeds:
-        rng = np.random.default_rng(s + 10_000)
-        x = rng.normal(size=(steps, input_dim))
-        if zero_feature is not None:
-            x[:, zero_feature] = 0.0
-        xs.append(x)
-        targets.append(rng.normal(size=steps))
-    x = np.stack(xs)[:, None]
-    target = np.stack(targets)[:, None]
-    cfg = cfgs[0]
-    flat, params = stack_params([init_params(c) for c in cfgs], cfg)
-    ws = _Workspace(flat.dtype)
-
-    def losses():
-        pred, _ = _forward(params, cfg, x, ws)
-        value, _ = ccc_loss_grad(pred, target)
-        return value[:, 0]
-
-    pred, cache = _forward(params, cfg, x, ws)
-    _, dy = ccc_loss_grad(pred, target)
-    analytic = np.empty_like(flat)
-    _backward(params, cfg, cache, dy, _views(analytic, cfg))
-
-    max_err = 0.0
-    for m, j in np.ndindex(flat.shape):
-        orig = flat[m, j]
-        flat[m, j] = orig + h
-        up = losses()[m]
-        flat[m, j] = orig - h
-        down = losses()[m]
-        flat[m, j] = orig
-        numeric = (up - down) / (2.0 * h)
-        a = analytic[m, j]
-        scale = max(abs(a), abs(numeric))
-        # Below ~1e-6 the central difference is dominated by float
-        # roundoff, so compare absolutely there.
-        err = abs(a - numeric) if scale < 1e-6 else abs(a - numeric) / scale
-        max_err = max(max_err, err)
-    return max_err
 
 
 # --- checkpoint I/O ---------------------------------------------------------
@@ -804,8 +729,8 @@ def save_checkpoint(model: TrainedModel, path):
 def load_checkpoint(path) -> TrainedModel:
     """Read a checkpoint; an unreadable or malformed one is a ``DataError`` naming ``path``.
 
-    The weights come back in ``TRAIN_DTYPE``, so ``predict`` on a loaded
-    model runs as the evaluation in ``train-eval`` did.  Format 1 held
+    The weights come back in ``TRAIN_DTYPE``, so ``predict_stack`` on a
+    loaded model runs as the evaluation in ``train-eval`` did.  Format 1 held
     float64 weights of models trained in float64; it is refused.
     """
     try:

@@ -238,10 +238,10 @@ def _train_fold(args):
     return results
 
 
-def run_train_eval(manifest_path, tag, targets, out_dir, jobs, seed=None):
+def run_train_eval(manifest_path, tag, targets, out_dir, jobs, seed):
     """Per-fold training and evaluation; writes fold files and a summary.
 
-    ``seed`` replaces the model seed (see ``data_io.load_manifest``).
+    ``seed`` replaces the model seed unless None (see ``data_io.load_manifest``).
     Evaluation is computed per validation sequence and averaged across
     sequences within a fold, then mean +/- std across folds.
     """

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from conftest import gradient_check
 from scipy.optimize import minimize
 from scipy.stats import beta as beta_dist
 
@@ -28,7 +29,6 @@ from ambitrace.data_io import (
     synth_generate,
 )
 from ambitrace.metrics import ccc, sda
-from ambitrace.model import gradient_check
 from ambitrace.representations import (
     GAUSSIAN,
     fit_beta,
@@ -260,7 +260,6 @@ def test_pipeline_constants(tmp_path):
             model=ModelConfig(), train=TrainConfig(), split=SplitSpec(), base_dir=str(tmp_path),
         )
         assert manifest.dataset.samples_per_window == 75
-        assert manifest.dataset.delay_samples == 100
 
         # 250 ms sampling, 3 s windows, first 19 windows kept
         item = _write_item(tmp_path, "profile_b", 21 * 12, 0.25, 21)

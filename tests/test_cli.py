@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import shutil
 import stat
 import sys
@@ -164,6 +165,22 @@ class TestRepresent:
         assert result.exit_code == 0
         summary = (tmp_path / "rep" / "summary_O_I.csv").read_text()
         assert summary.count("\nitem0") == 6
+
+    def test_longest_item_id_names_its_tables(self, workspace, tmp_path):
+        # 247 bytes in UTF-8, the most an id may have: its O_G table's name
+        # takes 255 bytes.
+        item_id = "é" * 123 + "x"
+        doc = json.loads((workspace / "data" / "manifest.json").read_text())
+        doc["dataset"]["items"][0]["item_id"] = item_id
+        path = workspace / "data" / "longest_id.json"
+        path.write_text(json.dumps(doc))
+        for tag in pipeline.TAGS:
+            result = run_cli(["represent", "--manifest", path, "--tag", tag,
+                              "--out", tmp_path / tag])
+            assert result.exit_code == 0, result.output
+            assert (tmp_path / tag / f"{tag}_{item_id}.csv").is_file()
+            assert f"\n{item_id}," in (tmp_path / tag / f"summary_{tag}.csv").read_text()
+        assert len(f"O_G_{item_id}.csv".encode("utf-8")) == 255
 
     def test_beta_fit_failure_exits_3(self, tmp_path):
         # constant bounded traces cannot be Beta-fitted
@@ -389,6 +406,33 @@ class TestTrainEval:
         assert "fold_00_mu.ckpt" in names and names == sorted(os.listdir(tmp_path / "2"))
         for name in names:
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_fixed_train_dev_split_is_one_fold(self, workspace, tmp_path):
+        doc = json.loads((workspace / "data" / "manifest.json").read_text())
+        for k, item in enumerate(doc["dataset"]["items"]):
+            item["group"] = "train" if k < 4 else "dev"
+        doc["split"] = {"mode": "fixed_train_dev"}
+        path = workspace / "data" / "train_dev.json"
+        path.write_text(json.dumps(doc))
+        runs = {jobs: tmp_path / f"jobs{jobs}" for jobs in ("1", "2")}
+        for jobs, out in runs.items():
+            result = run_cli(["train-eval", "--manifest", path, "--tag", "I",
+                              "--jobs", jobs, "--out", out])
+            assert result.exit_code == 0, result.output
+        names = sorted(os.listdir(runs["1"]))
+        assert names == sorted(os.listdir(runs["2"]))
+        for name in names:
+            assert (runs["1"] / name).read_bytes() == (runs["2"] / name).read_bytes()
+        assert names == ["fold_00.json", "fold_00_mu.ckpt", "fold_00_sigma.ckpt",
+                         "summary.json", "summary.txt"]
+        summary = json.loads((runs["1"] / "summary.json").read_text())
+        assert summary["folds"][0]["val_items"] == ["item004", "item005"]
+        assert set(summary["std"].values()) == {0.0}
+        rows = (runs["1"] / "summary.txt").read_text().splitlines()
+        assert len(rows) == 2 and "+/-" not in rows[1]
+        result = run_cli(["report", runs["1"], "--out", tmp_path / "report"])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "report" / "report.txt").read_text().splitlines() == rows
 
     @pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--jobs", "0")])
     def test_bad_option_exits_2_before_any_output(self, workspace, tmp_path, option, value):
@@ -625,6 +669,7 @@ class TestManifestSections:
         (lambda ds: ds["items"][1].update(item_id="a,b"), "dataset.items[1].item_id"),
         (lambda ds: ds["items"][0].update(item_id=""), "dataset.items[0].item_id"),
         (lambda ds: ds["items"][2].update(item_id="item000"), "dataset.items[2].item_id"),
+        (lambda ds: ds["items"][0].update(item_id="é" * 124), "dataset.items[0].item_id"),
         (lambda ds: ds.update(name={"a": 1}), "dataset.name"),
         (lambda ds: ds.update(bounds="-9"), "dataset.bounds"),
         (lambda ds: ds.update(bounds=[-1.0, float("inf")]), "dataset.bounds"),
@@ -673,6 +718,8 @@ class TestManifestSections:
             dict(doc["dataset"]["items"][0], trace_file="t" * 100_000)])),
         lambda doc: dict(doc, dataset=dict(doc["dataset"], items=[
             dict(doc["dataset"]["items"][0], item_id="i" * 100_000, trace_file="none.csv")])),
+        lambda doc: dict(doc, dataset=dict(doc["dataset"], items=[
+            dict(doc["dataset"]["items"][0], item_id="i" * 100_000)])),
     ])
     def test_a_long_bad_value_prints_a_short_line(self, workspace, tmp_path, change):
         doc = json.loads((workspace / "data" / "manifest.json").read_text())
@@ -1199,6 +1246,34 @@ def summary_mutations(draw):
     mutation = draw(st.sampled_from(["drop", "set"]))
     value = draw(WRONG_VALUES | st.sampled_from(["I", "O_I", "mu", "k_fold_grouped"]))
     return site, key, mutation, value
+
+
+def hand_summary(tag, folds, mean, std=None):
+    """A summary holding only what ``render_summary_table`` reads."""
+    return {"tag": tag, "folds": [{}] * folds, "mean": mean,
+            "std": dict.fromkeys(mean, 0.0) if std is None else std}
+
+
+def table_cells(summaries):
+    """The rendered table's rows, split into cells at the column gaps."""
+    return [re.split(r"\s{2,}", line)
+            for line in pipeline.render_summary_table(summaries).splitlines()]
+
+
+class TestSummaryTable:
+    def test_one_fold_shows_no_spread_and_one_summary_no_stars(self):
+        both = {"ccc_mu": 0.5, "ccc_sigma": 0.25, "sda_mu": 0.75, "sda_sigma": 0.125}
+        assert table_cells([hand_summary("O_I", 1, both)]) == [
+            ["Representation", "CCC mu", "CCC sigma", "SDA mu", "SDA sigma"],
+            ["O_I", "0.500", "0.250", "0.750", "0.125"]]
+
+    def test_spread_ties_and_a_missing_target(self):
+        summaries = [hand_summary("I", 3, {"ccc_mu": 0.9, "sda_mu": 0.7},
+                                  {"ccc_mu": 0.05, "sda_mu": 0.125}),
+                     hand_summary("O_G", 1, {"ccc_mu": 0.9, "sda_mu": 0.8})]
+        assert table_cells(summaries)[1:] == [
+            ["I", "*0.900+/-0.050*", "-", "0.700+/-0.125", "-"],
+            ["O_G", "*0.900*", "-", "*0.800*", "-"]]
 
 
 @pytest.fixture(scope="module")

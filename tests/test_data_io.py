@@ -293,7 +293,6 @@ class TestManifest:
             base_dir=str(tmp_path),
         )
         assert manifest.dataset.samples_per_window == 75
-        assert manifest.dataset.delay_samples == 100
         trace_set, feats = prepare_item(manifest, item)
         assert trace_set.window_count == 2
         assert feats.shape[0] == 2

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import gradient_check
 
 from ambitrace import model as stacked
 from ambitrace.data_io import DataError
@@ -19,11 +20,8 @@ from ambitrace.model import (
     TrainedModel,
     TrainingError,
     ccc_loss_grad,
-    forward,
-    gradient_check,
     init_params,
     load_checkpoint,
-    predict,
     predict_stack,
     save_checkpoint,
     stack_params,
@@ -177,6 +175,14 @@ def assert_close_to_reference(actual, expected):
                                atol=1e-12 * np.abs(expected).max())
 
 
+def head_outputs(params, cfg, x):
+    """One model's raw head outputs on a (B, T, D) batch, from a one-model stack."""
+    _, stored = stack_params([params], cfg)
+    y, _ = stacked._forward(stored, cfg, np.asarray(x)[None],
+                            stacked._Workspace(stored["head.b"].dtype))
+    return y[0]
+
+
 def tiny_cfg(seed=0):
     return ModelConfig(input_dim=3, hidden_dim=4, seed=seed)
 
@@ -194,51 +200,51 @@ def make_affine_task(n_seq=8, steps=12, input_dim=3, seed=0):
 
 
 class TestForward:
+    # Identity scaling: each prediction is the raw head output.
     def test_zero_weights_zero_outputs(self):
         cfg = tiny_cfg()
         params = {k: np.zeros_like(v) for k, v in init_params(cfg).items()}
         x = np.random.default_rng(0).normal(size=(6, 3))
-        np.testing.assert_array_equal(forward(params, cfg, x), np.zeros(6))
+        (y,) = predict_stack([TrainedModel(params, cfg, TargetScaling())], [x])
+        np.testing.assert_array_equal(y, np.zeros((1, 6)))
 
     def test_causality(self):
         cfg = tiny_cfg(1)
-        params = init_params(cfg)
+        model = TrainedModel(init_params(cfg), cfg, TargetScaling())
         rng = np.random.default_rng(2)
         x = rng.normal(size=(10, 3))
-        full = forward(params, cfg, x)
-        for k in (1, 4, 9):
-            head = forward(params, cfg, x[:k])
-            np.testing.assert_array_equal(head, full[:k])
+        full, *heads = predict_stack([model], [x] + [x[:k] for k in (1, 4, 9)])
+        for k, head in zip((1, 4, 9), heads):
+            np.testing.assert_array_equal(head, full[:, :k])
 
     def test_future_perturbation_does_not_leak(self):
         cfg = tiny_cfg(3)
-        params = init_params(cfg)
+        model = TrainedModel(init_params(cfg), cfg, TargetScaling())
         rng = np.random.default_rng(4)
         x = rng.normal(size=(8, 3))
         x2 = x.copy()
         x2[5:] += rng.normal(size=(3, 3))
-        np.testing.assert_array_equal(
-            forward(params, cfg, x)[:5], forward(params, cfg, x2)[:5]
-        )
+        y, y2 = predict_stack([model], [x, x2])
+        np.testing.assert_array_equal(y[:, :5], y2[:, :5])
 
     def test_outputs_strictly_bounded(self):
         cfg = ModelConfig(input_dim=2, hidden_dim=8, seed=5)
-        params = init_params(cfg)
         x = np.random.default_rng(6).normal(size=(50, 2)) * 10
-        y = forward(params, cfg, x)
+        (y,) = predict_stack([TrainedModel(init_params(cfg), cfg, TargetScaling())], [x])
         assert np.all(np.abs(y) < 1.0)
 
     def test_deterministic(self):
         cfg = tiny_cfg(7)
         x = np.random.default_rng(8).normal(size=(5, 3))
-        a = forward(init_params(cfg), cfg, x)
-        b = forward(init_params(cfg), cfg, x)
+        (a,) = predict_stack([TrainedModel(init_params(cfg), cfg, TargetScaling())], [x])
+        (b,) = predict_stack([TrainedModel(init_params(cfg), cfg, TargetScaling())], [x])
         np.testing.assert_array_equal(a, b)
 
     def test_dimension_mismatch(self):
         cfg = tiny_cfg()
         with pytest.raises(ValueError):
-            forward(init_params(cfg), cfg, np.zeros((4, 5)))
+            predict_stack([TrainedModel(init_params(cfg), cfg, TargetScaling())],
+                          [np.zeros((4, 5))])
 
 
 class TestGradients:
@@ -271,19 +277,17 @@ class TestScaling:
 
     def test_identity_scaling_predict_equals_forward(self):
         cfg = tiny_cfg(10)
-        from ambitrace.model import TrainedModel
-
         model = TrainedModel(init_params(cfg), cfg, TargetScaling(1.0, 0.0))
         x = np.random.default_rng(11).normal(size=(6, 3))
-        np.testing.assert_array_equal(predict(model, x), forward(model.params, model.config, x))
+        np.testing.assert_array_equal(predict_stack([model], [x])[0][0],
+                                      head_outputs(model.params, cfg, x[None])[0])
 
     def test_half_scale_inverts_to_double(self):
         cfg = tiny_cfg(12)
-        from ambitrace.model import TrainedModel
-
         model = TrainedModel(init_params(cfg), cfg, TargetScaling(0.5, 0.0))
         x = np.random.default_rng(13).normal(size=(6, 3))
-        np.testing.assert_allclose(predict(model, x), 2.0 * forward(model.params, model.config, x))
+        np.testing.assert_allclose(predict_stack([model], [x])[0][0],
+                                   2.0 * head_outputs(model.params, cfg, x[None])[0])
 
 
 class TestTraining:
@@ -292,7 +296,7 @@ class TestTraining:
         cfg = ModelConfig(input_dim=3, hidden_dim=16, seed=0)
         tc = TrainConfig(max_epochs=200, segment_length=15, batch_segments=4)
         model, = train_stack([feats[:8]], [targs[:8]], [cfg], tc, [feats[8:]], [targs[8:]])
-        scores = [ccc(predict(model, f), t) for f, t in zip(feats[8:], targs[8:])]
+        scores = [ccc(pred[0], t) for pred, t in zip(predict_stack([model], feats[8:]), targs[8:])]
         assert np.mean(scores) > 0.9
 
     def test_zero_epochs_returns_initial_weights(self):
@@ -343,7 +347,7 @@ class TestAdam:
         opt = Adam(flat, learning_rate=0.0, weight_decay=1e-2)
         grads = np.ones_like(flat)
         for _ in range(5):
-            opt.step(flat, grads)
+            opt.step(flat, grads, range(1), np.empty((2, *grads.shape)))
             norms.append(np.sqrt(sum(np.sum(v**2) for v in params.values())))
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
@@ -361,7 +365,8 @@ class TestCheckpoint:
         assert loaded.config == model.config
         assert loaded.scaling == model.scaling
         x = feats[0]
-        np.testing.assert_array_equal(predict(loaded, x), predict(model, x))
+        np.testing.assert_array_equal(predict_stack([loaded], [x])[0],
+                                      predict_stack([model], [x])[0])
 
     def test_rejects_non_checkpoint(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
@@ -380,7 +385,7 @@ class TestStackedPasses:
         x = rng.normal(size=(1 if shared_input else n_models, 4, 7, 5))
         dy = rng.normal(size=(n_models, 4, 7))
         flat, params = stack_params(per_model, cfgs[0])
-        y, cache = stacked._forward(params, cfgs[0], x)
+        y, cache = stacked._forward(params, cfgs[0], x, stacked._Workspace(flat.dtype))
         stored = np.empty_like(flat)
         stacked._backward(params, cfgs[0], cache, dy, stacked._views(stored, cfgs[0]))
         # The stack's gradients are those of its stored form; map them back.
@@ -402,13 +407,14 @@ class TestStackedPasses:
                   for c, s in zip(cfgs, scalings)]
         rng = np.random.default_rng(hidden_dim)
         sequences = [rng.normal(size=(steps, 8)) for steps in (19, 7, 19, 2)]
-        for n_models in (1, 2, 3):
-            preds = stacked.predict_stack(models[:n_models], sequences)
+        alone = [predict_stack([model], sequences) for model in models]
+        for n_models in (2, 3):
+            preds = predict_stack(models[:n_models], sequences)
             assert len(preds) == len(sequences)
-            for seq, pred in zip(sequences, preds):
+            for s, (seq, pred) in enumerate(zip(sequences, preds)):
                 assert pred.shape == (n_models, len(seq))
-                for row, model in zip(pred, models):
-                    np.testing.assert_array_equal(row, predict(model, seq))
+                for m in range(n_models):
+                    np.testing.assert_array_equal(pred[m : m + 1], alone[m][s])
 
     def test_gradient_check_two_model_stack(self):
         err = gradient_check(seed=(3, 11))
@@ -450,11 +456,11 @@ class TestStackedPasses:
         opt = Adam(flat, learning_rate=1e-2, weight_decay=1e-3)
         ref = RefAdam(ref_params, learning_rate=1e-2, weight_decay=1e-3, n_models=3)
         rng = np.random.default_rng(0)
-        for models in (None, [0, 2], [1], [1, 2], None):
-            rows = np.arange(3) if models is None else np.array(models)
+        for models in (range(3), [0, 2], [1], [1, 2], range(3)):
+            rows = np.array(models)
             grads = rng.normal(size=(len(rows), flat.shape[1]))
-            opt.step(flat, grads, models)
-            ref.step(ref_params, stacked._views(grads, cfg), None if models is None else rows)
+            opt.step(flat, grads, models, np.empty((2, *grads.shape)))
+            ref.step(ref_params, stacked._views(grads, cfg), rows)
         np.testing.assert_array_equal(opt.t, ref.t)
         for k, v in params.items():
             np.testing.assert_array_equal(v, ref_params[k])
@@ -464,7 +470,7 @@ class TestStackedPasses:
         before = {k: v.copy() for k, v in params.items()}
         opt = Adam(flat, learning_rate=1e-2, weight_decay=1e-3)
         grads = np.ones_like(flat[:2])
-        opt.step(flat, grads, np.array([0, 2]))
+        opt.step(flat, grads, np.array([0, 2]), np.empty((2, *grads.shape)))
         np.testing.assert_array_equal(opt.t, [1, 0, 1])
         for k in params:
             np.testing.assert_array_equal(params[k][1], before[k][1])
@@ -542,7 +548,8 @@ class TestStackTraining:
             for x, y in zip(val, val_targets[k % 2]):
                 by_length.setdefault(len(x), []).append((x, model.scaling.apply(y)))
             losses = np.concatenate([
-                ccc_loss_grad(forward(model.params, model.config, np.stack([x for x, _ in group])),
+                ccc_loss_grad(head_outputs(model.params, model.config,
+                                           np.stack([x for x, _ in group])),
                               np.stack([y for _, y in group]))[0]
                 for group in by_length.values()])
             assert model.val_loss[model.best_epoch] == pytest.approx(np.mean(losses), rel=1e-12)
@@ -581,7 +588,7 @@ class TestWorkspace:
             chosen = targets[: len(seeds)]
             models = train_stack([feats[:6]] * len(chosen), [t[:6] for t in chosen], cfgs, tc,
                                  [feats[6:]] * len(chosen), [t[6:] for t in chosen])
-            results.append((models, [predict(m, feats[7]) for m in models]))
+            results.append((models, [predict_stack([m], [feats[7]])[0] for m in models]))
         return results
 
     def test_reused_workspace_matches_fresh_workspaces(self, monkeypatch):
@@ -592,7 +599,7 @@ class TestWorkspace:
             groups.append(list(members))
             result = step(flat, opt, cfg, members, X, Y, ws)
             first = {k: v[0] for k, v in stacked._views(flat, cfg).items()}
-            predict(TrainedModel(first, cfg, TargetScaling()), X[0, 0])
+            predict_stack([TrainedModel(first, cfg, TargetScaling())], [X[0, 0]])
             return result
 
         monkeypatch.setattr(stacked, "_train_step", step_then_predict)
@@ -667,7 +674,7 @@ class TestSinglePrecision:
         dy = rng.normal(size=(4, 8, 19))
         flat, params = stack_params(
             [{k: v.astype(np.float32) for k, v in p.items()} for p in per_model], cfgs[0])
-        y, cache = stacked._forward(params, cfgs[0], x)
+        y, cache = stacked._forward(params, cfgs[0], x, stacked._Workspace(flat.dtype))
         stored = np.empty_like(flat)
         stacked._backward(params, cfgs[0], cache, dy, stacked._views(stored, cfgs[0]))
         assert y.dtype == stored.dtype == np.float32
@@ -700,7 +707,7 @@ class TestSinglePrecision:
                 assert loaded.params[key].dtype == np.float32
                 np.testing.assert_array_equal(loaded.params[key], value)
             # A reloaded model predicts as the evaluation inside train-eval did.
-            np.testing.assert_array_equal(predict(loaded, feats[7]), preds[k])
+            np.testing.assert_array_equal(predict_stack([loaded], [feats[7]])[0][0], preds[k])
 
     def test_large_features_train_without_warnings(self):
         # Unnormalised features saturate the gates: float32 exp overflows
@@ -713,7 +720,7 @@ class TestSinglePrecision:
             model, = train_stack([feats[:6]], [targs[:6]], [cfg],
                                  TrainConfig(max_epochs=5, segment_length=12),
                                  [feats[6:]], [targs[6:]])
-            preds = [predict(model, f) for f in feats]
+            preds = predict_stack([model], feats)
         assert all(np.all(np.isfinite(p)) for p in preds)
         assert all(np.all(np.isfinite(v)) for v in model.params.values())
 
