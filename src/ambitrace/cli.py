@@ -6,6 +6,7 @@ group prints it as one ``error:`` line and exits with its class's code.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 
@@ -18,7 +19,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import click
 
 from . import pipeline
-from .data_io import AmbitraceError, check_output_dir, load_manifest
+from .data_io import AmbitraceError, load_manifest, staged_output
 
 
 class _Commands(click.Group):
@@ -32,13 +33,6 @@ class _Commands(click.Group):
             sys.exit(exc.exit_code)
 
 
-def _out_dir(ctx, param, path):
-    """``--out`` must be absent or an empty directory; checked before anything is read."""
-    if path is not None:
-        check_output_dir(path)
-    return path
-
-
 @click.group(cls=_Commands)
 def main():
     """Ambiguity-aware trace representations: synth, represent, train-eval, report."""
@@ -47,24 +41,26 @@ def main():
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=False),
               help="JSON synthetic-dataset configuration.")
-@click.option("--out", "out_dir", required=True, type=click.Path(), callback=_out_dir,
+@click.option("--out", "out_dir", required=True, type=click.Path(),
               help="Output directory for traces, features and the manifest.")
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Override the config seed.")
 def synth(config_path, out_dir, seed):
     """Generate a seeded synthetic dataset and its experiment manifest."""
-    manifest = pipeline.run_synth(config_path, out_dir, seed)
+    with staged_output(out_dir) as stage:
+        manifest = pipeline.run_synth(config_path, stage, seed)
     click.echo(f"wrote {len(manifest.dataset.items)} items and "
-               f"{manifest.resolve('manifest.json')}")
+               f"{os.path.join(out_dir, 'manifest.json')}")
 
 
 @main.command()
 @click.option("--manifest", "manifest_path", required=True, type=click.Path())
 @click.option("--tag", required=True, type=click.Choice(pipeline.TAGS))
-@click.option("--out", "out_dir", required=True, type=click.Path(), callback=_out_dir)
+@click.option("--out", "out_dir", required=True, type=click.Path())
 def represent(manifest_path, tag, out_dir):
     """Compute one representation for every item and write its tables."""
-    rows = pipeline.run_represent(load_manifest(manifest_path), tag, out_dir)
+    with staged_output(out_dir) as stage:
+        rows = pipeline.run_represent(load_manifest(manifest_path), tag, stage)
     click.echo(f"wrote {len(rows)} representation tables to {out_dir}")
 
 
@@ -73,7 +69,7 @@ def represent(manifest_path, tag, out_dir):
 @click.option("--tag", required=True, type=click.Choice(pipeline.TAGS))
 @click.option("--target", type=click.Choice([*pipeline.TARGETS, "both"]), default="both",
               show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path(), callback=_out_dir)
+@click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Override the manifest seed.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
@@ -81,21 +77,23 @@ def represent(manifest_path, tag, out_dir):
 def train_eval(manifest_path, tag, target, out_dir, seed, jobs):
     """Train per-fold models for a representation and evaluate CCC/SDA."""
     targets = list(pipeline.TARGETS) if target == "both" else [target]
-    summary = pipeline.run_train_eval(manifest_path, tag, targets, out_dir, jobs, seed)
+    with staged_output(out_dir) as stage:
+        summary = pipeline.run_train_eval(manifest_path, tag, targets, stage, jobs, seed)
     click.echo(pipeline.render_summary_table([summary]))
 
 
 @main.command()
 @click.argument("result_dirs", nargs=-1, required=True, type=click.Path(exists=False))
-@click.option("--out", "out_dir", default=None, type=click.Path(), callback=_out_dir,
+@click.option("--out", "out_dir", default=None, type=click.Path(),
               help="Also write report.txt and report.json here.")
 def report(result_dirs, out_dir):
     """Merge train-eval results into one comparative table."""
-    summaries = pipeline.merge_reports(result_dirs)
-    table = pipeline.render_summary_table(summaries)
+    with contextlib.nullcontext() if out_dir is None else staged_output(out_dir) as stage:
+        summaries = pipeline.merge_reports(result_dirs)
+        table = pipeline.render_summary_table(summaries)
+        if stage is not None:
+            pipeline.write_report(summaries, table, stage)
     click.echo(table)
-    if out_dir is not None:
-        pipeline.write_report(summaries, table, out_dir)
 
 
 if __name__ == "__main__":

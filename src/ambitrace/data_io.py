@@ -5,16 +5,18 @@ checked once by ``parse_section``, so reading a manifest loads no model code.
 
 All tables are plain columnar text with decimal floats (17 significant
 digits) so they stay diffable and language-neutral.  ``write_table`` and
-``read_table`` are the one codec for them; writes go through a temp file
-and an atomic rename.  ``read_table`` keeps the parsed numbers of a regular
-table in a memo directory beside it (``MEMO_DIR``), keyed by the file's
-bytes, so a table that has not changed is parsed once, not once per command.
-Trace and feature tables are read into plain matrices, nothing more.
+``read_table`` are the one codec for them.  A command writes its output
+files with ``write_file``, into the directory ``staged_output`` yields.
+``read_table`` keeps the parsed numbers of a regular table in a memo
+directory beside it (``MEMO_DIR``), keyed by the file's bytes, so a table
+that has not changed is parsed once, not once per command.  Trace and
+feature tables are read into plain matrices, nothing more.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -23,6 +25,7 @@ import numbers
 import os
 import re
 import reprlib
+import shutil
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import NamedTuple
 
@@ -91,70 +94,65 @@ def read_json(path, kind, error=DataError):
     return doc
 
 
-def check_output_dir(path):
-    """Refuse ``path`` as a command's output directory unless it is absent or empty.
+@contextlib.contextmanager
+def staged_output(out):
+    """Yield a new directory for the files of ``out``, which it becomes on success.
 
-    A directory that holds anything, a file, or a path under a file raises
-    ``OutputError`` naming ``path``; nothing is created.
+    ``out`` must be absent or an empty directory; anything else (a file, a
+    path under one, the empty path) raises ``OutputError`` naming ``out`` on
+    entry, so open this before reading any input.  The directory yielded is
+    ``.<name>.staging-<random>`` beside ``out`` (beside its target if it is a
+    symlink), renamed onto it in one step at the end.  On any exception it
+    is removed and the exception re-raised; an ``OutputError`` naming a file
+    in it names that file under ``out`` instead.
     """
     try:
-        if not os.listdir(path):
-            return
-        problem = "not empty"
+        problem = "not empty" if os.listdir(out) else None
     except FileNotFoundError:
-        return
+        problem = None if out else "empty path"  # realpath("") is the working directory
     except NotADirectoryError:
-        problem = ("exists and is not a directory" if os.path.lexists(path)
+        problem = ("exists and is not a directory" if os.path.lexists(out)
                    else "a parent is not a directory")
     except OSError as exc:
         problem = exc.strerror
-    raise OutputError(f"output directory {path}: {problem}")
-
-
-def make_output_dir(path):
-    """Create the directory ``path`` and its missing parents.
-
-    A path that is a file, or lies under one, raises ``OutputError``
-    naming it and creates nothing: the first parent that is not a
-    directory exists, so every parent above it exists too.
-    """
+    if problem is not None:
+        raise OutputError(f"output directory {out}: {problem}")
+    target = os.path.realpath(out)
+    parent, name = os.path.split(target)
+    # 57 characters of the name, 4 bytes at most each, keep the stage's name in 255 bytes.
+    stage = os.path.join(parent, f".{name[:57]}.staging-{os.urandom(8).hex()}")
     try:
-        os.makedirs(path, exist_ok=True)
-    except FileExistsError:
-        raise OutputError(f"output directory {path}: exists and is not a directory") from None
-    except NotADirectoryError:
-        raise OutputError(f"output directory {path}: a parent is not a directory") from None
+        os.makedirs(parent, exist_ok=True)
+        os.mkdir(stage)  # 0o777 less the umask
     except OSError as exc:
-        raise OutputError(f"output directory {path}: {exc.strerror}") from None
-
-
-def _atomic_write(path, data):
-    """Write ``data`` (str or bytes) to a temp file beside ``path``, then rename.
-
-    The file gets the mode ``open()`` would give it: 0o666 less the umask.
-    A failed write leaves any earlier ``path`` as it was and raises
-    ``OutputError`` naming ``path``.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+        raise OutputError(f"output directory {out}: {exc.strerror}") from None
     try:
-        # O_EXCL: a name that is already taken fails instead of being reused.
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        yield stage
         try:
-            with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+            os.rename(stage, target)
+        except OSError as exc:
+            problem = "not empty" if exc.errno in (errno.ENOTEMPTY, errno.EEXIST) else exc.strerror
+            raise OutputError(f"output directory {out}: {problem}") from None
+    except BaseException as exc:
+        shutil.rmtree(stage, ignore_errors=True)
+        if isinstance(exc, OutputError):
+            exc.args = (str(exc).replace(os.path.join(stage, ""), os.path.join(out, "")),)
+        raise
+
+
+def write_file(path, data):
+    """Create ``path`` holding ``data`` (str or bytes), with the mode ``open()`` gives it:
+    0o666 less the umask.  A failed write raises ``OutputError`` naming ``path``."""
+    try:
+        with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
     except OSError as exc:
         raise OutputError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 
 
 def write_json(path, doc):
-    """Write ``doc`` as indented JSON with sorted keys, atomically."""
-    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Write ``doc`` as indented JSON with sorted keys."""
+    write_file(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # --- headed tables ----------------------------------------------------------
@@ -186,7 +184,7 @@ def write_table(path, meta, columns):
     lines = [f"# {key}: {value}" for key, value in header.items()]
     lines.append(",".join(columns))
     lines += [row % values for values in zip(*(col.tolist() for col in cells))]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def read_table(path, digest=None, check=None) -> Table:
@@ -276,17 +274,20 @@ class _Memo:
         np.lib.format.write_array_header_1_0(
             buf, np.lib.format.header_data_from_array_1_0(self.parsed))
         buf.write(self.parsed.data)
+        tmp = os.path.join(self.dir, f".tmp-{os.urandom(8).hex()}")
         try:
             with contextlib.suppress(FileExistsError):
                 os.mkdir(self.dir)
-            _atomic_write(self.entry, buf.getvalue())
+            write_file(tmp, buf.getvalue())
+            os.replace(tmp, self.entry)  # other commands may read it meanwhile
             for name in os.listdir(self.dir):
                 path = os.path.join(self.dir, name)
                 if (path != self.entry and name.startswith(self.name)
                         and _ENTRY_SUFFIX.fullmatch(name, len(self.name))):
                     os.unlink(path)
         except (OSError, OutputError):
-            pass  # an unwritable location: the table is parsed next time too
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)  # an unwritable location: the table is parsed next time too
 
 
 # numpy's number parser skips these ASCII separators around a cell as

@@ -32,8 +32,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data_io import (AmbitraceError, DataError, ModelConfig, TrainConfig, _atomic_write,
-                      _check_int, _check_real, parse_section)
+from .data_io import (AmbitraceError, DataError, ModelConfig, TrainConfig, _check_int,
+                      _check_real, parse_section, write_file)
 from .metrics import CCC_DENOM_GUARD
 
 CHECKPOINT_MAGIC = "ambitrace-checkpoint"
@@ -722,8 +722,8 @@ def save_checkpoint(model: TrainedModel, path):
         "layout": layout,
     }
     blocks = [model.params[name].astype("<f4").tobytes() for name, _ in layout]
-    _atomic_write(path, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
-                  + b"".join(blocks))
+    write_file(path, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+               + b"".join(blocks))
 
 
 def load_checkpoint(path) -> TrainedModel:

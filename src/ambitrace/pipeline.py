@@ -2,8 +2,9 @@
 
 The CLI is a thin wrapper over these functions; everything here is
 deterministic given the manifest seed.  Outputs go only into the caller's
-output directory; the one other write is ``data_io.read_table``'s memo of
-parsed input tables, in a ``data_io.MEMO_DIR`` directory beside them.
+output directory, which exists; the one other write is
+``data_io.read_table``'s memo of parsed input tables, in a
+``data_io.MEMO_DIR`` directory beside them.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from .data_io import (
     ExperimentManifest,
     ReportError,
     SynthConfig,
-    _atomic_write,
     dataset_digest,
-    make_output_dir,
     make_splits,
     parse_section,
     prepare_item,
+    write_file,
     write_json,
     write_table,
 )
@@ -90,6 +90,10 @@ def run_synth(config_path, out_dir, seed=None):
         if seed is not None:
             doc["seed"] = seed
         cfg = parse_section("", doc, SynthConfig, also_known=SECTIONS)
+        split = sections.get("split", {})
+        if cfg.groups < 2 and "k" not in split and split.get("mode") in (None, "k_fold_grouped"):
+            # The default split.k is min(10, groups), and grouped folds need two.
+            raise DataError(f"groups: expected at least 2 for grouped folds, got {cfg.groups}")
         items = data_io.synth_generate(cfg)
         defaults = dict(SYNTH_MANIFEST_DEFAULTS,
                         split={"k": min(10, cfg.groups), "seed": cfg.seed})
@@ -105,9 +109,11 @@ def run_synth(config_path, out_dir, seed=None):
         }, out_dir)
     except DataError as exc:
         raise DataError(f"config {config_path}: {exc}") from exc
-    make_output_dir(out_dir)
-    for sub in ("traces", "features", "latents"):
-        make_output_dir(os.path.join(out_dir, sub))
+    try:
+        for sub in ("traces", "features", "latents"):
+            os.mkdir(os.path.join(out_dir, sub))
+    except OSError as exc:
+        raise data_io.OutputError(f"{exc.filename}: cannot create: {exc.strerror}") from exc
     for item, entry in zip(items, manifest.dataset.items):
         data_io.write_trace_table(manifest.resolve(entry.trace_file), item.trace_set.annotators,
                                   item.trace_set.matrix, manifest.dataset.native_period)
@@ -125,15 +131,15 @@ def run_synth(config_path, out_dir, seed=None):
 def _fit_items(manifest: ExperimentManifest, tag, min_windows, command):
     """Read, then check, then fit every item; returns (dataset hash, fitted items).
 
-    Each phase covers every item before the next starts, so the caller
-    can create its output after this returns and no bad input or failed
-    fit leaves any behind.  Each input file is read once: the dataset hash
-    is taken from the bytes the tables are parsed from.  An item needs
-    ``min_windows`` windows after alignment and as many feature columns as
-    the first item, at least one; ``command`` names the caller in the
-    messages.  The fitted items are (item, features, fits), in manifest
-    order.  The fits run with numpy's floating-point warnings off: a fit
-    that overflows ends in a ``FitError``, which says so in one line.
+    Each phase covers every item before the next starts, so a configuration
+    error in any item wins over a fit failure in any item.  Each input file
+    is read once: the dataset hash is taken from the bytes the tables are
+    parsed from.  An item needs ``min_windows`` windows after alignment and
+    as many feature columns as the first item, at least one; ``command``
+    names the caller in the messages.  The fitted items are (item, features,
+    fits), in manifest order.  The fits run with numpy's floating-point
+    warnings off: a fit that overflows ends in a ``FitError``, which says so
+    in one line.
     """
     items = manifest.dataset.items
     digest = dataset_digest(manifest)
@@ -166,7 +172,6 @@ def run_represent(manifest: ExperimentManifest, tag, out_dir):
     # An interval fit needs one window; a difference needs two.
     source, fitted = _fit_items(manifest, tag, 1 if tag == TAG_INTERVAL else 2,
                                f"represent --tag {tag}")
-    make_output_dir(out_dir)
     summary_rows = []
     for item, _, fits in fitted:
         write_representation(
@@ -250,7 +255,7 @@ def run_train_eval(manifest_path, tag, targets, out_dir, jobs, seed):
     from .model import TrainingError, save_checkpoint
 
     manifest = data_io.load_manifest(manifest_path, seed)
-    # Built first: a split the items cannot fill reads no table and leaves no --out.
+    # Built first: a split the items cannot fill reads no table.
     try:
         folds = make_splits([(it.item_id, it.group) for it in manifest.dataset.items],
                             manifest.split)
@@ -258,7 +263,6 @@ def run_train_eval(manifest_path, tag, targets, out_dir, jobs, seed):
         raise DataError(f"{manifest_path}: {exc}") from exc
     # Each item is scored by CCC and SDA, which need two windows.
     source, fitted = _fit_items(manifest, tag, 2, "train-eval")
-    make_output_dir(out_dir)
     data = {item.item_id: {"features": features, "mu": fits.mu, "sigma": fits.sigma}
             for item, features, fits in fitted}
     # Every fold's model takes the feature width, which _fit_items checked is common.
@@ -268,8 +272,7 @@ def run_train_eval(manifest_path, tag, targets, out_dir, jobs, seed):
         for stack in _fold_stacks(len(folds), jobs)
     ]
 
-    # Fold files are written as each stack is handed back, in fold order, so
-    # a failure keeps the folds recorded before it on disk.
+    # Fold files are written as each stack is handed back, in fold order.
     fold_records = []
 
     def _record(results):
@@ -297,10 +300,7 @@ def run_train_eval(manifest_path, tag, targets, out_dir, jobs, seed):
                 for results in pool.map(_train_fold, job_args):
                     _record(results)
         except BrokenProcessPool as exc:
-            # The pool fails every stack it has not handed back yet.
-            lost = sorted(set(range(len(folds))) - {fold["fold"] for fold in fold_records})
-            raise TrainingError(f"a worker process was lost; folds "
-                                f"{', '.join(map(str, lost))} were not written") from exc
+            raise TrainingError("a worker process was lost") from exc
     else:
         for args in job_args:
             _record(_train_fold(args))
@@ -321,7 +321,7 @@ def run_train_eval(manifest_path, tag, targets, out_dir, jobs, seed):
         "std": std,
     }
     write_json(os.path.join(out_dir, "summary.json"), summary)
-    _atomic_write(os.path.join(out_dir, "summary.txt"), render_summary_table([summary]) + "\n")
+    write_file(os.path.join(out_dir, "summary.txt"), render_summary_table([summary]) + "\n")
     return summary
 
 
@@ -426,8 +426,7 @@ def merge_reports(result_dirs):
 
 def write_report(summaries, table, out_dir):
     """Write ``table`` to ``report.txt`` and each summary's means to ``report.json``."""
-    make_output_dir(out_dir)
-    _atomic_write(os.path.join(out_dir, "report.txt"), table + "\n")
+    write_file(os.path.join(out_dir, "report.txt"), table + "\n")
     write_json(os.path.join(out_dir, "report.json"), {
         "format_version": FORMAT_VERSION,
         "dataset_hash": summaries[0]["dataset_hash"],

@@ -23,6 +23,21 @@ def run_fresh(code, env=None):
                           env=env)
 
 
+def run_with_file_size_limit(args, limit):
+    """Run the command line ``args`` in a new interpreter that cannot write a file
+    past ``limit`` bytes.
+
+    ``RLIMIT_FSIZE`` is set in the child only, so this process's writes are
+    not limited.  The child ignores ``SIGXFSZ``, so a write past the limit
+    fails with ``EFBIG`` (``File too large``) instead of ending the process.
+    """
+    return run_fresh("import resource, signal\n"
+                     "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+                     f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+                     "from ambitrace.cli import main\n"
+                     f"main({[str(a) for a in args]!r})\n")
+
+
 def gradient_check(
     input_dim=3, hidden_dim=4, steps=5, seed=0, h=1e-5, zero_feature=None
 ):

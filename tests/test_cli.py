@@ -1,6 +1,7 @@
 import builtins
 import collections
 import concurrent.futures
+import errno
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from conftest import run_fresh
+from conftest import run_fresh, run_with_file_size_limit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,6 +72,20 @@ def one_window_manifest(workspace):
     path = workspace / "data" / "one_window.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def command_args(command, workspace, runs, tmp_path):
+    """A run of ``command`` on good inputs, without ``--out``.
+
+    Every command writes ``synth.json`` into ``tmp_path``, the config synth reads.
+    """
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(FAST_SYNTH))
+    manifest = workspace / "data" / "manifest.json"
+    return {"synth": ["synth", "--config", cfg],
+            "represent": ["represent", "--manifest", manifest, "--tag", "I"],
+            "train-eval": ["train-eval", "--manifest", manifest, "--tag", "I", "--target", "mu"],
+            "report": ["report", runs / "I"]}[command]
 
 
 def read_columns(path):
@@ -135,6 +150,25 @@ class TestSynth:
         assert result.exit_code == 2, result.output
         assert result.stderr.startswith(f"error: config {cfg}: "), result.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_one_group_for_grouped_folds_names_groups(self, tmp_path):
+        # The default split.k, min(10, groups), is 1 here, which no config set.
+        cfg = tmp_path / "g1.json"
+        cfg.write_text(json.dumps({"items": 3, "groups": 1, "windows": 8}))
+        result = run_cli(["synth", "--config", cfg, "--out", tmp_path / "out"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (f"error: config {cfg}: groups: expected at least 2 for "
+                                 "grouped folds, got 1\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_one_group_with_a_fixed_split_is_written(self, tmp_path):
+        cfg = tmp_path / "g1.json"
+        cfg.write_text(json.dumps({"items": 3, "groups": 1, "windows": 8,
+                                   "split": {"mode": "fixed_train_dev"}}))
+        result = run_cli(["synth", "--config", cfg, "--out", tmp_path / "out"])
+        assert result.exit_code == 0, result.output
+        split = json.loads((tmp_path / "out" / "manifest.json").read_text())["split"]
+        assert split["mode"] == "fixed_train_dev"
 
 
 class TestRepresent:
@@ -469,6 +503,8 @@ class TestTrainEval:
                           "--tag", "I", "--target", "sigma", "--out", tmp_path / "run"])
         assert result.exit_code == 4, result.output
         assert "training failed: all segments have constant targets" in result.output
+        # Neither --out nor its staging directory is left.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "same.json"]
 
     def test_programming_error_is_not_a_training_failure(self, workspace, tmp_path,
                                                          monkeypatch):
@@ -481,6 +517,7 @@ class TestTrainEval:
         assert result.exit_code == 1
         assert isinstance(result.exception, ValueError)
         assert "training failed" not in result.output
+        assert os.listdir(tmp_path) == []
 
     def test_one_window_items_exit_2(self, workspace, tmp_path):
         path = one_window_manifest(workspace)
@@ -533,19 +570,15 @@ def train_fold_losing_the_worker_of_fold_2(args):
     return real_train_fold(args)
 
 
-def test_lost_worker_exits_4_naming_the_unwritten_folds(workspace, tmp_path, monkeypatch):
+def test_lost_worker_exits_4(workspace, tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "_train_fold", train_fold_losing_the_worker_of_fold_2)
     out = tmp_path / "run"
     result = run_cli(["train-eval", "--manifest", workspace / "data" / "manifest.json",
                       "--tag", "I", "--target", "mu", "--jobs", "2", "--out", out])
     assert result.exit_code == 4, result.output
-    assert "Traceback" not in result.output
-    # Folds 0 and 1 train in the other worker, which may finish before the
-    # loss or be stopped by it; the message names what is not on disk.
-    missing = [k for k in range(3) if not (out / f"fold_{k:02d}.json").exists()]
-    assert 2 in missing
-    assert result.stderr == ("error: training failed: a worker process was lost; folds "
-                             f"{', '.join(map(str, missing))} were not written\n")
+    # Whether the other worker's folds were recorded first makes no difference.
+    assert result.stderr == "error: training failed: a worker process was lost\n"
+    assert os.listdir(tmp_path) == []
 
 
 def beta_manifest_with_a_constant_item(root, constant):
@@ -575,7 +608,7 @@ def test_fit_failure_exits_3_naming_the_item_before_any_output(tmp_path, command
     assert result.exit_code == 3, result.output
     assert ("error: representation fit failed: item 'it2': window 0: all samples identical "
             "after clamping; widen the pool") in result.output
-    assert not (tmp_path / "out").exists()
+    assert not [p for p in os.listdir(tmp_path) if p == "out" or ".staging-" in p]
 
 
 def test_overflowing_fit_prints_one_line(tmp_path):
@@ -598,25 +631,31 @@ def test_overflowing_fit_prints_one_line(tmp_path):
         "trace values too large"]
 
 
-@pytest.mark.parametrize("command, name", [("represent", "I_item003.csv"),
-                                           ("train-eval", "fold_00_mu.ckpt")])
-def test_unwritable_output_exits_2_naming_the_path(workspace, tmp_path, monkeypatch, command,
-                                                   name):
+# The first output files each command writes, in the order it writes them.
+WRITE_ORDER = {"synth": ["traces/item000.csv", "features/item000.csv"],
+               "represent": [f"I_item{i:03d}.csv" for i in range(6)],
+               "train-eval": ["fold_00.json", "fold_00_mu.ckpt"],
+               "report": ["report.txt", "report.json"]}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["absent", "empty"])
+@pytest.mark.parametrize("command", sorted(WRITE_ORDER))
+def test_write_failure_mid_run_leaves_out_as_it_was(workspace, runs, tmp_path, command,
+                                                     existing):
+    args = command_args(command, workspace, runs, tmp_path)
+    assert run_cli(args + ["--out", tmp_path / "whole"]).exit_code == 0
+    sizes = [(tmp_path / "whole" / name).stat().st_size for name in WRITE_ORDER[command]]
+    # Files as large as the first one can be written; the first larger one cannot.
+    failing = next(name for name, size in zip(WRITE_ORDER[command], sizes) if size > sizes[0])
     out = tmp_path / "out"
-    real_make_output_dir = pipeline.make_output_dir
-
-    def make_and_block(path):
-        # A non-empty --out is refused up front, so the directory where an
-        # output file goes appears once the command has created --out.
-        real_make_output_dir(path)
-        (out / name).mkdir(exist_ok=True)
-
-    monkeypatch.setattr(pipeline, "make_output_dir", make_and_block)
-    result = run_cli([command, "--manifest", workspace / "data" / "manifest.json", "--tag", "I",
-                      "--out", out] + (["--target", "mu"] if command == "train-eval" else []))
-    assert result.exit_code == 2, result.output
-    assert result.stderr == f"error: {out / name}: cannot write: Is a directory\n"
-    assert not [p for p in os.listdir(out) if p.startswith(".tmp-")]
+    if existing:
+        out.mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    result = run_with_file_size_limit(args + ["--out", out], sizes[0])
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == f"error: {out / failing}: cannot write: File too large\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert not existing or os.listdir(out) == []
 
 
 @pytest.mark.parametrize("command", ["represent", "train-eval"])
@@ -1126,14 +1165,7 @@ class TestOutputDir:
         blocker = tmp_path / "afile"
         blocker.write_text("keep\n")
         out = blocker / "sub" if nested else blocker
-        cfg = tmp_path / "synth.json"
-        cfg.write_text(json.dumps(FAST_SYNTH))
-        manifest = workspace / "data" / "manifest.json"
-        args = {"synth": ["synth", "--config", cfg],
-                "represent": ["represent", "--manifest", manifest, "--tag", "I"],
-                "train-eval": ["train-eval", "--manifest", manifest, "--tag", "I",
-                               "--target", "mu"],
-                "report": ["report", runs / "I"]}[command]
+        args = command_args(command, workspace, runs, tmp_path)
         result = run_cli(args + ["--out", out])
         assert result.exit_code == 2, result.output
         expected = "a parent is not a directory" if nested else "exists and is not a directory"
@@ -1141,25 +1173,28 @@ class TestOutputDir:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "synth.json"]
         assert blocker.read_text() == "keep\n"
 
-    def test_synth_names_a_blocked_subdirectory(self, tmp_path, monkeypatch):
+    def test_synth_names_a_subdirectory_it_cannot_create(self, tmp_path, monkeypatch):
         cfg = tmp_path / "synth.json"
         cfg.write_text(json.dumps(FAST_SYNTH))
-        real_make_output_dir = pipeline.make_output_dir
+        real_mkdir = os.mkdir
 
-        def make_and_block(path):
-            # A non-empty --out is refused up front, so the file in the way
-            # appears once synth has created --out.
-            real_make_output_dir(path)
-            if path == str(tmp_path / "out"):
-                (tmp_path / "out" / "traces").write_text("")
+        def mkdir_on_a_full_disk(path, *args):
+            if os.path.basename(path) == "traces":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+            real_mkdir(path, *args)
 
-        monkeypatch.setattr(pipeline, "make_output_dir", make_and_block)
+        monkeypatch.setattr(os, "mkdir", mkdir_on_a_full_disk)
         result = run_cli(["synth", "--config", cfg, "--out", tmp_path / "out"])
+        monkeypatch.undo()
         assert result.exit_code == 2, result.output
-        assert f"error: output directory {tmp_path / 'out' / 'traces'}: exists" in result.output
+        assert result.stderr == (f"error: {tmp_path / 'out' / 'traces'}: cannot create: "
+                                 "No space left on device\n")
+        assert os.listdir(tmp_path) == ["synth.json"]
 
     @pytest.mark.parametrize("command", ["synth", "represent", "train-eval", "report"])
-    def test_non_empty_out_is_refused_before_anything_is_read(self, tmp_path, command):
+    @pytest.mark.parametrize("state", ["non-empty", "empty path"])
+    def test_unusable_out_is_refused_before_anything_is_read(self, tmp_path, monkeypatch,
+                                                             command, state):
         out = tmp_path / "out"
         (out / "earlier").mkdir(parents=True)
         (out / "earlier" / "fold_00.json").write_text("keep\n")
@@ -1170,28 +1205,59 @@ class TestOutputDir:
                 "train-eval": ["train-eval", "--manifest", missing / "manifest.json",
                                "--tag", "I"],
                 "report": ["report", missing]}[command]
-        result = run_cli(args + ["--out", out])
+        if state == "empty path":
+            # The working directory is empty: an --out "" taken for it would be replaced.
+            (tmp_path / "cwd").mkdir()
+            monkeypatch.chdir(tmp_path / "cwd")
+            result = run_cli(args + ["--out", ""])
+            assert result.stderr == "error: output directory : empty path\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["cwd", "out"]
+            assert os.listdir(tmp_path / "cwd") == []
+        else:
+            result = run_cli(args + ["--out", out])
+            assert result.stderr == f"error: output directory {out}: not empty\n"
         assert result.exit_code == 2, result.output
-        assert result.stderr == f"error: output directory {out}: not empty\n"
         assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
             "earlier", "earlier/fold_00.json"]
         assert (out / "earlier" / "fold_00.json").read_text() == "keep\n"
 
     @pytest.mark.parametrize("command", ["synth", "represent", "train-eval", "report"])
-    def test_empty_out_is_written(self, workspace, runs, tmp_path, command):
+    def test_out_filled_during_the_run_is_left_alone(self, workspace, runs, tmp_path,
+                                                     monkeypatch, command):
         out = tmp_path / "out"
-        out.mkdir()
-        cfg = tmp_path / "synth.json"
-        cfg.write_text(json.dumps(FAST_SYNTH))
-        manifest = workspace / "data" / "manifest.json"
-        args = {"synth": ["synth", "--config", cfg],
-                "represent": ["represent", "--manifest", manifest, "--tag", "I"],
-                "train-eval": ["train-eval", "--manifest", manifest, "--tag", "I",
-                               "--target", "mu"],
-                "report": ["report", runs / "I"]}[command]
+        args = command_args(command, workspace, runs, tmp_path)
+        real_rename = os.rename
+
+        def fill_then_rename(src, dst):
+            # Another process writes into --out after the entry check.
+            out.mkdir(exist_ok=True)
+            (out / "late.txt").write_text("keep\n")
+            real_rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", fill_then_rename)
+        result = run_cli(args + ["--out", out])
+        monkeypatch.undo()
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: output directory {out}: not empty\n"
+        assert os.listdir(out) == ["late.txt"]
+        assert (out / "late.txt").read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "synth.json"]
+
+    @pytest.mark.parametrize("command", ["synth", "represent", "train-eval", "report"])
+    @pytest.mark.parametrize("kind", ["directory", "symlink", "254-byte name"])
+    def test_empty_out_is_written(self, workspace, runs, tmp_path, command, kind):
+        out = tmp_path / ("\u00e9" * 127 if kind == "254-byte name" else "out")
+        target = tmp_path / "target" if kind == "symlink" else out
+        target.mkdir()
+        if kind == "symlink":
+            out.symlink_to(target)
+        args = command_args(command, workspace, runs, tmp_path)
         result = run_cli(args + ["--out", out])
         assert result.exit_code == 0, result.output
-        assert os.listdir(out)
+        assert os.listdir(target)
+        assert out.is_symlink() == (kind == "symlink")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            {out.name, target.name, "synth.json"})
 
 
 @pytest.mark.parametrize("state", ["non-UTF-8", "a directory"])
@@ -1216,8 +1282,9 @@ def test_unreadable_json_input_exits_with_its_code(tmp_path, command, state):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
-def test_new_files_take_their_mode_from_the_umask(tmp_path, umask, mode):
+@pytest.mark.parametrize("umask, mode, dir_mode",
+                         [(0o022, 0o644, 0o755), (0o077, 0o600, 0o700)])
+def test_new_files_take_their_mode_from_the_umask(tmp_path, umask, mode, dir_mode):
     cfg = tmp_path / "synth.json"
     cfg.write_text(json.dumps(dict(FAST_SYNTH, items=3, groups=3, split={"k": 3})))
     manifest = tmp_path / "d" / "manifest.json"
@@ -1236,6 +1303,8 @@ def test_new_files_take_their_mode_from_the_umask(tmp_path, umask, mode):
                  tmp_path / "rep" / "I_item000.csv", tmp_path / "run" / "summary.json",
                  tmp_path / "run" / "fold_00_mu.ckpt"):
         assert stat.S_IMODE(path.stat().st_mode) == mode, path
+    for path in (tmp_path / "d", trace.parent, tmp_path / "rep", tmp_path / "run"):
+        assert stat.S_IMODE(path.stat().st_mode) == dir_mode, path
 
 
 @st.composite
@@ -1300,34 +1369,6 @@ class TestReport:
         record = json.loads((tmp_path / "rep" / "report.json").read_text())
         assert [r["tag"] for r in record["rows"]] == ["I", "O_I", "O_G"]
         assert "loss_curve" not in (tmp_path / "rep" / "report.json").read_text()
-
-    def test_failed_write_keeps_earlier_report(self, runs, tmp_path, monkeypatch):
-        earlier = tmp_path / "earlier"
-        assert run_cli(["report", runs / "I", "--out", earlier]).exit_code == 0
-        before = {name: (earlier / name).read_bytes() for name in ("report.txt", "report.json")}
-        # A rerun into the same --out is refused before anything is read.
-        result = run_cli(["report", runs / "I", runs / "O_G", "--out", earlier])
-        assert result.exit_code == 2, result.output
-        assert result.stderr == f"error: output directory {earlier}: not empty\n"
-
-        def refuse(src, dst):
-            raise OSError("disk full")
-
-        # So the earlier report is put into --out once the command has created it.
-        out = tmp_path / "rep"
-        real_make_output_dir = pipeline.make_output_dir
-
-        def make_and_copy(path):
-            real_make_output_dir(path)
-            shutil.copytree(earlier, out, dirs_exist_ok=True)
-
-        monkeypatch.setattr(pipeline, "make_output_dir", make_and_copy)
-        monkeypatch.setattr(os, "replace", refuse)
-        result = run_cli(["report", runs / "I", runs / "O_G", "--out", out])
-        assert result.exit_code == 2, result.output
-        assert f"error: {out / 'report.txt'}: cannot write: disk full" in result.output
-        assert {name: (out / name).read_bytes() for name in before} == before
-        assert sorted(p.name for p in out.iterdir()) == ["report.json", "report.txt"]
 
     def test_column_maxima_marked(self, runs):
         result = run_cli(["report", runs / "I", runs / "O_G"])

@@ -556,6 +556,8 @@ class TestManifestSerialiser:
         if request.param == "synth":
             config = tmp_path / "synth.json"
             config.write_text(json.dumps({"items": 4, "groups": 2, "seed": 3}))
+            # The pipeline writes into a directory that exists, as the CLI's staging one does.
+            (tmp_path / "data").mkdir()
             return run_synth(config, tmp_path / "data")
         items = [_write_item(tmp_path, name, 260, 0.04, 2) for name in ("u1", "u2")]
         return ExperimentManifest(

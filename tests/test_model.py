@@ -1,5 +1,4 @@
 import json
-import os
 import re
 import tracemalloc
 import warnings
@@ -824,17 +823,12 @@ class TestCheckpointFormat:
         path.write_bytes(self.checkpoint_bytes())
         assert load_checkpoint(path).best_epoch == 2
 
-    def test_failed_write_keeps_earlier_checkpoint(self, tmp_path, monkeypatch):
+    def test_failed_write_names_the_file(self, tmp_path):
+        # A command's outputs appear all at once (``data_io.staged_output``),
+        # so a checkpoint is written in place, as every output file is.
         cfg = tiny_cfg(2)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(TrainedModel(init_params(cfg), cfg, TargetScaling()), path)
-        before = path.read_bytes()
-
-        def refuse(src, dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(os, "replace", refuse)
-        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: cannot write: disk full"):
-            save_checkpoint(TrainedModel(init_params(tiny_cfg(3)), cfg, TargetScaling()), path)
-        assert path.read_bytes() == before
+        path.mkdir()
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: cannot write: Is a dir"):
+            save_checkpoint(TrainedModel(init_params(cfg), cfg, TargetScaling()), path)
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

@@ -236,6 +236,9 @@ class TestByteIdentity:
     def test_latent_and_summary_tables(self, tmp_path):
         cfg = SynthConfig(items=3, groups=3, annotators=3, windows=7, seed=4)
         (tmp_path / "synth.json").write_text(json.dumps(asdict(cfg)))
+        # The pipeline writes into directories that exist, as the CLI's staging one does.
+        (tmp_path / "data").mkdir()
+        (tmp_path / "rep").mkdir()
         manifest = pipeline.run_synth(tmp_path / "synth.json", tmp_path / "data")
         for item in synth_generate(cfg):
             written = (tmp_path / "data" / "latents" / f"{item.item_id}.csv").read_text()
