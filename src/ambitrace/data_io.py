@@ -398,10 +398,27 @@ def load_trace_table(path, digest=None):
     return table.names[1:], np.ascontiguousarray(table.rows[:, 1:].T), float(times[1] - times[0])
 
 
+def _check_format_version(path, table):
+    """Refuse a table whose header gives a ``format_version`` other than this one's.
+
+    A table without one passes.
+    """
+    version = table.meta.get("format_version", str(FORMAT_VERSION))
+    if version != str(FORMAT_VERSION):
+        raise DataError(f"{path}: format_version: expected {FORMAT_VERSION}, "
+                        f"got {reprlib.repr(version)}")
+
+
 def _check_time_column(path, table):
-    """Refuse a trace table without a uniformly increasing ``time_s`` column."""
+    """Refuse a trace table of another format, with a repeated annotator id, or
+    without a uniformly increasing ``time_s`` column."""
+    _check_format_version(path, table)
     if table.names[0] != "time_s" or len(table.names) < 2:
         raise DataError(f"{path}: header must be time_s,<annotator>...")
+    annotators = table.names[1:]
+    for i, annotator in enumerate(annotators):
+        if annotator in annotators[:i]:
+            raise DataError(f"{path}: duplicate annotator id {reprlib.repr(annotator)}")
     if len(table.lines) < 2:
         raise DataError(f"{path}: need at least two rows to infer the period")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -428,10 +445,14 @@ def write_feature_table(path, item_id, matrix, feature_name):
 
 def load_feature_table(path, digest=None):
     """A feature table's (windows, features) matrix; ``digest`` is passed to ``read_table``."""
-    table = read_table(path, digest)
+    return read_table(path, digest, check=_check_feature_table).rows[:, 1:]
+
+
+def _check_feature_table(path, table):
+    """Refuse a feature table of another format or without rows."""
+    _check_format_version(path, table)
     if not table.lines:
         raise DataError(f"{path}: no feature rows")
-    return table.rows[:, 1:]
 
 
 # --- splits -----------------------------------------------------------------
@@ -827,6 +848,9 @@ def _manifest_from_doc(doc, base_dir, model_seed=None) -> ExperimentManifest:
     """The manifest ``doc`` describes; its model seed is ``model_seed``, else
     ``model.seed``, else the manifest ``seed``."""
     _check_keys("manifest", doc, ["format_version", "seed", "dataset", *SECTIONS])
+    version = doc.get("format_version", FORMAT_VERSION)
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise DataError(f"format_version: expected {FORMAT_VERSION}, got {reprlib.repr(version)}")
     ds = doc.get("dataset", {})
     _check_keys("dataset", ds, [f.name for f in fields(DatasetConfig)])
     entries = ds.get("items")

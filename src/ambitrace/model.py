@@ -3,8 +3,9 @@
 Implemented directly in numpy so that training is bitwise reproducible
 from a seed and the backward pass can be verified against finite
 differences.  Training minimizes the concordance loss 1 - ccc(pred, target)
-per segment with Adam; a separate model is trained per target channel
-(mu-like or sigma-like).
+per segment with Adam, taking the concordance from ``metrics``, so the
+reported CCC and the trained one have one definition; a separate model is
+trained per target channel (mu-like or sigma-like).
 
 A stack computes in the dtype of the parameter arrays it is built from.
 Training and prediction run in float32 (``TRAIN_DTYPE``): the forward and
@@ -13,12 +14,13 @@ memory.  The loss and its gradient, the target scaling and the metrics
 stay in float64.  ``init_params`` returns float64, so the reference tests
 and the gradient check in them run float64 stacks.
 
-The models of one or two folds are trained as one stack: every parameter
-tensor carries a leading model axis, and the forward pass, backward pass,
-loss and optimizer step each run once for the models whose batches share
-a shape.  The models stay independent: each has its own seed, data,
-shuffle order, target scaling, Adam state and best epoch, and ends bit for
-bit where training it alone would.  A stack's parameters, gradients and
+The models of one or two folds are trained as one stack of one config:
+every parameter tensor carries a leading model axis, and the forward pass,
+backward pass, loss and optimizer step each run once for the models whose
+batches share a shape (``_stack_by_shape``, for training steps and
+validation alike).  The models stay independent: each has its own seed,
+data, shuffle order, target scaling, Adam state and best epoch, and ends
+bit for bit where training it alone would.  A stack's parameters, gradients and
 Adam moments are flat (models, P) buffers with named views, kept in the
 stored form ``_gate_signs`` describes, and its passes reuse one workspace,
 so after the first step a training step allocates no large array.
@@ -34,7 +36,7 @@ import numpy as np
 
 from .data_io import (AmbitraceError, DataError, ModelConfig, TrainConfig, _check_int,
                       _check_real, parse_section, write_file)
-from .metrics import CCC_DENOM_GUARD
+from .metrics import _concordance
 
 CHECKPOINT_MAGIC = "ambitrace-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -378,27 +380,16 @@ def ccc_loss_grad(pred, target):
     """Concordance loss 1 - ccc and its gradient w.r.t. the prediction.
 
     Works on the last axis, so a (..., T) stack of segments gives (...)
-    losses and a (..., T) gradient.  Degenerate segments (flat prediction
-    and target with equal means) fall back to loss 1 with zero gradient,
-    mirroring the metric guard.
+    losses and a (..., T) gradient.  The concordance is the metric's
+    (``metrics._concordance``): a degenerate segment (flat prediction and
+    target with equal means) has loss 1 and zero gradient.
     """
-    x = np.asarray(pred, dtype=float)
-    y = np.asarray(target, dtype=float)
-    n = x.shape[-1]
-    mx = x.mean(axis=-1, keepdims=True)
-    my = y.mean(axis=-1, keepdims=True)
-    xc, yc = x - mx, y - my
-    cov = (xc * yc).mean(axis=-1, keepdims=True)
-    # The variances as np.var computes them, from the centred values.
-    denom = ((xc * xc).mean(axis=-1, keepdims=True) + (yc * yc).mean(axis=-1, keepdims=True)
-             + (mx - my) ** 2)
-    usable = denom >= CCC_DENOM_GUARD
-    denom = np.where(usable, denom, 1.0)
-    value = np.where(usable, 2.0 * cov / denom, 0.0)
+    value, xc, yc, mx, my, denom, usable = _concordance(pred, target)
+    n = xc.shape[-1]
     dcov = yc / n
-    ddenom = 2.0 * xc / n + 2.0 * (mx - my) / n
-    dccc = (2.0 * dcov - value * ddenom) / denom
-    return 1.0 - value[..., 0], np.where(usable, -dccc, 0.0)
+    ddenom = 2.0 * xc / n + 2.0 * (mx - my)[..., None] / n
+    dccc = (2.0 * dcov - value[..., None] * ddenom) / denom[..., None]
+    return 1.0 - value, np.where(usable[..., None], -dccc, 0.0)
 
 
 class Adam:
@@ -480,6 +471,33 @@ def _segment(features, targets, segment_length):
     return segments
 
 
+def _stack_by_length(features, targets):
+    """One model's sequences stacked per length, in first-seen order.
+
+    Returns (sequence indices, X of shape (B, T, D) in ``TRAIN_DTYPE``, Y of
+    shape (B, T)) per length.
+    """
+    by_length = {}
+    for idx, X in enumerate(features):
+        by_length.setdefault(len(X), []).append(idx)
+    return [(members, np.stack([np.asarray(features[i], dtype=TRAIN_DTYPE) for i in members]),
+             np.stack([targets[i] for i in members]))
+            for members in by_length.values()]
+
+
+def _stack_by_shape(runs):
+    """Per-model (key, X, Y) triples stacked by the shape of X, in first-seen order.
+
+    Returns (keys, X, Y) per shape, X and Y with a leading model axis.
+    """
+    groups = {}
+    for key, X, Y in runs:
+        groups.setdefault(X.shape, []).append((key, X, Y))
+    return [([key for key, _, _ in group], np.stack([X for _, X, _ in group]),
+             np.stack([Y for _, _, Y in group]))
+            for group in groups.values()]
+
+
 class _SegmentPool:
     """One model's usable training segments, stacked per length for batching.
 
@@ -496,15 +514,11 @@ class _SegmentPool:
         self.skipped_static = len(segments) - len(usable)
         self.size = len(usable)
         self.lengths = [len(xs) for xs, _ in usable]
-        by_length = {}
-        for idx, length in enumerate(self.lengths):
-            by_length.setdefault(length, []).append(idx)
         self.rank = np.empty(len(usable), dtype=int)
         self.X, self.Y = {}, {}
-        for length, members in by_length.items():
+        for members, X, Y in _stack_by_length(*zip(*usable)):
             self.rank[members] = np.arange(len(members))
-            self.X[length] = np.stack([usable[i][0] for i in members]).astype(TRAIN_DTYPE)
-            self.Y[length] = np.stack([usable[i][1] for i in members])
+            self.X[X.shape[1]], self.Y[X.shape[1]] = X, Y
 
     def batches(self, rng, batch_segments):
         """One epoch's shuffled batches; a batch mixes only equal-length segments."""
@@ -529,35 +543,26 @@ def _validation_groups(features, targets_scaled):
     """Every model's validation sequences, batched per length and stacked by shape.
 
     ``features[m]`` and ``targets_scaled[m]`` hold model m's sequences and
-    scaled targets.  Returns (models, sequence indices per model, X of
-    shape (M, B, T, D) in ``TRAIN_DTYPE``, Y of shape (M, B, T)) per batch
-    shape.
+    scaled targets.  Returns ((model, sequence indices) per stacked model,
+    X of shape (M, B, T, D) in ``TRAIN_DTYPE``, Y of shape (M, B, T)) per
+    batch shape.
     """
-    groups = {}
-    for m, (feats, targets) in enumerate(zip(features, targets_scaled)):
-        by_length = {}
-        for s, X in enumerate(feats):
-            by_length.setdefault(len(X), []).append(s)
-        for seqs in by_length.values():
-            X = np.stack([np.asarray(feats[s], dtype=TRAIN_DTYPE) for s in seqs])
-            groups.setdefault(X.shape, []).append((m, seqs, X, [targets[s] for s in seqs]))
-    return [
-        ([m for m, _, _, _ in group], [seqs for _, seqs, _, _ in group],
-         np.stack([X for _, _, X, _ in group]), np.array([Y for _, _, _, Y in group]))
-        for group in groups.values()
-    ]
+    return _stack_by_shape(((m, seqs), X, Y)
+                           for m, (feats, targets) in enumerate(zip(features, targets_scaled))
+                           for seqs, X, Y in _stack_by_length(feats, targets))
 
 
 def _validation_loss(flat, cfg, groups, ws):
     """Mean CCC loss over each model's validation sequences, one value per model."""
     counts = np.zeros(len(flat), dtype=int)
-    for members, seqs, _, _ in groups:
-        counts[members] += [len(s) for s in seqs]
+    for keys, _, _ in groups:
+        for m, seqs in keys:
+            counts[m] += len(seqs)
     losses = [np.empty(n) for n in counts]
-    for members, seqs, X, Y in groups:
-        pred, _ = _forward(_views(flat[_as_rows(members)], cfg), cfg, X, ws)
-        for m, s, loss in zip(members, seqs, ccc_loss_grad(pred, Y)[0]):
-            losses[m][s] = loss
+    for keys, X, Y in groups:
+        pred, _ = _forward(_views(flat[_as_rows([m for m, _ in keys])], cfg), cfg, X, ws)
+        for (m, seqs), loss in zip(keys, 1.0 - _concordance(pred, Y)[0]):
+            losses[m][seqs] = loss
     return np.array([row.mean() for row in losses])
 
 
@@ -586,41 +591,28 @@ def _train_step(flat, opt, cfg, members, X, Y, ws):
     return loss.sum(axis=1), counted
 
 
-def train_stack(
-    features,
-    targets,
-    model_cfgs,
-    train_cfg: TrainConfig,
-    val_features,
-    val_targets,
-) -> list[TrainedModel]:
-    """Fit one model per (data, target) pair, as one stack.
+def train_stack(cfg: ModelConfig, train_cfg: TrainConfig, runs) -> list[TrainedModel]:
+    """Fit one model per run, as one stack.
 
-    ``features[m]``, ``targets[m]``, ``val_features[m]`` and
-    ``val_targets[m]`` are lists of per-sequence arrays for model m, whose
-    config (and seed) is ``model_cfgs[m]``; the configs must agree on
-    everything but the seed.  Each model's targets are scaled into
-    [-margin, margin] from its training-split range, and the scaling
-    travels with the returned model.  Each model keeps the epoch with its
-    best validation loss.  At every batch index, and for validation, the
-    models are grouped by batch shape and each group takes one stacked
-    pass; a model without a batch there, or whose batch rows are all
-    degenerate, takes no optimizer step.  Training starts from the
-    ``TRAIN_DTYPE`` rounding of each seeded init and runs in that dtype,
-    and the returned parameters have it.  Deterministic given (seeds,
-    data, config).
+    Each run is (seed, features, targets, val_features, val_targets); the
+    four lists hold per-sequence arrays, and the run's model is ``cfg``
+    with that seed.  Each model's targets are scaled into [-margin, margin]
+    from its training-split range, and the scaling travels with the
+    returned model.  Each model keeps the epoch with its best validation
+    loss.  At every batch index, and for validation, the models are
+    grouped by batch shape and each group takes one stacked pass; a model
+    without a batch there, or whose batch rows are all degenerate, takes no
+    optimizer step.  Training starts from the ``TRAIN_DTYPE`` rounding of
+    each seeded init and runs in that dtype, and the returned parameters
+    have it.  Deterministic given (seeds, data, config).
     """
-    n_models = len(model_cfgs)
-    if not n_models or any(len(a) != n_models
-                           for a in (features, targets, val_features, val_targets)):
-        raise ValueError("need one feature, target and validation list per model")
+    seeds, features, targets, val_features, val_targets = zip(*runs)
     if not all(features) or not all(val_features):
         raise TrainingError("empty training or validation set")
-    cfg = model_cfgs[0]
-    if any(replace(c, seed=cfg.seed) != cfg for c in model_cfgs):
-        raise ValueError("stacked models must agree on everything but the seed")
     if cfg.input_dim is None:
         raise ValueError("a model config needs input_dim, the feature width")
+    configs = [replace(cfg, seed=seed) for seed in seeds]
+    n_models = len(configs)
     scalings, pools = [], []
     for feats, t in zip(features, targets):
         scaling = TargetScaling.fit(
@@ -637,7 +629,7 @@ def train_stack(
     sizes = np.array([p.size for p in pools])
 
     flat, _ = stack_params([{k: v.astype(TRAIN_DTYPE) for k, v in init_params(c).items()}
-                            for c in model_cfgs], cfg)
+                            for c in configs], cfg)
     ws = _Workspace(flat.dtype)
     best_flat = flat.copy()
     best_loss = _validation_loss(flat, cfg, val_groups, ws)
@@ -645,20 +637,14 @@ def train_stack(
     train_curve, val_curve = [], [best_loss.copy()]
 
     opt = Adam(flat, train_cfg.learning_rate, train_cfg.weight_decay)
-    rngs = [np.random.default_rng(c.seed + 1) for c in model_cfgs]
+    rngs = [np.random.default_rng(seed + 1) for seed in seeds]
     for epoch in range(1, train_cfg.max_epochs + 1):
         batches = [p.batches(rng, train_cfg.batch_segments) for p, rng in zip(pools, rngs)]
         total = np.zeros(n_models)
         for step in range(max(map(len, batches))):
-            groups = {}
-            for m in range(n_models):
-                if step < len(batches[m]):
-                    X, Y = pools[m].take(batches[m][step])
-                    groups.setdefault(X.shape, []).append((m, X, Y))
-            for group in groups.values():
-                members = [m for m, _, _ in group]
-                X = np.stack([X for _, X, _ in group])
-                Y = np.stack([Y for _, _, Y in group])
+            ready = [(m, *pools[m].take(batches[m][step]))
+                     for m in range(n_models) if step < len(batches[m])]
+            for members, X, Y in _stack_by_shape(ready):
                 loss, counted = _train_step(flat, opt, cfg, members, X, Y, ws)
                 total[members] += loss
                 skipped[members] += Y.shape[1] - counted
@@ -677,7 +663,7 @@ def train_stack(
     return [
         TrainedModel(
             params={k: v[m] for k, v in best_params.items()},
-            config=model_cfgs[m],
+            config=configs[m],
             scaling=scalings[m],
             best_epoch=int(best_epoch[m]),
             skipped_segments=int(skipped[m]),

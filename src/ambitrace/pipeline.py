@@ -207,22 +207,16 @@ def _train_fold(args):
     from .model import predict_stack, train_stack
 
     (folds, data, targets, model, train) = args
-    # One model per (fold, target), fold by fold.
-    runs = [(fold_idx, train_ids, val_ids, t_idx)
-            for fold_idx, train_ids, val_ids in folds for t_idx in range(len(targets))]
 
     def column(ids, key):
         return [data[i][key] for i in ids]
 
-    models = train_stack(
-        [column(train_ids, "features") for _, train_ids, _, _ in runs],
-        [column(train_ids, targets[t_idx]) for _, train_ids, _, t_idx in runs],
-        [replace(model, seed=model.seed + 97 * fold_idx + t_idx)
-         for fold_idx, _, _, t_idx in runs],
-        train,
-        [column(val_ids, "features") for _, _, val_ids, _ in runs],
-        [column(val_ids, targets[t_idx]) for _, _, val_ids, t_idx in runs],
-    )
+    # One model per (fold, target), fold by fold.
+    models = train_stack(model, train, [
+        (model.seed + 97 * fold_idx + t_idx, column(train_ids, "features"),
+         column(train_ids, target), column(val_ids, "features"), column(val_ids, target))
+        for fold_idx, train_ids, val_ids in folds for t_idx, target in enumerate(targets)
+    ])
     results = []
     for k, (fold_idx, _, val_ids) in enumerate(folds):
         fold = {"fold": fold_idx, "val_items": list(val_ids), "best_epoch": {}, "metrics": {},

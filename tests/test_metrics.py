@@ -66,6 +66,11 @@ class TestCCC:
             y = rng.normal(size=n)
             assert ccc(x, y) == pytest.approx(ccc_naive(list(x), list(y)), abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_gives_nan(self, bad):
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(ccc([1.0, bad, 3.0], [1.0, 2.0, 3.0]))
+
     def test_length_errors(self):
         with pytest.raises(ValueError):
             ccc([1.0], [2.0])

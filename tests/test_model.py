@@ -186,6 +186,12 @@ def tiny_cfg(seed=0):
     return ModelConfig(input_dim=3, hidden_dim=4, seed=seed)
 
 
+def split_run(seed, feats, targets, n_train=6):
+    """A ``train_stack`` run that trains on the first ``n_train`` sequences and
+    validates on the rest."""
+    return seed, feats[:n_train], targets[:n_train], feats[n_train:], targets[n_train:]
+
+
 def make_affine_task(n_seq=8, steps=12, input_dim=3, seed=0):
     """Sequences whose target is an affine function of one feature channel."""
     rng = np.random.default_rng(seed)
@@ -294,7 +300,7 @@ class TestTraining:
         feats, targs = make_affine_task(n_seq=10, steps=15, seed=1)
         cfg = ModelConfig(input_dim=3, hidden_dim=16, seed=0)
         tc = TrainConfig(max_epochs=200, segment_length=15, batch_segments=4)
-        model, = train_stack([feats[:8]], [targs[:8]], [cfg], tc, [feats[8:]], [targs[8:]])
+        model, = train_stack(cfg, tc, [split_run(cfg.seed, feats, targs, 8)])
         scores = [ccc(pred[0], t) for pred, t in zip(predict_stack([model], feats[8:]), targs[8:])]
         assert np.mean(scores) > 0.9
 
@@ -302,7 +308,7 @@ class TestTraining:
         feats, targs = make_affine_task(seed=2)
         cfg = tiny_cfg(3)
         tc = TrainConfig(max_epochs=0, segment_length=12)
-        model, = train_stack([feats[:6]], [targs[:6]], [cfg], tc, [feats[6:]], [targs[6:]])
+        model, = train_stack(cfg, tc, [split_run(cfg.seed, feats, targs)])
         assert model.best_epoch == 0
         # Training starts from the float32 rounding of the seeded init.
         init = init_params(cfg)
@@ -313,29 +319,28 @@ class TestTraining:
         feats, targs = make_affine_task(seed=4)
         cfg = tiny_cfg(5)
         tc = TrainConfig(max_epochs=10, segment_length=12)
-        m1, = train_stack([feats[:6]], [targs[:6]], [cfg], tc, [feats[6:]], [targs[6:]])
-        m2, = train_stack([feats[:6]], [targs[:6]], [cfg], tc, [feats[6:]], [targs[6:]])
+        m1, = train_stack(cfg, tc, [split_run(cfg.seed, feats, targs)])
+        m2, = train_stack(cfg, tc, [split_run(cfg.seed, feats, targs)])
         assert m1.best_epoch == m2.best_epoch
         for k in m1.params:
             np.testing.assert_array_equal(m1.params[k], m2.params[k])
 
     def test_empty_data_rejected(self):
         with pytest.raises(TrainingError):
-            train_stack([[]], [[]], [tiny_cfg()], TrainConfig(segment_length=2), [[]], [[]])
+            train_stack(tiny_cfg(), TrainConfig(segment_length=2), [(0, [], [], [], [])])
 
     def test_all_constant_targets_rejected(self):
         feats, _ = make_affine_task(seed=6)
         flat = [np.zeros(len(f)) for f in feats]
         with pytest.raises(TrainingError):
-            train_stack([feats[:6]], [flat[:6]], [tiny_cfg()], TrainConfig(segment_length=12),
-                        [feats[6:]], [flat[6:]])
+            train_stack(tiny_cfg(), TrainConfig(segment_length=12), [split_run(0, feats, flat)])
 
     def test_config_without_input_dim_rejected(self):
         # A manifest's model section leaves the feature width unset.
         feats, targs = make_affine_task(seed=6)
         with pytest.raises(ValueError, match="input_dim"):
-            train_stack([feats[:6]], [targs[:6]], [replace(tiny_cfg(), input_dim=None)],
-                        TrainConfig(segment_length=12), [feats[6:]], [targs[6:]])
+            train_stack(replace(tiny_cfg(), input_dim=None), TrainConfig(segment_length=12),
+                        [split_run(0, feats, targs)])
 
 
 class TestAdam:
@@ -356,7 +361,7 @@ class TestCheckpoint:
         feats, targs = make_affine_task(seed=7)
         cfg = tiny_cfg(8)
         tc = TrainConfig(max_epochs=5, segment_length=12)
-        model, = train_stack([feats[:6]], [targs[:6]], [cfg], tc, [feats[6:]], [targs[6:]])
+        model, = train_stack(cfg, tc, [split_run(cfg.seed, feats, targs)])
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
@@ -433,6 +438,15 @@ class TestStackedPasses:
                                                           + 2.0 * (mx - my) / 7)) / denom
         np.testing.assert_array_equal(grad, -dccc)
 
+    @pytest.mark.parametrize("length", [2, 8, 9, 128, 129, 2000])
+    def test_loss_is_one_minus_the_reported_ccc_bitwise(self, length):
+        rng = np.random.default_rng(length)
+        x, y = rng.normal(size=(2, 5, length)) + rng.normal(size=(2, 5, 1))
+        x[3] = y[3] = 0.25  # degenerate row: flat, with equal means
+        loss, _ = ccc_loss_grad(x, y)
+        np.testing.assert_array_equal(loss, 1.0 - np.array([ccc(a, b) for a, b in zip(x, y)]))
+        assert loss[3] == 1.0
+
     def test_loss_rows_match_single_segments(self):
         rng = np.random.default_rng(5)
         pred = rng.normal(size=(2, 3, 6))
@@ -488,17 +502,17 @@ def two_target_task():
 
 
 class TestStackTraining:
+    CFG = ModelConfig(input_dim=3, hidden_dim=5)
     TC = TrainConfig(max_epochs=15, segment_length=6, batch_segments=4,
                      learning_rate=1e-2)
 
     def test_stack_matches_training_alone(self):
         feats, mu, sigma = two_target_task()
-        cfgs = [ModelConfig(input_dim=3, hidden_dim=5, seed=s) for s in (4, 9)]
-        together = train_stack([feats[:6]] * 2, [mu[:6], sigma[:6]], cfgs, self.TC,
-                               [feats[6:]] * 2, [mu[6:], sigma[6:]])
-        for target, cfg, model in zip((mu, sigma), cfgs, together):
-            alone, = train_stack([feats[:6]], [target[:6]], [cfg], self.TC, [feats[6:]],
-                                 [target[6:]])
+        runs = [split_run(seed, feats, target) for seed, target in zip((4, 9), (mu, sigma))]
+        together = train_stack(self.CFG, self.TC, runs)
+        for run, model in zip(runs, together):
+            alone, = train_stack(self.CFG, self.TC, [run])
+            assert model.config == alone.config == replace(self.CFG, seed=run[0])
             assert model.best_epoch == alone.best_epoch
             assert model.skipped_segments == alone.skipped_segments
             assert model.scaling == alone.scaling
@@ -520,14 +534,12 @@ class TestStackTraining:
             (feats[3:], [mu[3:], sigma[3:]], val_b,
              [[mu[0], mu[1], mu[2][:9]], [sigma[0], sigma[1], sigma[2][:9]]]),
         ]
-        cfgs = [ModelConfig(input_dim=3, hidden_dim=5, seed=s) for s in (4, 9, 5, 10)]
-        together = train_stack(
-            [f for f, _, _, _ in folds for _ in range(2)], [t for _, ts, _, _ in folds for t in ts],
-            cfgs, self.TC,
-            [v for _, _, v, _ in folds for _ in range(2)], [t for _, _, _, ts in folds for t in ts])
-        alone = [model for k, (f, ts, v, vts) in enumerate(folds)
-                 for model in train_stack([f] * 2, ts, cfgs[2 * k : 2 * k + 2], self.TC,
-                                          [v] * 2, vts)]
+        runs = [(seed, f, ts[j], v, vts[j])
+                for (f, ts, v, vts), seeds in zip(folds, [(4, 9), (5, 10)])
+                for j, seed in enumerate(seeds)]
+        together = train_stack(self.CFG, self.TC, runs)
+        alone = [model for k in range(2)
+                 for model in train_stack(self.CFG, self.TC, runs[2 * k : 2 * k + 2])]
         for model, ref in zip(together, alone, strict=True):
             np.testing.assert_array_equal(model.best_epoch, ref.best_epoch)
             np.testing.assert_array_equal(model.skipped_segments, ref.skipped_segments)
@@ -555,20 +567,12 @@ class TestStackTraining:
 
     def test_best_epoch_is_first_minimum_of_val_curve(self):
         feats, mu, sigma = two_target_task()
-        cfgs = [ModelConfig(input_dim=3, hidden_dim=5, seed=s) for s in (1, 2)]
-        for model in train_stack([feats[:6]] * 2, [mu[:6], sigma[:6]], cfgs, self.TC,
-                                 [feats[6:]] * 2, [mu[6:], sigma[6:]]):
+        runs = [split_run(seed, feats, target) for seed, target in zip((1, 2), (mu, sigma))]
+        for model in train_stack(self.CFG, self.TC, runs):
             assert len(model.val_loss) == len(model.train_loss) == self.TC.max_epochs + 1
             assert model.train_loss[0] is None
             assert all(np.isfinite(model.train_loss[1:]))
             assert model.best_epoch == int(np.argmin(model.val_loss))
-
-    def test_mismatched_configs_rejected(self):
-        feats, mu, sigma = two_target_task()
-        cfgs = [ModelConfig(input_dim=3, hidden_dim=5), ModelConfig(input_dim=3, hidden_dim=6)]
-        with pytest.raises(ValueError):
-            train_stack([feats[:6]] * 2, [mu[:6], sigma[:6]], cfgs, self.TC,
-                        [feats[6:]] * 2, [mu[6:], sigma[6:]])
 
 
 class TestWorkspace:
@@ -583,10 +587,8 @@ class TestWorkspace:
         targets = [mu, sigma, [m - s for m, s in zip(mu, sigma)]]
         results = []
         for seeds, tc in self.RUNS:
-            cfgs = [ModelConfig(input_dim=3, hidden_dim=5, seed=s) for s in seeds]
-            chosen = targets[: len(seeds)]
-            models = train_stack([feats[:6]] * len(chosen), [t[:6] for t in chosen], cfgs, tc,
-                                 [feats[6:]] * len(chosen), [t[6:] for t in chosen])
+            models = train_stack(ModelConfig(input_dim=3, hidden_dim=5), tc,
+                                 [split_run(s, feats, t) for s, t in zip(seeds, targets)])
             results.append((models, [predict_stack([m], [feats[7]])[0] for m in models]))
         return results
 
@@ -690,10 +692,9 @@ class TestSinglePrecision:
 
     def test_trained_params_and_checkpoints_are_float32(self, tmp_path):
         feats, mu, sigma = two_target_task()
-        cfgs = [ModelConfig(input_dim=3, hidden_dim=5, seed=s) for s in (1, 2)]
-        models = train_stack([feats[:6]] * 2, [mu[:6], sigma[:6]], cfgs,
+        models = train_stack(ModelConfig(input_dim=3, hidden_dim=5),
                              TrainConfig(max_epochs=3, segment_length=6),
-                             [feats[6:]] * 2, [mu[6:], sigma[6:]])
+                             [split_run(s, feats, t) for s, t in zip((1, 2), (mu, sigma))])
         preds = predict_stack(models, [feats[7]])[0]
         for k, model in enumerate(models):
             assert {v.dtype for v in model.params.values()} == {np.dtype(np.float32)}
@@ -716,9 +717,8 @@ class TestSinglePrecision:
         cfg = tiny_cfg(9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model, = train_stack([feats[:6]], [targs[:6]], [cfg],
-                                 TrainConfig(max_epochs=5, segment_length=12),
-                                 [feats[6:]], [targs[6:]])
+            model, = train_stack(cfg, TrainConfig(max_epochs=5, segment_length=12),
+                                 [split_run(cfg.seed, feats, targs)])
             preds = predict_stack([model], feats)
         assert all(np.all(np.isfinite(p)) for p in preds)
         assert all(np.all(np.isfinite(v)) for v in model.params.values())
