@@ -2,6 +2,10 @@
 
 Each failure a command reports is a ``data_io.AmbitraceError``; the command
 group prints it as one ``error:`` line and exits with its class's code.
+Importing this module loads no numpy: ``synth``, ``represent`` and
+``train-eval`` import ``pipeline`` (and with it numpy) only once their
+``--out`` is accepted, ``represent`` once its manifest is too, so ``report``,
+``--help``, a usage error and a refused ``--out`` never load it.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 
-from . import pipeline
-from .data_io import AmbitraceError, load_manifest, staged_output
+from .data_io import TAGS, TARGETS, AmbitraceError, load_manifest, staged_output
+from .report import merge_reports, render_summary_table, write_report
 
 
 class _Commands(click.Group):
@@ -48,26 +52,31 @@ def main():
 def synth(config_path, out_dir, seed):
     """Generate a seeded synthetic dataset and its experiment manifest."""
     with staged_output(out_dir) as stage:
-        manifest = pipeline.run_synth(config_path, stage, seed)
+        from .pipeline import run_synth
+
+        manifest = run_synth(config_path, stage, seed)
     click.echo(f"wrote {len(manifest.dataset.items)} items and "
                f"{os.path.join(out_dir, 'manifest.json')}")
 
 
 @main.command()
 @click.option("--manifest", "manifest_path", required=True, type=click.Path())
-@click.option("--tag", required=True, type=click.Choice(pipeline.TAGS))
+@click.option("--tag", required=True, type=click.Choice(TAGS))
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def represent(manifest_path, tag, out_dir):
     """Compute one representation for every item and write its tables."""
     with staged_output(out_dir) as stage:
-        rows = pipeline.run_represent(load_manifest(manifest_path), tag, stage)
+        manifest = load_manifest(manifest_path)
+        from .pipeline import run_represent
+
+        rows = run_represent(manifest, tag, stage)
     click.echo(f"wrote {len(rows)} representation tables to {out_dir}")
 
 
 @main.command(name="train-eval")
 @click.option("--manifest", "manifest_path", required=True, type=click.Path())
-@click.option("--tag", required=True, type=click.Choice(pipeline.TAGS))
-@click.option("--target", type=click.Choice([*pipeline.TARGETS, "both"]), default="both",
+@click.option("--tag", required=True, type=click.Choice(TAGS))
+@click.option("--target", type=click.Choice([*TARGETS, "both"]), default="both",
               show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--seed", type=click.IntRange(min=0), default=None,
@@ -76,10 +85,12 @@ def represent(manifest_path, tag, out_dir):
               help="Concurrent fold-training processes.")
 def train_eval(manifest_path, tag, target, out_dir, seed, jobs):
     """Train per-fold models for a representation and evaluate CCC/SDA."""
-    targets = list(pipeline.TARGETS) if target == "both" else [target]
+    targets = list(TARGETS) if target == "both" else [target]
     with staged_output(out_dir) as stage:
-        summary = pipeline.run_train_eval(manifest_path, tag, targets, stage, jobs, seed)
-    click.echo(pipeline.render_summary_table([summary]))
+        from .pipeline import run_train_eval
+
+        summary = run_train_eval(manifest_path, tag, targets, stage, jobs, seed)
+    click.echo(render_summary_table([summary]))
 
 
 @main.command()
@@ -89,10 +100,10 @@ def train_eval(manifest_path, tag, target, out_dir, seed, jobs):
 def report(result_dirs, out_dir):
     """Merge train-eval results into one comparative table."""
     with contextlib.nullcontext() if out_dir is None else staged_output(out_dir) as stage:
-        summaries = pipeline.merge_reports(result_dirs)
-        table = pipeline.render_summary_table(summaries)
+        summaries = merge_reports(result_dirs)
+        table = render_summary_table(summaries)
         if stage is not None:
-            pipeline.write_report(summaries, table, stage)
+            write_report(summaries, table, stage)
     click.echo(table)
 
 

@@ -1,37 +1,34 @@
-"""End-to-end orchestration: synth, represent, train-eval and report merging.
+"""End-to-end orchestration: synth, represent and train-eval.
 
 The CLI is a thin wrapper over these functions; everything here is
 deterministic given the manifest seed.  Outputs go only into the caller's
 output directory, which exists; the one other write is
-``data_io.read_table``'s memo of parsed input tables, in a
-``data_io.MEMO_DIR`` directory beside them.
+``dataset.read_table``'s memo of parsed input tables, in a
+``dataset.MEMO_DIR`` directory beside them.  This module loads numpy, so
+the CLI imports it inside the three commands that run it; ``report`` is
+``ambitrace.report``'s.
 """
 
 from __future__ import annotations
 
-import numbers
 import os
 import reprlib
 from dataclasses import replace
 
 import numpy as np
 
-from . import data_io, metrics, representations
+from . import data_io, dataset, metrics, representations
 from .data_io import (
     FORMAT_VERSION,
     SECTIONS,
     DataError,
     ExperimentManifest,
-    ReportError,
-    SynthConfig,
-    dataset_digest,
-    make_splits,
     parse_section,
-    prepare_item,
     write_file,
     write_json,
-    write_table,
 )
+from .dataset import SynthConfig, dataset_digest, make_splits, prepare_item, write_table
+from .report import render_summary_table
 from .representations import (
     TAG_GROUP,
     TAG_INDIVIDUAL,
@@ -41,9 +38,6 @@ from .representations import (
     interval_representation,
     write_representation,
 )
-
-TAGS = (TAG_INTERVAL, TAG_INDIVIDUAL, TAG_GROUP)
-TARGETS = ("mu", "sigma")
 
 
 def compute_representation(trace_set, tag, rep: data_io.RepresentationConfig):
@@ -94,7 +88,7 @@ def run_synth(config_path, out_dir, seed=None):
         if cfg.groups < 2 and "k" not in split and split.get("mode") in (None, "k_fold_grouped"):
             # The default split.k is min(10, groups), and grouped folds need two.
             raise DataError(f"groups: expected at least 2 for grouped folds, got {cfg.groups}")
-        items = data_io.synth_generate(cfg)
+        items = dataset.synth_generate(cfg)
         defaults = dict(SYNTH_MANIFEST_DEFAULTS,
                         split={"k": min(10, cfg.groups), "seed": cfg.seed})
         manifest = data_io._manifest_from_doc({
@@ -115,9 +109,9 @@ def run_synth(config_path, out_dir, seed=None):
     except OSError as exc:
         raise data_io.OutputError(f"{exc.filename}: cannot create: {exc.strerror}") from exc
     for item, entry in zip(items, manifest.dataset.items):
-        data_io.write_trace_table(manifest.resolve(entry.trace_file), item.trace_set.annotators,
+        dataset.write_trace_table(manifest.resolve(entry.trace_file), item.trace_set.annotators,
                                   item.trace_set.matrix, manifest.dataset.native_period)
-        data_io.write_feature_table(manifest.resolve(entry.feature_file), item.item_id,
+        dataset.write_feature_table(manifest.resolve(entry.feature_file), item.item_id,
                                     item.features, "synthetic")
         write_table(os.path.join(out_dir, "latents", f"{item.item_id}.csv"), {},
                     {"window_index": np.arange(len(item.latent)), "latent": item.latent})
@@ -317,112 +311,3 @@ def run_train_eval(manifest_path, tag, targets, out_dir, jobs, seed):
     write_json(os.path.join(out_dir, "summary.json"), summary)
     write_file(os.path.join(out_dir, "summary.txt"), render_summary_table([summary]) + "\n")
     return summary
-
-
-# --- report -----------------------------------------------------------------
-
-# Each reported metric and its column title, in column order.
-REPORT_COLUMNS = {"ccc_mu": "CCC mu", "ccc_sigma": "CCC sigma", "sda_mu": "SDA mu",
-                  "sda_sigma": "SDA sigma"}
-
-
-def render_summary_table(summaries):
-    """A row per summary, in the order given, by metric columns; maxima marked with *.
-
-    The summaries share their targets; another target's columns show ``-``.
-    A mean carries its spread across folds when there are several.
-    """
-    rows = [["Representation", *REPORT_COLUMNS.values()]]
-    for s in summaries:
-        row = [s["tag"]]
-        for key in REPORT_COLUMNS:
-            if key not in s["mean"]:
-                row.append("-")
-                continue
-            mean = s["mean"][key]
-            text = f"{mean:.3f}" if len(s["folds"]) == 1 else f"{mean:.3f}+/-{s['std'][key]:.3f}"
-            if len(summaries) > 1 and mean == max(other["mean"][key] for other in summaries):
-                text = f"*{text}*"
-            row.append(text)
-        rows.append(row)
-    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-    lines = ["  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip()
-             for row in rows]
-    return "\n".join(lines)
-
-
-# Runs are comparable only when these agree; the first that differs is named.
-PROTOCOL_KEYS = ("dataset_hash", "split", "targets", "representation", "model", "train")
-
-
-def _load_summary(path):
-    """One ``summary.json``, checked for every field ``report`` reads.
-
-    Its settings sections come back as their ``SECTIONS`` types, so runs
-    are compared by the settings that ran, however a summary spells them:
-    one written before the sections listed every field compares equal.
-    """
-    doc = data_io.read_json(path, "summary", ReportError)
-    targets = doc.get("targets")
-    valid_targets = (isinstance(targets, list) and targets
-                     and all(t in TARGETS for t in targets) and len(set(targets)) == len(targets))
-    metric_keys = {f"{m}_{t}" for t in targets for m in ("ccc", "sda")} if valid_targets else ()
-
-    def metrics_dict(value):
-        return (isinstance(value, dict) and set(value) == metric_keys
-                and all(isinstance(x, numbers.Real) and not isinstance(x, bool)
-                        for x in value.values()))
-
-    checks = (
-        ("format_version", lambda v: type(v) is int and v == FORMAT_VERSION,
-         str(FORMAT_VERSION)),
-        ("tag", lambda v: isinstance(v, str) and v in TAGS, f"one of {', '.join(TAGS)}"),
-        ("dataset_hash", lambda v: isinstance(v, str), "a string"),
-        ("targets", lambda v: valid_targets, f"distinct targets from {', '.join(TARGETS)}"),
-        ("folds", lambda v: isinstance(v, list) and v and all(isinstance(f, dict) for f in v),
-         "a non-empty list of fold records"),
-        ("mean", metrics_dict, "a number per metric and target"),
-        ("std", metrics_dict, "a number per metric and target"),
-    )
-    for key, valid, expected in checks:
-        if not valid(doc.get(key)):
-            raise ReportError(f"{path}: {key}: expected {expected}, "
-                              f"got {reprlib.repr(doc.get(key))}")
-    try:
-        doc.update((key, data_io.parse_settings(key, doc.get(key))) for key in SECTIONS)
-    except DataError as exc:
-        raise ReportError(f"{path}: {exc}") from exc
-    return doc
-
-
-def merge_reports(result_dirs):
-    """Load train-eval summaries and check they share one dataset and protocol.
-
-    Every failure is a ``ReportError``.
-    """
-    paths = [os.path.join(d, "summary.json") for d in result_dirs]
-    summaries = []
-    for d, path in zip(result_dirs, paths):
-        if not os.path.exists(path):
-            raise ReportError(f"{d}: no summary.json (not a train-eval output?)")
-        summary = _load_summary(path)
-        for key in PROTOCOL_KEYS:
-            if summaries and summary[key] != summaries[0][key]:
-                raise ReportError(f"{path}: {key} differs from {paths[0]}; runs compared "
-                                  f"in one report must share the dataset and protocol")
-        for earlier, other in zip(paths, summaries):
-            if other["tag"] == summary["tag"]:
-                raise ReportError(f"{path}: representation {summary['tag']} is already "
-                                  f"in {earlier}")
-        summaries.append(summary)
-    return sorted(summaries, key=lambda s: TAGS.index(s["tag"]))
-
-
-def write_report(summaries, table, out_dir):
-    """Write ``table`` to ``report.txt`` and each summary's means to ``report.json``."""
-    write_file(os.path.join(out_dir, "report.txt"), table + "\n")
-    write_json(os.path.join(out_dir, "report.json"), {
-        "format_version": FORMAT_VERSION,
-        "dataset_hash": summaries[0]["dataset_hash"],
-        "rows": [{"tag": s["tag"], "mean": s["mean"], "std": s["std"]} for s in summaries],
-    })

@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data_io import AmbitraceError, write_table
+from .data_io import TAGS, AmbitraceError
+from .dataset import write_table
 from .traces import TraceSet, central_difference
 
 GAUSSIAN = "gaussian"
@@ -21,9 +22,7 @@ BETA_MAPPED = "beta_mapped"
 BETA_CLAMP_EPS = 1e-6
 BETA_MAX_NEWTON_ITERS = 100
 
-TAG_INTERVAL = "I"
-TAG_INDIVIDUAL = "O_I"
-TAG_GROUP = "O_G"
+TAG_INTERVAL, TAG_INDIVIDUAL, TAG_GROUP = TAGS
 
 
 class FitError(AmbitraceError, ValueError):

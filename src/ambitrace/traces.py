@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def _ratio_as_int(numerator, denominator, what):
-    """Integer ratio of two durations, which must match to a relative 1e-9."""
-    ratio = numerator / denominator
-    k = int(round(ratio))
-    if abs(ratio - k) > 1e-9 * abs(ratio):
-        raise ValueError(f"{what}: {numerator} is not a whole multiple of {denominator}")
-    return k
+from .data_io import _ratio_as_int
 
 
 @dataclass

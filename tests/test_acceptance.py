@@ -21,12 +21,18 @@ from ambitrace.cli import main
 from ambitrace.data_io import (
     DatasetConfig,
     ExperimentManifest,
+    ItemEntry,
     ModelConfig,
     RepresentationConfig,
     SplitSpec,
-    SynthConfig,
     TrainConfig,
+)
+from ambitrace.dataset import (
+    SynthConfig,
+    prepare_item,
     synth_generate,
+    write_feature_table,
+    write_trace_table,
 )
 from ambitrace.metrics import ccc, sda
 from ambitrace.representations import (
@@ -35,12 +41,6 @@ from ambitrace.representations import (
     fit_gaussian,
     individual_ordinal,
     interval_representation,
-)
-from ambitrace.data_io import (
-    ItemEntry,
-    prepare_item,
-    write_feature_table,
-    write_trace_table,
 )
 from ambitrace.traces import central_difference
 

@@ -20,7 +20,7 @@ from conftest import run_fresh, run_with_file_size_limit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambitrace import data_io, model, pipeline
+from ambitrace import data_io, dataset, model, pipeline
 from ambitrace.cli import main
 from ambitrace.data_io import (
     DatasetConfig,
@@ -28,12 +28,10 @@ from ambitrace.data_io import (
     ModelConfig,
     RepresentationConfig,
     SplitSpec,
-    SynthConfig,
     TrainConfig,
-    read_table,
-    write_feature_table,
-    write_trace_table,
 )
+from ambitrace.dataset import SynthConfig, read_table, write_feature_table, write_trace_table
+from ambitrace.report import render_summary_table
 
 FAST_SYNTH = {
     "items": 6,
@@ -208,7 +206,7 @@ class TestRepresent:
         doc["dataset"]["items"][0]["item_id"] = item_id
         path = workspace / "data" / "longest_id.json"
         path.write_text(json.dumps(doc))
-        for tag in pipeline.TAGS:
+        for tag in data_io.TAGS:
             result = run_cli(["represent", "--manifest", path, "--tag", tag,
                               "--out", tmp_path / tag])
             assert result.exit_code == 0, result.output
@@ -269,8 +267,11 @@ class TestStartUp:
             ambitrace.wibble
 
     def test_cli_defaults_to_one_blas_thread(self):
+        # numpy is imported after the CLI, as a command imports it, so that
+        # OpenBLAS has started when the threads are counted.
         code = ("import os, sys\n"
                 "import ambitrace.cli\n"
+                "import numpy\n"
                 "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
                 "if sys.platform.startswith('linux'):\n"
                 "    with open('/proc/self/status') as fh:\n"
@@ -290,27 +291,82 @@ class TestStartUp:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "2"
 
-    def test_only_train_eval_loads_the_model(self, workspace, tmp_path):
+    def test_only_train_eval_loads_the_model(self, workspace, runs, tmp_path):
+        """Each command in a fresh interpreter: only train-eval loads the model, and
+        every command but report loads numpy."""
         manifest = workspace / "data" / "manifest.json"
-        run = tmp_path / "run"
-        assert run_cli(["train-eval", "--manifest", manifest, "--tag", "I", "--target", "mu",
-                        "--out", run]).exit_code == 0
         cfg = tmp_path / "synth.json"
         cfg.write_text(json.dumps(FAST_SYNTH))
         commands = [
             ["synth", "--config", cfg, "--out", tmp_path / "d"],
             ["represent", "--manifest", manifest, "--tag", "O_G", "--out", tmp_path / "rep"],
-            ["report", run, "--out", tmp_path / "report"],
+            ["report", runs / "I", "--out", tmp_path / "report"],
             ["train-eval", "--manifest", manifest, "--tag", "I", "--target", "mu",
-             "--out", tmp_path / "run2"],
+             "--out", tmp_path / "run"],
         ]
-        code = ["import sys", "from ambitrace.cli import main"]
         for args in commands:
-            loaded = args[0] == "train-eval"
-            code += [f"main({[str(a) for a in args]!r}, standalone_mode=False)",
-                     f"assert ('ambitrace.model' in sys.modules) is {loaded}, {args[0]!r}"]
-        result = run_fresh("\n".join(code) + "\n")
-        assert result.returncode == 0, result.stderr
+            expected = {"synth": ["numpy"], "represent": ["numpy"], "report": [],
+                        "train-eval": ["numpy", "ambitrace.model"]}[args[0]]
+            assert modules_after(args, ("numpy", "ambitrace.model")) == (0, expected), args[0]
+
+
+def modules_after(args, modules=("numpy", "_hashlib")):
+    """(exit code, those of ``modules`` loaded) after ``ambitrace ARGS`` in a fresh interpreter."""
+    result = run_fresh("import sys\n"
+                       "from ambitrace.cli import main\n"
+                       "try:\n"
+                       f"    main({[str(a) for a in args]!r}, prog_name='ambitrace')\n"
+                       "except SystemExit as exc:\n"
+                       "    code = exc.code\n"
+                       f"print(code, *[m for m in {modules!r} if m in sys.modules])\n")
+    assert result.returncode == 0, result.stderr
+    code, *loaded = result.stdout.splitlines()[-1].split()
+    return int(code), loaded
+
+
+def test_manifest_path_loads_no_numpy(workspace):
+    # The benchmark's set-up probe: the CLI and a manifest, read and checked.
+    path = str(workspace / "data" / "manifest.json")
+    code = ("import sys, ambitrace.cli, ambitrace.data_io\n"
+            f"manifest = ambitrace.data_io.load_manifest({path!r})\n"
+            "assert len(manifest.dataset.items) == 6\n"
+            "loaded = [m for m in ('numpy', '_hashlib') if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
+    result = run_fresh(code)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("case, exit_code", [
+    ("report", 0), ("report --out", 0), ("--help", 0), ("usage error", 2),
+    ("malformed manifest", 2), ("non-empty --out synth", 2),
+    ("non-empty --out represent", 2), ("non-empty --out train-eval", 2),
+])
+def test_commands_that_compute_nothing_load_no_numpy(workspace, runs, tmp_path, case,
+                                                     exit_code):
+    manifest = workspace / "data" / "manifest.json"
+    (tmp_path / "bad.json").write_text('{"dataset": {"items": []}}')
+    full = tmp_path / "full"
+    full.mkdir()
+    (full / "keep.txt").write_text("kept\n")
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(FAST_SYNTH))
+    args = {
+        "report": ["report", runs / "I"],
+        "report --out": ["report", runs / "I", "--out", tmp_path / "report"],
+        "--help": ["--help"],
+        "usage error": ["represent", "--manifest", manifest, "--tag", "X",
+                        "--out", tmp_path / "rep"],
+        "malformed manifest": ["represent", "--manifest", tmp_path / "bad.json", "--tag", "I",
+                               "--out", tmp_path / "rep"],
+        "non-empty --out synth": ["synth", "--config", cfg, "--out", full],
+        "non-empty --out represent": ["represent", "--manifest", manifest, "--tag", "I",
+                                      "--out", full],
+        "non-empty --out train-eval": ["train-eval", "--manifest", manifest, "--tag", "I",
+                                       "--out", full],
+    }[case]
+    assert modules_after(args) == (exit_code, [])
+    assert (tmp_path / "report" / "report.json").exists() is (case == "report --out")
+    assert sorted(p.name for p in full.iterdir()) == ["keep.txt"]
 
 
 def test_multiprocessing_stays_off_the_import_path():
@@ -1025,7 +1081,7 @@ class TestLoaderErrors:
 
 def memo_entries(table):
     """The names of the memo entries of the table file ``table``."""
-    memo = table.parent / data_io.MEMO_DIR
+    memo = table.parent / dataset.MEMO_DIR
     if not memo.is_dir():
         return []
     return sorted(p.name for p in memo.iterdir() if p.name.startswith(table.name + "."))
@@ -1034,7 +1090,7 @@ def memo_entries(table):
 def memo_entry(table):
     """The name of the memo entry of the table's current bytes."""
     digest = hashlib.sha256(table.read_bytes()).hexdigest()
-    return f"{table.name}.{digest}.v{data_io._MEMO_VERSION}.npy"
+    return f"{table.name}.{digest}.v{dataset._MEMO_VERSION}.npy"
 
 
 def edit_cell(row, column, value):
@@ -1097,12 +1153,12 @@ class TestInputMemo:
         trace = data / "traces" / "item000.csv"
         old = memo_entries(trace)
         assert old == [memo_entry(trace)]
-        damage(trace, trace.parent / data_io.MEMO_DIR / old[0])
+        damage(trace, trace.parent / dataset.MEMO_DIR / old[0])
         listing = sorted(trace.parent.rglob("*"))
         result = represent(data, tmp_path / "out")
         # The same command on a copy without the memo parses every table.
         clean = tmp_path / "clean"
-        shutil.copytree(data, clean, ignore=shutil.ignore_patterns(data_io.MEMO_DIR))
+        shutil.copytree(data, clean, ignore=shutil.ignore_patterns(dataset.MEMO_DIR))
         expected = represent(clean, tmp_path / "clean_out")
         assert result.exit_code == expected.exit_code
         assert result.stderr == expected.stderr.replace(str(clean), str(data))
@@ -1120,11 +1176,11 @@ class TestInputMemo:
             assert entries == [memo_entry(trace)] != old
         elif outcome == "rewritten":
             assert entries == old
-            rows = np.load(trace.parent / data_io.MEMO_DIR / old[0], allow_pickle=False)
+            rows = np.load(trace.parent / dataset.MEMO_DIR / old[0], allow_pickle=False)
             assert rows.dtype == np.float64
             np.testing.assert_array_equal(rows, read_table(clean / "traces" / trace.name).rows)
         elif outcome == "blocked":
-            assert (trace.parent / data_io.MEMO_DIR).read_text() == "not a directory\n"
+            assert (trace.parent / dataset.MEMO_DIR).read_text() == "not a directory\n"
             assert sorted(trace.parent.rglob("*")) == listing
         else:
             assert memo_entry(trace) not in entries
@@ -1155,7 +1211,7 @@ class TestInputMemo:
             monkeypatch.undo()
             assert result.exit_code == 0, result.output
             assert [opened[os.path.realpath(p)] for p in inputs] == [1] * len(inputs)
-            assert not list((tmp_path / run).rglob(data_io.MEMO_DIR))
+            assert not list((tmp_path / run).rglob(dataset.MEMO_DIR))
 
 
 SUMMARY_KEYS = {
@@ -1312,7 +1368,7 @@ def test_new_files_take_their_mode_from_the_umask(tmp_path, umask, mode, dir_mod
     finally:
         os.umask(previous)
     trace = tmp_path / "d" / "traces" / "item000.csv"
-    for path in (trace, trace.parent / data_io.MEMO_DIR / memo_entry(trace), manifest,
+    for path in (trace, trace.parent / dataset.MEMO_DIR / memo_entry(trace), manifest,
                  tmp_path / "rep" / "I_item000.csv", tmp_path / "run" / "summary.json",
                  tmp_path / "run" / "fold_00_mu.ckpt"):
         assert stat.S_IMODE(path.stat().st_mode) == mode, path
@@ -1339,7 +1395,7 @@ def hand_summary(tag, folds, mean, std=None):
 def table_cells(summaries):
     """The rendered table's rows, split into cells at the column gaps."""
     return [re.split(r"\s{2,}", line)
-            for line in pipeline.render_summary_table(summaries).splitlines()]
+            for line in render_summary_table(summaries).splitlines()]
 
 
 class TestSummaryTable:

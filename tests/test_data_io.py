@@ -20,17 +20,19 @@ from ambitrace.data_io import (
     ReportError,
     RepresentationConfig,
     SplitSpec,
-    SynthConfig,
     TrainConfig,
+    load_manifest,
+    read_json,
+    save_manifest,
+)
+from ambitrace.dataset import (
+    SynthConfig,
     dataset_digest,
     load_feature_table,
-    load_manifest,
     load_trace_table,
     make_splits,
     prepare_item,
-    read_json,
     read_table,
-    save_manifest,
     synth_generate,
     write_feature_table,
     write_trace_table,

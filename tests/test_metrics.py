@@ -80,8 +80,10 @@ class TestCCC:
     def test_perfect_prediction(self):
         assert ccc([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
 
-    def test_anti_concordant(self):
-        assert ccc([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
+    def test_scaled_and_shifted_reversal(self):
+        # Perfectly anti-correlated, but the scale and the shift attenuate it:
+        # 2 * cov / (var x + var y + (mean x - mean y)^2) = 2 (-4/3) / (2/3 + 8/3 + 9).
+        assert ccc([1, 2, 3], [7, 5, 3]) == pytest.approx(-8.0 / 37.0, abs=1e-15)
 
     def test_constant_prediction(self):
         assert ccc([1.0, 1.0, 1.0], [0.0, 1.0, 2.0]) == pytest.approx(0.0)

@@ -6,7 +6,7 @@ from scipy.special import polygamma, psi
 from scipy.stats import beta as beta_dist
 
 from ambitrace import representations
-from ambitrace.data_io import read_table
+from ambitrace.dataset import read_table
 from ambitrace.traces import TraceSet, central_difference
 from ambitrace.representations import (
     BETA_MAPPED,

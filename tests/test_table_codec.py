@@ -16,9 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ambitrace import data_io, pipeline, representations
-from ambitrace.data_io import (
-    DataError,
+from ambitrace import dataset, pipeline, representations
+from ambitrace.data_io import DataError
+from ambitrace.dataset import (
     SynthConfig,
     Table,
     load_feature_table,
@@ -159,7 +159,7 @@ def read_outcome(read, path):
 
 def memo_entries(path):
     """The names of the memo entries of the table at ``path``."""
-    memo = os.path.join(os.path.dirname(path), data_io.MEMO_DIR)
+    memo = os.path.join(os.path.dirname(path), dataset.MEMO_DIR)
     name = os.path.basename(path)
     return [e for e in os.listdir(memo) if e.startswith(name + ".")] if os.path.isdir(memo) else []
 
@@ -167,7 +167,7 @@ def memo_entries(path):
 def assert_same_outcome(path):
     """``read_table`` gives the reference's outcome with the memo missing, then hitting."""
     ref = read_outcome(ref_read_table, path)
-    shutil.rmtree(os.path.join(os.path.dirname(path), data_io.MEMO_DIR), ignore_errors=True)
+    shutil.rmtree(os.path.join(os.path.dirname(path), dataset.MEMO_DIR), ignore_errors=True)
     missing = read_outcome(read_table, path)
     entries = memo_entries(path)
     assert len(entries) <= 1
@@ -323,7 +323,7 @@ class TestReadTable:
         def refuse(path, lines):
             raise AssertionError("the line reader ran on a regular table")
 
-        monkeypatch.setattr(data_io, "_read_lines", refuse)
+        monkeypatch.setattr(dataset, "_read_lines", refuse)
         table = read_table(path)
         assert table.rows.shape == (8350, 6)
         assert table.rows.tobytes() == ref.rows.tobytes()
