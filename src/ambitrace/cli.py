@@ -4,8 +4,9 @@ Each failure a command reports is a ``data_io.AmbitraceError``; the command
 group prints it as one ``error:`` line and exits with its class's code.
 Importing this module loads no numpy: ``synth``, ``represent`` and
 ``train-eval`` import ``pipeline`` (and with it numpy) only once their
-``--out`` is accepted, ``represent`` once its manifest is too, so ``report``,
-``--help``, a usage error and a refused ``--out`` never load it.
+``--out`` is accepted, ``represent`` and ``train-eval`` once their manifest
+is too, so ``report``, ``--help``, a usage error, a refused ``--out`` and a
+refused manifest never load it.
 """
 
 from __future__ import annotations
@@ -87,9 +88,10 @@ def train_eval(manifest_path, tag, target, out_dir, seed, jobs):
     """Train per-fold models for a representation and evaluate CCC/SDA."""
     targets = list(TARGETS) if target == "both" else [target]
     with staged_output(out_dir) as stage:
+        manifest = load_manifest(manifest_path, seed)
         from .pipeline import run_train_eval
 
-        summary = run_train_eval(manifest_path, tag, targets, stage, jobs, seed)
+        summary = run_train_eval(manifest, manifest_path, tag, targets, stage, jobs)
     click.echo(render_summary_table([summary]))
 
 

@@ -2,12 +2,13 @@
 
 ``write_table`` and ``read_table`` are the one codec for every table: plain
 columnar text with decimal floats (17 significant digits), so tables stay
-diffable and language-neutral.  ``read_table`` keeps the parsed numbers of
-a regular table in a memo directory beside it (``MEMO_DIR``), keyed by the
-file's bytes, so a table that has not changed is parsed once, not once per
-command.  Trace and feature tables are read into plain matrices, nothing
-more; ``prepare_item`` turns one manifest item into its windowed traces and
-features, and ``dataset_digest`` hashes what it reads.
+diffable and language-neutral.  ``read_table`` reads what ``write_table``
+writes in one array parse and keeps the numbers in a memo directory beside
+the table (``MEMO_DIR``), keyed by the file's bytes, so a table that has
+not changed is parsed once, not once per command.  Trace and feature
+tables are read into plain matrices, nothing more; ``prepare_item`` turns
+one manifest item into its windowed traces and features, and
+``dataset_digest`` hashes what it reads.
 
 This module loads numpy and hashlib, so only ``synth``, ``represent`` and
 ``train-eval`` import it, through ``pipeline``, inside their command
@@ -50,15 +51,13 @@ SCENARIOS = ("consistent_trend", "inconsistent_trend")
 
 
 class Table(NamedTuple):
-    """A headed table as read back: metadata, column names, float rows.
-
-    ``lines`` holds the 1-based file line of each row, for error messages.
-    """
+    """A headed table as read back: metadata, column names, float rows, and
+    the 1-based file line of the first row, for error messages."""
 
     meta: dict
     names: list
     rows: np.ndarray
-    lines: list
+    first_line: int
 
 
 def write_table(path, meta, columns):
@@ -79,14 +78,14 @@ def write_table(path, meta, columns):
 
 
 def read_table(path, digest=None, check=None) -> Table:
-    """Read a table written by ``write_table``; every cell must be a finite float.
+    """Read a table in the grammar ``write_table`` writes; every cell a finite float.
 
-    ``#`` lines anywhere are header metadata and blank lines are skipped.
-    A file that cannot be read is a ``DataError`` naming it; a missing
-    column header, a ragged row or a bad cell is one naming the file and
-    the line.  A regular table is parsed in one array
-    call, or its rows come from the memo (see ``_Memo``); any other text
-    goes through the line reader, which writes every error message.
+    The grammar: leading ``# key: value`` lines, the column header, then one
+    row per line, each cell a number that ``np.loadtxt`` reads; a missing
+    final newline and ``\\r\\n`` line ends are accepted.  The rows come from
+    the memo (see ``_Memo``) or from one ``np.loadtxt`` call.  Other text is a
+    ``DataError`` naming the file and its first bad line; so is a file that
+    cannot be read, naming the file.
 
     The file is opened and read once.  ``digest``, a hashlib object, is
     updated with its bytes.  ``check(path, table)`` is the caller's own
@@ -104,12 +103,42 @@ def read_table(path, digest=None, check=None) -> Table:
         # Decoded as ``open(path)`` decodes, so the text is the same.
         text = io.TextIOWrapper(io.BytesIO(raw)).read()
     except UnicodeDecodeError:
-        # Decoded a chunk at a time, a bad row ahead of the bad byte is
-        # still the error reported.
-        return _read_lines(path, io.TextIOWrapper(io.BytesIO(raw)))
+        raise _undecodable(path, raw) from None
     memo = _Memo(path, hashlib.sha256(raw).hexdigest())
     del raw  # the text alone is parsed; the bytes need not stay in memory
-    table = _read_regular(text, memo) or _read_lines(path, text.split("\n"))
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the last line
+    head = 0
+    while head < len(lines) and lines[head].startswith("#"):
+        head += 1
+    if head == len(lines):
+        raise DataError(f"{path}: no column header")
+    header, body = lines[head].strip(), lines[head + 1 :]
+    start = sum(len(line) + 1 for line in lines[: head + 1])  # of ``body`` in ``text``
+    # ``np.loadtxt`` refuses a ragged row or a bad cell.  Refused here is what
+    # it takes outside the grammar: a blank or ``#`` header, a separator, an
+    # empty line (skipped, so rows go missing), a non-finite cell; and first
+    # a blank last line, as ``loadtxt`` warns when only empty lines remain.
+    if (not header or header.startswith("#") or body[-1:] == [""]
+            or any(text.find(sep, start) >= 0 for sep in _SEPARATORS)):
+        raise _bad_line(path, lines)
+    shape = (len(body), header.count(",") + 1)
+    rows = memo.load(shape)
+    if rows is None:
+        try:
+            rows = (np.loadtxt(body, delimiter=",", comments=None, ndmin=2) if body
+                    else np.empty(shape))
+        except ValueError:
+            raise _bad_line(path, lines) from None
+        if rows.shape != shape or not np.isfinite(rows).all():
+            raise _bad_line(path, lines)
+        memo.parsed = rows
+    meta = {}
+    for line in lines[:head]:
+        key, _, value = line[1:].partition(":")  # a ``# key: value`` line
+        meta[key.strip()] = value.strip()
+    table = Table(meta, header.split(","), rows, head + 2)
     if check is not None:
         check(path, table)
     memo.write()
@@ -125,16 +154,16 @@ _ENTRY_SUFFIX = re.compile(r"\.[0-9a-f]{64}\.v[0-9]+\.npy")
 
 
 class _Memo:
-    """The rows of one regular table, kept as a ``.npy`` entry on disk.
+    """The rows of one table, kept as a ``.npy`` entry on disk.
 
     The entry is ``<table dir>/MEMO_DIR/<file name>.<sha256>.v<version>.npy``,
     keyed by the sha256 of the table's bytes, so an edited table never
     finds the entry of its old bytes.  Only the number parse is replaced:
     every check of the text runs on a hit as on a miss.  An entry that
-    cannot be read, or is not a C-ordered float64 array of the expected
-    shape, counts as absent and is written again.  Writing one replaces
-    the table's other entries; a location that cannot be written leaves
-    the table parsed every time.
+    cannot be read, or is not a C-ordered array of finite float64 values of
+    the expected shape, counts as absent and is written again.  Writing one
+    replaces the table's other entries; a location that cannot be written
+    leaves the table parsed every time.
     """
 
     def __init__(self, path, key):
@@ -144,7 +173,7 @@ class _Memo:
         self.parsed = None  # rows to store, once every check has passed
 
     def load(self, shape):
-        """The entry's rows if it holds a C-ordered float64 array of ``shape``, else None."""
+        """The entry's rows, if a C-ordered finite float64 array of ``shape``; else None."""
         try:
             with open(self.entry, "rb") as fh:
                 rows = np.load(fh, allow_pickle=False)
@@ -152,7 +181,8 @@ class _Memo:
         except (OSError, ValueError, EOFError, MemoryError):
             return None
         if (isinstance(rows, np.ndarray) and rows.dtype == np.float64
-                and rows.shape == shape and rows.flags.c_contiguous):
+                and rows.shape == shape and rows.flags.c_contiguous
+                and np.isfinite(rows).all()):
             return rows
         return None
 
@@ -182,88 +212,57 @@ class _Memo:
 
 
 # numpy's number parser skips these ASCII separators around a cell as
-# whitespace; ``float`` rejects them.
+# whitespace; ``float`` rejects them, and so does the grammar.
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
+# In a number ``float`` reads, what ``np.loadtxt`` or the grammar does not.
+_UNREAD = re.compile(f"[_{_SEPARATORS}]|[^\\x00-\\x7f\\s]")
 
 
-def _read_regular(text, memo):
-    """The rows of a regular table in one ``np.loadtxt`` call, else None.
+def _bad_line(path, lines):
+    """The ``DataError`` naming the first line outside the grammar, else None.
 
-    Regular means leading ``#`` lines, the column header, then only data
-    rows.  ``loadtxt`` then accepts no cell that ``float`` rejects and
-    rounds every cell to the same float, so the result is the line
-    reader's.  Rows the memo holds for this text replace the parse; parsed
-    rows that pass are handed to the memo to store.
+    Only refused text is walked, in file order: a blank line, a ``#`` line
+    after the leading ones, a ragged row, a cell ``float`` cannot read (with
+    its message), then a ``_``, non-ASCII digit or separator; failing those,
+    the first row with a non-finite cell.
     """
-    if any(sep in text for sep in _SEPARATORS):
-        return None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the newline that ends the last line
-    head = 0
-    while head < len(lines) and lines[head].startswith("#"):
-        head += 1
-    header = lines[head].strip() if head < len(lines) else ""
-    body = lines[head + 1 :]
-    # The line reader takes no blank or indented ``#`` line as the header;
-    # loadtxt skips empty lines, and warns when nothing else is left.
-    if not header or header.startswith("#") or not body or "" in body:
-        return None
-    names = header.split(",")
-    shape = (len(body), len(names))
-    rows = memo.load(shape)
-    parsed = rows is None
-    if parsed:
+    names = non_finite = None
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if names is None and line.startswith("#"):
+            continue  # a leading ``# key: value`` line
+        if not stripped or stripped.startswith("#"):
+            kind = "stray '#'" if stripped else "blank"
+            return DataError(f"{path}: {kind} line at line {lineno}")
+        cells = stripped.split(",")
+        if names is None:
+            names = cells
+            continue
+        if len(cells) != len(names):
+            return DataError(f"{path}: ragged row at line {lineno}")
         try:
-            rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            return None
-    if rows.shape != shape or not np.isfinite(rows).all():
-        return None
-    if parsed:
-        memo.parsed = rows
-    meta = dict(_meta_entry(line) for line in lines[:head])
-    return Table(meta, names, rows, list(range(head + 2, head + 2 + len(body))))
+            values = list(map(float, cells))
+        except ValueError as exc:
+            return DataError(f"{path}: bad value at line {lineno}: {exc}")
+        if unread := _UNREAD.search(line):
+            return DataError(f"{path}: bad value at line {lineno}: {unread.group()!r} in a number")
+        if non_finite is None and not all(map(math.isfinite, values)):
+            non_finite = lineno
+    if non_finite is not None:
+        return DataError(f"{path}: non-finite value at line {non_finite}")
+    return None
 
 
-def _meta_entry(line):
-    """(key, value) of a ``# key: value`` line."""
-    key, _, value = line[1:].partition(":")
-    return key.strip(), value.strip()
-
-
-def _read_lines(path, lines):
-    """Parse ``lines`` one at a time: every table, and every error message."""
-    meta, names, rows, row_lines = {}, None, [], []
+def _undecodable(path, raw):
+    """The ``DataError`` of a table that does not decode: its first bad line
+    wholly before the first undecodable byte, else ``not a text table``."""
     try:
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, value = _meta_entry(line)
-                meta[key] = value
-                continue
-            cells = line.split(",")
-            if names is None:
-                names = cells
-                continue
-            if len(cells) != len(names):
-                raise DataError(f"{path}: ragged row at line {lineno}")
-            try:
-                rows.append(list(map(float, cells)))
-            except ValueError as exc:
-                raise DataError(f"{path}: bad value at line {lineno}: {exc}") from exc
-            row_lines.append(lineno)
+        # Decoded at once in ``open``'s encoding, for the byte's offset in the file.
+        raw.decode(io.TextIOWrapper(io.BytesIO()).encoding)
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not a text table: {exc}") from exc
-    if names is None:
-        raise DataError(f"{path}: no column header")
-    rows = np.array(rows, dtype=float).reshape(len(row_lines), len(names))
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        raise DataError(f"{path}: non-finite value at line {row_lines[np.argmin(finite)]}")
-    return Table(meta, names, rows, row_lines)
+        # The last line runs on into the undecodable byte.
+        lines = io.TextIOWrapper(io.BytesIO(raw[: exc.start])).read().split("\n")[:-1]
+        return _bad_line(path, lines) or DataError(f"{path}: not a text table: {exc}")
 
 
 # --- trace tables -----------------------------------------------------------
@@ -310,7 +309,7 @@ def _check_time_column(path, table):
     for i, annotator in enumerate(annotators):
         if annotator in annotators[:i]:
             raise DataError(f"{path}: duplicate annotator id {reprlib.repr(annotator)}")
-    if len(table.lines) < 2:
+    if len(table.rows) < 2:
         raise DataError(f"{path}: need at least two rows to infer the period")
     with np.errstate(over="ignore", invalid="ignore"):
         steps = np.diff(table.rows[:, 0])
@@ -318,10 +317,10 @@ def _check_time_column(path, table):
         # Written so that a step that overflows to inf also counts as off.
         off = ~(np.abs(steps - period) <= TIME_TOLERANCE * period)
     if period <= 0:
-        raise DataError(f"{path}: non-increasing time at line {table.lines[1]}")
+        raise DataError(f"{path}: non-increasing time at line {table.first_line + 1}")
     if off.any():
         raise DataError(f"{path}: non-uniform time step at line "
-                        f"{table.lines[np.argmax(off) + 1]}")
+                        f"{table.first_line + 1 + np.argmax(off)}")
 
 
 # --- feature tables ---------------------------------------------------------
@@ -342,7 +341,7 @@ def load_feature_table(path, digest=None):
 def _check_feature_table(path, table):
     """Refuse a feature table of another format or without rows."""
     _check_format_version(path, table)
-    if not table.lines:
+    if not len(table.rows):
         raise DataError(f"{path}: no feature rows")
 
 

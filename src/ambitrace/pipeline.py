@@ -231,10 +231,10 @@ def _train_fold(args):
     return results
 
 
-def run_train_eval(manifest_path, tag, targets, out_dir, jobs, seed):
+def run_train_eval(manifest: ExperimentManifest, manifest_path, tag, targets, out_dir, jobs):
     """Per-fold training and evaluation; writes fold files and a summary.
 
-    ``seed`` replaces the model seed unless None (see ``data_io.load_manifest``).
+    ``manifest`` was read from ``manifest_path``, which split errors name.
     Evaluation is computed per validation sequence and averaged across
     sequences within a fold, then mean +/- std across folds.
     """
@@ -242,7 +242,6 @@ def run_train_eval(manifest_path, tag, targets, out_dir, jobs, seed):
     # after the inputs are read, it raised the peak RSS by 0.8 MiB (train_eval inputs).
     from .model import TrainingError, save_checkpoint
 
-    manifest = data_io.load_manifest(manifest_path, seed)
     # Built first: a split the items cannot fill reads no table.
     try:
         folds = make_splits([(it.item_id, it.group) for it in manifest.dataset.items],

@@ -338,7 +338,7 @@ def test_manifest_path_loads_no_numpy(workspace):
 
 @pytest.mark.parametrize("case, exit_code", [
     ("report", 0), ("report --out", 0), ("--help", 0), ("usage error", 2),
-    ("malformed manifest", 2), ("non-empty --out synth", 2),
+    ("malformed manifest", 2), ("malformed manifest train-eval", 2), ("non-empty --out synth", 2),
     ("non-empty --out represent", 2), ("non-empty --out train-eval", 2),
 ])
 def test_commands_that_compute_nothing_load_no_numpy(workspace, runs, tmp_path, case,
@@ -358,6 +358,8 @@ def test_commands_that_compute_nothing_load_no_numpy(workspace, runs, tmp_path, 
                         "--out", tmp_path / "rep"],
         "malformed manifest": ["represent", "--manifest", tmp_path / "bad.json", "--tag", "I",
                                "--out", tmp_path / "rep"],
+        "malformed manifest train-eval": ["train-eval", "--manifest", tmp_path / "bad.json",
+                                          "--tag", "I", "--out", tmp_path / "run"],
         "non-empty --out synth": ["synth", "--config", cfg, "--out", full],
         "non-empty --out represent": ["represent", "--manifest", manifest, "--tag", "I",
                                       "--out", full],

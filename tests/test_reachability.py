@@ -61,7 +61,8 @@ def package_imported_anew():
 
 
 def run_chain(root):
-    """synth, represent, train-eval and report, one checkpoint reload and one bad manifest."""
+    """synth, represent, train-eval and report, one checkpoint reload, one bad manifest
+    and one bad table."""
     main = importlib.import_module("ambitrace.cli").main
 
     def cli(*args, exit_code=0):
@@ -72,9 +73,6 @@ def run_chain(root):
     config.write_text(json.dumps(SYNTH))
     data = root / "data"
     cli("synth", "--config", config, "--out", data)
-    # A trailing blank line sends this table through the line reader.
-    with open(data / "features" / "item000.csv", "a") as fh:
-        fh.write("\n")
     manifest = data / "manifest.json"
     for tag in ("I", "O_I", "O_G"):
         cli("represent", "--manifest", manifest, "--tag", tag, "--out", root / f"rep_{tag}")
@@ -91,6 +89,12 @@ def run_chain(root):
     bad = data / "bad.json"
     bad.write_text(json.dumps(dict(doc, train=dict(doc["train"], max_epoch=2))))
     cli("train-eval", "--manifest", bad, "--tag", "I", "--out", root / "bad", exit_code=2)
+    # A bad cell ahead of an undecodable byte: the line walk names the cell.
+    (data / "traces" / "damaged.csv").write_bytes(b"time_s,ann0\n0,x\n1,\xff\n")
+    items = [dict(doc["dataset"]["items"][0], trace_file="traces/damaged.csv")]
+    damaged = data / "damaged.json"
+    damaged.write_text(json.dumps(dict(doc, dataset=dict(doc["dataset"], items=items))))
+    cli("represent", "--manifest", damaged, "--tag", "I", "--out", root / "damaged", exit_code=2)
 
 
 def test_every_package_function_is_called_by_the_commands(tmp_path):

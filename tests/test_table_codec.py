@@ -1,6 +1,8 @@
 """The one table codec: byte identity with the per-kind writers it replaced,
-a reader that returns what the line-by-line reader it replaced returns, and
-malformed input that always ends in a DataError."""
+a reader that returns what the line-by-line reader it replaced returns on
+text in the grammar ``write_table`` writes, and malformed input that always
+ends in a DataError naming the file and, where there is one, its first bad
+line."""
 
 import contextlib
 import json
@@ -9,6 +11,7 @@ import re
 import shutil
 import warnings
 from dataclasses import asdict
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ambitrace import dataset, pipeline, representations
+from ambitrace import data_io, dataset, pipeline, representations
 from ambitrace.data_io import DataError
 from ambitrace.dataset import (
     SynthConfig,
@@ -106,10 +109,19 @@ def ref_summary_table(tag, summary_rows):
 
 # --- reference reader -------------------------------------------------------
 # ``read_table`` as it was before regular tables were parsed in one array
-# call, kept as the reference for every value and every error message.
+# call, kept as the reference for every value and every error message on
+# text in the grammar.  It reads a wider grammar: ``#`` and blank lines
+# anywhere, and cells such as ``1_0`` that ``float`` reads and numpy does not.
 
 
-def ref_read_table(path) -> Table:
+class RefTable(NamedTuple):
+    meta: dict
+    names: list
+    rows: np.ndarray
+    lines: list  # the 1-based file line of each row
+
+
+def ref_read_table(path) -> RefTable:
     """Read a table written by ``write_table``; every cell must be a finite float.
 
     ``#`` lines anywhere are header metadata and blank lines are skipped.
@@ -146,7 +158,7 @@ def ref_read_table(path) -> Table:
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise DataError(f"{path}: non-finite value at line {lines[np.argmin(finite)]}")
-    return Table(meta, names, rows, lines)
+    return RefTable(meta, names, rows, lines)
 
 
 def read_outcome(read, path):
@@ -164,8 +176,54 @@ def memo_entries(path):
     return [e for e in os.listdir(memo) if e.startswith(name + ".")] if os.path.isdir(memo) else []
 
 
+def first_stray_line(path):
+    """The 1-based line of the first form outside the grammar that the reference
+    reads, else None; None too when the reference refuses a row before one.
+
+    Those forms: a blank line; a ``#`` line after the leading ones, or
+    indented; and, in a row the reference reads, a cell that ``np.loadtxt``
+    does not read, or one of the separators it would skip as whitespace.
+    """
+    try:
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        return None
+    if lines[-1] == "":
+        lines.pop()
+    head = 0
+    while head < len(lines) and lines[head].startswith("#"):
+        head += 1
+    names = None
+    for lineno, line in enumerate(lines[head:], start=head + 1):
+        if not line.strip() or line.strip().startswith("#"):
+            return lineno
+        cells = line.strip().split(",")
+        if names is None:
+            names = cells
+            continue
+        if len(cells) != len(names):
+            return None  # the reference refuses this row
+        try:
+            list(map(float, cells))
+        except ValueError:
+            return None  # and this one
+        try:
+            np.loadtxt([line], delimiter=",", comments=None)
+        except ValueError:
+            return lineno
+        if any(sep in line for sep in "\x1c\x1d\x1e\x1f"):
+            return lineno
+    return None
+
+
 def assert_same_outcome(path):
-    """``read_table`` gives the reference's outcome with the memo missing, then hitting."""
+    """``read_table`` gives the reference's outcome with the memo missing, then hitting.
+
+    Where the text holds a form outside the grammar that the reference reads
+    (see ``first_stray_line``), the outcome is a ``DataError`` naming that
+    form's first line.
+    """
     ref = read_outcome(ref_read_table, path)
     shutil.rmtree(os.path.join(os.path.dirname(path), dataset.MEMO_DIR), ignore_errors=True)
     missing = read_outcome(read_table, path)
@@ -175,13 +233,20 @@ def assert_same_outcome(path):
     no_parse = mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed on a hit"))
     with no_parse if entries else contextlib.nullcontext():
         hitting = read_outcome(read_table, path)
+    stray = first_stray_line(path)
+    if stray is not None:
+        assert missing == hitting and isinstance(missing, str), missing
+        assert re.match(rf"{re.escape(str(path))}: .* at line {stray}(:|$)", missing), missing
+        assert not entries
+        return
     if isinstance(ref, str):
         assert missing == hitting == ref
         assert not entries  # a table that fails is never memoized
         return
     for new in (missing, hitting):
         assert isinstance(new, Table)
-        assert (new.meta, new.names, new.lines) == (ref.meta, ref.names, ref.lines)
+        assert (new.meta, new.names) == (ref.meta, ref.names)
+        assert list(range(new.first_line, new.first_line + len(new.rows))) == ref.lines
         assert new.rows.dtype == ref.rows.dtype and new.rows.shape == ref.rows.shape
         assert new.rows.tobytes() == ref.rows.tobytes()
 
@@ -264,7 +329,7 @@ class TestReadTable:
         assert table.meta == {"format_version": "1", "k": "v"}
         assert table.names == ["a", "b"]
         np.testing.assert_array_equal(table.rows, values)
-        assert table.lines == [4, 5, 6, 7, 8, 9]
+        assert table.first_line == 4
 
     def test_empty_table_keeps_its_width(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -273,10 +338,10 @@ class TestReadTable:
 
     @pytest.mark.parametrize("text, message", [
         ("# only: meta\n", "no column header"),
-        ("a,b\n1,2\n\n3\n", "ragged row at line 4"),
+        ("a,b\n1,2\n3\n", "ragged row at line 3"),
         ("a,b\n1,2\n3,x\n", "bad value at line 3"),
         ("a,b\n1,2\n3,\n", "bad value at line 3"),
-        ("a,b\n#c\n1,inf\n", "non-finite value at line 3"),
+        ("# c: d\na,b\n1,inf\n", "non-finite value at line 3"),
         ("a,b\n1,2\n3,nan\n", "non-finite value at line 3"),
         # numpy's parser would skip the separator as whitespace; float does not.
         ("a,b\n1\x1c,2\n", "bad value at line 2"),
@@ -290,15 +355,7 @@ class TestReadTable:
         assert_same_outcome(path)
 
     @pytest.mark.parametrize("text", [
-        "a,b\n1_0,2\n3,4\n",
-        "a\n\u0661\n\uff12\n1e1_0\n",
-        "# k: v\na,b\n1,2\n\n3,4\n",
-        "a,b\n1,2\n# late: meta\n3,4\n",
         "a,b\r\n1,2\r\n3,4\r\n",
-        "a,b\n\x1c1,2\x1f\n",
-        "  # k: v\n1\n2\n",
-        "# k: v\n\n1\n2\n",
-        "a,b\n\n\n",
         "a,b\n1,2",
         "a,b\n",
     ])
@@ -310,9 +367,31 @@ class TestReadTable:
             assert isinstance(read_table(path), Table)
         assert_same_outcome(path)
 
+    # Forms the line-by-line reader read and ``write_table`` never writes.
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1_0,2\n3,4\n", "bad value at line 2: '_' in a number"),
+        ("a\n\u0661\n\uff12\n1e1_0\n", "bad value at line 2: '\u0661' in a number"),
+        ("# k: v\na,b\n1,2\n\n3,4\n", "blank line at line 4"),
+        ("a,b\n1,2\n# late: meta\n3,4\n", "stray '#' line at line 3"),
+        ("a,b\n\x1c1,2\x1f\n", "bad value at line 2: '\\x1c' in a number"),
+        ("  # k: v\n1\n2\n", "stray '#' line at line 1"),
+        ("# k: v\n\n1\n2\n", "blank line at line 2"),
+        ("a,b\n\n\n", "blank line at line 2"),
+    ])
+    def test_forms_outside_the_grammar_are_refused(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert isinstance(ref_read_table(path), RefTable)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as exc:
+                read_table(path)
+        assert str(exc.value) == f"{path}: {message}"
+        assert_same_outcome(path)
+
     def test_regular_table_takes_the_array_parse(self, tmp_path, monkeypatch):
-        # A reader that always fell back to the line loop would pass every
-        # other test and lose the speed-up.
+        # A reader that walked every table's lines would pass every other
+        # test and lose the speed-up.
         rng = np.random.default_rng(6)
         annotators = [f"ann{m}" for m in range(5)]
         matrix = np.stack([rng.uniform(-1, 1, size=8350) for _ in range(5)])
@@ -321,13 +400,16 @@ class TestReadTable:
         ref = ref_read_table(path)
 
         def refuse(path, lines):
-            raise AssertionError("the line reader ran on a regular table")
+            raise AssertionError("the error walk ran on a valid table")
 
-        monkeypatch.setattr(dataset, "_read_lines", refuse)
-        table = read_table(path)
+        monkeypatch.setattr(dataset, "_bad_line", refuse)
+        monkeypatch.setattr(dataset, "_undecodable", refuse)
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            table = read_table(path)
+        assert loadtxt.call_count == 1
         assert table.rows.shape == (8350, 6)
         assert table.rows.tobytes() == ref.rows.tobytes()
-        assert (table.meta, table.names, table.lines) == (ref.meta, ref.names, ref.lines)
+        assert (table.meta, table.names, table.first_line) == (ref.meta, ref.names, ref.lines[0])
         assert load_trace_table(path)[0] == annotators
 
     def test_undecodable_bytes(self, tmp_path):
@@ -347,14 +429,64 @@ class TestReadTable:
             read_table(path)
         assert_same_outcome(path)
 
+    @pytest.mark.parametrize("raw, message", [
+        # In the bad byte's own decode chunk: the line reader said "not a text table".
+        (b"a,b\n1,x\n1,2\n1,\xff\n",
+         "bad value at line 2: could not convert string to float: 'x'"),
+        (b"a,b\n1,2\n\n1,\xff\n", "blank line at line 3"),
+        (b"a,b\n1,inf\n1,\xff\n", "non-finite value at line 2"),
+        # Only lines wholly before the bad byte are checked.
+        (b"a,b\n1,x\xff\n", "not a text table: 'utf-8' codec can't decode byte 0xff in "
+                             "position 7: invalid start byte"),
+        (b"# k: v\n\xff\n", "not a text table: 'utf-8' codec can't decode byte 0xff in "
+                           "position 7: invalid start byte"),
+    ])
+    def test_first_bad_line_before_undecodable_bytes(self, tmp_path, raw, message):
+        path = tmp_path / "t.csv"
+        path.write_bytes(raw)
+        with pytest.raises(DataError) as exc:
+            read_table(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_written_tables_take_the_array_parse(self, tmp_path, monkeypatch):
+        # Every numeric table synth and represent write: traces, features and
+        # latents, then I, O_I, O_G and Beta I tables.
+        (tmp_path / "synth.json").write_text(json.dumps({"items": 4, "groups": 2, "seed": 7}))
+        for name in ("data", "I", "O_I", "O_G", "beta"):
+            (tmp_path / name).mkdir()
+        manifest = pipeline.run_synth(tmp_path / "synth.json", tmp_path / "data")
+        for tag in ("I", "O_I", "O_G"):
+            pipeline.run_represent(manifest, tag, tmp_path / tag)
+        doc = json.loads((tmp_path / "data" / "manifest.json").read_text())
+        doc["representation"]["family"] = "beta_mapped"
+        doc["dataset"]["bounds"] = [-10.0, 10.0]
+        (tmp_path / "data" / "beta.json").write_text(json.dumps(doc))
+        beta = data_io.load_manifest(tmp_path / "data" / "beta.json")
+        pipeline.run_represent(beta, "I", tmp_path / "beta")
+        shutil.rmtree(tmp_path / "data" / "traces" / dataset.MEMO_DIR)
+        shutil.rmtree(tmp_path / "data" / "features" / dataset.MEMO_DIR)
+        tables = [p for p in sorted(tmp_path.rglob("*.csv")) if not p.name.startswith("summary_")]
+        assert len(tables) == 3 * 4 + 4 * 4
+        assert "# family: beta_mapped" in (tmp_path / "beta" / "I_item000.csv").read_text()
+
+        def refuse(path, lines):
+            raise AssertionError(f"the error walk ran on {path}")
+
+        monkeypatch.setattr(dataset, "_bad_line", refuse)
+        monkeypatch.setattr(dataset, "_undecodable", refuse)
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            for path in tables:
+                assert read_table(path).rows.shape[0] > 0
+        assert loadtxt.call_count == len(tables)
+
 
 # --- fuzzing ----------------------------------------------------------------
 
 # ``1_0``, ``1e1_0`` and the non-ASCII digits are floats to ``float`` but not
 # to numpy's parser; ``\x1c`` is whitespace to numpy's parser but not to
-# ``float``.
+# ``float``; non-ASCII whitespace is whitespace to both.
 TOKENS = ["", " ", "abc", "nan", "inf", "-inf", "1e308", "-1e308", "0", "#", "1,2",
-          "1_0", "1e1_0", "\u0661", "\uff11", " 1", "1 ", "\t", "1\x1c"]
+          "1_0", "1e1_0", "\u0661", "\uff11", " 1", "1 ", "\t", "1\x1c", "\u00a01", "1\u3000"]
 
 mutation = st.tuples(st.sampled_from(["drop", "replace", "insert", "header", "row", "blank",
                                       "meta"]),
@@ -402,7 +534,8 @@ def mangled_tables(draw):
 
 
 def check_table(table):
-    assert table.rows.shape == (len(table.lines), len(table.names))
+    assert table.rows.ndim == 2 and table.rows.shape[1] == len(table.names)
+    assert table.first_line >= 2
     assert np.all(np.isfinite(table.rows))
 
 
