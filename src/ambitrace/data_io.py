@@ -71,7 +71,7 @@ def _ratio_as_int(numerator, denominator, what):
     ratio = numerator / denominator
     k = int(round(ratio))
     if abs(ratio - k) > 1e-9 * abs(ratio):
-        raise ValueError(f"{what}: {numerator} is not a whole multiple of {denominator}")
+        raise DataError(f"{what}: {numerator} is not a whole multiple of {denominator}")
     return k
 
 
@@ -280,12 +280,12 @@ class DatasetConfig:
                     "a finite number > 0")
         _check_real("delay_offset", self.delay_offset, lambda v: 0 <= v < math.inf,
                     "a finite number >= 0")
-        # Windows and the delay shift are whole numbers of native samples.
-        try:
-            _ratio_as_int(self.window_length, self.native_period, "window_length")
-            _ratio_as_int(self.delay_offset, self.native_period, "delay_offset")
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
+        # Windows and the delay shift are whole numbers of native samples.  The
+        # counts are attributes, not fields: ``asdict`` gives the hashed section.
+        self.samples_per_window = _ratio_as_int(self.window_length, self.native_period,
+                                                "window_length")
+        self.delay_samples = _ratio_as_int(self.delay_offset, self.native_period,
+                                           "delay_offset")
         if self.keep_first is not None:
             _check_int("keep_first", self.keep_first, 1)
         if not isinstance(self.name, str):
@@ -299,10 +299,6 @@ class DatasetConfig:
             if not hi > lo:
                 raise DataError("bounds: must satisfy hi > lo")
             self.bounds = (lo, hi)
-
-    @property
-    def samples_per_window(self) -> int:
-        return int(round(self.window_length / self.native_period))
 
 
 @dataclass

@@ -504,7 +504,9 @@ def synth_generate(cfg: SynthConfig):
 def prepare_item(manifest: ExperimentManifest, item: ItemEntry, digest=None):
     """Load one item and run the label pipeline; returns (TraceSet, features).
 
-    The trace table's time step must equal ``dataset.native_period``.
+    The trace table's time step must equal ``dataset.native_period``, it
+    must hold the delay shift plus one window, and with ``dataset.bounds``
+    every sample must lie within them, the samples the shift drops too.
     Labels are delay-shifted at native rate, windowed, and cut to
     ``dataset.keep_first`` windows; trailing feature windows beyond the
     label length are dropped (they correspond to the stimulus frames
@@ -517,13 +519,18 @@ def prepare_item(manifest: ExperimentManifest, item: ItemEntry, digest=None):
     if abs(period - ds.native_period) > TIME_TOLERANCE * ds.native_period:
         raise DataError(f"{trace_path}: time step {period:.12g} s does not match "
                         f"dataset.native_period {ds.native_period:.12g} s")
+    if matrix.shape[1] < ds.delay_samples + ds.samples_per_window:
+        raise DataError(f"{trace_path}: {max(0, matrix.shape[1] - ds.delay_samples)} samples "
+                        f"after the {ds.delay_offset:g} s delay shift, fewer than one "
+                        f"{ds.window_length:g} s window ({ds.samples_per_window} samples)")
+    if ds.bounds is not None:
+        lo, hi = ds.bounds
+        outside = ((matrix < lo) | (matrix > hi)).any(axis=1)
+        if outside.any():
+            raise DataError(f"{trace_path}: trace {annotators[np.argmax(outside)]!r} has "
+                            f"values outside bounds")
+    windowed = window_aggregate(shift_delay(matrix, ds.delay_samples), ds.samples_per_window)
     try:
-        shifted = shift_delay(matrix, ds.native_period, ds.delay_offset)
-        if shifted.shape[1] < ds.samples_per_window:
-            raise ValueError(f"{shifted.shape[1]} samples after the {ds.delay_offset:g} s "
-                             f"delay shift, fewer than one {ds.window_length:g} s window "
-                             f"({ds.samples_per_window} samples)")
-        windowed = window_aggregate(shifted, ds.native_period, ds.window_length)
         trace_set = TraceSet(annotators, windowed[:, : ds.keep_first], ds.bounds)
     except ValueError as exc:
         raise DataError(f"{trace_path}: {exc}") from exc

@@ -42,13 +42,10 @@ from .representations import (
 
 def compute_representation(trace_set, tag, rep: data_io.RepresentationConfig):
     """The requested representation sequence for one item."""
-    if tag == TAG_INTERVAL:
-        return interval_representation(trace_set, rep.family, rep.neighbor_radius)
     if tag == TAG_INDIVIDUAL:
         return individual_ordinal(trace_set, rep.neighbor_radius)
-    if tag == TAG_GROUP:
-        return group_ordinal(interval_representation(trace_set, rep.family, rep.neighbor_radius))
-    raise ValueError(f"unknown representation tag {tag!r}")
+    interval = interval_representation(trace_set, rep.family, rep.neighbor_radius)
+    return group_ordinal(interval) if tag == TAG_GROUP else interval
 
 
 # --- synth ------------------------------------------------------------------

@@ -80,8 +80,6 @@ def pool_windows(matrix, radius):
     padding or reflection in the fit: the returned mask of the same shape
     marks which cells of each row are samples.
     """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
     matrix = np.asarray(matrix, dtype=float)
     annotators, n = matrix.shape
     index = np.arange(n)[:, None] + np.arange(-radius, radius + 1)
@@ -215,22 +213,19 @@ def fit_beta(samples, bounds, where=None) -> WindowFits:
     Reduces over the last axis, one fit per row; ``where`` marks the
     cells that are samples (all of them by default).  Samples are
     mapped linearly to [0, 1] and clamped away from the support edges
-    (exact 0/1 has infinite negative log-likelihood).  (alpha, beta)
-    solve the digamma score equations by Newton iteration from a
-    method-of-moments start; where Newton does not converge the moment
-    estimate is kept and counted in ``beta_fallbacks``.  mu/sigma are
-    reported back in original trace units.
+    (exact 0/1 has infinite negative log-likelihood), as is a window mean
+    that rounds just past a bound; ``prepare_item`` checks the raw samples
+    against ``bounds``.  (alpha, beta) solve the digamma score equations by
+    Newton iteration from a method-of-moments start; where Newton does not
+    converge the moment estimate is kept and counted in ``beta_fallbacks``.
+    mu/sigma are reported back in original trace units.
     """
     lo, hi = bounds
-    if not hi > lo:
-        raise FitError("bounds must satisfy hi > lo")
     x, valid, lead = _rows(samples, where)
     u = np.clip((x - lo) / (hi - lo), BETA_CLAMP_EPS, 1.0 - BETA_CLAMP_EPS)
     spread = (np.max(u, axis=-1, where=valid, initial=-np.inf)
               - np.min(u, axis=-1, where=valid, initial=np.inf))
     _raise_first_failure(_sample_checks(x, valid) + [
-        (np.any(((x < lo) | (x > hi)) & valid, axis=-1),
-         "samples outside the declared bounds"),
         (spread == 0.0, "all samples identical after clamping; widen the pool"),
     ], lead)
 
@@ -260,16 +255,13 @@ def fit_beta(samples, bounds, where=None) -> WindowFits:
 def interval_representation(
     trace_set: TraceSet, family: str = GAUSSIAN, neighbor_radius: int = 1
 ) -> WindowFits:
-    """Fit the chosen family per window over neighbor-pooled annotations."""
-    if family == BETA_MAPPED and trace_set.bounds is None:
-        raise ValueError("Beta fitting requires the TraceSet to declare bounds")
+    """Fit the chosen family per window over neighbor-pooled annotations;
+    the Beta family within ``trace_set.bounds``."""
     pooled, valid = pool_windows(trace_set.matrix, neighbor_radius)
-    if family == GAUSSIAN:
-        fits = fit_gaussian(pooled, where=valid)
-    elif family == BETA_MAPPED:
+    if family == BETA_MAPPED:
         fits = fit_beta(pooled, trace_set.bounds, where=valid)
     else:
-        raise ValueError(f"unknown distribution family {family!r}")
+        fits = fit_gaussian(pooled, where=valid)
     return replace(fits, neighbor_radius=neighbor_radius, tag=TAG_INTERVAL)
 
 
@@ -279,8 +271,6 @@ def individual_ordinal(trace_set: TraceSet, neighbor_radius: int = 1) -> WindowF
     Gradients are always summarized with the Gaussian family: they are
     sign-symmetric around zero and not confined to a bounded support.
     """
-    if trace_set.window_count < 2:
-        raise ValueError("need at least two windows to differentiate")
     pooled, valid = pool_windows(central_difference(trace_set.matrix), neighbor_radius)
     return replace(fit_gaussian(pooled, where=valid),
                    neighbor_radius=neighbor_radius, tag=TAG_INDIVIDUAL)
@@ -288,8 +278,6 @@ def individual_ordinal(trace_set: TraceSet, neighbor_radius: int = 1) -> WindowF
 
 def group_ordinal(interval: WindowFits) -> WindowFits:
     """Rates of change of the interval representation's mu and sigma."""
-    if len(interval) < 2:
-        raise ValueError("need at least two windows to differentiate")
     return WindowFits(mu=central_difference(interval.mu),
                       sigma=central_difference(interval.sigma), family="-", tag=TAG_GROUP)
 

@@ -2,8 +2,10 @@
 
 A trace set is one (annotators, windows) matrix.  Windowing, delay
 compensation and central differencing act along the last axis, so each
-takes one annotator's 1-D trace or a whole matrix alike.  All functions
-here are pure; no global state.
+takes one annotator's 1-D trace or a whole matrix alike.  They work in
+samples: ``DatasetConfig`` turns the manifest's seconds into sample counts,
+and ``prepare_item`` checks a trace against them before it is shifted and
+windowed.  All functions here are pure; no global state.
 """
 
 from __future__ import annotations
@@ -12,15 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import _ratio_as_int
-
 
 @dataclass
 class TraceSet:
     """Per-window traces of several annotators: one ``matrix`` row per id.
 
-    ``bounds`` declares a closed value range (e.g. (-1, 1)) for bounded
-    annotation protocols; leave it ``None`` for unbounded traces.
+    ``bounds`` is the closed value range (e.g. (-1, 1)) of a bounded
+    annotation protocol, else ``None``; it is data for the Beta fit, checked
+    against the raw samples by ``prepare_item``, not here.
     """
 
     annotators: list[str]
@@ -42,55 +43,35 @@ class TraceSet:
         if not finite.all():
             raise ValueError(f"trace {self.annotators[np.argmin(finite)]!r} has "
                              f"non-finite values")
-        if self.bounds is not None:
-            lo, hi = self.bounds
-            if not hi > lo:
-                raise ValueError("bounds must satisfy hi > lo")
-            outside = ((self.matrix < lo) | (self.matrix > hi)).any(axis=1)
-            if outside.any():
-                raise ValueError(
-                    f"trace {self.annotators[np.argmax(outside)]!r} has values outside bounds"
-                )
 
     @property
     def window_count(self) -> int:
         return self.matrix.shape[1]
 
 
-def window_aggregate(raw, native_period, window_length):
-    """Average consecutive samples along the last axis into fixed-length windows.
+def window_aggregate(raw, samples_per_window):
+    """Average each ``samples_per_window`` consecutive samples along the last axis.
 
     A trailing partial window is discarded.  Returns one mean per full
     window; fewer samples than one window is an error.
     """
     raw = np.asarray(raw, dtype=float)
-    if native_period <= 0 or window_length <= 0:
-        raise ValueError("periods must be positive")
-    if window_length < native_period:
-        raise ValueError("window_length must be at least native_period")
-    k = _ratio_as_int(window_length, native_period, "window/native period")
-    n_windows = raw.shape[-1] // k
+    n_windows = raw.shape[-1] // samples_per_window
     if n_windows == 0:
-        raise ValueError(f"{raw.shape[-1]} samples, fewer than one window of {k}")
-    return raw[..., : n_windows * k].reshape(*raw.shape[:-1], n_windows, k).mean(axis=-1)
+        raise ValueError(f"{raw.shape[-1]} samples, fewer than one window of "
+                         f"{samples_per_window}")
+    return raw[..., : n_windows * samples_per_window].reshape(
+        *raw.shape[:-1], n_windows, samples_per_window).mean(axis=-1)
 
 
-def shift_delay(raw, native_period, offset):
-    """Compensate annotation lag by dropping the first ``offset`` seconds.
+def shift_delay(raw, delay_samples):
+    """Compensate annotation lag by dropping the first ``delay_samples`` samples.
 
     Acts along the last axis and returns a view of ``raw``.  Only the
     label side is shifted; the caller is responsible for discarding the
     matching trailing stimulus frames.
     """
-    raw = np.asarray(raw, dtype=float)
-    if native_period <= 0:
-        raise ValueError("native_period must be positive")
-    if offset < 0:
-        raise ValueError("offset must be non-negative")
-    k = _ratio_as_int(offset, native_period, "offset/native period")
-    if k >= raw.shape[-1]:
-        raise ValueError(f"offset of {k} samples consumes the whole signal")
-    return raw[..., k:]
+    return np.asarray(raw, dtype=float)[..., delay_samples:]
 
 
 def central_difference(values):

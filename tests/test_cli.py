@@ -761,6 +761,7 @@ class TestManifestSections:
         (lambda ds: ds.update(bounds="-9"), "dataset.bounds"),
         (lambda ds: ds.update(bounds=[-1.0, float("inf")]), "dataset.bounds"),
         (lambda ds: ds.update(bounds=[True, 2.0]), "dataset.bounds"),
+        (lambda ds: ds.update(bounds=[1.0, -1.0]), "dataset.bounds: must satisfy hi > lo"),
     ])
     def test_bad_dataset_entry_exits_2(self, workspace, tmp_path, edit, name):
         doc = json.loads((workspace / "data" / "manifest.json").read_text())
@@ -773,6 +774,16 @@ class TestManifestSections:
         assert name in result.output
         assert result.output.count(str(path)) == 1
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_beta_without_bounds_exits_2(self, workspace, tmp_path):
+        path = write_variant_manifest(workspace, "beta_unbounded", "representation", "family",
+                                      "beta_mapped")
+        result = run_cli(["represent", "--manifest", path, "--tag", "I",
+                          "--out", tmp_path / "rep"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (f"error: {path}: representation.family: beta_mapped "
+                                 "requires dataset bounds\n")
+        assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("version", ["banana", 2, 1.0, True, None, "1"])
     def test_format_version_other_than_1_exits_2(self, workspace, tmp_path, version):
@@ -1045,23 +1056,67 @@ class TestLoaderErrors:
                 in result.output)
         assert not (tmp_path / "rep").exists()
 
-    def test_trace_shorter_than_a_window_after_the_shift_exits_2(self, tmp_path):
-        # 120 samples at 40 ms lose 100 to the 4 s shift; a 3 s window needs 75.
-        write_trace_table(tmp_path / "short.csv", ["a", "b"], np.zeros((2, 120)), 0.04)
-        write_feature_table(tmp_path / "short_features.csv", "short", np.zeros((2, 3)),
+    @staticmethod
+    def paper_profile_manifest(root, matrix, **representation):
+        """A one-item manifest at 40 ms samples, 3 s windows and a 4 s delay, whose
+        trace table holds ``matrix``, one row per annotator a, b, c, ..."""
+        annotators = [chr(ord("a") + m) for m in range(len(matrix))]
+        write_trace_table(root / "short.csv", annotators, matrix, 0.04)
+        write_feature_table(root / "short_features.csv", "short", np.zeros((2, 3)),
                             "features")
         doc = {"dataset": {"native_period": 0.04, "window_length": 3.0, "delay_offset": 4.0,
+                           "bounds": [-0.9, 0.9],
                            "items": [{"item_id": "short", "group": "g0",
                                       "trace_file": "short.csv",
                                       "feature_file": "short_features.csv"}]},
-               "representation": {"family": "gaussian"}}
-        path = tmp_path / "short.json"
+               "representation": {"family": "gaussian", **representation}}
+        path = root / "short.json"
         path.write_text(json.dumps(doc))
+        return path
+
+    # 120 samples at 40 ms lose 100 to the 4 s shift; a 3 s window needs 75.
+    # A delay that covers the whole trace leaves 0.
+    @pytest.mark.parametrize("samples, left", [(120, 20), (100, 0), (80, 0)])
+    def test_trace_shorter_than_a_window_after_the_shift_exits_2(self, tmp_path, samples,
+                                                                 left):
+        path = self.paper_profile_manifest(tmp_path, np.zeros((2, samples)))
         result = run_cli(["represent", "--manifest", path, "--tag", "I",
                           "--out", tmp_path / "rep"])
         assert result.exit_code == 2, result.output
-        assert (f"{tmp_path / 'short.csv'}: 20 samples after the 4 s delay shift, fewer "
-                "than one 3 s window (75 samples)") in result.output
+        assert result.stderr == (f"error: {tmp_path / 'short.csv'}: {left} samples after the "
+                                 "4 s delay shift, fewer than one 3 s window (75 samples)\n")
+        assert not (tmp_path / "rep").exists()
+
+    @staticmethod
+    def two_window_traces():
+        """Three annotators' samples for the delay plus two windows, within (-0.5, 0.5)."""
+        return np.random.default_rng(3).uniform(-0.5, 0.5, (3, 100 + 2 * 75))
+
+    def test_window_held_at_a_bound_is_accepted(self, tmp_path):
+        # Annotator a holds hi for all of the first window: every sample is in
+        # bounds, though the window's mean rounds to just past 0.9.
+        matrix = self.two_window_traces()
+        matrix[0, 100:175] = 0.9
+        path = self.paper_profile_manifest(tmp_path, matrix, family="beta_mapped")
+        result = run_cli(["represent", "--manifest", path, "--tag", "I",
+                          "--out", tmp_path / "rep"])
+        assert result.exit_code == 0, result.output
+        _, columns = read_columns(tmp_path / "rep" / "I_short.csv")
+        assert np.all((columns["mu"] > -0.9) & (columns["mu"] < 0.9))
+
+    @pytest.mark.parametrize("annotator, sample, value", [
+        (1, 120, 5.0),   # its window's mean stays within bounds
+        (2, 10, -5.0),   # among the samples the delay shift drops
+    ], ids=["hidden by the window mean", "dropped by the shift"])
+    def test_raw_sample_outside_bounds_exits_2(self, tmp_path, annotator, sample, value):
+        matrix = self.two_window_traces()
+        matrix[annotator, sample] = value
+        path = self.paper_profile_manifest(tmp_path, matrix)
+        result = run_cli(["represent", "--manifest", path, "--tag", "I",
+                          "--out", tmp_path / "rep"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (f"error: {tmp_path / 'short.csv'}: trace "
+                                 f"{'abc'[annotator]!r} has values outside bounds\n")
         assert not (tmp_path / "rep").exists()
 
 

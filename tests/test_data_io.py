@@ -418,6 +418,14 @@ class TestManifest:
         with pytest.raises(DataError, match=f"{field}: {value} is not a whole multiple"):
             DatasetConfig(**settings)
 
+    def test_seconds_become_sample_counts(self):
+        config = DatasetConfig(native_period=0.04, window_length=3.0, delay_offset=4.0,
+                               items=[])
+        assert (config.samples_per_window, config.delay_samples) == (75, 100)
+        # Derived, not fields: the hashed and saved section keeps its keys.
+        assert list(asdict(config)) == ["native_period", "window_length", "items",
+                                        "delay_offset", "keep_first", "bounds", "name"]
+
     @pytest.mark.parametrize("seed", [-1, "x"])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(DataError, match="^seed: expected an integer"):

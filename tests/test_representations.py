@@ -178,10 +178,6 @@ class TestBetaFit:
         with pytest.raises(FitError):
             fit_beta([0.3, 0.3, 0.3], (0.0, 1.0))
 
-    def test_out_of_bounds_errors(self):
-        with pytest.raises(FitError):
-            fit_beta([0.2, 1.4], (0.0, 1.0))
-
 
 class TestIntervalRepresentation:
     def test_constant_traces(self):
@@ -206,11 +202,6 @@ class TestIntervalRepresentation:
             direct = fit_gaussian(matrix[:, n])
             assert rep.mu[n] == direct.mu
             assert rep.sigma[n] == direct.sigma
-
-    def test_beta_requires_bounds(self):
-        ts = make_set(np.random.default_rng(0).uniform(0, 1, size=(3, 4)))
-        with pytest.raises(ValueError):
-            interval_representation(ts, BETA_MAPPED, neighbor_radius=1)
 
     def test_fit_error_names_window(self):
         ts = make_set(np.zeros((3, 4)), bounds=(-1.0, 1.0))
