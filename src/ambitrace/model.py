@@ -14,7 +14,7 @@ memory.  The loss and its gradient, the target scaling and the metrics
 stay in float64.  ``init_params`` returns float64, so the reference tests
 and the gradient check in them run float64 stacks.
 
-The models of one or two folds are trained as one stack of one config:
+The models of several folds are trained as one stack of one config:
 every parameter tensor carries a leading model axis, and the forward pass,
 backward pass, loss and optimizer step each run once for the models whose
 batches share a shape (``_stack_by_shape``, for training steps and
@@ -24,12 +24,14 @@ bit for bit where training it alone would.  A stack's parameters, gradients and
 Adam moments are flat (models, P) buffers with named views, kept in the
 stored form ``_gate_signs`` describes, and its passes reuse one workspace,
 so after the first step a training step allocates no large array.
+``stack_bytes`` bounds what a stack holds, so callers can size stacks.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -115,6 +117,11 @@ def _views(flat, cfg) -> dict[str, np.ndarray]:
     return views
 
 
+def _param_count(cfg) -> int:
+    """P, the length of a flat parameter row."""
+    return sum(math.prod(shape) for shape in _param_shapes(cfg).values())
+
+
 def _gate_signs(cfg) -> np.ndarray:
     """(P,) factors that map a flat parameter row to or from its stored form.
 
@@ -184,46 +191,50 @@ def _layer_forward(inp, params, layer, ws):
     """One LSTM layer over time-major (T, Mx, B, D) inputs; returns its cache.
 
     The input projection runs for all steps before the time loop, into
-    the gate buffer; inside it every step reads and writes contiguous
-    (M, B, ...) blocks.  The gate layout is i, f, g, o; index 0 of ``c``
-    and ``h`` holds the zero initial state.  ``params`` are in stored form,
-    so the sigmoid gates' pre-activations come out negated.  A saturated
-    gate's ``exp`` may overflow (above 88 in float32); 1 / (1 + inf) = 0 is
-    then the exact sigmoid, so the overflow is not reported.
+    the gate buffer.  The gate buffer is model-major, (M, T, B, 4H), so the
+    backward pass forms ``dz`` in place over it.  The gate layout is i, f,
+    g, o; index 0 of ``c`` and ``h`` holds the zero initial state.
+    ``tanh(c)`` is not kept: the backward pass takes it again.  ``params``
+    are in stored form, so the sigmoid gates' pre-activations come out
+    negated.  A saturated gate's ``exp`` may overflow (above 88 in
+    float32); 1 / (1 + inf) = 0 is then the exact sigmoid, so the overflow
+    is not reported.
     """
     T, _, B, _ = inp.shape
     Wx, Wh, b = (params[f"l{layer}.{n}"] for n in ("Wx", "Wh", "b"))
     M, H = Wh.shape[0], Wh.shape[1]
     name = f"l{layer}."
-    gates = ws.get(name + "gates", (T, M, B, 4 * H))
-    np.matmul(inp, Wx, out=gates)
-    gates += b[:, None, :]
+    gates = ws.get(name + "gates", (M, T, B, 4 * H))
+    steps = gates.transpose(1, 0, 2, 3)
+    np.matmul(inp, Wx, out=steps)
+    steps += b[:, None, :]
     c = ws.get(name + "c", (T + 1, M, B, H))
     h = ws.get(name + "h", (T + 1, M, B, H))
     c[0] = 0.0
     h[0] = 0.0
-    tanh_c = ws.get(name + "tanh_c", (T, M, B, H))
     z = ws.get("z", (M, B, 4 * H))
     ig = ws.get("ig", (M, B, H))
-    # Per-gate views over all steps, so each step indexes them once.
-    i, f, g, o = (gates[..., k * H : (k + 1) * H] for k in range(4))
-    z_g = z[..., 2 * H : 3 * H]
+    i, f, g, o = (z[..., k * H : (k + 1) * H] for k in range(4))
     with np.errstate(over="ignore"):
         for t in range(T):
+            # A step's gates are formed in z, whose (M, B, 4H) block is
+            # contiguous, and stored in the cache with one copy; g's tanh
+            # waits in ig while every column of z passes the sigmoid.
             np.matmul(h[t], Wh, out=z)
-            a = gates[t]
-            z += a
-            np.exp(z, out=a)
-            a += 1.0
-            np.reciprocal(a, out=a)
-            g_t, c_t = g[t], c[t + 1]
-            np.tanh(z_g, out=g_t)
-            np.multiply(f[t], c[t], out=c_t)
-            np.multiply(i[t], g_t, out=ig)
+            z += steps[t]
+            np.tanh(g, out=ig)
+            np.exp(z, out=z)
+            z += 1.0
+            np.reciprocal(z, out=z)
+            np.copyto(g, ig)
+            steps[t] = z
+            c_t = c[t + 1]
+            np.multiply(f, c[t], out=c_t)
+            np.multiply(i, g, out=ig)
             c_t += ig
-            np.tanh(c_t, out=tanh_c[t])
-            np.multiply(o[t], tanh_c[t], out=h[t + 1])
-    return {"inp": inp, "gates": gates, "c": c, "h": h, "tanh_c": tanh_c}
+            np.tanh(c_t, out=ig)
+            np.multiply(o, ig, out=h[t + 1])
+    return {"inp": inp, "gates": gates, "c": c, "h": h}
 
 
 def _forward(params, cfg, x, ws):
@@ -270,50 +281,72 @@ def _row_products(a, b, out, part):
 
     (M, N, P) and (M, N, Q) give (M, P, Q), computed in blocks of rows;
     ``part``, of the shape of ``out``, takes each block after the first.
+    The blocks are added as (M, P*Q) rows: on a 3-D view into a flat
+    gradient row, numpy's in-place add would allocate a copy.
     """
     rows = max(1, _MAX_PRODUCT_MACS // (a.shape[2] * b.shape[2]))
     np.matmul(a[:, :rows].transpose(0, 2, 1), b[:, :rows], out=out)
+    total, block = out.reshape(len(out), -1), part.reshape(len(part), -1)
     for start in range(rows, a.shape[1], rows):
         np.matmul(a[:, start : start + rows].transpose(0, 2, 1), b[:, start : start + rows],
                   out=part)
-        out += part
+        total += block
 
 
-def _layer_backward(lc, params, layer, d_out, grads, ws):
+def _dz_factors(lc, spare, tanh_c):
+    """Overwrite a layer's cache with the parts of its ``dz`` known before backprop.
+
+    ``dz = [dc*g*i', dc*c_prev*f', dc*i*g', dh*tanh(c)*o']``; the parts that
+    do not depend on the gradients carried back through time are formed
+    here, in place over the model-major gate buffer, and scaled in place in
+    the time loop.  The stored form's sigmoid' is (s-1)*s, the exact
+    negation of s*(1-s).  ``tanh(c)`` is taken again, into ``tanh_c``, which
+    is left holding the loop's dc/dh factor tanh'(c)*o; the forget gate,
+    which the loop also reads, moves to ``c[1:]`` once ``c`` is dead.
+    ``spare`` and ``tanh_c`` have shape (T, M, B, H).  Each pair of parts
+    reads both of its inputs, so the pair is formed in these two buffers
+    and then copied in; an operation that read one gate's columns into
+    another's would make numpy copy its input.
+    """
+    gates, c = lc["gates"], lc["c"]
+    H = tanh_c.shape[3]
+    i, f, g, o = (gates.transpose(1, 0, 2, 3)[..., k * H : (k + 1) * H] for k in range(4))
+    np.subtract(i, 1.0, out=spare)
+    spare *= i
+    spare *= g
+    np.square(g, out=tanh_c)
+    np.subtract(1.0, tanh_c, out=tanh_c)
+    tanh_c *= i
+    np.copyto(i, spare)
+    np.copyto(g, tanh_c)
+    np.tanh(c[1:], out=tanh_c)
+    np.copyto(spare, f)
+    np.subtract(spare, 1.0, out=f)
+    f *= spare
+    f *= c[:-1]
+    np.copyto(c[1:], spare)
+    np.subtract(o, 1.0, out=spare)
+    spare *= o
+    spare *= tanh_c
+    np.square(tanh_c, out=tanh_c)
+    np.subtract(1.0, tanh_c, out=tanh_c)
+    tanh_c *= o
+    np.copyto(o, spare)
+
+
+def _layer_backward(lc, params, layer, d_out, dc_dh, ws):
     """Backprop through time for one layer, given d loss/d h of shape (T, M, B, H).
 
-    Writes the layer's weight gradients into ``grads`` and returns
-    d loss/d input, or None for the first layer.  The gradients are those
-    of the stored form, so the sigmoid gates' columns come out negated.
-    ``dz`` is kept model-major so the weight gradients after the time loop
-    need no copy of it.  The pass consumes the cache: ``c``, ``tanh_c``
-    and ``gates`` are overwritten.
+    ``lc`` holds what ``_dz_factors`` left of the layer's cache, and
+    ``dc_dh`` the dc/dh factor it formed; the time loop finishes the
+    layer's ``dz`` in place.  Returns d loss/d input, or None for the first
+    layer.
     """
     Wx, Wh = params[f"l{layer}.Wx"], params[f"l{layer}.Wh"]
-    gates, c, h, tanh_c = lc["gates"], lc["c"], lc["h"], lc["tanh_c"]
-    T, M, B, H = tanh_c.shape
-    i, f, g, o = (gates[..., k * H : (k + 1) * H] for k in range(4))
-    # The parts of dz = [dc*g*i', dc*c_prev*f', dc*i*g', dh*tanh_c*o']
-    # that do not depend on the gradients carried back through time, for
-    # all steps at once, written into dz and scaled in place in the time
-    # loop.  The stored form's sigmoid' is (s-1)*s, the exact negation of
-    # s*(1-s); it is taken over all columns at once, and g's are then
-    # overwritten with i*tanh' = i*(1-g**2).  c is dead once f's part is
-    # taken, so tanh' takes its buffer.
-    dz = ws.get("dz", (M, T, B, 4 * H))
+    dz, forget = lc["gates"], lc["c"][1:]
+    M, T, B, H4 = dz.shape
+    H = H4 // 4
     dz_t = dz.transpose(1, 0, 2, 3)
-    np.subtract(gates, 1.0, out=dz_t)
-    dz_t *= gates
-    for k, other in ((0, g), (1, c[:-1]), (3, tanh_c)):
-        dz_t[..., k * H : (k + 1) * H] *= other
-    tanh_g = c[1:]
-    np.square(g, out=tanh_g)
-    np.subtract(1.0, tanh_g, out=tanh_g)
-    np.multiply(tanh_g, i, out=dz_t[..., 2 * H : 3 * H])
-    dc_dh = tanh_c
-    np.square(tanh_c, out=dc_dh)
-    np.subtract(1.0, dc_dh, out=dc_dh)
-    dc_dh *= o
     Wh_T = Wh.transpose(0, 2, 1)
     dh, dc, dh_next, dc_next = (ws.get(n, (M, B, H)) for n in ("dh", "dc", "dh+", "dc+"))
     dh_next[...] = 0.0
@@ -328,52 +361,76 @@ def _layer_backward(lc, params, layer, d_out, grads, ws):
         dc += dc_next
         dz_ifg[t] *= dc_ifg
         dz_o[t] *= dh
-        np.multiply(dc, f[t], out=dc_next)
+        np.multiply(dc, forget[t], out=dc_next)
         np.matmul(dz_t[t], Wh_T, out=dh_next)
-    d_in = None
-    if layer > 0:
-        d_in = ws.get("d_in", (M, T, B, Wx.shape[1]))
-        np.matmul(dz, Wx.transpose(0, 2, 1)[:, None], out=d_in)
-        d_in = d_in.transpose(1, 0, 2, 3)
-    # The weight gradients sum over (t, b) rows within each model.  The
-    # layer's gates and dc_dh are dead now, so the model-major copy of each
-    # input and the product blocks borrow their buffers.
-    dz = dz.reshape(M, T * B, 4 * H)
+    if layer == 0:
+        return None
+    d_in = ws.get("d_in", (M, T, B, Wx.shape[1]))
+    np.matmul(dz, Wx.transpose(0, 2, 1)[:, None], out=d_in)
+    return d_in.transpose(1, 0, 2, 3)
+
+
+def _weight_grads(lc, layer, grads, ws):
+    """Write a layer's weight gradients, from its finished ``dz``, into ``grads``.
+
+    They sum over (t, b) rows within each model, so ``dz`` being
+    model-major needs no copy of it.  The product blocks borrow the layer's
+    dead c buffer, and the model-major copy of each input the dead dc/dh
+    factor's.
+    """
+    dz = lc["gates"]
+    M, T, B, H4 = dz.shape
+    dz = dz.reshape(M, T * B, H4)
     name = f"l{layer}."
-    for a, key in ((lc["inp"], "Wx"), (h[:-1], "Wh")):
-        rows = ws.get(name + "tanh_c", (M, T, B, a.shape[3]))
+    for a, key in ((lc["inp"], "Wx"), (lc["h"][:-1], "Wh")):
+        rows = ws.get("tanh_c", (M, T, B, a.shape[3]))
         np.copyto(rows, a.transpose(1, 0, 2, 3))
-        out = grads[f"l{layer}.{key}"]
-        _row_products(rows.reshape(M, T * B, -1), dz, out, ws.get(name + "gates", out.shape))
-    grads[f"l{layer}.b"][...] = dz.sum(axis=1)
-    return d_in
+        out = grads[name + key]
+        _row_products(rows.reshape(M, T * B, -1), dz, out, ws.get(name + "c", out.shape))
+    grads[name + "b"][...] = dz.sum(axis=1)
 
 
-def _backward(params, cfg, cache, dy, grads):
+def _backward(params, cfg, cache, dy):
     """Per-model gradients of a summed loss, given d loss/d y of shape (M, B, T).
 
-    They are written into ``grads``, named views of a (M, P) buffer as
-    ``_views`` gives them, in stored form like ``params``.  ``dy`` is cast
-    to the dtype of ``params``.
+    Returns a (M, P) buffer of the workspace, with rows as ``_views``
+    reads them and in stored form like ``params``; it holds until the
+    workspace's next pass.  ``dy`` is cast to the dtype of ``params``.  The
+    pass consumes the cache.
     """
     ws = cache["ws"]
     y = cache["y"]
+    layers = cache["layers"]
+    top = layers[-1]["h"][1:]
     ds = np.asarray(dy, dtype=y.dtype).transpose(2, 0, 1) * (1.0 - y**2)
-    top = cache["layers"][-1]["h"][1:]
-    # The head-weight product is summed before d_out takes its buffer.  The
-    # top layer reads d_out only in its time loop, so the d loss/d input
-    # it writes after it can share the buffer.
+    # The top layer's dz parts are formed while d_out's buffer is free to
+    # lend as scratch; each lower layer's borrow the c buffer of the layer
+    # above, dead after that layer's time loop.  The layers take turns
+    # with one tanh_c buffer.
+    tanh_c = ws.get("tanh_c", top.shape)
     d_out = ws.get("d_in", top.shape)
-    grads["head.w"][...] = np.multiply(ds[..., None], top, out=d_out).sum(axis=(0, 2))
+    for layer in range(cfg.num_layers - 1, -1, -1):
+        if layer == cfg.num_layers - 1:
+            _dz_factors(layers[layer], d_out, tanh_c)
+            np.multiply(ds[..., None], params["head.w"][:, None, :], out=d_out)
+        else:
+            _dz_factors(layers[layer], layers[layer + 1]["c"][1:], tanh_c)
+        # The layer reads d_out only in its time loop, so the d loss/d input
+        # it writes after it can share the buffer.
+        d_out = _layer_backward(layers[layer], params, layer, d_out, tanh_c, ws)
+    # The weight gradients need only the finished dz's and the forward's
+    # inputs, so they come last, and their rows take the d_in buffer.
+    flat = ws.get("d_in", (top.shape[1], _param_count(cfg)))
+    grads = _views(flat, cfg)
+    grads["head.w"][...] = np.multiply(ds[..., None], top, out=tanh_c).sum(axis=(0, 2))
     # Summed over b within each step, then step by step: a plain sum over
     # both axes would add a one-model stack's (T, 1, B) block in another
     # order than a larger stack's, and a model would not end where it
     # ends trained beside others.
     grads["head.b"][...] = np.cumsum(ds.sum(axis=2), axis=0)[-1][:, None]
-    np.multiply(ds[..., None], params["head.w"][:, None, :], out=d_out)
-    for layer in range(cfg.num_layers - 1, -1, -1):
-        d_out = _layer_backward(cache["layers"][layer], params, layer, d_out, grads, ws)
-    return grads
+    for layer, lc in enumerate(layers):
+        _weight_grads(lc, layer, grads, ws)
+    return flat
 
 
 def ccc_loss_grad(pred, target):
@@ -456,6 +513,13 @@ class TrainedModel:
     val_loss: list = field(default_factory=list)
 
 
+def _segment_bounds(length, segment_length):
+    """(start, stop) of each piece of ``segment_length`` steps that a sequence
+    is cut into, but a last piece of one step, which has no variance."""
+    return [(start, min(start + segment_length, length))
+            for start in range(0, length, segment_length) if length - start >= 2]
+
+
 def _segment(features, targets, segment_length):
     segments = []
     for X, y in zip(features, targets):
@@ -463,11 +527,8 @@ def _segment(features, targets, segment_length):
         y = np.asarray(y, dtype=float)
         if len(X) != len(y):
             raise TrainingError("feature/target length mismatch")
-        for start in range(0, len(X), segment_length):
-            xs = X[start : start + segment_length]
-            ys = y[start : start + segment_length]
-            if len(xs) >= 2:
-                segments.append((xs, ys))
+        segments += [(X[start:stop], y[start:stop])
+                     for start, stop in _segment_bounds(len(X), segment_length)]
     return segments
 
 
@@ -580,15 +641,46 @@ def _train_step(flat, opt, cfg, members, X, Y, ws):
     counted = grad.any(axis=2).sum(axis=1)
     active = counted > 0
     if active.any():
-        grads = ws.get("grads", (len(members), flat.shape[1]))
-        _backward(params, cfg, cache, grad / np.maximum(counted, 1)[:, None, None],
-                  _views(grads, cfg))
+        grads = _backward(params, cfg, cache, grad / np.maximum(counted, 1)[:, None, None])
         if not active.all():
             grads, members = grads[active], np.asarray(members)[active]
-        # The backward pass is done with dz and the first layer's gates, so
-        # Adam's scratch rows borrow their buffers.
-        opt.step(flat, grads, members, [ws.get(n, grads.shape) for n in ("dz", "l0.gates")])
+        # The backward pass is done with both layers' gate buffers, so
+        # Adam's scratch rows borrow them.
+        opt.step(flat, grads, members, [ws.get(n, grads.shape) for n in ("l0.gates", "l1.gates")])
     return loss.sum(axis=1), counted
+
+
+def stack_bytes(cfg: ModelConfig, train_cfg: TrainConfig, runs) -> int:
+    """An upper bound on the bytes of buffers ``train_stack`` keeps for a stack.
+
+    ``runs`` holds each model's (training lengths, validation lengths), the
+    lengths of its sequences.  The bound covers the workspace, grown as if
+    every pass stacked all the models at their largest batch shapes, and
+    the flat parameter, best, gradient and Adam rows, in ``TRAIN_DTYPE``.
+    """
+    D, H, P = cfg.input_dim, cfg.hidden_dim, _param_count(cfg)
+    shapes = set()
+    for train, val in runs:
+        segments = Counter(stop - start for length in train
+                           for start, stop in _segment_bounds(length, train_cfg.segment_length))
+        shapes.update((T, min(n, train_cfg.batch_segments)) for T, n in segments.items())
+        shapes.update(Counter(val).items())
+
+    def elements(T, B):
+        # Per model, each buffer a pass over (B, T) batches asks for: d_in
+        # (lent to the gradient rows), tanh_c (lent to the input copies), y,
+        # z, ig and the four carries, then per layer the gates (lent to
+        # Adam's scratch rows), c (lent to a weight-gradient block) and h.
+        sizes = [max(T * B * H, P), T * B * max(D, H), T * B, 4 * H * B, H * B, 4 * H * B]
+        for width in [D] + [H] * (cfg.num_layers - 1):
+            sizes += [max(4 * H * T * B, P), max((T + 1) * B * H, 4 * H * max(width, H)),
+                      (T + 1) * B * H]
+        return sizes
+
+    workspace = sum(map(max, zip(*(elements(T, B) for T, B in shapes))))
+    rows = 4 * P  # flat, best and Adam's two moments
+    return len(runs) * ((workspace + rows) * np.dtype(TRAIN_DTYPE).itemsize
+                        + np.dtype(int).itemsize)  # Adam's step count
 
 
 def train_stack(cfg: ModelConfig, train_cfg: TrainConfig, runs) -> list[TrainedModel]:

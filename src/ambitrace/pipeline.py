@@ -178,15 +178,39 @@ def run_represent(manifest: ExperimentManifest, tag, out_dir):
 # --- train-eval -------------------------------------------------------------
 
 
-def _fold_stacks(n_folds, jobs):
-    """The folds trained as one stack each, in fold order.
+# The most bytes of training buffers (``model.stack_bytes``) that one stack
+# of folds may hold: 4.5 MiB.  On the perfbench train_eval inputs (H 32,
+# segments of 19 steps in batches of 8, two targets) four folds are
+# estimated at 4.1 MiB and five at 5.1 MiB.  Serial stacks of 4, 3 and 3
+# folds cut the benchmark's CPU by 15 % against pairs, for 4.4 % more peak
+# RSS; stacks of five would peak 9 % above pairs.  At a paper-like
+# shape (H 64, segments of 100 steps) one fold is estimated at 7.1 MiB and
+# trains alone: 28 % less peak RSS than pairs, for about 12 % more CPU.
+STACK_BYTES = 4608 * 1024
 
-    Folds 2k and 2k+1 share a stack, which pays the per-pass overhead once
-    for both; pairs are formed only while at least ``jobs`` stacks remain,
-    so every worker of a pool has one.
+
+def _fold_stacks(fold_lengths, n_targets, model, train, jobs):
+    """The folds trained as one stack each: runs of consecutive folds, in fold order.
+
+    ``fold_lengths`` holds each fold's (training, validation) sequence
+    lengths, and each fold trains ``n_targets`` models.  The stacks are as
+    few as keep each one within ``STACK_BYTES`` (a fold over it stands
+    alone), yet at least ``jobs``, so every worker of a pool has one; their
+    sizes differ by at most one fold.
     """
-    pairs = min(n_folds // 2, max(0, n_folds - jobs))
-    return [[2 * k, 2 * k + 1] for k in range(pairs)] + [[k] for k in range(2 * pairs, n_folds)]
+    # Imported here, as in run_train_eval: no other command loads the model.
+    from .model import stack_bytes
+
+    def fits(stack):
+        return len(stack) == 1 or stack_bytes(
+            model, train, [fold_lengths[k] for k in stack for _ in range(n_targets)]
+        ) <= STACK_BYTES
+
+    n = len(fold_lengths)
+    for count in range(min(jobs, n), n + 1):
+        stacks = [s.tolist() for s in np.array_split(np.arange(n), count)]
+        if all(map(fits, stacks)):
+            return stacks
 
 
 def _train_fold(args):
@@ -251,9 +275,11 @@ def run_train_eval(manifest: ExperimentManifest, manifest_path, tag, targets, ou
             for item, features, fits in fitted}
     # Every fold's model takes the feature width, which _fit_items checked is common.
     model = replace(manifest.model, input_dim=fitted[0][1].shape[1])
+    fold_lengths = [tuple([len(data[i]["features"]) for i in ids] for ids in fold)
+                    for fold in folds]
     job_args = [
         ([(idx, *folds[idx]) for idx in stack], data, tuple(targets), model, manifest.train)
-        for stack in _fold_stacks(len(folds), jobs)
+        for stack in _fold_stacks(fold_lengths, len(targets), model, manifest.train, jobs)
     ]
 
     # Fold files are written as each stack is handed back, in fold order.

@@ -430,12 +430,12 @@ class TestTrainEval:
                 (tmp_path / "par" / name).read_bytes()
 
     @pytest.mark.parametrize("jobs, stacks", [
-        (1, [[0, 1], [2]]),
+        (1, [[0, 1, 2]]),
         (2, [[0, 1], [2]]),
         (3, [[0], [1], [2]]),
     ])
-    def test_fold_pairs_leave_a_stack_per_worker(self, workspace, tmp_path, monkeypatch,
-                                                 jobs, stacks):
+    def test_fold_stacks_leave_a_stack_per_worker(self, workspace, tmp_path, monkeypatch,
+                                                  jobs, stacks):
         workers, trained = [], []
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -453,7 +453,7 @@ class TestTrainEval:
                 "--tag", "I", "--target", "mu"]
         assert run_cli(args + ["--out", tmp_path / "serial"]).exit_code == 0
         assert run_cli(args + ["--out", tmp_path / "par", "--jobs", jobs]).exit_code == 0
-        # A serial run pairs every fold it can and starts no pool.
+        # A serial run stacks all three small folds and starts no pool.
         assert (workers, trained) == (([jobs], stacks) if jobs > 1 else ([], []))
         names = sorted(os.listdir(tmp_path / "serial"))
         assert names == sorted(os.listdir(tmp_path / "par"))
@@ -461,19 +461,35 @@ class TestTrainEval:
             assert (tmp_path / "serial" / name).read_bytes() == \
                 (tmp_path / "par" / name).read_bytes()
 
-    @pytest.mark.parametrize("folds, jobs, stacks", [
-        (1, 1, [[0]]),
-        (10, 1, [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]),
-        (10, 5, [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]),
-        (10, 7, [[0, 1], [2, 3], [4, 5], [6], [7], [8], [9]]),
-        (10, 16, [[k] for k in range(10)]),
-        (3, 1, [[0, 1], [2]]),
-        (3, 2, [[0, 1], [2]]),
-        (3, 3, [[0], [1], [2]]),
-        (3, 5, [[0], [1], [2]]),
+    # Per fold: (training, validation) sequence lengths, the model and train
+    # settings.  train_eval is the benchmark's shape: 10 folds of 27 training
+    # and 3 validation items of 19 windows, 32 units.  paper is a paper-like
+    # one: 6 folds of 10 and 2 items of 110 windows, 64 units, segments of 100.
+    SHAPES = {
+        "train_eval": ([([19] * 27, [19] * 3)] * 10, ModelConfig(input_dim=8, hidden_dim=32),
+                       TrainConfig(segment_length=19, batch_segments=8)),
+        "paper": ([([110] * 10, [110] * 2)] * 6, ModelConfig(input_dim=8, hidden_dim=64),
+                  TrainConfig(segment_length=100, batch_segments=8)),
+        "small": ([([19] * 4, [19] * 2)] * 3, ModelConfig(input_dim=8, hidden_dim=8),
+                  TrainConfig(segment_length=19)),
+    }
+
+    @pytest.mark.parametrize("shape, folds, jobs, stacks", [
+        ("train_eval", 10, 1, [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]),
+        ("train_eval", 10, 3, [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]),
+        ("train_eval", 10, 4, [[0, 1, 2], [3, 4, 5], [6, 7], [8, 9]]),
+        ("train_eval", 10, 7, [[0, 1], [2, 3], [4, 5], [6], [7], [8], [9]]),
+        ("train_eval", 10, 16, [[k] for k in range(10)]),
+        ("train_eval", 8, 1, [[0, 1, 2, 3], [4, 5, 6, 7]]),
+        ("train_eval", 1, 1, [[0]]),
+        ("paper", 6, 1, [[k] for k in range(6)]),
+        ("small", 3, 1, [[0, 1, 2]]),
+        ("small", 3, 2, [[0, 1], [2]]),
+        ("small", 3, 5, [[0], [1], [2]]),
     ])
-    def test_fold_stacks(self, folds, jobs, stacks):
-        assert pipeline._fold_stacks(folds, jobs) == stacks
+    def test_fold_stacks(self, shape, folds, jobs, stacks):
+        fold_lengths, cfg, train = self.SHAPES[shape]
+        assert pipeline._fold_stacks(fold_lengths[:folds], 2, cfg, train, jobs) == stacks
 
     def test_outputs_do_not_depend_on_blas_threads(self, workspace, tmp_path):
         # The train_eval benchmark's model size, so products reach their full size.

@@ -9,6 +9,7 @@ import pytest
 from conftest import gradient_check
 
 from ambitrace import model as stacked
+from ambitrace import pipeline
 from ambitrace.data_io import DataError
 from ambitrace.metrics import ccc
 from ambitrace.model import (
@@ -390,8 +391,7 @@ class TestStackedPasses:
         dy = rng.normal(size=(n_models, 4, 7))
         flat, params = stack_params(per_model, cfgs[0])
         y, cache = stacked._forward(params, cfgs[0], x, stacked._Workspace(flat.dtype))
-        stored = np.empty_like(flat)
-        stacked._backward(params, cfgs[0], cache, dy, stacked._views(stored, cfgs[0]))
+        stored = stacked._backward(params, cfgs[0], cache, dy)
         # The stack's gradients are those of its stored form; map them back.
         grads = stacked._views(stored * stacked._gate_signs(cfgs[0]), cfgs[0])
         for m, p in enumerate(per_model):
@@ -565,6 +565,39 @@ class TestStackTraining:
                 for group in by_length.values()])
             assert model.val_loss[model.best_epoch] == pytest.approx(np.mean(losses), rel=1e-12)
 
+    def test_a_stack_of_the_rules_width_ends_as_each_fold_alone(self):
+        # The train_eval benchmark's shape (8 features, 32 units, segments of
+        # 19 steps in batches of 8), as wide a stack as pipeline._fold_stacks
+        # makes of its folds.  Fold k trains on 27 - k sequences, k of them
+        # cut to 12 steps, and validates on 3 or 2, one of 2 cut, so batches
+        # and validation passes split into groups of several shapes.
+        cfg = ModelConfig(input_dim=8, hidden_dim=32)
+        tc = TrainConfig(max_epochs=3, segment_length=19, batch_segments=8)
+        width = len(pipeline._fold_stacks([([19] * 27, [19] * 3)] * 10, 2, cfg, tc, 1)[0])
+        assert width >= 4
+        rng = np.random.default_rng(7)
+
+        def sequences(n, cut):
+            feats = [rng.normal(size=(12 if k < cut else 19, 8)) for k in range(n)]
+            return feats, [[rng.normal(size=len(x)) for x in feats] for _ in range(2)]
+
+        runs = []
+        for k in range(width):
+            (train, targets), (val, val_targets) = sequences(27 - k, k), sequences(3 - k % 2, k % 2)
+            runs += [(10 * k + j, train, targets[j], val, val_targets[j]) for j in range(2)]
+        runs[1][2][0][:] = 0.5  # one constant segment, skipped by one model only
+        together = train_stack(cfg, tc, runs)
+        alone = [model for k in range(width)
+                 for model in train_stack(cfg, tc, runs[2 * k : 2 * k + 2])]
+        assert [m.skipped_segments for m in together[:3]] == [0, 1, 0]
+        for model, ref in zip(together, alone, strict=True):
+            np.testing.assert_array_equal(model.best_epoch, ref.best_epoch)
+            np.testing.assert_array_equal(model.skipped_segments, ref.skipped_segments)
+            np.testing.assert_array_equal(model.train_loss, ref.train_loss)
+            np.testing.assert_array_equal(model.val_loss, ref.val_loss)
+            for key, value in ref.params.items():
+                np.testing.assert_array_equal(model.params[key], value)
+
     def test_best_epoch_is_first_minimum_of_val_curve(self):
         feats, mu, sigma = two_target_task()
         runs = [split_run(seed, feats, target) for seed, target in zip((1, 2), (mu, sigma))]
@@ -640,28 +673,58 @@ class TestWorkspace:
         assert peak < 600 * 1024
 
 
-    def test_persistent_bytes_per_model(self):
-        # The train_eval benchmark's shape: batches of 8 segments of 19 steps
-        # and 3 validation sequences, two folds of two targets per stack, in
-        # the float32 stack train_stack builds.
-        cfg = ModelConfig(input_dim=8, hidden_dim=32)
-        n = 4
+    @staticmethod
+    def held_bytes(cfg, n, steps, val_steps, n_val):
+        """Bytes a float32 stack of ``n`` models holds after a training step
+        per (T, B) in ``steps`` and one validation pass over ``n_val``
+        sequences of ``val_steps``: its workspace, flat and best rows, and
+        Adam's arrays."""
         flat, _ = stack_params([{k: v.astype(stacked.TRAIN_DTYPE)
                                  for k, v in init_params(replace(cfg, seed=s)).items()}
                                 for s in range(n)], cfg)
         opt = Adam(flat, learning_rate=1e-3, weight_decay=1e-4)
         ws = stacked._Workspace(flat.dtype)
         rng = np.random.default_rng(0)
-        X, Y = rng.normal(size=(n, 8, 19, 8)), rng.normal(size=(n, 8, 19))
-        stacked._train_step(flat, opt, cfg, list(range(n)), X, Y, ws)
-        val = stacked._validation_groups([list(rng.normal(size=(3, 19, 8)))] * n,
-                                         [list(rng.normal(size=(3, 19)))] * n)
+        for T, B in steps:
+            X, Y = rng.normal(size=(n, B, T, cfg.input_dim)), rng.normal(size=(n, B, T))
+            stacked._train_step(flat, opt, cfg, list(range(n)), X, Y, ws)
+        val = stacked._validation_groups(
+            [list(rng.normal(size=(n_val, val_steps, cfg.input_dim)))] * n,
+            [list(rng.normal(size=(n_val, val_steps)))] * n)
         stacked._validation_loss(flat, cfg, val, ws)
         workspace = sum(buf.nbytes for buf in ws._buffers.values())
         # flat and best_flat, then Adam's own arrays
         rows = 2 * flat.nbytes + sum(a.nbytes for a in vars(opt).values()
                                      if isinstance(a, np.ndarray))
-        assert (workspace + rows) / n <= 0.72 * 2**20
+        return workspace + rows
+
+    def test_persistent_bytes_per_model(self):
+        # The train_eval benchmark's shape: batches of 8 segments of 19 steps
+        # and 3 validation sequences, four folds of two targets per stack (the
+        # width pipeline._fold_stacks gives it), in the float32 stack
+        # train_stack builds.
+        cfg = ModelConfig(input_dim=8, hidden_dim=32)
+        n = 8
+        assert self.held_bytes(cfg, n, [(19, 8)], 19, 3) / n <= 0.55 * 2**20
+
+    @pytest.mark.parametrize("hidden, train, steps, lengths, n", [
+        # The train_eval benchmark's shape: 27 training items of 19 windows
+        # and 3 validation items per fold, four folds of two targets.
+        (32, TrainConfig(segment_length=19, batch_segments=8), [(19, 8)],
+         ([19] * 27, [19] * 3), 8),
+        # A paper-like shape: 10 training items of 110 windows, cut into
+        # segments of 100 and 10 steps, and 2 validation items; one fold.
+        (64, TrainConfig(segment_length=100, batch_segments=8), [(100, 8), (10, 8)],
+         ([110] * 10, [110] * 2), 2),
+    ])
+    def test_stack_bytes_cover_what_a_stack_holds(self, hidden, train, steps, lengths, n):
+        cfg = ModelConfig(input_dim=8, hidden_dim=hidden)
+        val = lengths[1]
+        held = self.held_bytes(cfg, n, steps, val[0], len(val))
+        estimate = stacked.stack_bytes(cfg, train, [lengths] * n)
+        # Not below what the buffers hold, and not so far above it that the
+        # stacking rule would leave memory it could use.
+        assert held <= estimate <= 1.02 * held
 
 
 class TestSinglePrecision:
@@ -676,8 +739,7 @@ class TestSinglePrecision:
         flat, params = stack_params(
             [{k: v.astype(np.float32) for k, v in p.items()} for p in per_model], cfgs[0])
         y, cache = stacked._forward(params, cfgs[0], x, stacked._Workspace(flat.dtype))
-        stored = np.empty_like(flat)
-        stacked._backward(params, cfgs[0], cache, dy, stacked._views(stored, cfgs[0]))
+        stored = stacked._backward(params, cfgs[0], cache, dy)
         assert y.dtype == stored.dtype == np.float32
         grads = stacked._views(stored * stacked._gate_signs(cfgs[0]), cfgs[0])
         for m, p in enumerate(per_model):
