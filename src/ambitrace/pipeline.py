@@ -6,7 +6,7 @@ output directory, which exists; the one other write is
 ``dataset.read_table``'s memo of parsed input tables, in a
 ``dataset.MEMO_DIR`` directory beside them.  This module loads numpy, so
 the CLI imports it inside the three commands that run it; ``report`` is
-``ambitrace.report``'s.
+``ambitrace.report``'s, which only ``run_train_eval`` imports from here.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .data_io import (
     write_json,
 )
 from .dataset import SynthConfig, dataset_digest, make_splits, prepare_item, write_table
-from .report import render_summary_table
 from .representations import (
     TAG_GROUP,
     TAG_INDIVIDUAL,
@@ -331,5 +330,8 @@ def run_train_eval(manifest: ExperimentManifest, manifest_path, tag, targets, ou
         "std": std,
     }
     write_json(os.path.join(out_dir, "summary.json"), summary)
+    # Imported here: synth and represent need no report code.
+    from .report import render_summary_table
+
     write_file(os.path.join(out_dir, "summary.txt"), render_summary_table([summary]) + "\n")
     return summary

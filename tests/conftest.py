@@ -1,6 +1,10 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import traceback
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -9,6 +13,47 @@ from ambitrace.model import (_backward, _forward, _Workspace, ccc_loss_grad, ini
                              stack_params)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@dataclass
+class CliResult:
+    """What a command line left: its exit code, stdout and stderr.
+
+    ``exception`` is the ``SystemExit`` of a non-zero exit, or the exception
+    of a program fault; None after a success.
+    """
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: BaseException | None
+
+    @property
+    def output(self):
+        return self.stdout + self.stderr
+
+
+def run_cli(args):
+    """Run ``ambitrace ARGS`` in this process.
+
+    ``ambitrace.cli`` is looked up at each call, so a test that imports the
+    package anew runs the new one.  A program fault is exit 1 with its
+    traceback on stderr, as the interpreter would end it.
+    """
+    from ambitrace.cli import main
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    exception = None
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            main([str(a) for a in args])
+            exit_code = 0
+        except SystemExit as exc:
+            exit_code = 0 if exc.code is None else exc.code
+            exception = exc if exit_code else None
+        except Exception as exc:
+            traceback.print_exc()
+            exit_code, exception = 1, exc
+    return CliResult(exit_code, stdout.getvalue(), stderr.getvalue(), exception)
 
 
 def run_fresh(code, env=None):

@@ -12,12 +12,10 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
-from conftest import gradient_check
+from conftest import gradient_check, run_cli
 from scipy.optimize import minimize
 from scipy.stats import beta as beta_dist
 
-from ambitrace.cli import main
 from ambitrace.data_io import (
     DatasetConfig,
     ExperimentManifest,
@@ -190,27 +188,23 @@ E2E_SYNTH = {
 
 def _run_chain(root):
     """synth -> represent (all tags) -> train-eval (all tags) -> report."""
-    runner = CliRunner()
     cfg_path = root / "synth.json"
     cfg_path.write_text(json.dumps(E2E_SYNTH))
     data = root / "data"
-    result = runner.invoke(main, ["synth", "--config", str(cfg_path),
-                                  "--out", str(data)])
+    result = run_cli(["synth", "--config", cfg_path, "--out", data])
     assert result.exit_code == 0, result.output
     manifest = data / "manifest.json"
     run_dirs = []
     for tag in ("I", "O_I", "O_G"):
-        result = runner.invoke(main, ["represent", "--manifest", str(manifest),
-                                      "--tag", tag, "--out", str(root / f"rep_{tag}")])
+        result = run_cli(["represent", "--manifest", manifest, "--tag", tag,
+                          "--out", root / f"rep_{tag}"])
         assert result.exit_code == 0, result.output
         out = root / f"run_{tag}"
-        result = runner.invoke(main, ["train-eval", "--manifest", str(manifest),
-                                      "--tag", tag, "--out", str(out)])
+        result = run_cli(["train-eval", "--manifest", manifest, "--tag", tag, "--out", out])
         assert result.exit_code == 0, result.output
         run_dirs.append(out)
     report_dir = root / "report"
-    result = runner.invoke(main, ["report", *map(str, run_dirs),
-                                  "--out", str(report_dir)])
+    result = run_cli(["report", *run_dirs, "--out", report_dir])
     assert result.exit_code == 0, result.output
     return report_dir
 

@@ -15,13 +15,11 @@ from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
-from conftest import run_fresh, run_with_file_size_limit
+from conftest import run_cli, run_fresh, run_with_file_size_limit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambitrace import data_io, dataset, model, pipeline
-from ambitrace.cli import main
 from ambitrace.data_io import (
     DatasetConfig,
     ItemEntry,
@@ -51,16 +49,9 @@ def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     cfg = root / "synth.json"
     cfg.write_text(json.dumps(FAST_SYNTH))
-    runner = CliRunner()
-    result = runner.invoke(
-        main, ["synth", "--config", str(cfg), "--out", str(root / "data")]
-    )
+    result = run_cli(["synth", "--config", cfg, "--out", root / "data"])
     assert result.exit_code == 0, result.output
     return root
-
-
-def run_cli(args):
-    return CliRunner().invoke(main, [str(a) for a in args])
 
 
 def one_window_manifest(workspace):
@@ -307,21 +298,68 @@ class TestStartUp:
         for args in commands:
             expected = {"synth": ["numpy"], "represent": ["numpy"], "report": [],
                         "train-eval": ["numpy", "ambitrace.model"]}[args[0]]
-            assert modules_after(args, ("numpy", "ambitrace.model")) == (0, expected), args[0]
+            code, loaded, _ = modules_after(args, ("numpy", "ambitrace.model"))
+            assert (code, loaded) == (0, expected), args[0]
+
+    def test_cli_import_loads_the_standard_library_and_data_io_only(self):
+        # Neither report nor pipeline: synth and represent never compile report.py.
+        code = ("import json, sys\n"
+                "before = set(sys.modules)\n"
+                "import ambitrace.cli\n"
+                "print(json.dumps([sorted(m for m in set(sys.modules) - before\n"
+                "                         if m.split('.')[0] == 'ambitrace'),\n"
+                f"                  {FOREIGN_SINCE_BEFORE}]))\n")
+        result = run_fresh(code)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [
+            ["ambitrace", "ambitrace.cli", "ambitrace.data_io"], []]
+
+    def test_commands_run_without_click(self, workspace, runs, tmp_path):
+        def command_lines(root):
+            return (["represent", "--manifest", str(workspace / "data" / "manifest.json"),
+                     "--tag", "O_I", "--out", str(root / "rep")],
+                    ["report", str(runs / "I"), "--out", str(root / "report")])
+
+        for args in command_lines(tmp_path / "plain"):
+            assert run_cli(args).exit_code == 0
+        represent, report = command_lines(tmp_path / "no-click")
+        # A None entry makes every ``import click`` raise ImportError.
+        result = run_fresh("import sys\n"
+                           "sys.modules['click'] = None\n"
+                           "from ambitrace.cli import main\n"
+                           f"main({represent!r})\n"
+                           f"main({report!r})\n")
+        assert result.returncode == 0, result.stderr
+        for sub in ("rep", "report"):
+            names = sorted(os.listdir(tmp_path / "plain" / sub))
+            assert names and names == sorted(os.listdir(tmp_path / "no-click" / sub))
+            for name in names:
+                assert (tmp_path / "plain" / sub / name).read_bytes() == \
+                    (tmp_path / "no-click" / sub / name).read_bytes()
+
+
+# In a child interpreter: the top-level modules loaded since ``before`` that
+# are neither the standard library's nor ``ambitrace``.
+FOREIGN_SINCE_BEFORE = ("sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+                        " - set(sys.stdlib_module_names) - {'ambitrace'})")
 
 
 def modules_after(args, modules=("numpy", "_hashlib")):
-    """(exit code, those of ``modules`` loaded) after ``ambitrace ARGS`` in a fresh interpreter."""
-    result = run_fresh("import sys\n"
+    """After ``ambitrace ARGS`` in a fresh interpreter: (exit code, those of
+    ``modules`` loaded, top-level modules loaded from outside the standard
+    library and ``ambitrace``)."""
+    result = run_fresh("import json, sys\n"
+                       "before = set(sys.modules)\n"
                        "from ambitrace.cli import main\n"
+                       "code = 0\n"
                        "try:\n"
-                       f"    main({[str(a) for a in args]!r}, prog_name='ambitrace')\n"
+                       f"    main({[str(a) for a in args]!r})\n"
                        "except SystemExit as exc:\n"
                        "    code = exc.code\n"
-                       f"print(code, *[m for m in {modules!r} if m in sys.modules])\n")
+                       f"print(json.dumps([code, [m for m in {modules!r} if m in sys.modules],\n"
+                       f"                  {FOREIGN_SINCE_BEFORE}]))\n")
     assert result.returncode == 0, result.stderr
-    code, *loaded = result.stdout.splitlines()[-1].split()
-    return int(code), loaded
+    return tuple(json.loads(result.stdout.splitlines()[-1]))
 
 
 def test_manifest_path_loads_no_numpy(workspace):
@@ -366,9 +404,24 @@ def test_commands_that_compute_nothing_load_no_numpy(workspace, runs, tmp_path, 
         "non-empty --out train-eval": ["train-eval", "--manifest", manifest, "--tag", "I",
                                        "--out", full],
     }[case]
-    assert modules_after(args) == (exit_code, [])
+    assert modules_after(args) == (exit_code, [], [])
     assert (tmp_path / "report" / "report.json").exists() is (case == "report --out")
     assert sorted(p.name for p in full.iterdir()) == ["keep.txt"]
+
+
+@pytest.mark.parametrize("command, names", [
+    ([], ["synth", "represent", "train-eval", "report"]),
+    (["synth"], ["--config", "--out", "--seed"]),
+    (["represent"], ["--manifest", "--tag", "--out"]),
+    (["train-eval"], ["--manifest", "--tag", "--target", "--out", "--seed", "--jobs",
+                      "default: both", "default: 1"]),
+    (["report"], ["RESULT_DIR", "--out"]),
+])
+def test_help_lists_every_option(command, names):
+    result = run_cli([*command, "--help"])
+    assert result.exit_code == 0, result.output
+    text = " ".join(result.stdout.split())  # help lines wrap at the terminal's width
+    assert [n for n in names if n not in text] == [], result.stdout
 
 
 def test_multiprocessing_stays_off_the_import_path():
@@ -532,10 +585,16 @@ class TestTrainEval:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "report" / "report.txt").read_text().splitlines() == rows
 
-    @pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--jobs", "0")])
+    # A value of None leaves the option out; RESULT_DIR is report's missing argument.
+    @pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--jobs", "0"), ("--tag", "X"),
+                                               ("--manifest", None), ("RESULT_DIR", None)])
     def test_bad_option_exits_2_before_any_output(self, workspace, tmp_path, option, value):
-        result = run_cli(["train-eval", "--manifest", workspace / "data" / "manifest.json",
-                          "--tag", "I", option, value, "--out", tmp_path / "run"])
+        options = {"--manifest": workspace / "data" / "manifest.json", "--tag": "I",
+                   option: value}
+        args = ["train-eval", *[a for o, v in options.items() if v is not None for a in (o, v)]]
+        if option == "RESULT_DIR":
+            args = ["report"]
+        result = run_cli(args + ["--out", tmp_path / "run"])
         assert result.exit_code == 2, result.output
         assert f"'{option}'" in result.output
         assert not (tmp_path / "run").exists()
@@ -1780,9 +1839,8 @@ class TestCommandLineFuzz:
                 assert result.exit_code == 0, result.output
                 assert out.is_dir() and os.listdir(out)
                 return
-            # Click's usage errors say "Error:", the commands' own "error:".
-            lines = [line for line in result.stderr.splitlines()
-                     if line.lower().startswith("error:")]
+            # A usage error and a command's own failure each print one "error:" line.
+            lines = [line for line in result.stderr.splitlines() if line.startswith("error:")]
             assert len(lines) == 1, result.stderr
             if bad_options:
                 assert result.exit_code == 2, result.output

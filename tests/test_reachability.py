@@ -14,7 +14,7 @@ import os
 import sys
 from contextlib import contextmanager
 
-from click.testing import CliRunner
+from conftest import run_cli
 
 import ambitrace
 
@@ -61,12 +61,10 @@ def package_imported_anew():
 
 
 def run_chain(root):
-    """synth, represent, train-eval and report, one checkpoint reload, one bad manifest
-    and one bad table."""
-    main = importlib.import_module("ambitrace.cli").main
-
+    """synth, represent, train-eval and report, one checkpoint reload, one usage error,
+    one bad manifest and one bad table."""
     def cli(*args, exit_code=0):
-        result = CliRunner().invoke(main, [str(a) for a in args])
+        result = run_cli(args)
         assert result.exit_code == exit_code, result.output
 
     config = root / "synth.json"
@@ -83,6 +81,7 @@ def run_chain(root):
     cli("represent", "--manifest", beta, "--tag", "I", "--out", root / "rep_beta")
     cli("train-eval", "--manifest", manifest, "--tag", "I", "--jobs", "1", "--out", root / "run")
     cli("report", root / "run", "--out", root / "report")
+    cli("represent", "--manifest", manifest, "--tag", "X", "--out", root / "usage", exit_code=2)
     checkpoint = importlib.import_module("ambitrace.model").load_checkpoint(
         root / "run" / "fold_00_mu.ckpt")
     assert checkpoint.config.input_dim > 0
