@@ -8,7 +8,8 @@ and exits 2.  Importing this module loads only the standard library and
 (and with it numpy) only once their ``--out`` is accepted, ``represent`` and
 ``train-eval`` once their manifest is too, so ``report``, ``--help``, a usage
 error, a refused ``--out`` and a refused manifest never load it.  Only
-``report`` and ``train-eval`` import ``report``.
+``report`` imports ``report`` here; ``train-eval`` prints the table that
+``pipeline.run_train_eval`` renders.
 """
 
 from __future__ import annotations
@@ -55,10 +56,8 @@ def _train_eval(manifest_path, tag, target, out_dir, seed, jobs):
         manifest = load_manifest(manifest_path, seed)
         from .pipeline import run_train_eval
 
-        summary = run_train_eval(manifest, manifest_path, tag, targets, stage, jobs)
-    from .report import render_summary_table
-
-    print(render_summary_table([summary]))
+        table = run_train_eval(manifest, manifest_path, tag, targets, stage, jobs)
+    print(table)
 
 
 def _report(result_dirs, out_dir):

@@ -35,7 +35,6 @@ from .data_io import (
     DataError,
     ExperimentManifest,
     ItemEntry,
-    OutputError,
     SplitSpec,
     _check_int,
     _check_real,
@@ -190,23 +189,20 @@ class _Memo:
         """Store ``parsed``, if set, then delete the table's other entries."""
         if self.parsed is None:
             return
-        # The bytes ``np.save`` writes, without its two extra copies of the rows.
-        buf = io.BytesIO()
-        np.lib.format.write_array_header_1_0(
-            buf, np.lib.format.header_data_from_array_1_0(self.parsed))
-        buf.write(self.parsed.data)
         tmp = os.path.join(self.dir, f".tmp-{os.urandom(8).hex()}")
         try:
             with contextlib.suppress(FileExistsError):
                 os.mkdir(self.dir)
-            write_file(tmp, buf.getvalue())
+            with open(tmp, "wb") as fh:
+                # To a real file, numpy writes the rows with ``tofile``: no copy.
+                np.save(fh, self.parsed, allow_pickle=False)
             os.replace(tmp, self.entry)  # other commands may read it meanwhile
             for name in os.listdir(self.dir):
                 path = os.path.join(self.dir, name)
                 if (path != self.entry and name.startswith(self.name)
                         and _ENTRY_SUFFIX.fullmatch(name, len(self.name))):
                     os.unlink(path)
-        except (OSError, OutputError):
+        except OSError:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)  # an unwritable location: the table is parsed next time too
 

@@ -2,11 +2,13 @@
 
 The CLI is a thin wrapper over these functions; everything here is
 deterministic given the manifest seed.  Outputs go only into the caller's
-output directory, which exists; the one other write is
-``dataset.read_table``'s memo of parsed input tables, in a
-``dataset.MEMO_DIR`` directory beside them.  This module loads numpy, so
-the CLI imports it inside the three commands that run it; ``report`` is
-``ambitrace.report``'s, which only ``run_train_eval`` imports from here.
+output directory, which exists; train-eval's fold files and checkpoints are
+written there by the process that trains them, a pool worker under
+``--jobs``.  The one other write is ``dataset.read_table``'s memo of parsed
+input tables, in a ``dataset.MEMO_DIR`` directory beside them.  This module
+loads numpy, so the CLI imports it inside the three commands that run it;
+``run_train_eval`` imports ``ambitrace.report`` to render the summary table
+it writes and returns.
 """
 
 from __future__ import annotations
@@ -213,14 +215,18 @@ def _fold_stacks(fold_lengths, n_targets, model, train, jobs):
 
 
 def _train_fold(args):
-    """Train every target of a stack's folds as one stack, then evaluate each model.
+    """Train every target of a stack's folds as one stack, evaluate each model and
+    write its files.
 
-    Returns (fold record, models by target) per fold, in fold order.
+    For each fold, in fold order, writes ``fold_XX.json`` and then the fold's
+    checkpoints into ``out_dir``, so no trained model leaves the process
+    that trained it.  Returns each fold's record without its loss curves,
+    which stay in the fold file.
     """
     # Imported here, as in run_train_eval: no other command loads the model.
-    from .model import predict_stack, train_stack
+    from .model import predict_stack, save_checkpoint, train_stack
 
-    (folds, data, targets, model, train) = args
+    (folds, data, targets, model, train, out_dir) = args
 
     def column(ids, key):
         return [data[i][key] for i in ids]
@@ -231,7 +237,7 @@ def _train_fold(args):
          column(train_ids, target), column(val_ids, "features"), column(val_ids, target))
         for fold_idx, train_ids, val_ids in folds for t_idx, target in enumerate(targets)
     ])
-    results = []
+    records = []
     for k, (fold_idx, _, val_ids) in enumerate(folds):
         fold = {"fold": fold_idx, "val_items": list(val_ids), "best_epoch": {}, "metrics": {},
                 "loss_curve": {}}
@@ -247,20 +253,25 @@ def _train_fold(args):
                 sda_vals.append(metrics.sda(pred[t_idx], data[i][target]))
             fold["metrics"][f"ccc_{target}"] = float(np.mean(ccc_vals))
             fold["metrics"][f"sda_{target}"] = float(np.mean(sda_vals))
-        results.append((fold, dict(zip(targets, fold_models))))
-    return results
+        write_json(os.path.join(out_dir, f"fold_{fold_idx:02d}.json"), fold)
+        for target, model in zip(targets, fold_models):
+            save_checkpoint(model, os.path.join(out_dir, f"fold_{fold_idx:02d}_{target}.ckpt"))
+        records.append({key: value for key, value in fold.items() if key != "loss_curve"})
+    return records
 
 
 def run_train_eval(manifest: ExperimentManifest, manifest_path, tag, targets, out_dir, jobs):
-    """Per-fold training and evaluation; writes fold files and a summary.
+    """Per-fold training and evaluation; writes fold files, checkpoints and a summary.
 
     ``manifest`` was read from ``manifest_path``, which split errors name.
     Evaluation is computed per validation sequence and averaged across
-    sequences within a fold, then mean +/- std across folds.
+    sequences within a fold, then mean +/- std across folds.  Each stack's
+    fold files and checkpoints are written by the process that trains it.
+    Returns the summary table, as written to ``summary.txt``.
     """
     # Imported here: the LSTM module costs every other command start-up time.  Imported
     # after the inputs are read, it raised the peak RSS by 0.8 MiB (train_eval inputs).
-    from .model import TrainingError, save_checkpoint
+    from .model import TrainingError
 
     # Built first: a split the items cannot fill reads no table.
     try:
@@ -277,25 +288,10 @@ def run_train_eval(manifest: ExperimentManifest, manifest_path, tag, targets, ou
     fold_lengths = [tuple([len(data[i]["features"]) for i in ids] for ids in fold)
                     for fold in folds]
     job_args = [
-        ([(idx, *folds[idx]) for idx in stack], data, tuple(targets), model, manifest.train)
+        ([(idx, *folds[idx]) for idx in stack], data, tuple(targets), model, manifest.train,
+         out_dir)
         for stack in _fold_stacks(fold_lengths, len(targets), model, manifest.train, jobs)
     ]
-
-    # Fold files are written as each stack is handed back, in fold order.
-    fold_records = []
-
-    def _record(results):
-        # Called once per stack, so no loop variable keeps a finished
-        # stack's models alive while the next one trains.
-        for fold, models in results:
-            # The loss curves stay in the fold files; the summary keeps the rest.
-            fold_records.append({k: v for k, v in fold.items() if k != "loss_curve"})
-            write_json(os.path.join(out_dir, f"fold_{fold['fold']:02d}.json"), fold)
-            for target, model in models.items():
-                save_checkpoint(
-                    model, os.path.join(out_dir, f"fold_{fold['fold']:02d}_{target}.ckpt")
-                )
-
     # A pool starts all its workers at once, so it gets no more than there
     # are stacks.
     jobs = min(jobs, len(job_args))
@@ -306,13 +302,12 @@ def run_train_eval(manifest: ExperimentManifest, manifest_path, tag, targets, ou
 
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for results in pool.map(_train_fold, job_args):
-                    _record(results)
+                results = list(pool.map(_train_fold, job_args))
         except BrokenProcessPool as exc:
             raise TrainingError("a worker process was lost") from exc
     else:
-        for args in job_args:
-            _record(_train_fold(args))
+        results = map(_train_fold, job_args)
+    fold_records = [fold for records in results for fold in records]
 
     keys = [f"{metric}_{t}" for t in targets for metric in ("ccc", "sda")]
     mean = {k: float(np.mean([f["metrics"][k] for f in fold_records])) for k in keys}
@@ -333,5 +328,6 @@ def run_train_eval(manifest: ExperimentManifest, manifest_path, tag, targets, ou
     # Imported here: synth and represent need no report code.
     from .report import render_summary_table
 
-    write_file(os.path.join(out_dir, "summary.txt"), render_summary_table([summary]) + "\n")
-    return summary
+    table = render_summary_table([summary])
+    write_file(os.path.join(out_dir, "summary.txt"), table + "\n")
+    return table

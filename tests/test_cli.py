@@ -107,6 +107,25 @@ class TestSynth:
             for f in again:
                 assert f.read_bytes() == (workspace / "data" / sub / f.name).read_bytes()
 
+    def test_lagged_annotators_trail_the_latent(self, tmp_path):
+        cfg = tmp_path / "lag.json"
+        cfg.write_text(json.dumps(dict(FAST_SYNTH, lag_windows=2, noise_std=0.0,
+                                       offset_std=0.0, gain_std=0.0)))
+        assert run_cli(["synth", "--config", cfg, "--out", tmp_path / "data"]).exit_code == 0
+        lags = []
+        for i in range(FAST_SYNTH["items"]):
+            _, columns = read_columns(tmp_path / "data" / "latents" / f"item{i:03d}.csv")
+            latent = columns["latent"]
+            # The latent k windows late, holding its first value.
+            shifted = [np.concatenate([np.full(k, latent[0]), latent[:len(latent) - k]])
+                       for k in range(3)]
+            _, traces = read_columns(tmp_path / "data" / "traces" / f"item{i:03d}.csv")
+            for name in [f"ann{m}" for m in range(FAST_SYNTH["annotators"])]:
+                lag = [k for k in range(3) if np.array_equal(traces[name], shifted[k])]
+                assert lag, (i, name)
+                lags.append(lag[0])
+        assert max(lags) > 0
+
     def test_invalid_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"noise_std": -1.0}))
@@ -131,6 +150,7 @@ class TestSynth:
         '{"noise_std": NaN}',
         '{"split": 5}',
         '{"model": [1]}',
+        '{"items": 3, "groups": 5}',
     ])
     def test_malformed_config_exits_2_writing_nothing(self, tmp_path, text):
         cfg = tmp_path / "bad.json"
@@ -489,7 +509,7 @@ class TestTrainEval:
     ])
     def test_fold_stacks_leave_a_stack_per_worker(self, workspace, tmp_path, monkeypatch,
                                                   jobs, stacks):
-        workers, trained = [], []
+        workers, trained, handed_back = [], [], []
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers=None, **kwargs):
@@ -499,7 +519,9 @@ class TestTrainEval:
             def map(self, fn, *iterables, **kwargs):
                 job_args = list(iterables[0])
                 trained.extend([fold[0] for fold in args[0]] for args in job_args)
-                return super().map(fn, job_args, **kwargs)
+                for results in super().map(fn, job_args, **kwargs):
+                    handed_back.append(results)
+                    yield results
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         args = ["train-eval", "--manifest", workspace / "data" / "manifest.json",
@@ -508,6 +530,13 @@ class TestTrainEval:
         assert run_cli(args + ["--out", tmp_path / "par", "--jobs", jobs]).exit_code == 0
         # A serial run stacks all three small folds and starts no pool.
         assert (workers, trained) == (([jobs], stacks) if jobs > 1 else ([], []))
+        # Each worker hands back its folds' summary records, plain JSON values:
+        # the worker wrote the fold files and checkpoints, so no model comes back.
+        assert len(handed_back) == len(trained)
+        assert json.loads(json.dumps(handed_back)) == handed_back
+        summary = json.loads((tmp_path / "par" / "summary.json").read_text())
+        assert [fold for folds in handed_back for fold in folds] == \
+            (summary["folds"] if jobs > 1 else [])
         names = sorted(os.listdir(tmp_path / "serial"))
         assert names == sorted(os.listdir(tmp_path / "par"))
         for name in names:
@@ -754,10 +783,13 @@ def test_overflowing_fit_prints_one_line(tmp_path):
         "trace values too large"]
 
 
-# The first output files each command writes, in the order it writes them.
+# The first output files each command writes, in the order it writes them.  With
+# --jobs 2 the pool worker training folds 0 and 1 writes these two; whichever
+# worker fails first, the pool reports fold 0's failure.
 WRITE_ORDER = {"synth": ["traces/item000.csv", "features/item000.csv"],
                "represent": [f"I_item{i:03d}.csv" for i in range(6)],
                "train-eval": ["fold_00.json", "fold_00_mu.ckpt"],
+               "train-eval --jobs 2": ["fold_00.json", "fold_00_mu.ckpt"],
                "report": ["report.txt", "report.json"]}
 
 
@@ -765,7 +797,8 @@ WRITE_ORDER = {"synth": ["traces/item000.csv", "features/item000.csv"],
 @pytest.mark.parametrize("command", sorted(WRITE_ORDER))
 def test_write_failure_mid_run_leaves_out_as_it_was(workspace, runs, tmp_path, command,
                                                      existing):
-    args = command_args(command, workspace, runs, tmp_path)
+    name, *options = command.split()
+    args = command_args(name, workspace, runs, tmp_path) + options
     assert run_cli(args + ["--out", tmp_path / "whole"]).exit_code == 0
     sizes = [(tmp_path / "whole" / name).stat().st_size for name in WRITE_ORDER[command]]
     # Files as large as the first one can be written; the first larger one cannot.
@@ -1104,6 +1137,21 @@ class TestLoaderErrors:
         assert f"{data / f'{kind}s' / name}: {message}" in result.output
         assert "training failed" not in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["represent", "train-eval"])
+    def test_one_annotator_trace_table_exits_2(self, workspace, tmp_path, command):
+        # A column is cut from every line, which the one-line edits above cannot do.
+        def edit(lines):
+            lines[:] = [line if line.startswith("#") else ",".join(line.split(",")[:2])
+                        for line in lines]
+
+        data = workspace / "data"
+        path = self.manifest_with_table(data, 2, "trace", "one_annotator_item002.csv", edit)
+        result = run_cli([command, "--manifest", path, "--tag", "I", "--out", tmp_path / "out"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (f"error: {data / 'traces' / 'one_annotator_item002.csv'}: "
+                                 "a TraceSet needs at least two annotators\n")
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_time_exits_2(self, workspace, tmp_path):
@@ -1593,6 +1641,15 @@ class TestReport:
                         "--out", tmp_path / "r2"]).exit_code == 0
         result = run_cli(["report", runs / "I", tmp_path / "r2"])
         assert result.exit_code == 5
+
+    def test_directory_without_summary_exits_5(self, runs, tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        result = run_cli(["report", runs / "I", empty, "--out", tmp_path / "report"])
+        assert result.exit_code == 5, result.output
+        assert result.stderr == (f"error: {empty}: no summary.json "
+                                 "(not a train-eval output?)\n")
+        assert not (tmp_path / "report").exists()
 
     @staticmethod
     def edited_summary(runs, tmp_path, tag, edit):

@@ -672,6 +672,27 @@ class TestWorkspace:
         # One (T, M, B, 4H) gate block alone is 311 KB at this shape.
         assert peak < 600 * 1024
 
+    def test_degenerate_member_sits_out_a_stacked_step(self):
+        cfg = ModelConfig(input_dim=3, hidden_dim=4)
+        flat, _ = stack_params([init_params(replace(cfg, seed=s)) for s in (0, 1)], cfg)
+        # Model 1 has all-zero weights and targets: its predictions are flat
+        # at the targets' mean, so every row's concordance denominator is 0.
+        flat[1] = 0.0
+        rng = np.random.default_rng(0)
+        X, Y = rng.normal(size=(2, 3, 6, 3)), rng.normal(size=(2, 3, 6))
+        Y[1] = 0.0
+        alone = flat[:1].copy()
+        opt = Adam(flat, learning_rate=1e-2, weight_decay=1e-4)
+        opt_alone = Adam(alone, learning_rate=1e-2, weight_decay=1e-4)
+        _, counted = stacked._train_step(flat, opt, cfg, [0, 1], X, Y,
+                                         stacked._Workspace(flat.dtype))
+        stacked._train_step(alone, opt_alone, cfg, [0], X[:1], Y[:1],
+                            stacked._Workspace(alone.dtype))
+        assert counted.tolist() == [3, 0]
+        assert not flat[1].any()
+        assert opt.t.tolist() == [1, 0]
+        np.testing.assert_array_equal(flat[0], alone[0])
+
 
     @staticmethod
     def held_bytes(cfg, n, steps, val_steps, n_val):
