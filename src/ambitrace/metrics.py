@@ -35,9 +35,7 @@ def _concordance(x, y):
     mx, my = x.mean(axis=-1), y.mean(axis=-1)
     xc, yc = x - mx[..., None], y - my[..., None]
     cov = (xc * yc).mean(axis=-1)
-    # On scalar means ``**`` is C's pow, on arrays a product; the two can
-    # differ in the last bit, and each caller keeps the rounding it had.
-    denom = (xc * xc).mean(axis=-1) + (yc * yc).mean(axis=-1) + (mx - my) ** 2
+    denom = (xc * xc).mean(axis=-1) + (yc * yc).mean(axis=-1) + np.square(mx - my)
     usable = ~(denom < CCC_DENOM_GUARD)
     denom = np.where(usable, denom, 1.0)
     value = np.where(usable, 2.0 * cov / denom, 0.0)

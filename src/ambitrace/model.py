@@ -22,9 +22,9 @@ validation alike).  The models stay independent: each has its own seed,
 data, shuffle order, target scaling, Adam state and best epoch, and ends
 bit for bit where training it alone would.  A stack's parameters, gradients and
 Adam moments are flat (models, P) buffers with named views, kept in the
-stored form ``_gate_signs`` describes, and its passes reuse one workspace,
-so after the first step a training step allocates no large array.
-``stack_bytes`` bounds what a stack holds, so callers can size stacks.
+stored form ``_gate_signs`` describes.  Its passes share one workspace,
+allocated once from ``_buffer_plan``, so a training step allocates no large
+array; ``stack_bytes`` counts what a stack allocates, so callers can size stacks.
 """
 
 from __future__ import annotations
@@ -163,28 +163,63 @@ def _as_rows(models):
     return np.asarray(models)
 
 
+def _buffer_plan(cfg, shapes):
+    """Per model, the elements each user of a workspace buffer takes at any of
+    the (T, B) batch shapes ``shapes``: {buffer: {user: elements}}.  A buffer's
+    users take it in turn within a pass, so it holds the largest of them."""
+    D, H, P = cfg.input_dim, cfg.hidden_dim, _param_count(cfg)
+    rows = max((T * B for T, B in shapes), default=0)
+    states = H * max(((T + 1) * B for T, B in shapes), default=0)  # with the initial state
+    batch = max((B for _, B in shapes), default=0)
+    plan = {
+        # The top layer's dz scratch, then each layer's d loss/d h (read only
+        # in its time loop, before it writes the next), then the gradient rows.
+        "d_h": {"l1.spare": rows * H, "d_h": rows * H, "grads": P},
+        # tanh(c) and the dc/dh factor, then the model-major copies of the inputs.
+        "tanh_c": {"tanh_c": rows * H, "inputs": rows * max(D, H)},
+        "y": {"y": rows}, "z": {"z": 4 * H * batch},
+        **{name: {name: H * batch} for name in ("ig", "dh", "dc", "dh+", "dc+")},
+    }
+    for layer, width in enumerate([D] + [H] * (cfg.num_layers - 1)):
+        name = f"l{layer}."
+        plan[name + "gates"] = {name + "gates": 4 * H * rows}
+        plan[name + "c"] = {name + "c": states, name + "block": 4 * H * max(width, H)}
+        plan[name + "h"] = {name + "h": states}
+    # Once the backward pass is done with them, the gates take Adam's scratch
+    # rows; once its time loop is, the top layer's c the dz scratch below it.
+    plan["l0.gates"]["update"] = plan["l1.gates"]["denom"] = P
+    plan["l1.c"]["l0.spare"] = rows * H
+    return plan
+
+
+def _batch_shapes(train_cfg, runs):
+    """The (T, B) batch shapes of a stack's training steps and validation passes,
+    from each model's (training lengths, validation lengths) in ``runs``."""
+    shapes = set()
+    for train, val in runs:
+        segments = Counter(stop - start for length in train
+                           for start, stop in _segment_bounds(length, train_cfg.segment_length))
+        shapes.update((T, min(n, train_cfg.batch_segments)) for T, n in segments.items())
+        shapes.update(Counter(val).items())
+    return shapes
+
+
 class _Workspace:
-    """Named scratch buffers reused by every pass over one stack.
+    """The scratch buffers of every pass over a stack of ``n_models``, each
+    allocated once at the most its users take in ``_buffer_plan``.  ``get``
+    returns a C-contiguous view of the first elements of a user's buffer (a
+    shape beyond the plan fails to reshape): the layout numpy gives the
+    temporaries these views replace, so sums over them add in the same order
+    and the results are bit-identical."""
 
-    Each name owns a flat buffer that grows only when a larger shape is
-    asked for; ``get`` returns a C-contiguous view of its first elements,
-    so smaller batches reuse the memory of the largest.  C order is the
-    layout numpy gives the temporaries these views replace, so the sums
-    over them add in the same order and the results are bit-identical.  A
-    view's contents hold until the next ``get`` of the same name.  Every
-    buffer has the dtype of the stack the workspace serves.
-    """
+    def __init__(self, cfg, n_models, shapes, dtype):
+        plan = _buffer_plan(cfg, shapes)
+        self._buffers = {name: np.empty(n_models * max(users.values()), dtype)
+                         for name, users in plan.items()}
+        self._lenders = {user: name for name, users in plan.items() for user in users}
 
-    def __init__(self, dtype):
-        self.dtype = np.dtype(dtype)
-        self._buffers = {}
-
-    def get(self, name, shape):
-        size = math.prod(shape)
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size, self.dtype)
-        return buf[:size].reshape(shape)
+    def get(self, user, shape):
+        return self._buffers[self._lenders[user]][:math.prod(shape)].reshape(shape)
 
 
 def _layer_forward(inp, params, layer, ws):
@@ -365,7 +400,7 @@ def _layer_backward(lc, params, layer, d_out, dc_dh, ws):
         np.matmul(dz_t[t], Wh_T, out=dh_next)
     if layer == 0:
         return None
-    d_in = ws.get("d_in", (M, T, B, Wx.shape[1]))
+    d_in = ws.get("d_h", (M, T, B, Wx.shape[1]))
     np.matmul(dz, Wx.transpose(0, 2, 1)[:, None], out=d_in)
     return d_in.transpose(1, 0, 2, 3)
 
@@ -373,20 +408,16 @@ def _layer_backward(lc, params, layer, d_out, dc_dh, ws):
 def _weight_grads(lc, layer, grads, ws):
     """Write a layer's weight gradients, from its finished ``dz``, into ``grads``.
 
-    They sum over (t, b) rows within each model, so ``dz`` being
-    model-major needs no copy of it.  The product blocks borrow the layer's
-    dead c buffer, and the model-major copy of each input the dead dc/dh
-    factor's.
-    """
+    They sum over (t, b) rows within each model, so the model-major ``dz`` needs no copy."""
     dz = lc["gates"]
     M, T, B, H4 = dz.shape
     dz = dz.reshape(M, T * B, H4)
     name = f"l{layer}."
     for a, key in ((lc["inp"], "Wx"), (lc["h"][:-1], "Wh")):
-        rows = ws.get("tanh_c", (M, T, B, a.shape[3]))
+        rows = ws.get("inputs", (M, T, B, a.shape[3]))
         np.copyto(rows, a.transpose(1, 0, 2, 3))
         out = grads[name + key]
-        _row_products(rows.reshape(M, T * B, -1), dz, out, ws.get(name + "c", out.shape))
+        _row_products(rows.reshape(M, T * B, -1), dz, out, ws.get(name + "block", out.shape))
     grads[name + "b"][...] = dz.sum(axis=1)
 
 
@@ -403,24 +434,15 @@ def _backward(params, cfg, cache, dy):
     layers = cache["layers"]
     top = layers[-1]["h"][1:]
     ds = np.asarray(dy, dtype=y.dtype).transpose(2, 0, 1) * (1.0 - y**2)
-    # The top layer's dz parts are formed while d_out's buffer is free to
-    # lend as scratch; each lower layer's borrow the c buffer of the layer
-    # above, dead after that layer's time loop.  The layers take turns
-    # with one tanh_c buffer.
     tanh_c = ws.get("tanh_c", top.shape)
-    d_out = ws.get("d_in", top.shape)
+    d_out = ws.get("d_h", top.shape)
     for layer in range(cfg.num_layers - 1, -1, -1):
-        if layer == cfg.num_layers - 1:
-            _dz_factors(layers[layer], d_out, tanh_c)
+        _dz_factors(layers[layer], ws.get(f"l{layer}.spare", top.shape), tanh_c)
+        if layer == cfg.num_layers - 1:  # its dz scratch was d_out's buffer
             np.multiply(ds[..., None], params["head.w"][:, None, :], out=d_out)
-        else:
-            _dz_factors(layers[layer], layers[layer + 1]["c"][1:], tanh_c)
-        # The layer reads d_out only in its time loop, so the d loss/d input
-        # it writes after it can share the buffer.
         d_out = _layer_backward(layers[layer], params, layer, d_out, tanh_c, ws)
-    # The weight gradients need only the finished dz's and the forward's
-    # inputs, so they come last, and their rows take the d_in buffer.
-    flat = ws.get("d_in", (top.shape[1], _param_count(cfg)))
+    # The weight gradients need only the finished dz's and inputs: they come last.
+    flat = ws.get("grads", (top.shape[1], _param_count(cfg)))
     grads = _views(flat, cfg)
     grads["head.w"][...] = np.multiply(ds[..., None], top, out=tanh_c).sum(axis=(0, 2))
     # Summed over b within each step, then step by step: a plain sum over
@@ -644,41 +666,17 @@ def _train_step(flat, opt, cfg, members, X, Y, ws):
         grads = _backward(params, cfg, cache, grad / np.maximum(counted, 1)[:, None, None])
         if not active.all():
             grads, members = grads[active], np.asarray(members)[active]
-        # The backward pass is done with both layers' gate buffers, so
-        # Adam's scratch rows borrow them.
-        opt.step(flat, grads, members, [ws.get(n, grads.shape) for n in ("l0.gates", "l1.gates")])
+        opt.step(flat, grads, members, [ws.get(n, grads.shape) for n in ("update", "denom")])
     return loss.sum(axis=1), counted
 
 
 def stack_bytes(cfg: ModelConfig, train_cfg: TrainConfig, runs) -> int:
-    """An upper bound on the bytes of buffers ``train_stack`` keeps for a stack.
-
-    ``runs`` holds each model's (training lengths, validation lengths), the
-    lengths of its sequences.  The bound covers the workspace, grown as if
-    every pass stacked all the models at their largest batch shapes, and
-    the flat parameter, best, gradient and Adam rows, in ``TRAIN_DTYPE``.
-    """
-    D, H, P = cfg.input_dim, cfg.hidden_dim, _param_count(cfg)
-    shapes = set()
-    for train, val in runs:
-        segments = Counter(stop - start for length in train
-                           for start, stop in _segment_bounds(length, train_cfg.segment_length))
-        shapes.update((T, min(n, train_cfg.batch_segments)) for T, n in segments.items())
-        shapes.update(Counter(val).items())
-
-    def elements(T, B):
-        # Per model, each buffer a pass over (B, T) batches asks for: d_in
-        # (lent to the gradient rows), tanh_c (lent to the input copies), y,
-        # z, ig and the four carries, then per layer the gates (lent to
-        # Adam's scratch rows), c (lent to a weight-gradient block) and h.
-        sizes = [max(T * B * H, P), T * B * max(D, H), T * B, 4 * H * B, H * B, 4 * H * B]
-        for width in [D] + [H] * (cfg.num_layers - 1):
-            sizes += [max(4 * H * T * B, P), max((T + 1) * B * H, 4 * H * max(width, H)),
-                      (T + 1) * B * H]
-        return sizes
-
-    workspace = sum(map(max, zip(*(elements(T, B) for T, B in shapes))))
-    rows = 4 * P  # flat, best and Adam's two moments
+    """The bytes ``train_stack`` allocates for a stack's workspace and flat
+    parameter, best and Adam rows, given each model's (training lengths,
+    validation lengths) in ``runs``."""
+    plan = _buffer_plan(cfg, _batch_shapes(train_cfg, runs))
+    workspace = sum(max(users.values()) for users in plan.values())
+    rows = 4 * _param_count(cfg)  # flat, best and Adam's two moments
     return len(runs) * ((workspace + rows) * np.dtype(TRAIN_DTYPE).itemsize
                         + np.dtype(int).itemsize)  # Adam's step count
 
@@ -722,7 +720,8 @@ def train_stack(cfg: ModelConfig, train_cfg: TrainConfig, runs) -> list[TrainedM
 
     flat, _ = stack_params([{k: v.astype(TRAIN_DTYPE) for k, v in init_params(c).items()}
                             for c in configs], cfg)
-    ws = _Workspace(flat.dtype)
+    lengths = [([len(x) for x in f], [len(x) for x in v]) for f, v in zip(features, val_features)]
+    ws = _Workspace(cfg, n_models, _batch_shapes(train_cfg, lengths), flat.dtype)
     best_flat = flat.copy()
     best_loss = _validation_loss(flat, cfg, val_groups, ws)
     best_epoch = np.zeros(n_models, dtype=int)
@@ -776,7 +775,7 @@ def predict_stack(models, sequences):
     """
     cfg = models[0].config
     flat, stored = stack_params([m.params for m in models], cfg)
-    ws = _Workspace(flat.dtype)
+    ws = _Workspace(cfg, len(models), {(len(x), 1) for x in sequences}, flat.dtype)
     results = []
     for x in sequences:
         y, _ = _forward(stored, cfg, np.asarray(x)[None, None], ws)

@@ -179,13 +179,13 @@ def run_represent(manifest: ExperimentManifest, tag, out_dir):
 # --- train-eval -------------------------------------------------------------
 
 
-# The most bytes of training buffers (``model.stack_bytes``) that one stack
-# of folds may hold: 4.5 MiB.  On the perfbench train_eval inputs (H 32,
-# segments of 19 steps in batches of 8, two targets) four folds are
-# estimated at 4.1 MiB and five at 5.1 MiB.  Serial stacks of 4, 3 and 3
+# The most bytes of training buffers that one stack of folds may allocate
+# (``model.stack_bytes`` counts them): 4.5 MiB.  On the perfbench train_eval
+# inputs (H 32, segments of 19 steps in batches of 8, two targets) four
+# folds allocate 4.1 MiB and five 5.1 MiB.  Serial stacks of 4, 3 and 3
 # folds cut the benchmark's CPU by 15 % against pairs, for 4.4 % more peak
 # RSS; stacks of five would peak 9 % above pairs.  At a paper-like
-# shape (H 64, segments of 100 steps) one fold is estimated at 7.1 MiB and
+# shape (H 64, segments of 100 steps) one fold allocates 7.1 MiB and
 # trains alone: 28 % less peak RSS than pairs, for about 12 % more CPU.
 STACK_BYTES = 4608 * 1024
 

@@ -83,6 +83,12 @@ def run_with_file_size_limit(args, limit):
                      f"main({[str(a) for a in args]!r})\n")
 
 
+def batch_workspace(cfg, flat, *batches):
+    """A workspace for the models of ``flat``, planned for (M, B, T, D) batches
+    of the shapes of ``batches``."""
+    return _Workspace(cfg, len(flat), [(X.shape[2], X.shape[1]) for X in batches], flat.dtype)
+
+
 def gradient_check(
     input_dim=3, hidden_dim=4, steps=5, seed=0, h=1e-5, zero_feature=None
 ):
@@ -109,7 +115,7 @@ def gradient_check(
     target = np.stack(targets)[:, None]
     cfg = cfgs[0]
     flat, params = stack_params([init_params(c) for c in cfgs], cfg)
-    ws = _Workspace(flat.dtype)
+    ws = batch_workspace(cfg, flat, x)
 
     def losses():
         pred, _ = _forward(params, cfg, x, ws)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ambitrace.metrics import ccc, sda
+from ambitrace.metrics import _concordance, ccc, sda
 
 
 def ccc_naive(x, y):
@@ -87,6 +87,15 @@ class TestCCC:
 
     def test_constant_prediction(self):
         assert ccc([1.0, 1.0, 1.0], [0.0, 1.0, 2.0]) == pytest.approx(0.0)
+
+    def test_rounds_as_the_batched_training_loss(self):
+        # A pair whose squared mean difference C's pow rounded apart from
+        # the product the batched concordance takes.
+        x = np.array([-6.640266764338137, 1.6443492706556797, 0.5396885621444194,
+                      -4.866319027447243, 4.59187526590002])
+        y = np.array([-0.2156465152590159, 4.481677783040711, 1.6595542858484418,
+                      3.7283252619365976, 2.0010051062568084])
+        assert ccc(x, y) == _concordance(x[None], y[None])[0][0]
 
 
 class TestSDA:

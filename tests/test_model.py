@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import gradient_check
+from conftest import batch_workspace, gradient_check
 
 from ambitrace import model as stacked
 from ambitrace import pipeline
@@ -177,9 +177,9 @@ def assert_close_to_reference(actual, expected):
 
 def head_outputs(params, cfg, x):
     """One model's raw head outputs on a (B, T, D) batch, from a one-model stack."""
-    _, stored = stack_params([params], cfg)
-    y, _ = stacked._forward(stored, cfg, np.asarray(x)[None],
-                            stacked._Workspace(stored["head.b"].dtype))
+    flat, stored = stack_params([params], cfg)
+    x = np.asarray(x)[None]
+    y, _ = stacked._forward(stored, cfg, x, batch_workspace(cfg, flat, x))
     return y[0]
 
 
@@ -390,7 +390,7 @@ class TestStackedPasses:
         x = rng.normal(size=(1 if shared_input else n_models, 4, 7, 5))
         dy = rng.normal(size=(n_models, 4, 7))
         flat, params = stack_params(per_model, cfgs[0])
-        y, cache = stacked._forward(params, cfgs[0], x, stacked._Workspace(flat.dtype))
+        y, cache = stacked._forward(params, cfgs[0], x, batch_workspace(cfgs[0], flat, x))
         stored = stacked._backward(params, cfgs[0], cache, dy)
         # The stack's gradients are those of its stored form; map them back.
         grads = stacked._views(stored * stacked._gate_signs(cfgs[0]), cfgs[0])
@@ -642,9 +642,11 @@ class TestWorkspace:
         assert {len(g) for g in groups} == {1, 2, 3} and [0, 2] in groups
 
         monkeypatch.setattr(stacked, "_train_step",
-                            lambda *args: step(*args[:-1], stacked._Workspace(args[0].dtype)))
+                            lambda *args: step(*args[:-1], batch_workspace(args[2], args[0],
+                                                                           args[4])))
         monkeypatch.setattr(stacked, "_validation_loss",
-                            lambda *args: validate(*args[:-1], stacked._Workspace(args[0].dtype)))
+                            lambda *args: validate(*args[:-1], batch_workspace(
+                                args[1], args[0], *(X for _, X, _ in args[2]))))
         fresh = self.run_all()
         for (models, preds), (fresh_models, fresh_preds) in zip(reused, fresh):
             for model, pred, alone, alone_pred in zip(models, preds, fresh_models, fresh_preds):
@@ -659,9 +661,9 @@ class TestWorkspace:
         cfg = ModelConfig(input_dim=8, hidden_dim=32)
         flat, _ = stack_params([init_params(replace(cfg, seed=s)) for s in (0, 1)], cfg)
         opt = Adam(flat, learning_rate=1e-3, weight_decay=1e-4)
-        ws = stacked._Workspace(flat.dtype)
         rng = np.random.default_rng(0)
         X, Y = rng.normal(size=(2, 8, 19, 8)), rng.normal(size=(2, 8, 19))
+        ws = batch_workspace(cfg, flat, X)
         stacked._train_step(flat, opt, cfg, [0, 1], X, Y, ws)
         tracemalloc.start()
         try:
@@ -685,9 +687,9 @@ class TestWorkspace:
         opt = Adam(flat, learning_rate=1e-2, weight_decay=1e-4)
         opt_alone = Adam(alone, learning_rate=1e-2, weight_decay=1e-4)
         _, counted = stacked._train_step(flat, opt, cfg, [0, 1], X, Y,
-                                         stacked._Workspace(flat.dtype))
+                                         batch_workspace(cfg, flat, X))
         stacked._train_step(alone, opt_alone, cfg, [0], X[:1], Y[:1],
-                            stacked._Workspace(alone.dtype))
+                            batch_workspace(cfg, alone, X))
         assert counted.tolist() == [3, 0]
         assert not flat[1].any()
         assert opt.t.tolist() == [1, 0]
@@ -698,13 +700,13 @@ class TestWorkspace:
     def held_bytes(cfg, n, steps, val_steps, n_val):
         """Bytes a float32 stack of ``n`` models holds after a training step
         per (T, B) in ``steps`` and one validation pass over ``n_val``
-        sequences of ``val_steps``: its workspace, flat and best rows, and
-        Adam's arrays."""
+        sequences of ``val_steps``: its workspace, planned for those shapes,
+        flat and best rows, and Adam's arrays."""
         flat, _ = stack_params([{k: v.astype(stacked.TRAIN_DTYPE)
                                  for k, v in init_params(replace(cfg, seed=s)).items()}
                                 for s in range(n)], cfg)
         opt = Adam(flat, learning_rate=1e-3, weight_decay=1e-4)
-        ws = stacked._Workspace(flat.dtype)
+        ws = stacked._Workspace(cfg, n, steps + [(val_steps, n_val)], flat.dtype)
         rng = np.random.default_rng(0)
         for T, B in steps:
             X, Y = rng.normal(size=(n, B, T, cfg.input_dim)), rng.normal(size=(n, B, T))
@@ -737,15 +739,28 @@ class TestWorkspace:
         # segments of 100 and 10 steps, and 2 validation items; one fold.
         (64, TrainConfig(segment_length=100, batch_segments=8), [(100, 8), (10, 8)],
          ([110] * 10, [110] * 2), 2),
+        # Batches of 8 segments of 19 steps and one validation sequence of
+        # 300: the gates and c take their size from validation, z and the
+        # carries from training.
+        (32, TrainConfig(segment_length=19, batch_segments=8), [(19, 8)],
+         ([19] * 27, [300]), 4),
     ])
     def test_stack_bytes_cover_what_a_stack_holds(self, hidden, train, steps, lengths, n):
         cfg = ModelConfig(input_dim=8, hidden_dim=hidden)
         val = lengths[1]
         held = self.held_bytes(cfg, n, steps, val[0], len(val))
-        estimate = stacked.stack_bytes(cfg, train, [lengths] * n)
-        # Not below what the buffers hold, and not so far above it that the
-        # stacking rule would leave memory it could use.
-        assert held <= estimate <= 1.02 * held
+        assert stacked.stack_bytes(cfg, train, [lengths] * n) == held
+
+    def test_workspace_holds_only_its_plan(self):
+        cfg = ModelConfig(input_dim=8, hidden_dim=32)
+        ws = stacked._Workspace(cfg, 2, [(19, 8)], np.float32)
+        sizes = {name: buf.size for name, buf in ws._buffers.items()}
+        ws.get("l0.gates", (2, 19, 8, 128))
+        with pytest.raises(ValueError):
+            ws.get("l0.gates", (2, 20, 8, 128))
+        with pytest.raises(KeyError):
+            ws.get("unplanned", (1,))
+        assert {name: buf.size for name, buf in ws._buffers.items()} == sizes
 
 
 class TestSinglePrecision:
@@ -759,7 +774,7 @@ class TestSinglePrecision:
         dy = rng.normal(size=(4, 8, 19))
         flat, params = stack_params(
             [{k: v.astype(np.float32) for k, v in p.items()} for p in per_model], cfgs[0])
-        y, cache = stacked._forward(params, cfgs[0], x, stacked._Workspace(flat.dtype))
+        y, cache = stacked._forward(params, cfgs[0], x, batch_workspace(cfgs[0], flat, x))
         stored = stacked._backward(params, cfgs[0], cache, dy)
         assert y.dtype == stored.dtype == np.float32
         grads = stacked._views(stored * stacked._gate_signs(cfgs[0]), cfgs[0])
